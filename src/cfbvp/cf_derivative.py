@@ -1,9 +1,7 @@
-"""Exponential-kernel fractional left/right derivatives.
+"""Exponential-kernel fractional left/right derivatives of order mu in (1, 2).
 
-The operators act on the n-th classical derivative of the target function
-through a nonsingular kernel exp(-rate * |t - tau|) with
-rate = (mu - n + 1) / (n - mu) for order mu in (n-1, n).  The boundary
-value problem treated by this package uses n = 2 exclusively, for which
+The operators act on the second classical derivative of the target
+function through a nonsingular kernel exp(-rate * |t - tau|) with
 rate = (mu - 1) / (2 - mu).
 """
 
@@ -28,10 +26,6 @@ class FracOrder:
         if not 1.0 < self.mu < 2.0:
             raise ValueError(f"order must lie in (1, 2), got {self.mu}")
 
-    @property
-    def rate(self) -> float:
-        return (self.mu - 1.0) / (2.0 - self.mu)
-
 
 def as_order(mu) -> float:
     """Validate and unwrap an order given as FracOrder or bare float."""
@@ -46,39 +40,31 @@ def rate_of(mu) -> float:
     return (m - 1.0) / (2.0 - m)
 
 
-def _general_rate(mu: float, n: int) -> float:
-    if n < 1:
-        raise ValueError("derivative count n must be a positive integer")
-    if not n - 1 < mu < n:
-        raise ValueError(f"order {mu} outside ({n - 1}, {n})")
-    return (mu - n + 1.0) / (n - mu)
+def cf_left(xpp, mu, t: float, mesh: Mesh) -> float:
+    """Left derivative at t >= 0: (1/(2-mu)) * int_0^t exp(-rate*(t-s)) xpp(s) ds.
 
-
-def cf_left(xn, mu, t: float, mesh: Mesh, n: int = 2) -> float:
-    """Left derivative at t >= 0: (1/(n-mu)) * int_0^t exp(-rate*(t-s)) xn(s) ds.
-
-    xn is the n-th classical derivative of the target function; mesh fixes
-    the cell layout and is rescaled onto [0, t].
+    xpp is the second classical derivative of the target function; mesh
+    fixes the cell layout and is rescaled onto [0, t].
     """
-    mu = float(mu.mu) if isinstance(mu, FracOrder) else float(mu)
-    rate = _general_rate(mu, n)
+    mu = as_order(mu)
+    rate = rate_of(mu)
     if t < 0:
         raise ValueError(f"left derivative needs t >= 0, got {t}")
     if t == 0:
         return 0.0
     m = mesh.rescaled(0.0, t)
-    val = integrate(lambda s: np.exp(-rate * (t - s)) * np.asarray(xn(s), dtype=float), m)
-    return val / (n - mu)
+    val = integrate(lambda s: np.exp(-rate * (t - s)) * np.asarray(xpp(s), dtype=float), m)
+    return val / (2.0 - mu)
 
 
-def cf_right(xn, mu, t: float, mesh: Mesh, n: int = 2) -> float:
-    """Right derivative at t <= 0: ((-1)^n/(n-mu)) * int_t^0 exp(-rate*(s-t)) xn(s) ds."""
-    mu = float(mu.mu) if isinstance(mu, FracOrder) else float(mu)
-    rate = _general_rate(mu, n)
+def cf_right(xpp, mu, t: float, mesh: Mesh) -> float:
+    """Right derivative at t <= 0: (1/(2-mu)) * int_t^0 exp(-rate*(s-t)) xpp(s) ds."""
+    mu = as_order(mu)
+    rate = rate_of(mu)
     if t > 0:
         raise ValueError(f"right derivative needs t <= 0, got {t}")
     if t == 0:
         return 0.0
     m = mesh.rescaled(t, 0.0)
-    val = integrate(lambda s: np.exp(-rate * (s - t)) * np.asarray(xn(s), dtype=float), m)
-    return ((-1) ** n) * val / (n - mu)
+    val = integrate(lambda s: np.exp(-rate * (s - t)) * np.asarray(xpp(s), dtype=float), m)
+    return val / (2.0 - mu)

@@ -8,6 +8,7 @@ the symmetry a structural guarantee instead of a numerical one.
 
 Mixed-sign (t, tau) pairs are undefined and rejected: the integral
 representation only ever integrates over the half-interval containing t.
+GreenOperator is the one implementation of that integral.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from .cf_derivative import as_order, rate_of
 from .gridfn import SymmetricGridFunction
-from .quadrature import Mesh, build_mesh, sample
+from .quadrature import Mesh
 
-__all__ = ["green_eval", "green_diagonal_jump", "green_sup", "apply_green",
-           "half_line_solve"]
+__all__ = ["green_eval", "green_diagonal_jump", "green_sup", "GreenOperator",
+           "apply_green"]
 
 
 def lower_branch(lam: float, t, tau):
@@ -89,77 +90,47 @@ def green_sup(mu, grid_density: int) -> float:
     return float(max(np.max(lo), np.max(up)))
 
 
-def split_meshes(t: float, mesh: Mesh) -> tuple[Mesh | None, Mesh | None]:
-    """Sub-meshes on [0, t] and [t, 1] for diagonal-split integration.
+class GreenOperator:
+    """The map y -> x(t) = int_0^1 G(t, tau) y(tau) dtau at the mesh breakpoints.
 
-    The [t, 1] part keeps the parent mesh's grading toward the right
-    endpoint; [0, t] is uniform (no singularity there).
+    With d = 1 + e^{-2 lam} the kernel is semi-separable on the right half:
+    G(t, tau) = a(t) e^{-lam tau} for tau <= t and b(t) e^{-lam tau} for
+    tau >= t, where a(t) = (e^{-lam t} - e^{lam t - 2 lam}) / d and
+    b(t) = (e^{lam t} + e^{-lam t}) / d.  Since every output point is a
+    breakpoint, no cell straddles the diagonal: with the cell integrals
+    c_j = int_{cell j} e^{-lam tau} y, x(t_i) = a(t_i) sum_{j<i} c_j
+    + b(t_i) sum_{j>=i} c_j, one prefix and one suffix sum for all rows.
+    a(1) = 0 and the suffix at t = 1 is empty, so x(1) = 0 exactly.
     """
-    cells = mesh.cells
-    k = mesh.nodes_per_cell
-    left = None
-    right = None
-    if t > 0.0:
-        n_left = max(1, int(round(cells * t)))
-        left = build_mesh(0.0, t, n_left, nodes_per_cell=k)
-    if t < 1.0:
-        gamma = mesh.gamma if mesh.singular_at in ("right", "both") else 1.0
-        n_right = max(1, int(round(cells * (1.0 - t))))
-        right = build_mesh(t, 1.0, n_right, gamma=gamma,
-                           singular_at="right" if gamma > 1.0 else "none",
-                           nodes_per_cell=k)
-    return left, right
 
+    def __init__(self, mu, mesh: Mesh):
+        lam = rate_of(mu)
+        if mesh.a != 0.0 or mesh.b != 1.0:
+            raise ValueError(f"mesh must cover [0, 1], got [{mesh.a}, {mesh.b}]")
+        t = mesh.breakpoints
+        d = 1.0 + np.exp(-2.0 * lam)
+        self.grid = t
+        self.tau = mesh.flat_nodes
+        self._weights = mesh.weights * np.exp(-lam * mesh.nodes)
+        # e^{-lam t} - e^{lam t - 2 lam} written without cancellation near t = 1
+        self._below = 2.0 * np.exp(-lam) * np.sinh(lam * (1.0 - t)) / d
+        self._above = 2.0 * np.cosh(lam * t) / d
 
-def half_line_solve(mu, yfn, out_nodes, mesh: Mesh,
-                    with_closed_form: bool = False):
-    """x(t) = int_0^1 G(t, tau) y(tau) dtau at each right-half output node.
-
-    The integral is split at tau = t (the kernel's diagonal jump).  With
-    ``with_closed_form`` the algebraically equivalent form
-    cosh(lam t)/cosh(lam) * int_0^1 e^{lam(1-tau)} y - int_0^t e^{lam(t-tau)} y
-    is evaluated on the same quadrature nodes and the max discrepancy between
-    the two paths is returned alongside the values.
-    """
-    mu = as_order(mu)
-    lam = rate_of(mu)
-    out_nodes = np.asarray(out_nodes, dtype=float)
-    vals = np.empty_like(out_nodes)
-    discrepancy = 0.0
-    for i, t in enumerate(out_nodes):
-        left, right = split_meshes(float(t), mesh)
-        green_val = 0.0
-        bvp_a = 0.0  # int e^{lam(1-tau)} y over [0, 1]
-        bvp_b = 0.0  # int e^{lam(t-tau)} y over [0, t]
-        if left is not None:
-            x = left.flat_nodes
-            w = left.flat_weights
-            y = sample(yfn, x)
-            green_val += float(np.dot(w, lower_branch(lam, t, x) * y))
-            bvp_a += float(np.dot(w, np.exp(lam * (1.0 - x)) * y))
-            bvp_b += float(np.dot(w, np.exp(lam * (t - x)) * y))
-        if right is not None:
-            x = right.flat_nodes
-            w = right.flat_weights
-            y = sample(yfn, x)
-            green_val += float(np.dot(w, upper_branch(lam, t, x) * y))
-            bvp_a += float(np.dot(w, np.exp(lam * (1.0 - x)) * y))
-        vals[i] = green_val
-        if with_closed_form:
-            closed = (np.cosh(lam * t) / np.cosh(lam)) * bvp_a - bvp_b
-            discrepancy = max(discrepancy, abs(green_val - closed))
-    if with_closed_form:
-        return vals, discrepancy
-    return vals
+    def apply(self, integrand) -> np.ndarray:
+        y = np.broadcast_to(np.asarray(integrand(self.tau), dtype=float), self.tau.shape)
+        cells = np.einsum("ij,ij->i", self._weights, y.reshape(self._weights.shape))
+        prefix = np.concatenate(([0.0], np.cumsum(cells)))
+        suffix = np.concatenate((np.cumsum(cells[::-1])[::-1], [0.0]))
+        return self._below * prefix + self._above * suffix
 
 
 def apply_green(mu, y: SymmetricGridFunction, mesh: Mesh) -> SymmetricGridFunction:
-    """Integral representation x(t) = int_0^1 G(t, tau) y(tau) dtau.
+    """Solve the linear problem: x(t) = int_0^1 G(t, tau) y(tau) dtau.
 
     Requires y(0) = 0 (the linear problem's compatibility condition); the
-    output inherits y's grid and is symmetric by construction.
+    output lives on the mesh breakpoints and is symmetric by construction.
     """
     if abs(float(y(0.0))) > 1e-12:
         raise ValueError(f"y(0) = {float(y(0.0))!r} violates the y(0) = 0 requirement")
-    vals = half_line_solve(mu, y, y.nodes, mesh)
-    return y.with_values(vals)
+    op = GreenOperator(mu, mesh)
+    return SymmetricGridFunction(op.grid, op.apply(y))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expressions as ex
 from .cf_derivative import as_order
-from .green import green_sup, half_line_solve
+from .green import GreenOperator, green_sup
 from .gridfn import SymmetricGridFunction
 from .quadrature import Mesh, build_mesh, integrate
 
@@ -144,8 +144,8 @@ def sigma_R(spec: ProblemSpec, mesh: Mesh) -> SymmetricGridFunction:
     [-1, 1] evenly; sigma_R(1) = 0 holds exactly because the kernel row at
     t = 1 vanishes identically.
     """
-    vals = half_line_solve(spec.mu, spec.psi_at, mesh.breakpoints, mesh)
-    return SymmetricGridFunction(mesh.breakpoints, vals)
+    op = GreenOperator(spec.mu, mesh)
+    return SymmetricGridFunction(op.grid, op.apply(spec.psi_at))
 
 
 def _t_lattice(density: int) -> np.ndarray:
@@ -154,8 +154,22 @@ def _t_lattice(density: int) -> np.ndarray:
     return np.concatenate([-pos[:0:-1], pos])
 
 
-def _x_lattice(density: int, x_max: float) -> np.ndarray:
-    return np.geomspace(1e-3 * min(x_max, 1.0), x_max, density)
+def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
+    # reaches down to the solver's clamp floor 1/m for every scheduled m
+    return np.geomspace(min(1e-3 * min(x_max, 1.0), 1.0 / m_max), x_max, density)
+
+
+def _sample(failures: list, check: str, fn, witness: dict):
+    """fn() if it evaluates to a finite number, else None with a failure recorded."""
+    try:
+        value = fn()
+    except (ex.ExprDomainError, ex.UnboundVariableError, OverflowError) as err:
+        failures.append(CheckFailure(check, witness, f"expression error: {err}"))
+        return None
+    if not np.isfinite(value):
+        failures.append(CheckFailure(check, witness, f"non-finite value {value}"))
+        return None
+    return value
 
 
 def check_A1(spec: ProblemSpec, sample_density: int | None = None) -> A1Report:
@@ -163,42 +177,35 @@ def check_A1(spec: ProblemSpec, sample_density: int | None = None) -> A1Report:
 
     Checks, on a (t, x) lattice: f(0, x) = 0, f(t, x) = f(-t, x),
     |f(t, x)| <= q(|t|) (u(x) + v(x)), u decreasing and v increasing.
+    An expression error or a non-finite value is a failure at its point.
     """
     density = sample_density or spec.numerics.lattice_density
     ts = _t_lattice(density)
-    xs = _x_lattice(density, 10.0 * spec.R)
+    xs = _x_lattice(density, 10.0 * spec.R, max(spec.numerics.m_schedule))
     failures: list[CheckFailure] = []
-
-    def _try(check, fn, witness):
-        try:
-            return fn()
-        except (ex.ExprDomainError, ex.UnboundVariableError, OverflowError) as err:
-            failures.append(CheckFailure(check, witness, f"expression error: {err}"))
-            return None
-
     for x in xs:
-        f0 = _try("A1.f(0,x)=0", lambda: spec.f_at(0.0, x), {"t": 0.0, "x": x})
+        f0 = _sample(failures, "A1.f(0,x)=0", lambda: spec.f_at(0.0, x), {"t": 0.0, "x": x})
         if f0 is not None and abs(f0) > 1e-12:
             failures.append(CheckFailure("A1.f(0,x)=0", {"t": 0.0, "x": x},
                                          f"f(0, x) = {f0:.6g} != 0"))
     for t in ts[ts > 0]:
         for x in xs:
-            fw = _try("A1.even", lambda: spec.f_at(t, x), {"t": t, "x": x})
-            fm = _try("A1.even", lambda: spec.f_at(-t, x), {"t": -t, "x": x})
+            fw = _sample(failures, "A1.even", lambda: spec.f_at(t, x), {"t": t, "x": x})
+            fm = _sample(failures, "A1.even", lambda: spec.f_at(-t, x), {"t": -t, "x": x})
             if fw is None or fm is None:
                 continue
             scale = max(1.0, abs(fw))
             if abs(fw - fm) > 1e-12 * scale:
                 failures.append(CheckFailure("A1.even", {"t": t, "x": x},
                                              f"f(t,x) = {fw:.6g} but f(-t,x) = {fm:.6g}"))
-            bound = _try("A1.majorant",
-                         lambda: spec.q_at(abs(t)) * (spec.u_at(x) + spec.v_at(x)),
-                         {"t": t, "x": x})
+            bound = _sample(failures, "A1.majorant",
+                            lambda: spec.q_at(abs(t)) * (spec.u_at(x) + spec.v_at(x)),
+                            {"t": t, "x": x})
             if bound is not None and abs(fw) > bound * (1.0 + 1e-12) + 1e-12:
                 failures.append(CheckFailure("A1.majorant", {"t": t, "x": x},
                                              f"|f| = {abs(fw):.6g} exceeds bound {bound:.6g}"))
-    uv = [(_try("A1.monotone", lambda: spec.u_at(x), {"x": x}),
-           _try("A1.monotone", lambda: spec.v_at(x), {"x": x}), x) for x in xs]
+    uv = [(_sample(failures, "A1.monotone", lambda: spec.u_at(x), {"x": x}),
+           _sample(failures, "A1.monotone", lambda: spec.v_at(x), {"x": x}), x) for x in xs]
     for (u0, v0, x0), (u1, v1, x1) in zip(uv, uv[1:]):
         if u0 is not None and u1 is not None and u1 > u0 * (1.0 + 1e-12):
             failures.append(CheckFailure("A1.u_decreasing", {"x": x1},
@@ -279,24 +286,17 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
     density = n.lattice_density
     ts = _t_lattice(density)
-    xs = _x_lattice(density, spec.R)
+    xs = _x_lattice(density, spec.R, max(n.m_schedule))
     for t in ts:
-        try:
-            p = spec.psi_at(abs(t))
-        except ex.ExprDomainError as err:
-            failures.append(CheckFailure("A2.minorant", {"t": t}, f"psi error: {err}"))
+        p = _sample(failures, "A2.minorant", lambda: spec.psi_at(abs(t)), {"t": t})
+        if p is None:
             continue
         if p < -1e-12:
             failures.append(CheckFailure("A2.psi_nonneg", {"t": t},
                                          f"psi(|t|) = {p:.6g} < 0"))
         for x in xs:
-            try:
-                fv = spec.f_at(t, x)
-            except ex.ExprDomainError as err:
-                failures.append(CheckFailure("A2.minorant", {"t": t, "x": x},
-                                             f"f error: {err}"))
-                continue
-            if fv < p - 1e-12 * max(1.0, abs(p)):
+            fv = _sample(failures, "A2.minorant", lambda: spec.f_at(t, x), {"t": t, "x": x})
+            if fv is not None and fv < p - 1e-12 * max(1.0, abs(p)):
                 failures.append(CheckFailure("A2.minorant", {"t": t, "x": x},
                                              f"f = {fv:.6g} < psi = {p:.6g}"))
 

@@ -1,11 +1,9 @@
-"""General solutions of the linear integro-differential equation, the
-two-point boundary value solve, and its residual diagnostics.
+"""General solutions of the linear integro-differential equation and the
+residual diagnostic of its solutions.
 
 On each half-interval the homogeneous solutions are cosh(lam t) and
 sinh(lam t); a particular solution is a one-sided exponential convolution
-of the forcing.  The boundary value solve goes through the kernel path
-(apply_green) and is always cross-checked against the closed form that the
-kernel was derived from.
+of the forcing.  The boundary value solve itself is green.apply_green.
 """
 
 from __future__ import annotations
@@ -16,13 +14,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .cf_derivative import as_order, rate_of
-from .green import apply_green, half_line_solve
-from .gridfn import SymmetricGridFunction
-from .quadrature import Mesh, integrate, mesh_from_breakpoints, sample
+from .quadrature import Mesh, integrate, mesh_from_breakpoints
 
 __all__ = ["GeneralSolutionCoeffs", "general_solution_right_half",
-           "general_solution_left_half", "solve_linear_bvp", "residual_linear",
-           "LinearSolveResult", "ResidualReport"]
+           "general_solution_left_half", "residual_linear", "ResidualReport"]
 
 
 @dataclass(frozen=True)
@@ -64,24 +59,6 @@ def general_solution_left_half(mu, coeffs: GeneralSolutionCoeffs, y,
 def sample_y(y, s):
     v = y(s)
     return np.asarray(v, dtype=float)
-
-
-@dataclass(frozen=True)
-class LinearSolveResult:
-    x: SymmetricGridFunction
-    closed_form_discrepancy: float
-
-
-def solve_linear_bvp(mu, y: SymmetricGridFunction, mesh: Mesh) -> LinearSolveResult:
-    """Solve the linear BVP for symmetric forcing y with y(0) = 0.
-
-    The returned value is the kernel-path solution together with the max
-    discrepancy against the closed-form path, which is computed on the
-    same quadrature nodes and should agree to rounding.
-    """
-    x = apply_green(mu, y, mesh)
-    _, discrepancy = half_line_solve(mu, y, y.nodes, mesh, with_closed_form=True)
-    return LinearSolveResult(x=x, closed_form_discrepancy=float(discrepancy))
 
 
 @dataclass(frozen=True)

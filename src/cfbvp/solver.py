@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cf_derivative import as_order, rate_of
-from .green import lower_branch, split_meshes, upper_branch
+from . import expressions as ex
+from .green import GreenOperator
 from .gridfn import SymmetricGridFunction
 from .hypotheses import (HypothesisReport, ProblemSpec, check_A1, check_A2,
                          epsilon_max)
@@ -47,52 +47,6 @@ def clamp_m(x, m: int, R: float):
     if not R > 0:
         raise ValueError("truncation level R must be positive")
     return np.minimum(np.maximum(x + 1.0 / m, 1.0 / m), R)
-
-
-class GreenOperator:
-    """Precomputed quadrature for y -> int_0^1 G(t, .) y at fixed grid nodes.
-
-    For each output node the diagonal-split quadrature nodes and the
-    products weight * kernel are assembled once; applying the operator to a
-    new integrand is then a single vectorized evaluation plus row sums.
-    """
-
-    def __init__(self, mu, mesh: Mesh):
-        mu = as_order(mu)
-        lam = rate_of(mu)
-        self.grid = mesh.breakpoints
-        taus = []
-        wg = []
-        offsets = [0]
-        for t in self.grid:
-            left, right = split_meshes(float(t), mesh)
-            row_tau = []
-            row_wg = []
-            if left is not None:
-                x = left.flat_nodes
-                row_tau.append(x)
-                row_wg.append(left.flat_weights * lower_branch(lam, t, x))
-            if right is not None:
-                x = right.flat_nodes
-                row_tau.append(x)
-                row_wg.append(right.flat_weights * upper_branch(lam, t, x))
-            tau = np.concatenate(row_tau)
-            taus.append(tau)
-            wg.append(np.concatenate(row_wg))
-            offsets.append(offsets[-1] + len(tau))
-        self.tau = np.concatenate(taus)
-        self.wg = np.concatenate(wg)
-        self.offsets = np.array(offsets)
-
-    def apply_values(self, integrand_values: np.ndarray) -> np.ndarray:
-        prod = self.wg * integrand_values
-        segments = np.add.reduceat(prod, self.offsets[:-1])
-        # reduceat on an empty trailing segment cannot occur: every row of
-        # the operator has at least one quadrature node
-        return segments
-
-    def apply(self, integrand) -> np.ndarray:
-        return self.apply_values(np.asarray(integrand(self.tau), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -178,7 +132,8 @@ def solve_fixed_m(spec: ProblemSpec, m: int, config: SolveConfig, mesh: Mesh,
     """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m.
 
     Stops when the sup-norm step drops below the inner tolerance; ten
-    consecutive step growths abort with a divergence diagnostic.
+    consecutive step growths abort with a divergence diagnostic, and a
+    non-finite value of T_m x aborts naming its first node.
     """
     op = op or GreenOperator(spec.mu, mesh)
     x = x0
@@ -186,6 +141,11 @@ def solve_fixed_m(spec: ProblemSpec, m: int, config: SolveConfig, mesh: Mesh,
     growth = 0
     for it in range(1, config.max_inner + 1):
         tx = apply_Tm(spec, x, m, mesh, op=op)
+        bad = np.flatnonzero(~np.isfinite(tx.values))
+        if bad.size:
+            raise SolverError(
+                f"T_m x is not finite at t = {tx.nodes[bad[0]]:.6g} "
+                f"(m = {m}, iteration {it})")
         new_vals = (1.0 - config.omega) * x.values + config.omega * tx.values
         step = float(np.max(np.abs(new_vals - x.values)))
         x = x.with_values(new_vals)
@@ -226,9 +186,11 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
           hypothesis: HypothesisReport | None = None) -> SolveReport:
     """Sweep the m schedule and extract the stabilized solution.
 
-    Refuses to run unless both assumption checks pass.  Success requires
-    every inner iteration to converge and the last two level solutions to
-    agree within the inter-level tolerance.
+    Refuses to run unless both assumption checks pass.  The barrier of the
+    A2 report (a supplied one must be sampled at the mesh breakpoints) is
+    the first iterate.  Success requires every inner iteration to converge
+    and the last two level solutions to agree within the inter-level
+    tolerance.  An expression error during the sweep is a SolverError.
     """
     config = config or SolveConfig.from_numerics(spec.numerics)
     mesh = mesh or spec.default_mesh()
@@ -246,23 +208,26 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
         if not 1.0 / m < eps:
             raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
 
-    op = GreenOperator(spec.mu, mesh)
-    sigma = SymmetricGridFunction(op.grid, op.apply(
-        lambda tau: np.asarray(spec.psi_at(tau), dtype=float)))
+    sigma = report.sigma
+    if not np.array_equal(sigma.nodes, mesh.breakpoints):
+        raise ValueError("the hypothesis report's barrier grid is not the "
+                         "solver mesh's breakpoints")
 
+    op = GreenOperator(spec.mu, mesh)
     x = sigma
     inner: list[InnerStats] = []
     deviations: list[float] = []
     prev = None
-    for m in config.m_schedule:
-        x, stats = solve_fixed_m(spec, m, config, mesh, x0=x, op=op)
-        inner.append(stats)
-        if prev is not None:
-            deviations.append(x.sup_diff(prev))
-        prev = x
-
-    final_m = config.m_schedule[-1]
-    res = residual_nonlinear(spec, x, mesh, m=final_m, op=op)
+    try:
+        for m in config.m_schedule:
+            x, stats = solve_fixed_m(spec, m, config, mesh, x0=x, op=op)
+            inner.append(stats)
+            if prev is not None:
+                deviations.append(x.sup_diff(prev))
+            prev = x
+        res = residual_nonlinear(spec, x, mesh, m=config.m_schedule[-1], op=op)
+    except ex.ExprDomainError as err:
+        raise SolverError(f"expression error at m = {m}: {err}") from err
     try:
         res_limit = residual_nonlinear(spec, x, mesh, m=None, op=op).sup
     except (ValueError, ArithmeticError):

@@ -85,13 +85,3 @@ def test_wrong_side_rejected():
     with pytest.raises(ValueError):
         cf_right(lambda s: 0.0, 1.5, 0.1, MESH)
 
-
-def test_first_order_variant():
-    # n = 1 with x(t) = t (x' = 1): value is (1 - e^{-rate t}) / mu
-    mu, t = 0.5, 0.8
-    rate = mu / (1.0 - mu)
-    want = (1.0 - math.exp(-rate * t)) / mu
-    got = cf_left(lambda s: 1.0, mu, t, MESH, n=1)
-    assert abs(got - want) <= 1e-12
-    with pytest.raises(ValueError):
-        cf_left(lambda s: 1.0, 1.5, t, MESH, n=1)

@@ -153,6 +153,37 @@ def test_solve_inner_failure_exit(problem_file, tmp_path, capsys):
     assert "status = inner_failed" in capsys.readouterr().out
 
 
+def _worked_variant(tmp_path, f_extra, schedule="16,32,64"):
+    p = tmp_path / "variant.prob"
+    p.write_text(WORKED_TEXT
+                 .replace("*x^(-0.25)\n", f"*x^(-0.25){f_extra}\n", 1)
+                 .replace("solver.m_schedule = 16,32,64",
+                          f"solver.m_schedule = {schedule}"))
+    return p
+
+
+@pytest.mark.parametrize("f_extra,schedule", [
+    (" + 0*sqrt(x - 0.0005)", "16,256,4096"),  # undefined above the clamp floor 1/4096
+    (" + 0*exp(1000*x)", "16,32,64"),          # overflows to nan inside (0, R]
+])
+def test_check_covers_what_solve_evaluates(tmp_path, capsys, f_extra, schedule):
+    p = _worked_variant(tmp_path, f_extra, schedule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    assert "A1 failure" in capsys.readouterr().out
+
+
+def test_solve_expression_error_exit(tmp_path, capsys):
+    # f is undefined only for |x - 0.3| < 0.001, between the lattice points
+    p = _worked_variant(tmp_path, " + 0*sqrt((x - 0.3)^2 - 0.000001)")
+    assert main(["check", str(p)]) == EXIT_OK
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver failure: expression error at m = " in err
+    assert "sqrt" in err
+
+
 def test_green_dump(tmp_path):
     out = tmp_path / "green.csv"
     assert main(["green", "1.5", "--grid", "11", "--out", str(out)]) == EXIT_OK

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cfbvp.cf_derivative import rate_of
-from cfbvp.green import (apply_green, green_diagonal_jump, green_eval,
-                         green_sup, half_line_solve)
+from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
+                         green_eval, green_sup)
 from cfbvp.gridfn import SymmetricGridFunction
 from cfbvp.quadrature import build_mesh, integrate
 
@@ -108,7 +108,7 @@ def test_apply_green_requires_zero_at_origin():
         apply_green(1.5, y, MESH)
 
 
-def test_both_half_forms_agree_at_origin():
+def test_both_half_forms_agree_at_origin(quad_green):
     # for even y, int_0^1 e^{lam(1-s)} y = int_{-1}^0 e^{lam(1+s)} y, so the
     # value at t = 0 agrees between the two half-interval formulas
     mu = 1.5
@@ -118,5 +118,6 @@ def test_both_half_forms_agree_at_origin():
     left_mesh = build_mesh(-1.0, 0.0, 128, 3.0, "left")
     left = integrate(lambda s: np.exp(lam * (1.0 + s)) * y(s), left_mesh) / np.cosh(lam)
     assert abs(right - left) <= 1e-12
-    x0 = half_line_solve(mu, y, np.array([0.0]), MESH)[0]
+    assert abs(quad_green(mu, y, [0.0])[0] - right) <= 1e-12
+    x0 = GreenOperator(mu, MESH).apply(y)[0]
     assert abs(x0 - right) <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 from cfbvp.cf_derivative import rate_of
 from cfbvp.hypotheses import (NumericsConfig, ProblemSpec, check_A1, check_A2,
                               epsilon_max, sigma_R)
+from cfbvp.quadrature import build_mesh
 
 WORKED = dict(
     f="abs(t)*(1-t^2)^(-0.25)*x^(-0.25)",
@@ -70,6 +71,22 @@ def test_sigma_monotone_in_profile():
     lo = sigma_R(make_spec(psi="s"), make_spec().default_mesh())
     hi = sigma_R(make_spec(psi="s + 0.5"), make_spec().default_mesh())
     assert np.all(hi.values >= lo.values - 1e-15)
+
+
+@pytest.mark.parametrize("mu", [1.5, 1.9])
+def test_sigma_refinement_order(mu):
+    # the graded breakpoints nest (1 - (1 - j/N)^3 is node 2j of the 2N
+    # mesh); with psi ~ (1 - s)^(-1/4) the barrier converges at order
+    # gamma (1 - 1/4) = 2.25, a factor 4.76 per doubling
+    spec = make_spec(mu=mu)
+    sigmas = [sigma_R(spec, build_mesh(0.0, 1.0, cells, 3.0, "right"))
+              for cells in (64, 128, 256, 512)]
+    diffs = []
+    for coarse, fine in zip(sigmas, sigmas[1:]):
+        assert np.array_equal(coarse.nodes, fine.nodes[::2])
+        diffs.append(np.max(np.abs(coarse.values - fine.values[::2])))
+    assert diffs[0] / diffs[1] >= 4.0
+    assert diffs[1] / diffs[2] >= 4.0
 
 
 def test_a1_worked_family_passes(spec):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbvp.green import half_line_solve
 from cfbvp.gridfn import SymmetricGridFunction
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
+from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolveConfig,
                           SolverError, apply_Tm, clamp_m, residual_nonlinear,
                           solve, solve_fixed_m)
@@ -73,11 +73,11 @@ def test_clamp_range_invariant(x, m, R):
         assert c == pytest.approx(x + 1.0 / m)
 
 
-def test_operator_matches_half_line_solve(spec, mesh, op):
-    # the precomputed operator and the direct quadrature agree on a smooth
-    # symmetric integrand
+def test_operator_matches_quad_oracle(spec, mesh, op, quad_green):
+    # the operator and an adaptive quadrature of the kernel agree on a
+    # smooth symmetric integrand
     yfn = lambda tau: np.asarray(tau) ** 2
-    direct = half_line_solve(spec.mu, yfn, mesh.breakpoints, mesh)
+    direct = quad_green(spec.mu, yfn, mesh.breakpoints)
     via_op = op.apply(yfn)
     assert np.max(np.abs(direct - via_op)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
@@ -95,9 +95,18 @@ def test_apply_Tm_deep_clamp(spec, mesh, op):
     m = 16
     x0 = SymmetricGridFunction.from_callable(lambda t: -50.0, mesh.breakpoints)
     tx = apply_Tm(spec, x0, m=m, mesh=mesh, op=op)
-    want = half_line_solve(spec.mu, lambda tau: spec.f_at(tau, 1.0 / m + 0.0 * np.asarray(tau)),
-                           mesh.breakpoints, mesh)
+    want = op.apply(lambda tau: spec.f_at(tau, 1.0 / m + 0.0 * np.asarray(tau)))
     assert np.max(np.abs(tx.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_solve_fixed_m_names_non_finite_node(mesh):
+    # f overflows at x = 1 + 1/m; the first non-finite value of T_m x stops
+    # the iteration instead of reaching the spline
+    s = make_spec(f=WORKED["f"] + " + 0*exp(1000*x)")
+    x0 = SymmetricGridFunction.from_callable(lambda t: 1.0, mesh.breakpoints)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverError, match=r"not finite at t = .*m = 16"):
+        solve_fixed_m(s, 16, SolveConfig(), mesh, x0)
 
 
 def test_apply_Tm_eps_guard(spec, mesh):
@@ -219,6 +228,13 @@ def test_schedule_vs_eps_guard(spec, mesh, report):
     with pytest.raises(SolverError):
         solve(spec, config=SolveConfig(m_schedule=(16,)), mesh=mesh,
               hypothesis=tiny)
+
+
+def test_supplied_report_must_share_the_mesh(spec, report):
+    # solve reuses the report's barrier, so its grid must be the mesh's
+    coarse = build_mesh(0.0, 1.0, 64, 3.0, "right")
+    with pytest.raises(ValueError, match="grid"):
+        solve(spec, mesh=coarse, hypothesis=report.hypothesis)
 
 
 def test_solve_deterministic(spec, mesh, report):
