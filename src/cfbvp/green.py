@@ -24,9 +24,13 @@ __all__ = ["green_eval", "green_diagonal_jump", "green_sup", "GreenOperator",
 
 
 def lower_branch(lam: float, t, tau):
-    """Kernel for 0 <= tau <= t <= 1 (includes the Volterra correction)."""
-    return (np.cosh(lam * t) / np.cosh(lam)) * np.exp(lam * (1.0 - tau)) \
-        - np.exp(lam * (t - tau))
+    """Kernel for 0 <= tau <= t <= 1 (includes the Volterra correction).
+
+    cosh(lam t) / cosh(lam) e^{lam (1 - tau)} - e^{lam (t - tau)}, written
+    without the cancellation of its two terms of size e^lam.
+    """
+    return (np.exp(-lam * (t + tau)) - np.exp(-lam * (2.0 - t + tau))) \
+        / (1.0 + np.exp(-2.0 * lam))
 
 
 def upper_branch(lam: float, t, tau):
@@ -84,10 +88,9 @@ def green_sup(mu, grid_density: int) -> float:
         raise ValueError("grid_density must be >= 2")
     lam = rate_of(mu)
     g = np.linspace(0.0, 1.0, grid_density)
-    tt, ss = np.meshgrid(g, g, indexing="ij")
-    lo = np.where(ss <= tt, lower_branch(lam, tt, ss), -np.inf)
-    up = np.where(ss >= tt, upper_branch(lam, tt, ss), -np.inf)
-    return float(max(np.max(lo), np.max(up)))
+    i, j = np.tril_indices(grid_density)  # g[j] <= g[i]: each branch on its own triangle
+    return float(max(np.max(lower_branch(lam, g[i], g[j])),
+                     np.max(upper_branch(lam, g[j], g[i]))))
 
 
 class GreenOperator:

@@ -159,17 +159,43 @@ def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
     return np.geomspace(min(1e-3 * min(x_max, 1.0), 1.0 / m_max), x_max, density)
 
 
-def _sample(failures: list, check: str, fn, witness: dict):
-    """fn() if it evaluates to a finite number, else None with a failure recorded."""
-    try:
-        value = fn()
-    except (ex.ExprDomainError, ex.UnboundVariableError, OverflowError) as err:
-        failures.append(CheckFailure(check, witness, f"expression error: {err}"))
-        return None
-    if not np.isfinite(value):
-        failures.append(CheckFailure(check, witness, f"non-finite value {value}"))
-        return None
-    return value
+_EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
+
+
+def _on_lattice(fn, *axes) -> tuple[np.ndarray, dict]:
+    """fn(*axes) over the broadcast lattice, with the expression errors on it.
+
+    fn is evaluated once on the whole arrays.  Only if that raises is it
+    re-evaluated point by point, to find which points fail and why: the
+    values are NaN there, and ``errors`` maps each such index to its message.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+    with np.errstate(all="ignore"):
+        try:
+            return np.broadcast_to(np.asarray(fn(*axes), dtype=float), shape), {}
+        except _EXPR_ERRORS:
+            pass
+        points = np.broadcast_arrays(*axes)
+        values = np.full(shape, np.nan)
+        errors = {}
+        for idx in np.ndindex(shape):
+            try:
+                values[idx] = fn(*(p[idx] for p in points))
+            except _EXPR_ERRORS as err:
+                errors[idx] = str(err)
+    return values, errors
+
+
+def _unusable(failures: list, check: str, witness: dict, value, error) -> bool:
+    """Record an expression error or a non-finite value; True if one was recorded."""
+    if error is not None:
+        detail = f"expression error: {error}"
+    elif not np.isfinite(value):
+        detail = f"non-finite value {float(value)}"
+    else:
+        return False
+    failures.append(CheckFailure(check, witness, detail))
+    return True
 
 
 def check_A1(spec: ProblemSpec, sample_density: int | None = None) -> A1Report:
@@ -182,37 +208,54 @@ def check_A1(spec: ProblemSpec, sample_density: int | None = None) -> A1Report:
     density = sample_density or spec.numerics.lattice_density
     ts = _t_lattice(density)
     xs = _x_lattice(density, 10.0 * spec.R, max(spec.numerics.m_schedule))
+    mid = density - 1  # ts[mid] = 0 and ts[mid - k] = -ts[mid + k]
+    f, f_err = _on_lattice(spec.f_at, ts[:, None], xs)
+    q, q_err = _on_lattice(spec.q_at, ts[mid + 1:])
+    u, u_err = _on_lattice(spec.u_at, xs)
+    v, v_err = _on_lattice(spec.v_at, xs)
+    fw, fm = f[mid + 1:], f[mid - 1::-1]
+    with np.errstate(all="ignore"):
+        bound = q[:, None] * (u + v)
+        origin = ~np.isfinite(f[mid]) | (np.abs(f[mid]) > 1e-12)
+        suspect = (~np.isfinite(fw) | ~np.isfinite(fm) | ~np.isfinite(bound)
+                   | (np.abs(fw - fm) > 1e-12 * np.maximum(1.0, np.abs(fw)))
+                   | (np.abs(fw) > bound * (1.0 + 1e-12) + 1e-12))
     failures: list[CheckFailure] = []
-    for x in xs:
-        f0 = _sample(failures, "A1.f(0,x)=0", lambda: spec.f_at(0.0, x), {"t": 0.0, "x": x})
-        if f0 is not None and abs(f0) > 1e-12:
-            failures.append(CheckFailure("A1.f(0,x)=0", {"t": 0.0, "x": x},
-                                         f"f(0, x) = {f0:.6g} != 0"))
-    for t in ts[ts > 0]:
-        for x in xs:
-            fw = _sample(failures, "A1.even", lambda: spec.f_at(t, x), {"t": t, "x": x})
-            fm = _sample(failures, "A1.even", lambda: spec.f_at(-t, x), {"t": -t, "x": x})
-            if fw is None or fm is None:
-                continue
-            scale = max(1.0, abs(fw))
-            if abs(fw - fm) > 1e-12 * scale:
-                failures.append(CheckFailure("A1.even", {"t": t, "x": x},
-                                             f"f(t,x) = {fw:.6g} but f(-t,x) = {fm:.6g}"))
-            bound = _sample(failures, "A1.majorant",
-                            lambda: spec.q_at(abs(t)) * (spec.u_at(x) + spec.v_at(x)),
-                            {"t": t, "x": x})
-            if bound is not None and abs(fw) > bound * (1.0 + 1e-12) + 1e-12:
-                failures.append(CheckFailure("A1.majorant", {"t": t, "x": x},
-                                             f"|f| = {abs(fw):.6g} exceeds bound {bound:.6g}"))
-    uv = [(_sample(failures, "A1.monotone", lambda: spec.u_at(x), {"x": x}),
-           _sample(failures, "A1.monotone", lambda: spec.v_at(x), {"x": x}), x) for x in xs]
-    for (u0, v0, x0), (u1, v1, x1) in zip(uv, uv[1:]):
-        if u0 is not None and u1 is not None and u1 > u0 * (1.0 + 1e-12):
-            failures.append(CheckFailure("A1.u_decreasing", {"x": x1},
-                                         f"u({x0:.6g}) = {u0:.6g} < u({x1:.6g}) = {u1:.6g}"))
-        if v0 is not None and v1 is not None and v1 < v0 * (1.0 - 1e-12):
-            failures.append(CheckFailure("A1.v_increasing", {"x": x1},
-                                         f"v({x0:.6g}) = {v0:.6g} > v({x1:.6g}) = {v1:.6g}"))
+    for j in np.flatnonzero(origin):
+        at = {"t": 0.0, "x": xs[j]}
+        if not _unusable(failures, "A1.f(0,x)=0", at, f[mid, j], f_err.get((mid, j))):
+            failures.append(CheckFailure("A1.f(0,x)=0", at, f"f(0, x) = {f[mid, j]:.6g} != 0"))
+    for i, j in zip(*np.nonzero(suspect)):
+        t, x = ts[mid + 1 + i], xs[j]
+        bad_w = _unusable(failures, "A1.even", {"t": t, "x": x}, fw[i, j],
+                          f_err.get((mid + 1 + i, j)))
+        bad_m = _unusable(failures, "A1.even", {"t": -t, "x": x}, fm[i, j],
+                          f_err.get((mid - 1 - i, j)))
+        if bad_w or bad_m:
+            continue
+        w, m, b = float(fw[i, j]), float(fm[i, j]), float(bound[i, j])
+        if abs(w - m) > 1e-12 * max(1.0, abs(w)):
+            failures.append(CheckFailure("A1.even", {"t": t, "x": x},
+                                         f"f(t,x) = {w:.6g} but f(-t,x) = {m:.6g}"))
+        error = q_err.get((i,)) or u_err.get((j,)) or v_err.get((j,))
+        if not _unusable(failures, "A1.majorant", {"t": t, "x": x}, b, error) \
+                and abs(w) > b * (1.0 + 1e-12) + 1e-12:
+            failures.append(CheckFailure("A1.majorant", {"t": t, "x": x},
+                                         f"|f| = {abs(w):.6g} exceeds bound {b:.6g}"))
+    u_ok, v_ok = np.isfinite(u), np.isfinite(v)
+    for j in np.flatnonzero(~u_ok | ~v_ok):
+        _unusable(failures, "A1.monotone", {"x": xs[j]}, u[j], u_err.get((j,)))
+        _unusable(failures, "A1.monotone", {"x": xs[j]}, v[j], v_err.get((j,)))
+    u_up = u_ok[:-1] & u_ok[1:] & (u[1:] > u[:-1] * (1.0 + 1e-12))
+    v_down = v_ok[:-1] & v_ok[1:] & (v[1:] < v[:-1] * (1.0 - 1e-12))
+    for k in np.flatnonzero(u_up | v_down):
+        x0, x1 = xs[k], xs[k + 1]
+        if u_up[k]:
+            failures.append(CheckFailure("A1.u_decreasing", {"x": x1}, f"u({x0:.6g}) = "
+                                         f"{u[k]:.6g} < u({x1:.6g}) = {u[k + 1]:.6g}"))
+        if v_down[k]:
+            failures.append(CheckFailure("A1.v_increasing", {"x": x1}, f"v({x0:.6g}) = "
+                                         f"{v[k]:.6g} > v({x1:.6g}) = {v[k + 1]:.6g}"))
     return A1Report(passed=not failures, failures=tuple(failures),
                     lattice_density=density)
 
@@ -227,7 +270,8 @@ def _stabilized_integral(fn, cells: int, gamma: float, k: int,
     vals = []
     for c in (cells, 2 * cells, 4 * cells, 8 * cells):
         m = build_mesh(0.0, 1.0, c, gamma=gamma, singular_at="right", nodes_per_cell=k)
-        vals.append(integrate(fn, m))
+        with np.errstate(all="ignore"):  # a non-finite integrand raises in integrate
+            vals.append(integrate(fn, m))
     scale = max(abs(vals[-1]), 1e-300)
     changes = [abs(b - a) / scale for a, b in zip(vals, vals[1:])]
     return vals[-1], changes[-1] < rel_tol, changes[-1]
@@ -245,7 +289,13 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     failures: list[CheckFailure] = []
 
     sigma = sigma_R(spec, mesh)
-    sigma0 = float(sigma(0.0))
+    nonfinite = np.flatnonzero(~np.isfinite(sigma.values))
+    if nonfinite.size:
+        # no spline passes through a non-finite barrier: sigma_R(0) and
+        # I_qu = int q u(sigma_R) are left undefined (nan)
+        failures.append(CheckFailure("A2.sigma_finite", {"t": float(sigma.nodes[nonfinite[0]])},
+                                     "barrier takes a non-finite value"))
+    sigma0 = float("nan") if nonfinite.size else float(sigma(0.0))
     if np.min(sigma.values) < -1e-12:
         failures.append(CheckFailure("A2.sigma_nonneg",
                                      {"t": float(sigma.nodes[np.argmin(sigma.values)])},
@@ -274,11 +324,15 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
         return np.asarray(spec.q_at(t), dtype=float) * np.asarray(spec.u_at(s), dtype=float)
 
     try:
-        I_qu, ok_qu, chg_qu = _stabilized_integral(qu, cells_fin, gamma_fin,
-                                                   n.nodes_per_cell)
-        if not ok_qu:
-            failures.append(CheckFailure("A2.I_qu_finite", {"rel_change": chg_qu},
-                                         "int q*u(sigma_R) did not stabilize under refinement"))
+        if nonfinite.size:
+            I_qu = float("nan")
+        else:
+            I_qu, ok_qu, chg_qu = _stabilized_integral(qu, cells_fin, gamma_fin,
+                                                       n.nodes_per_cell)
+            if not ok_qu:
+                failures.append(CheckFailure(
+                    "A2.I_qu_finite", {"rel_change": chg_qu},
+                    "int q*u(sigma_R) did not stabilize under refinement"))
     except (ex.ExprDomainError, ValueError) as err:
         I_qu = float("nan")
         failures.append(CheckFailure("A2.I_qu_finite", {}, f"integration failed: {err}"))
@@ -287,16 +341,23 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     density = n.lattice_density
     ts = _t_lattice(density)
     xs = _x_lattice(density, spec.R, max(n.m_schedule))
-    for t in ts:
-        p = _sample(failures, "A2.minorant", lambda: spec.psi_at(abs(t)), {"t": t})
-        if p is None:
+    psi, psi_err = _on_lattice(spec.psi_at, np.abs(ts))
+    f, f_err = _on_lattice(spec.f_at, ts[:, None], xs)
+    with np.errstate(all="ignore"):
+        floor = psi - 1e-12 * np.maximum(1.0, np.abs(psi))
+        suspect = ~np.isfinite(f) | (f < floor[:, None])
+    rows = ~np.isfinite(psi) | (psi < -1e-12) | suspect.any(axis=1)
+    for i in np.flatnonzero(rows):
+        t, p = ts[i], float(psi[i])
+        if _unusable(failures, "A2.minorant", {"t": t}, p, psi_err.get((i,))):
             continue
         if p < -1e-12:
             failures.append(CheckFailure("A2.psi_nonneg", {"t": t},
                                          f"psi(|t|) = {p:.6g} < 0"))
-        for x in xs:
-            fv = _sample(failures, "A2.minorant", lambda: spec.f_at(t, x), {"t": t, "x": x})
-            if fv is not None and fv < p - 1e-12 * max(1.0, abs(p)):
+        for j in np.flatnonzero(suspect[i]):
+            x, fv = xs[j], float(f[i, j])
+            if not _unusable(failures, "A2.minorant", {"t": t, "x": x}, fv, f_err.get((i, j))) \
+                    and fv < p - 1e-12 * max(1.0, abs(p)):
                 failures.append(CheckFailure("A2.minorant", {"t": t, "x": x},
                                              f"f = {fv:.6g} < psi = {p:.6g}"))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,37 @@ def test_solve_expression_error_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure: expression error at m = " in err
     assert "sqrt" in err
+
+
+def test_check_emits_no_runtime_warning(tmp_path, capsys):
+    # f overflows to nan on part of the lattice; that is a reported failure,
+    # not a numpy warning leaking from inside the evaluation
+    p = _worked_variant(tmp_path, " + 0*exp(1000*x)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    assert "non-finite value nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mu", ["1.975", "1.998"])
+def test_check_passes_at_high_order(tmp_path, capsys, mu):
+    # lam = 39 and 499: the kernel bound is the closed form 2 / (1 + e^{-2 lam})
+    p = tmp_path / "high.prob"
+    p.write_text(WORKED_TEXT.replace("mu = 1.5", f"mu = {mu}"))
+    assert main(["check", str(p)]) == EXIT_OK
+    assert "kernel bound c = 2 (audited sup)" in capsys.readouterr().out
+
+
+def test_non_finite_barrier_exit(tmp_path, capsys):
+    # lam = 768 > 709: the barrier overflows, which is an A2 failure (exit 2)
+    p = tmp_path / "overflow.prob"
+    p.write_text(WORKED_TEXT.replace("mu = 1.5", "mu = 1.9987"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    captured = capsys.readouterr()
+    assert "A2 failure: [A2.sigma_finite] barrier takes a non-finite value" in captured.out
+    assert "A2.sigma_finite" in captured.err
 
 
 def test_green_dump(tmp_path):

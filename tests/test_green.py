@@ -5,7 +5,7 @@ import pytest
 
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
-                         green_eval, green_sup)
+                         green_eval, green_sup, lower_branch)
 from cfbvp.gridfn import SymmetricGridFunction
 from cfbvp.quadrature import build_mesh, integrate
 
@@ -71,6 +71,36 @@ def test_sup_oracle(mu):
     assert sup >= math.tanh(lam)  # lower-side diagonal value at the origin
     assert sup < 2.0
     assert sup > 1.0  # exceeds the naive unit bound
+
+
+def _cosh_form_sup(mu, n):
+    # the textbook form of both branches on the whole grid, masked to each side
+    lam = rate_of(mu)
+    g = np.linspace(0.0, 1.0, n)
+    tt, ss = np.meshgrid(g, g, indexing="ij")
+    upper = np.cosh(lam * tt) / np.cosh(lam) * np.exp(lam * (1.0 - ss))
+    lower = upper - np.exp(lam * (tt - ss))
+    return float(max(np.max(np.where(ss <= tt, lower, -np.inf)),
+                     np.max(np.where(ss >= tt, upper, -np.inf))))
+
+
+def test_sup_at_high_orders():
+    # the lower branch once subtracted two terms of size e^lam, which gave
+    # 416 at mu = 1.975 and 2.4e202 at mu = 1.998; the closed form is 2 there
+    for mu in (1.975, 1.98, 1.99, 1.998, 1.9985):
+        assert green_sup(mu, 401) == 2.0
+    # where that form loses nothing the audited sup is the same to the bit
+    for mu in np.linspace(1.0, 1.97, 61)[1:]:
+        assert green_sup(mu, 401) == _cosh_form_sup(mu, 401)
+
+
+def test_lower_branch_matches_cosh_form():
+    lam = rate_of(1.5)
+    g = np.linspace(0.0, 1.0, 101)
+    i, j = np.tril_indices(101)
+    cosh_form = np.cosh(lam * g[i]) / np.cosh(lam) * np.exp(lam * (1.0 - g[j])) \
+        - np.exp(lam * (g[i] - g[j]))
+    assert np.max(np.abs(lower_branch(lam, g[i], g[j]) - cosh_form)) <= 1e-15
 
 
 def test_branch_continuity_under_refinement():
