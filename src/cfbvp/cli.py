@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -152,37 +153,40 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_green(args) -> int:
-    mu = args.mu
-    n = args.grid
+def _green_table(mu, n: int) -> str:
+    """The ``green`` CSV; its pieces are freed before the caller writes it."""
     grid = np.linspace(0.0, 1.0, n)
-    lines = ["t,tau,branch,value"]
-    # right-half square, then the mirrored left-half square
+    t, tau = np.meshgrid(grid, grid, indexing="ij")
+    # G(-t, -tau) = G(t, tau): the mirrored left-half square reuses the
+    # branch and value strings of the right half, row for row
+    tails = [f"{'lower' if low else 'upper'},{_fmt(v)}" for low, v in
+             zip((tau <= t).ravel().tolist(), green_eval(mu, t, tau).ravel().tolist())]
+    halves = []
     for sign in (1.0, -1.0):
-        for t in grid:
-            for tau in grid:
-                branch = "lower" if tau <= t else "upper"
-                v = green_eval(mu, sign * t, sign * tau)
-                lines.append(f"{_fmt(sign * t)},{_fmt(sign * tau)},{branch},{_fmt(v)}")
-    _write(Path(args.out), "\n".join(lines) + "\n")
+        coords = [_fmt(sign * g) for g in grid.tolist()]
+        halves.append("\n".join(f"{a},{b},{tail}" for (a, b), tail in
+                                zip(product(coords, coords), tails)))
+    return "\n".join(["t,tau,branch,value", *halves, ""])
+
+
+def cmd_green(args) -> int:
+    _write(Path(args.out), _green_table(args.mu, args.grid))
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     mus = [float(v) for v in args.mu_list.split(",")]
-    grid = args.grid
     lines = ["mu,lambda,boundary_max,symmetry_max_diff,diag_jump_max_err,"
              "sup_measured,sup_closed_form,sup_exceeds_unit_bound"]
+    taus = np.linspace(0.0, 1.0, 201)
+    t, tau = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
+    diag = np.linspace(-1.0, 1.0, 101)
     for mu in mus:
         lam = rate_of(mu)
-        taus = np.linspace(0.0, 1.0, 201)
-        boundary = max(abs(green_eval(mu, 1.0, tau)) for tau in taus)
-        ts = np.linspace(0.0, 1.0, 41)
-        sym = max(abs(green_eval(mu, t, tau) - green_eval(mu, -t, -tau))
-                  for t in ts for tau in ts)
-        jump = max(abs(green_diagonal_jump(mu, t) - 1.0)
-                   for t in np.linspace(-1.0, 1.0, 101))
-        sup = green_sup(mu, grid)
+        boundary = np.max(np.abs(green_eval(mu, 1.0, taus)))
+        sym = np.max(np.abs(green_eval(mu, t, tau) - green_eval(mu, -t, -tau)))
+        jump = np.max(np.abs(green_diagonal_jump(mu, diag) - 1.0))
+        sup = green_sup(mu, args.grid)
         closed = 2.0 / (1.0 + math.exp(-2.0 * lam))
         lines.append(f"{_fmt(mu)},{_fmt(lam)},{_fmt(boundary)},{_fmt(sym)},"
                      f"{_fmt(jump)},{_fmt(sup)},{_fmt(closed)},{sup > 1.0}")

@@ -2,9 +2,9 @@
 
 On each same-sign square of [-1,1]^2 the kernel has two analytic branches
 separated by the diagonal, where a Volterra correction term switches on
-and produces a unit jump.  Left-half queries are canonicalized to the
-right half via the exact symmetry G(t, tau) = G(-t, -tau), which makes
-the symmetry a structural guarantee instead of a numerical one.
+and produces a unit jump.  Left-half queries are folded onto the right
+half by the exact symmetry G(t, tau) = G(-t, -tau), which makes the
+symmetry a structural guarantee instead of a numerical one.
 
 Mixed-sign (t, tau) pairs are undefined and rejected: the integral
 representation only ever integrates over the half-interval containing t.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cf_derivative import as_order, rate_of
+from .cf_derivative import rate_of
 from .gridfn import SymmetricGridFunction
 from .quadrature import Mesh
 
@@ -38,59 +38,48 @@ def upper_branch(lam: float, t, tau):
     return (np.cosh(lam * t) / np.cosh(lam)) * np.exp(lam * (1.0 - tau))
 
 
-def canonicalize(t: float, tau: float) -> tuple[float, float]:
-    """Map (t, tau) to the right-half square; reject mixed signs."""
-    if abs(t) > 1.0 or abs(tau) > 1.0:
-        raise ValueError(f"(t, tau) = ({t}, {tau}) outside [-1, 1]^2")
-    if t * tau < 0.0:
-        raise ValueError(
-            f"kernel undefined for mixed-sign arguments (t, tau) = ({t}, {tau})")
-    if t < 0.0 or tau < 0.0:
-        return -t, -tau
-    return t, tau
-
-
-def green_eval(mu, t: float, tau: float, side: str = "auto") -> float:
-    """Kernel value at (t, tau).
+def green_eval(mu, t, tau, side: str = "auto") -> np.ndarray:
+    """Kernel values at the broadcast points (t, tau); a 0-d array for scalars.
 
     On the diagonal tau == t the two branches disagree by a unit jump;
     ``side`` selects which one ("lower" is the default convention,
     "upper" exposes the other one-sided value).
     """
-    mu = as_order(mu)
     lam = rate_of(mu)
-    t, tau = canonicalize(float(t), float(tau))
     if side not in ("auto", "lower", "upper"):
         raise ValueError(f"side must be auto, lower or upper, got {side!r}")
-    if tau < t or (tau == t and side != "upper"):
-        return float(lower_branch(lam, t, tau))
-    return float(upper_branch(lam, t, tau))
+    t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
+    for bad, message in (((np.abs(t) > 1.0) | (np.abs(tau) > 1.0),
+                          "(t, tau) = ({}, {}) outside [-1, 1]^2"),
+                         (t * tau < 0.0,
+                          "kernel undefined for mixed-sign arguments (t, tau) = ({}, {})")):
+        if np.any(bad):
+            i = np.argmax(bad)  # the first offending point
+            raise ValueError(message.format(t.flat[i], tau.flat[i]))
+    t, tau = np.abs(t), np.abs(tau)  # G(-t, -tau) = G(t, tau)
+    lower = (tau < t) | ((tau == t) & (side != "upper"))
+    return np.where(lower, lower_branch(lam, t, tau), upper_branch(lam, t, tau))
 
 
-def green_diagonal_jump(mu, t: float) -> float:
+def green_diagonal_jump(mu, t) -> np.ndarray:
     """Upper-side minus lower-side kernel value at tau == t (analytically 1)."""
-    mu = as_order(mu)
-    lam = rate_of(mu)
-    if abs(t) > 1.0:
-        raise ValueError(f"t = {t} outside [-1, 1]")
-    t = abs(t)
-    return float(upper_branch(lam, t, t) - lower_branch(lam, t, t))
+    return green_eval(mu, t, t, side="upper") - green_eval(mu, t, t, side="lower")
 
 
 def green_sup(mu, grid_density: int) -> float:
     """Max kernel value over a tensor grid, both diagonal sides included.
 
-    By canonicalization the two same-sign squares carry identical values,
+    By the folding symmetry the two same-sign squares carry identical values,
     so a single right-half sweep covers both.
     """
-    mu = as_order(mu)
+    lam = rate_of(mu)
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
-    lam = rate_of(mu)
     g = np.linspace(0.0, 1.0, grid_density)
     i, j = np.tril_indices(grid_density)  # g[j] <= g[i]: each branch on its own triangle
-    return float(max(np.max(lower_branch(lam, g[i], g[j])),
-                     np.max(upper_branch(lam, g[j], g[i]))))
+    # np.max, unlike max, keeps a NaN of either branch
+    return float(np.max([np.max(lower_branch(lam, g[i], g[j])),
+                         np.max(upper_branch(lam, g[j], g[i]))]))
 
 
 class GreenOperator:

@@ -288,13 +288,19 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     mesh = mesh or spec.default_mesh()
     failures: list[CheckFailure] = []
 
-    sigma = sigma_R(spec, mesh)
+    try:
+        sigma = sigma_R(spec, mesh)
+        undefined = "barrier takes a non-finite value"
+    except _EXPR_ERRORS as err:
+        # psi is integrated against every row at once: the whole barrier is undefined
+        sigma = SymmetricGridFunction(mesh.breakpoints, np.full(mesh.breakpoints.shape, np.nan))
+        undefined = f"barrier undefined: expression error in psi: {err}"
     nonfinite = np.flatnonzero(~np.isfinite(sigma.values))
     if nonfinite.size:
         # no spline passes through a non-finite barrier: sigma_R(0) and
         # I_qu = int q u(sigma_R) are left undefined (nan)
         failures.append(CheckFailure("A2.sigma_finite", {"t": float(sigma.nodes[nonfinite[0]])},
-                                     "barrier takes a non-finite value"))
+                                     undefined))
     sigma0 = float("nan") if nonfinite.size else float(sigma(0.0))
     if np.min(sigma.values) < -1e-12:
         failures.append(CheckFailure("A2.sigma_nonneg",
@@ -366,7 +372,7 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
         uR = spec.u_at(spec.R)
         vR = spec.v_at(spec.R)
         denom = c_kernel * (1.0 + vR / uR) * I_qu
-        ratio = spec.R / denom if denom > 0 else float("inf")
+        ratio = float("inf") if denom <= 0 else spec.R / denom  # nan stays nan
     except (ex.ExprDomainError, ZeroDivisionError) as err:
         denom = float("nan")
         ratio = float("nan")

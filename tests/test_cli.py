@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +247,41 @@ def test_audit_table(tmp_path, capsys):
         assert float(cols[4]) <= 1e-12      # diag_jump_max_err
         assert abs(float(cols[5]) - float(cols[6])) <= 1e-4  # sup vs closed form
         assert cols[7] == "True"            # sup exceeds the unit bound
+
+
+# The kernel tables below were written by the point-by-point evaluation of
+# the kernel that the whole-array one replaced; they pin it to the byte.
+KERNEL_TABLES = Path(__file__).resolve().parent / "data" / "kernel_tables"
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["green", "1.93", "--grid", "7"], "green_1.93_grid7.csv"),
+    (["green", "1.3", "--grid", "7"], "green_1.3_grid7.csv"),
+    (["audit", "1.05,1.5,1.9,1.95,1.9985", "--grid", "41"], "audit_grid41.csv"),
+])
+def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
+    out = tmp_path / golden
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (KERNEL_TABLES / golden).read_bytes()
+
+
+def test_audit_does_not_hide_overflow(capsys):
+    # lam = 768 > 709: the upper branch is inf/inf; the audited sup is nan,
+    # not the 1 that a NaN-dropping max once reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["audit", "1.9987", "--grid", "41"]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[5] == "nan"
+
+
+def test_psi_expression_error_exit(tmp_path, capsys):
+    # psi is undefined on (0, 0.5): the barrier is undefined, an A2 failure
+    p = tmp_path / "psi.prob"
+    p.write_text(WORKED_TEXT.replace("*R^(-0.25)\n", "*R^(-0.25) + 0*sqrt(s - 0.5)\n"))
+    assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    captured = capsys.readouterr()
+    assert ("A2 failure: [A2.sigma_finite] barrier undefined: expression error in psi: "
+            "square root of a negative value in subexpression 'sqrt(s - 0.5)'") in captured.out
+    assert "A2.sigma_finite" in captured.err

@@ -9,7 +9,9 @@ and ``sigma_R.csv`` written at ``checks.lattice_density = 9``;
 at the default density.  The report lists every failure witness in order,
 so any change to the order or text of a ``CheckFailure`` shows up here.
 The goldens were written by a point-by-point evaluation of the checks, so
-they pin the lattice (whole-array) evaluation to it.
+they pin the lattice (whole-array) evaluation to it; ``psi_domain`` (an
+expression error of psi inside (0, 1), once an unreported exit 1) and the
+``ratio = nan`` lines were written after the fixes that report them.
 
 Regenerate the goldens, only when a change to the reports is intended, with
 
@@ -50,6 +52,7 @@ CASES = {
     "q_overflow": {"q": Q + " + 0*exp(1000*s)"},
     "f_left_overflow": {"f": F + " + 0*exp(-1000*t)"},
     "t_domain": {"f": F + " + 0*sqrt(t - 0.5)"},
+    "psi_domain": {"psi": PSI + " + 0*sqrt(s - 0.5)"},
 }
 
 

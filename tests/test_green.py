@@ -40,6 +40,8 @@ def test_mixed_sign_rejected():
         green_eval(1.5, -0.5, 0.5)
     with pytest.raises(ValueError):
         green_eval(1.5, 1.5, 0.5)
+    with pytest.raises(ValueError):
+        green_eval(1.5, 0.5, 0.5, side="middle")
 
 
 def test_diagonal_default_is_lower_side():
@@ -52,6 +54,34 @@ def test_diagonal_default_is_lower_side():
 @pytest.mark.parametrize("mu,t", [(1.5, 0.4), (1.2, -0.6), (1.9, 0.0)])
 def test_diagonal_jump_is_unit(mu, t):
     assert abs(green_diagonal_jump(mu, t) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [1.05, 1.5, 1.93, 1.9985])
+@pytest.mark.parametrize("side", ["auto", "lower", "upper"])
+def test_array_eval_matches_pointwise(mu, side):
+    # both same-sign squares, diagonal included, as one array and point by point
+    g = np.linspace(-1.0, 1.0, 15)
+    t, tau = np.meshgrid(g, g, indexing="ij")
+    same = t * tau >= 0.0
+    t, tau = t[same], tau[same]
+    values = green_eval(mu, t, tau, side=side)
+    assert values.shape == t.shape
+    pointwise = [green_eval(mu, float(a), float(b), side=side) for a, b in zip(t, tau)]
+    assert all(np.shape(v) == () for v in pointwise)
+    assert values.tobytes() == np.array(pointwise).tobytes()
+    jumps = green_diagonal_jump(mu, g)
+    assert jumps.tobytes() == np.array([green_diagonal_jump(mu, float(a)) for a in g]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [(0.5, -0.5), (-0.25, 0.75), (1.5, 0.5), (0.0, -1.0 - 1e-15)])
+def test_one_bad_point_rejects_the_array(bad):
+    t = np.linspace(0.0, 1.0, 9)
+    tau = t[::-1].copy()
+    t[4], tau[4] = bad
+    with pytest.raises(ValueError, match=r"\(t, tau\) = \(" + str(bad[0])):
+        green_eval(1.5, t, tau)
+    with pytest.raises(ValueError):
+        green_eval(1.5, t[:, None], tau)  # the outer grid holds the bad pair too
 
 
 def test_interior_positivity():
@@ -92,6 +122,13 @@ def test_sup_at_high_orders():
     # where that form loses nothing the audited sup is the same to the bit
     for mu in np.linspace(1.0, 1.97, 61)[1:]:
         assert green_sup(mu, 401) == _cosh_form_sup(mu, 401)
+
+
+def test_sup_propagates_overflow():
+    # lam = 768 > 709: cosh(lam) overflows, so the upper branch is nan;
+    # the sup must say so instead of falling back to the lower branch's 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(green_sup(1.9987, 41))
 
 
 def test_lower_branch_matches_cosh_form():
