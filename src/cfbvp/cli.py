@@ -188,8 +188,9 @@ def cmd_audit(args) -> int:
         jump = np.max(np.abs(green_diagonal_jump(mu, diag) - 1.0))
         sup = green_sup(mu, args.grid)
         closed = 2.0 / (1.0 + math.exp(-2.0 * lam))
+        exceeds = "nan" if math.isnan(sup) else sup > 1.0  # nan > 1.0 is False
         lines.append(f"{_fmt(mu)},{_fmt(lam)},{_fmt(boundary)},{_fmt(sym)},"
-                     f"{_fmt(jump)},{_fmt(sup)},{_fmt(closed)},{sup > 1.0}")
+                     f"{_fmt(jump)},{_fmt(sup)},{_fmt(closed)},{exceeds}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:

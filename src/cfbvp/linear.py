@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .cf_derivative import as_order, rate_of
+from .gridfn import SplineNodes
 from .quadrature import Mesh, integrate, mesh_from_breakpoints
 
 __all__ = ["GeneralSolutionCoeffs", "general_solution_right_half",
@@ -92,8 +92,8 @@ def residual_linear(mu, x, y, mesh: Mesh, half: str = "right") -> ResidualReport
     grid = bps if half == "right" else -bps[::-1]
     xv = np.array([float(x(s)) for s in grid])
     yv = np.array([float(y(s)) for s in grid])
-    spline = CubicSpline(grid, xv, bc_type="not-a-knot")
-    x2 = spline.derivative(2)
+    knots = SplineNodes(grid)
+    coeffs = knots.fit(xv)
     k = mesh.nodes_per_cell
     res = np.empty_like(grid)
     for i, t in enumerate(grid):
@@ -113,7 +113,8 @@ def residual_linear(mu, x, y, mesh: Mesh, half: str = "right") -> ResidualReport
             kern = np.exp(-lam * (m.flat_nodes - t))
         w = m.flat_weights
         s = m.flat_nodes
-        cfd_part = float(np.dot(w, kern * x2(s)))          # (2-mu) * fractional term
-        memory = lam * lam * float(np.dot(w, kern * spline(s)))
+        # (2-mu) * fractional term
+        cfd_part = float(np.dot(w, kern * knots.second_derivative(coeffs, s)))
+        memory = lam * lam * float(np.dot(w, kern * knots.value(coeffs, s)))
         res[i] = cfd_part + yv[i] - memory
     return ResidualReport(nodes=grid, values=res)

@@ -273,6 +273,7 @@ def test_audit_does_not_hide_overflow(capsys):
         assert main(["audit", "1.9987", "--grid", "41"]) == EXIT_OK
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[5] == "nan"
+    assert row[7] == "nan"  # not False: a NaN sup is not known to stay below 1
 
 
 def test_psi_expression_error_exit(tmp_path, capsys):
