@@ -19,8 +19,8 @@ from .cf_derivative import rate_of
 from .gridfn import SymmetricGridFunction
 from .quadrature import Mesh
 
-__all__ = ["green_eval", "green_diagonal_jump", "green_sup", "GreenOperator",
-           "apply_green"]
+__all__ = ["green_eval", "green_diagonal_jump", "green_sup", "kernel_bound",
+           "GreenOperator", "apply_green"]
 
 
 def lower_branch(lam: float, t, tau):
@@ -80,6 +80,19 @@ def green_sup(mu, grid_density: int) -> float:
     # np.max, unlike max, keeps a NaN of either branch
     return float(np.max([np.max(lower_branch(lam, g[i], g[j])),
                          np.max(upper_branch(lam, g[j], g[i]))]))
+
+
+def kernel_bound(mu) -> float:
+    """sup G = G(0, 0) on the upper side, 2 / (1 + e^{-2 lam}); nan if lam > 709.
+
+    On tau >= t the upper branch decreases in tau, and on the diagonal,
+    (e^lam + e^{lam (1 - 2t)}) / (2 cosh lam), in t, so its sup is at the
+    corner t = tau = 0; the lower branch stays below 1 / (1 + e^{-2 lam}).
+    The corner value is taken with upper_branch's own arithmetic, so it is
+    the double that green_sup measures on any grid (each contains 0).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # cosh(lam) = inf: nan
+        return float(upper_branch(rate_of(mu), 0.0, 0.0))
 
 
 class GreenOperator:

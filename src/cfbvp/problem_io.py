@@ -87,7 +87,6 @@ def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
         mesh_cells=_take_int(pairs, "mesh.cells", numerics.mesh_cells),
         gamma=_take_float(pairs, "mesh.gamma", numerics.gamma),
         nodes_per_cell=_take_int(pairs, "mesh.nodes_per_cell", numerics.nodes_per_cell),
-        sup_grid=_take_int(pairs, "kernel.sup_grid", numerics.sup_grid),
         lattice_density=_take_int(pairs, "checks.lattice_density",
                                   numerics.lattice_density),
         omega=_take_float(pairs, "solver.omega", numerics.omega),

@@ -50,6 +50,8 @@ def test_parse_overrides():
 @pytest.mark.parametrize("mutation,fragment", [
     (lambda t: t.replace("R = 100\n", ""), "missing required key"),
     (lambda t: t + "bogus.key = 1\n", "unknown key"),
+    # the kernel bound is the kernel's corner value: no grid to configure
+    (lambda t: t + "kernel.sup_grid = 401\n", "unknown key(s): kernel.sup_grid"),
     (lambda t: t + "mu = 1.7\n", "duplicate key"),
     (lambda t: t.replace("mu = 1.5", "mu = fast"), "mu"),
     (lambda t: t.replace("q = s*(1-s^2)^(-0.25)", "q = s*(1-s^2)^(-0.25"), ""),
@@ -156,6 +158,19 @@ def test_solve_inner_failure_exit(problem_file, tmp_path, capsys):
     assert "status = inner_failed" in capsys.readouterr().out
 
 
+def test_solve_not_stabilized_exit(tmp_path, capsys):
+    # every level converges, but the last inter-level deviation (4.2e-3)
+    # exceeds the tolerance
+    shipped = Path(__file__).resolve().parents[1] / "problems" / "worked_family.prob"
+    p = tmp_path / "strict.prob"
+    p.write_text(shipped.read_text().replace("solver.inter_m_tol = 0.05",
+                                             "solver.inter_m_tol = 1e-9"))
+    out = tmp_path / "o"
+    assert main(["solve", str(p), "--out", str(out)]) == EXIT_SOLVER
+    assert "status = not_stabilized" in capsys.readouterr().out
+    assert "status = not_stabilized\n" in (out / "solve_report.txt").read_text()
+
+
 def _worked_variant(tmp_path, f_extra, schedule="16,32,64"):
     p = tmp_path / "variant.prob"
     p.write_text(WORKED_TEXT
@@ -195,6 +210,18 @@ def test_check_emits_no_runtime_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["check", str(p)]) == EXIT_HYPOTHESIS
     assert "non-finite value nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_high_order_emits_no_runtime_warning(tmp_path, capsys, command):
+    # lam = 768 > 709: the barrier and the kernel bound overflow to nan, which
+    # check_A2 reports (A2.sigma_finite, c = nan); no numpy warning leaks
+    p = tmp_path / "overflow.prob"
+    p.write_text(WORKED_TEXT.replace("mu = 1.5", "mu = 1.9987"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    assert "A2.sigma_finite" in "".join(capsys.readouterr())
 
 
 @pytest.mark.parametrize("mu", ["1.975", "1.998"])

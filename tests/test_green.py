@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
-                         green_eval, green_sup, lower_branch)
+                         green_eval, green_sup, kernel_bound, lower_branch)
 from cfbvp.gridfn import SymmetricGridFunction
 from cfbvp.quadrature import build_mesh, integrate
 
@@ -129,6 +130,22 @@ def test_sup_propagates_overflow():
     # the sup must say so instead of falling back to the lower branch's 1
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isnan(green_sup(1.9987, 41))
+
+
+@pytest.mark.parametrize("n", [2, 41, 401])
+def test_kernel_bound_is_the_grid_sup(n):
+    # the sup sits at the grid corner t = tau = 0, so the corner value is
+    # the measured sup to the bit, whatever the grid
+    for mu in [*np.linspace(1.0005, 1.9985, 600).tolist(), 1.2, 1.5, 1.9, 1.975]:
+        assert kernel_bound(mu) == green_sup(mu, n), mu
+
+
+@pytest.mark.parametrize("mu", [1.9986, 1.9987, 1.999])
+def test_kernel_bound_overflow_is_nan_without_warning(mu):
+    # lam > 709: cosh(lam) overflows; nan is the result, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(kernel_bound(mu))
 
 
 def test_lower_branch_matches_cosh_form():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfbvp.cf_derivative import rate_of
+from cfbvp.green import green_sup
 from cfbvp.hypotheses import (NumericsConfig, ProblemSpec, check_A1, check_A2,
                               epsilon_max, sigma_R)
 from cfbvp.quadrature import build_mesh
@@ -87,6 +88,11 @@ def test_sigma_refinement_order(mu):
         diffs.append(np.max(np.abs(coarse.values - fine.values[::2])))
     assert diffs[0] / diffs[1] >= 4.0
     assert diffs[1] / diffs[2] >= 4.0
+
+
+@pytest.mark.parametrize("mu", [1.2, 1.5, 1.9, 1.975])
+def test_a2_kernel_bound_is_the_audited_sup(mu):
+    assert check_A2(make_spec(mu=mu)).c_kernel == green_sup(mu, 401)
 
 
 def test_a1_worked_family_passes(spec):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from cfbvp.gridfn import SymmetricGridFunction
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
+from cfbvp.problem_io import load_problem
 from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolveConfig,
                           SolverError, apply_Tm, clamp_m, residual_nonlinear,
@@ -142,6 +145,16 @@ def test_solve_converges(report):
     assert all(s.converged for s in report.inner)
     assert report.eps == 0.5 * report.eps_max
     assert report.eps_max > 1.0
+
+
+def test_x0_refinement_order():
+    # the graded breakpoints nest and x(0) is the breakpoint t = 0: its
+    # change per doubling of the cells shrinks by a factor of about 5
+    shipped = Path(__file__).resolve().parents[1] / "problems" / "worked_family.prob"
+    x0 = [solve(load_problem(shipped, {"mesh_cells": cells})).x.values[0]
+          for cells in (64, 128, 256, 512, 1024)]
+    steps = np.abs(np.diff(x0))
+    assert np.all(steps[:-1] / steps[1:] >= 4.0), steps
 
 
 def test_solution_brackets(report, spec):
