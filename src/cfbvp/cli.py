@@ -98,14 +98,16 @@ def cmd_check(args) -> int:
 
 
 def _solution_csv(report) -> str:
-    lines = ["t,x,sigma_R,residual"]
-    rows = list(zip(report.x.nodes, report.x.values, report.sigma.values,
-                    report.residual.values))
-    # full symmetric grid: mirrored left half then the right half
-    full = [(-t, xv, sv, rv) for t, xv, sv, rv in rows[:0:-1]] + rows
-    for t, xv, sv, rv in full:
-        lines.append(f"{_fmt(t)},{_fmt(xv)},{_fmt(sv)},{_fmt(rv)}")
-    return "\n".join(lines) + "\n"
+    # full symmetric grid: mirrored left half then the right half; each
+    # right-half row is formatted once and its strings serve both rows
+    # (formatting is sign-symmetric, and t > 0 on the mirrored rows)
+    ts = [_fmt(t) for t in report.x.nodes.tolist()]
+    tails = [f"{_fmt(xv)},{_fmt(sv)},{_fmt(rv)}" for xv, sv, rv in
+             zip(report.x.values.tolist(), report.sigma.values.tolist(),
+                 report.residual.values.tolist())]
+    left = [f"-{t},{tail}" for t, tail in zip(ts[:0:-1], tails[:0:-1])]
+    right = [f"{t},{tail}" for t, tail in zip(ts, tails)]
+    return "\n".join(["t,x,sigma_R,residual", *left, *right, ""])
 
 
 def _solve_text(report) -> str:
@@ -144,9 +146,10 @@ def cmd_solve(args) -> int:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     out = Path(args.out)
+    text = _solve_text(report)
     _write(out / "solution.csv", _solution_csv(report))
-    _write(out / "solve_report.txt", _solve_text(report))
-    sys.stdout.write(_solve_text(report))
+    _write(out / "solve_report.txt", text)
+    sys.stdout.write(text)
     if report.status != "converged" or report.lower_margin < -1e-9 \
             or report.upper_margin < -1e-9:
         return EXIT_SOLVER

@@ -43,7 +43,8 @@ def green_eval(mu, t, tau, side: str = "auto") -> np.ndarray:
 
     On the diagonal tau == t the two branches disagree by a unit jump;
     ``side`` selects which one ("lower" is the default convention,
-    "upper" exposes the other one-sided value).
+    "upper" exposes the other one-sided value).  For lam > 709 the upper
+    branch overflows to nan, without a numpy warning.
     """
     lam = rate_of(mu)
     if side not in ("auto", "lower", "upper"):
@@ -58,7 +59,8 @@ def green_eval(mu, t, tau, side: str = "auto") -> np.ndarray:
             raise ValueError(message.format(t.flat[i], tau.flat[i]))
     t, tau = np.abs(t), np.abs(tau)  # G(-t, -tau) = G(t, tau)
     lower = (tau < t) | ((tau == t) & (side != "upper"))
-    return np.where(lower, lower_branch(lam, t, tau), upper_branch(lam, t, tau))
+    with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: nan
+        return np.where(lower, lower_branch(lam, t, tau), upper_branch(lam, t, tau))
 
 
 def green_diagonal_jump(mu, t) -> np.ndarray:
@@ -70,7 +72,7 @@ def green_sup(mu, grid_density: int) -> float:
     """Max kernel value over a tensor grid, both diagonal sides included.
 
     By the folding symmetry the two same-sign squares carry identical values,
-    so a single right-half sweep covers both.
+    so a single right-half sweep covers both.  nan if lam > 709 (no warning).
     """
     lam = rate_of(mu)
     if grid_density < 2:
@@ -78,8 +80,9 @@ def green_sup(mu, grid_density: int) -> float:
     g = np.linspace(0.0, 1.0, grid_density)
     i, j = np.tril_indices(grid_density)  # g[j] <= g[i]: each branch on its own triangle
     # np.max, unlike max, keeps a NaN of either branch
-    return float(np.max([np.max(lower_branch(lam, g[i], g[j])),
-                         np.max(upper_branch(lam, g[j], g[i]))]))
+    with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: nan
+        return float(np.max([np.max(lower_branch(lam, g[i], g[j])),
+                             np.max(upper_branch(lam, g[j], g[i]))]))
 
 
 def kernel_bound(mu) -> float:
@@ -96,16 +99,20 @@ def kernel_bound(mu) -> float:
 
 
 class GreenOperator:
-    """The map y -> x(t) = int_0^1 G(t, tau) y(tau) dtau at the mesh breakpoints.
+    """The map y -> x(t) = int_0^1 G(t, tau) y(tau) dtau, from y at the Gauss
+    nodes ``tau`` to x at the mesh breakpoints ``grid`` and at the nodes.
 
     With d = 1 + e^{-2 lam} the kernel is semi-separable on the right half:
     G(t, tau) = a(t) e^{-lam tau} for tau <= t and b(t) e^{-lam tau} for
     tau >= t, where a(t) = (e^{-lam t} - e^{lam t - 2 lam}) / d and
-    b(t) = (e^{lam t} + e^{-lam t}) / d.  Since every output point is a
-    breakpoint, no cell straddles the diagonal: with the cell integrals
+    b(t) = (e^{lam t} + e^{-lam t}) / d.  With the cell integrals
     c_j = int_{cell j} e^{-lam tau} y, x(t_i) = a(t_i) sum_{j<i} c_j
-    + b(t_i) sum_{j>=i} c_j, one prefix and one suffix sum for all rows.
-    a(1) = 0 and the suffix at t = 1 is empty, so x(1) = 0 exactly.
+    + b(t_i) sum_{j>=i} c_j at a breakpoint: one prefix and one suffix sum
+    for all rows.  a(1) = 0 and the suffix at t = 1 is empty, so x(1) = 0
+    exactly.  At a node inside cell j the cell splits at the node: the
+    integral from the cell's start to the node takes the Gauss rule's
+    spectral integration matrix (a Nystrom discretization), so x is known
+    exactly where the quadrature reads it, in O(cells k^2).
     """
 
     def __init__(self, mu, mesh: Mesh):
@@ -116,17 +123,33 @@ class GreenOperator:
         d = 1.0 + np.exp(-2.0 * lam)
         self.grid = t
         self.tau = mesh.flat_nodes
-        self._weights = mesh.weights * np.exp(-lam * mesh.nodes)
-        # e^{-lam t} - e^{lam t - 2 lam} written without cancellation near t = 1
-        self._below = 2.0 * np.exp(-lam) * np.sinh(lam * (1.0 - t)) / d
-        self._above = 2.0 * np.cosh(lam * t) / d
+        self.points = np.concatenate((self.grid, self.tau))
+        decay = np.exp(-lam * mesh.nodes)
+        self._weights = mesh.weights * decay
+        self._partial = mesh.partial_weights * decay[:, None, :]
+        # a(s) without the cancellation of e^{-lam s} - e^{lam s - 2 lam} near s = 1
+        a = lambda s: 2.0 * np.exp(-lam) * np.sinh(lam * (1.0 - s)) / d
+        b = lambda s: 2.0 * np.cosh(lam * s) / d
+        self._below, self._above = a(t), b(t)
+        self._below_nodes, self._above_nodes = a(mesh.nodes), b(mesh.nodes)
 
-    def apply(self, integrand) -> np.ndarray:
+    def apply(self, integrand, nodes: bool = False) -> np.ndarray:
+        """x at ``grid``; with ``nodes``, at ``points``: ``grid``, then ``tau``.
+
+        ``integrand`` is called once, with the nodes ``tau``.
+        """
         y = np.broadcast_to(np.asarray(integrand(self.tau), dtype=float), self.tau.shape)
-        cells = np.einsum("ij,ij->i", self._weights, y.reshape(self._weights.shape))
+        y = y.reshape(self._weights.shape)
+        cells = np.einsum("ij,ij->i", self._weights, y)
         prefix = np.concatenate(([0.0], np.cumsum(cells)))
         suffix = np.concatenate((np.cumsum(cells[::-1])[::-1], [0.0]))
-        return self._below * prefix + self._above * suffix
+        x = self._below * prefix + self._above * suffix
+        if not nodes:
+            return x
+        part = np.einsum("cpq,cq->cp", self._partial, y)  # cell start to node
+        inside = (self._below_nodes * (prefix[:-1, None] + part)
+                  + self._above_nodes * (suffix[:-1, None] - part))
+        return np.concatenate((x, inside.reshape(-1)))
 
 
 def apply_green(mu, y: SymmetricGridFunction, mesh: Mesh) -> SymmetricGridFunction:

@@ -10,9 +10,7 @@ same doubles: the same right-hand side of the tridiagonal slope system,
 the elimination of LAPACK ``dgtsv`` (row interchanges included), the same
 Hermite coefficients, and ``PPoly``'s interval search and Horner order.
 The work that depends only on the nodes (the elimination) is done once per
-node set, and the work that depends only on the query points (interval and
-powers of the local coordinate) once per point set, so a Picard step pays
-one O(nodes) sweep and four gathers.
+node set.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ __all__ = ["SplineNodes", "SymmetricGridFunction"]
 class SplineNodes:
     """Node-only part of the not-a-knot cubic splines on nodes x[0] < ... < x[n-1].
 
-    Holds the ``dgtsv`` elimination of the slope system and the located
-    points of the last evaluation; ``fit`` turns values into the piecewise
-    coefficients (c0, c1, c2, c3) of c0 s^3 + c1 s^2 + c2 s + c3,
-    s = p - x[i].
+    Holds the ``dgtsv`` elimination of the slope system; ``fit`` turns
+    values into the piecewise coefficients (c0, c1, c2, c3) of
+    c0 s^3 + c1 s^2 + c2 s + c3, s = p - x[i].
     """
 
     def __init__(self, x):
@@ -64,7 +61,6 @@ class SplineNodes:
         self._last = (d[-1], du[-1], d[-2])
         # rows n-3 ... 0 of the upper triangular factor, bottom up
         self._backward = list(zip(d[-3::-1], du[-2::-1], dl[-2::-1]))
-        self._located = None
 
     def _slopes(self, b: list) -> np.ndarray:
         """Solve the factored slope system for the right-hand side b."""
@@ -110,23 +106,12 @@ class SplineNodes:
         return t / dx, (slope - s[:-1]) / dx - t, s[:-1], 0.0 + y[:-1]
 
     def locate(self, p) -> tuple[np.ndarray, ...]:
-        """Interval index and s, s^2, s^3 of each point (extrapolating at the ends).
-
-        The result for the last point set is kept, so repeated evaluation
-        at fixed points (the quadrature nodes of a Picard sweep) skips it.
-        """
+        """Interval index and s, s^2, s^3 of each point (extrapolating at the ends)."""
         p = np.asarray(p, dtype=float)
-        located = self._located
-        if located is not None and np.array_equal(located[0], p):
-            return located[1]
         i = np.clip(np.searchsorted(self.x, p, "right") - 1, 0, len(self.x) - 2)
         s = p - self.x[i]
         s2 = s * s
-        plan = (i, s, s2, s2 * s)
-        for a in plan:
-            a.setflags(write=False)  # shared by every later call at these points
-        self._located = (p.copy(), plan)
-        return plan
+        return i, s, s2, s2 * s
 
     def value(self, coeffs, p) -> np.ndarray:
         """The spline at p, in PPoly's order ((c3 + c2 s) + c1 s^2) + c0 s^3."""
@@ -159,32 +144,21 @@ class SymmetricGridFunction:
         values.setflags(write=False)
         self.nodes = nodes
         self.values = values
-        self._spline_nodes = None
-        self._coeffs = None
+        self._spline = None  # (SplineNodes, coefficients), fitted on first use
 
     @classmethod
     def from_callable(cls, fn, nodes) -> "SymmetricGridFunction":
         nodes = np.asarray(nodes, dtype=float)
         return cls(nodes, np.array([float(fn(s)) for s in nodes]))
 
-    def _knots(self) -> SplineNodes:
-        if self._spline_nodes is None:
-            self._spline_nodes = SplineNodes(self.nodes)
-        return self._spline_nodes
-
     def __call__(self, t):
         """Interpolated value at |t| (even extension is structural)."""
-        knots = self._knots()
-        if self._coeffs is None:
-            self._coeffs = knots.fit(self.values)
+        if self._spline is None:
+            knots = SplineNodes(self.nodes)
+            self._spline = knots, knots.fit(self.values)
+        knots, coeffs = self._spline
         p = np.abs(t)
-        return knots.value(self._coeffs, p.ravel()).reshape(np.shape(p))
-
-    def with_values(self, values) -> "SymmetricGridFunction":
-        """The same grid with new values; the spline's node-only work is shared."""
-        other = SymmetricGridFunction(self.nodes, values)
-        other._spline_nodes = self._knots()
-        return other
+        return knots.value(coeffs, p.ravel()).reshape(np.shape(p))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

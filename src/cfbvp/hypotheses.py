@@ -126,6 +126,7 @@ class A1Report:
 class HypothesisReport:
     passed: bool
     sigma: SymmetricGridFunction
+    sigma_nodes: np.ndarray  # the barrier at the mesh's Gauss nodes (flat_nodes)
     sigma_at_zero: float
     I_q: float
     I_qu: float
@@ -136,15 +137,19 @@ class HypothesisReport:
     failures: tuple[CheckFailure, ...]
 
 
-def sigma_R(spec: ProblemSpec, mesh: Mesh) -> SymmetricGridFunction:
+def sigma_R(spec: ProblemSpec, mesh: Mesh, nodes: bool = False):
     """The lower barrier sigma_R(t) = int_0^1 G(t, tau) psi(tau, R) dtau.
 
     Computed on the right-half grid (the mesh breakpoints) and extended to
     [-1, 1] evenly; sigma_R(1) = 0 holds exactly because the kernel row at
-    t = 1 vanishes identically.
+    t = 1 vanishes identically.  With ``nodes``, the barrier at the mesh's
+    Gauss nodes comes too, from the same application of the operator:
+    (grid function, node values).
     """
     op = GreenOperator(spec.mu, mesh)
-    return SymmetricGridFunction(op.grid, op.apply(spec.psi_at))
+    values = op.apply(spec.psi_at, nodes=nodes)
+    sigma = SymmetricGridFunction(op.grid, values[:len(op.grid)])
+    return (sigma, values[len(op.grid):]) if nodes else sigma
 
 
 def _t_lattice(density: int) -> np.ndarray:
@@ -293,11 +298,12 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
-            sigma = sigma_R(spec, mesh)
+            sigma, sigma_nodes = sigma_R(spec, mesh, nodes=True)
         undefined = "barrier takes a non-finite value"
     except _EXPR_ERRORS as err:
         # psi is integrated against every row at once: the whole barrier is undefined
         sigma = SymmetricGridFunction(mesh.breakpoints, np.full(mesh.breakpoints.shape, np.nan))
+        sigma_nodes = np.full(mesh.flat_nodes.shape, np.nan)
         undefined = f"barrier undefined: expression error in psi: {err}"
     nonfinite = np.flatnonzero(~np.isfinite(sigma.values))
     if nonfinite.size:
@@ -370,9 +376,10 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
                                      "size condition requires ratio > 1"))
     eps_max = spec.R - denom if np.isfinite(denom) else float("nan")
 
-    return HypothesisReport(passed=not failures, sigma=sigma, sigma_at_zero=sigma0,
-                            I_q=I_q, I_qu=I_qu, c_kernel=c_kernel, ratio=ratio,
-                            eps_max=eps_max, strict_unit_bound=n.strict_unit_bound,
+    return HypothesisReport(passed=not failures, sigma=sigma, sigma_nodes=sigma_nodes,
+                            sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu, c_kernel=c_kernel,
+                            ratio=ratio, eps_max=eps_max,
+                            strict_unit_bound=n.strict_unit_bound,
                             failures=tuple(failures))
 
 

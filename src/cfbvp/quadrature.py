@@ -36,6 +36,25 @@ def _gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _gauss_integration_matrix(k: int) -> np.ndarray:
+    """S[p, q] = int_{-1}^{x_p} l_q(s) ds for the Lagrange basis l_q on the Gauss nodes x.
+
+    S @ v integrates the interpolant of the values v from -1 to each node,
+    exactly for polynomials of degree < k.  The Gauss rule inverts the
+    Legendre Vandermonde matrix exactly, l_q = w_q sum_n (n + 1/2) P_n(x_q)
+    P_n, and int_{-1}^x P_n = (P_{n+1} - P_{n-1}) / (2n + 1) for n >= 1.
+    """
+    x, w = _gauss_rule(k)
+    P = np.polynomial.legendre.legvander(x, k)  # P[p, n] = P_n(x_p), n <= k
+    anti = np.empty((k, k))  # (n + 1/2) int_{-1}^{x_p} P_n
+    anti[:, 0] = 0.5 * (x + 1.0)
+    anti[:, 1:] = 0.5 * (P[:, 2:] - P[:, :k - 1])
+    S = anti @ (P[:, :k] * w[:, None]).T
+    S.setflags(write=False)
+    return S
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Partition of [a, b] with per-cell Gauss-Legendre nodes.
@@ -64,6 +83,13 @@ class Mesh:
     @property
     def flat_weights(self) -> np.ndarray:
         return self.weights.reshape(-1)
+
+    @property
+    def partial_weights(self) -> np.ndarray:
+        """Shape (cells, k, k): entry [c, p, q] weighs node q of cell c in the
+        integral from the cell's start to its node p (Gauss spectral integration)."""
+        half = 0.5 * np.diff(self.breakpoints)
+        return half[:, None, None] * _gauss_integration_matrix(self.nodes_per_cell)
 
     def rescaled(self, a: float, b: float) -> "Mesh":
         """Affine image of this mesh on [a, b] (same relative grading)."""
@@ -181,7 +207,10 @@ def integrate(fn, mesh: Mesh) -> float:
         bad = int(np.argmax(~np.isfinite(v)))
         raise NonFiniteIntegrandError(float(x[bad]))
     cell_sums = np.einsum("ij,ij->i", mesh.weights, v.reshape(mesh.nodes.shape))
-    total = 0.0
-    for s in cell_sums:
-        total += float(s)
-    return total
+    return _sum_left_to_right(cell_sums)
+
+
+def _sum_left_to_right(values) -> float:
+    """((0.0 + v[0]) + v[1]) + ...: np.cumsum adds in order (np.sum adds
+    pairwise), and the leading 0.0 + gives the loop's sign of zero."""
+    return 0.0 + float(np.cumsum(values)[-1])

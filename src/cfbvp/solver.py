@@ -86,6 +86,7 @@ class InnerStats:
 class SolveReport:
     status: str  # "converged" | "inner_failed" | "not_stabilized"
     x: SymmetricGridFunction
+    iterate: np.ndarray  # the final iterate at GreenOperator.points
     sigma: SymmetricGridFunction
     eps: float
     eps_max: float
@@ -102,38 +103,38 @@ class SolveReport:
         return self.residual.sup
 
 
-def _clamped_integrand(spec: ProblemSpec, x: SymmetricGridFunction, m: int | None):
-    def integrand(tau):
-        xv = np.asarray(x(tau), dtype=float)
-        arg = clamp_m(xv, m, spec.R) if m is not None else xv
-        return np.asarray(spec.f_at(tau, arg), dtype=float)
-    return integrand
+def _integrand(spec: ProblemSpec, x: np.ndarray, m: int | None, op: GreenOperator):
+    """tau -> f(tau, x(tau)) at the nodes, the argument clamped at level m."""
+    xv = x[len(op.grid):]
+    arg = clamp_m(xv, m, spec.R) if m is not None else xv
+    return lambda tau: spec.f_at(tau, arg)
 
 
-def apply_Tm(spec: ProblemSpec, x: SymmetricGridFunction, m: int, mesh: Mesh,
+def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, mesh: Mesh,
              eps_max: float | None = None,
-             op: GreenOperator | None = None) -> SymmetricGridFunction:
-    """One application of the regularized operator on the grid.
+             op: GreenOperator | None = None) -> np.ndarray:
+    """One application of the regularized operator, on the Nystrom points.
 
-    f is only evaluated at clamped arguments in [1/m, R], so the x = 0
-    singularity is never touched; the output is symmetric by construction.
+    x and the result hold values at ``op.points`` (the mesh breakpoints,
+    then the Gauss nodes); f reads x at the nodes only.  f is only
+    evaluated at clamped arguments in [1/m, R], so the x = 0 singularity is
+    never touched; the output is symmetric by construction.
     """
     if eps_max is not None and not 1.0 / m < eps_max:
         raise ValueError(f"m = {m} violates 1/m < eps_max = {eps_max}")
     op = op or GreenOperator(spec.mu, mesh)
-    vals = op.apply(_clamped_integrand(spec, x, m))
-    return SymmetricGridFunction(op.grid, vals)
+    return op.apply(_integrand(spec, x, m, op), nodes=True)
 
 
 def solve_fixed_m(spec: ProblemSpec, m: int, config: SolveConfig, mesh: Mesh,
-                  x0: SymmetricGridFunction,
-                  op: GreenOperator | None = None
-                  ) -> tuple[SymmetricGridFunction, InnerStats]:
+                  x0: np.ndarray,
+                  op: GreenOperator | None = None) -> tuple[np.ndarray, InnerStats]:
     """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m.
 
-    Stops when the sup-norm step drops below the inner tolerance; ten
-    consecutive step growths abort with a divergence diagnostic, and a
-    non-finite value of T_m x aborts naming its first node.
+    The iterate holds values at ``op.points``.  Stops when the sup-norm
+    step drops below the inner tolerance; ten consecutive step growths
+    abort with a divergence diagnostic, and a non-finite value of T_m x
+    aborts naming its first point.
     """
     op = op or GreenOperator(spec.mu, mesh)
     x = x0
@@ -141,14 +142,14 @@ def solve_fixed_m(spec: ProblemSpec, m: int, config: SolveConfig, mesh: Mesh,
     growth = 0
     for it in range(1, config.max_inner + 1):
         tx = apply_Tm(spec, x, m, mesh, op=op)
-        bad = np.flatnonzero(~np.isfinite(tx.values))
+        bad = np.flatnonzero(~np.isfinite(tx))
         if bad.size:
             raise SolverError(
-                f"T_m x is not finite at t = {tx.nodes[bad[0]]:.6g} "
+                f"T_m x is not finite at t = {op.points[bad[0]]:.6g} "
                 f"(m = {m}, iteration {it})")
-        new_vals = (1.0 - config.omega) * x.values + config.omega * tx.values
-        step = float(np.max(np.abs(new_vals - x.values)))
-        x = x.with_values(new_vals)
+        new = (1.0 - config.omega) * x + config.omega * tx
+        step = float(np.max(np.abs(new - x)))
+        x = new
         if step < config.inner_tol:
             return x, InnerStats(m=m, iterations=it, final_step=step, converged=True)
         if step > prev_step:
@@ -164,21 +165,23 @@ def solve_fixed_m(spec: ProblemSpec, m: int, config: SolveConfig, mesh: Mesh,
                          converged=False)
 
 
-def residual_nonlinear(spec: ProblemSpec, x: SymmetricGridFunction, mesh: Mesh,
+def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, mesh: Mesh,
                        m: int | None = None,
                        op: GreenOperator | None = None):
-    """Integral-equation residual x - int G(t, .) f(., x(.)) on the grid.
+    """Integral-equation residual x - int G(t, .) f(., x(.)) at the breakpoints.
 
-    With m given, f is evaluated at the clamped argument, i.e. the residual
-    is taken against the regularized equation the iteration actually solves;
+    x holds values at ``op.points``; f reads it at the nodes.  With m
+    given, f is evaluated at the clamped argument, i.e. the residual is
+    taken against the regularized equation the iteration actually solves;
     with m = None it is taken against the limit equation, where it carries
     an O(1/m) regularization offset for any finite-m iterate.
     """
     op = op or GreenOperator(spec.mu, mesh)
-    if m is None and np.any(x.values[:-1] <= 0.0):
-        raise ValueError("limit-equation residual needs x > 0 at interior nodes")
-    gx = op.apply(_clamped_integrand(spec, x, m))
-    return ResidualReport(nodes=x.nodes, values=x.values - gx)
+    n = len(op.grid)
+    if m is None and np.any(x[n:] <= 0.0):
+        raise ValueError("limit-equation residual needs x > 0 at the nodes")
+    gx = op.apply(_integrand(spec, x, m, op))
+    return ResidualReport(nodes=op.grid, values=x[:n] - gx)
 
 
 def solve(spec: ProblemSpec, config: SolveConfig | None = None,
@@ -186,11 +189,14 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
           hypothesis: HypothesisReport | None = None) -> SolveReport:
     """Sweep the m schedule and extract the stabilized solution.
 
-    Refuses to run unless both assumption checks pass.  The barrier of the
-    A2 report (a supplied one must be sampled at the mesh breakpoints) is
-    the first iterate.  Success requires every inner iteration to converge
-    and the last two level solutions to agree within the inter-level
-    tolerance.  An expression error during the sweep is a SolverError.
+    Refuses to run unless both assumption checks pass.  The iterate lives
+    on the mesh breakpoints and Gauss nodes (Nystrom): f is evaluated at
+    the nodes, and the breakpoint values carry the margins, the inter-level
+    deviations and ``x``.  The barrier of the A2 report (a supplied one
+    must come from the same mesh) is the first iterate.  Success requires
+    every inner iteration to converge and the last two level solutions to
+    agree within the inter-level tolerance.  An expression error during the
+    sweep is a SolverError.
     """
     config = config or SolveConfig.from_numerics(spec.numerics)
     mesh = mesh or spec.default_mesh()
@@ -208,13 +214,14 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
         if not 1.0 / m < eps:
             raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
 
-    sigma = report.sigma
-    if not np.array_equal(sigma.nodes, mesh.breakpoints):
-        raise ValueError("the hypothesis report's barrier grid is not the "
-                         "solver mesh's breakpoints")
-
     op = GreenOperator(spec.mu, mesh)
-    x = sigma
+    sigma = report.sigma
+    if not np.array_equal(sigma.nodes, op.grid) or report.sigma_nodes.shape != op.tau.shape:
+        raise ValueError("the hypothesis report's barrier grid is not the "
+                         "solver mesh's breakpoints and nodes")
+
+    n = len(op.grid)
+    x = np.concatenate((sigma.values, report.sigma_nodes))
     inner: list[InnerStats] = []
     deviations: list[float] = []
     prev = None
@@ -223,7 +230,7 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
             x, stats = solve_fixed_m(spec, m, config, mesh, x0=x, op=op)
             inner.append(stats)
             if prev is not None:
-                deviations.append(x.sup_diff(prev))
+                deviations.append(float(np.max(np.abs(x[:n] - prev[:n]))))
             prev = x
         res = residual_nonlinear(spec, x, mesh, m=config.m_schedule[-1], op=op)
     except ex.ExprDomainError as err:
@@ -233,8 +240,8 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
     except (ValueError, ArithmeticError):
         res_limit = float("nan")
 
-    lower_margin = float(np.min(x.values - sigma.values))
-    upper_margin = float(np.min((spec.R - eps) - x.values))
+    lower_margin = float(np.min(x[:n] - sigma.values))
+    upper_margin = float(np.min((spec.R - eps) - x[:n]))
 
     if not all(s.converged for s in inner):
         status = "inner_failed"
@@ -243,7 +250,8 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
     else:
         status = "converged"
 
-    return SolveReport(status=status, x=x, sigma=sigma, eps=eps, eps_max=eps_max,
+    return SolveReport(status=status, x=SymmetricGridFunction(op.grid, x[:n]), iterate=x,
+                       sigma=sigma, eps=eps, eps_max=eps_max,
                        inner=tuple(inner), inter_m_deviations=tuple(deviations),
                        lower_margin=lower_margin, upper_margin=upper_margin,
                        residual=res, residual_limit_sup=res_limit,

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -5,9 +8,12 @@ import numpy as np
 import pytest
 
 from cfbvp.cli import (EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
-                       main)
+                       _solution_csv, main)
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
+from cfbvp.solver import solve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 WORKED_TEXT = """\
 # worked singular family
@@ -296,11 +302,48 @@ def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
 def test_audit_does_not_hide_overflow(capsys):
     # lam = 768 > 709: the upper branch is inf/inf; the audited sup is nan,
     # not the 1 that a NaN-dropping max once reported
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["audit", "1.9987", "--grid", "41"]) == EXIT_OK
+    assert main(["audit", "1.9987", "--grid", "41"]) == EXIT_OK
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[5] == "nan"
     assert row[7] == "nan"  # not False: a NaN sup is not known to stay below 1
+
+
+@pytest.mark.parametrize("argv", [["audit", "1.9987", "--grid", "41"],
+                                  ["green", "1.9987", "--grid", "5", "--out", "g.csv"]])
+def test_kernel_tables_overflow_without_warning(tmp_path, argv):
+    # lam = 768 > 709: the upper branch overflows (a nan sup in the audit;
+    # unused on the green grid); no numpy warning reaches stderr or, as an
+    # error, turns into exit 1
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cfbvp.cli",
+                          *argv], capture_output=True, text=True, cwd=tmp_path, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    if argv[0] == "audit":
+        assert run.stdout.splitlines()[1].split(",")[5] == "nan"
+    else:
+        assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 2 * 5 * 5
+
+
+def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):
+    # the mirrored rows reuse the right half's strings; they must be the
+    # bytes of formatting each of the 2N + 1 rows on its own
+    spec = load_problem(ROOT / "problems" / "worked_family.prob", {"mesh_cells": 64})
+    report = solve(spec)
+    nodes = report.x.nodes
+    rows = [(t, i) for t, i in zip(-nodes[:0:-1], range(len(nodes) - 1, 0, -1))]
+    rows += [(t, i) for i, t in enumerate(nodes)]
+    want = ["t,x,sigma_R,residual"]
+    for t, i in rows:
+        want.append(f"{t:.17g},{report.x.values[i]:.17g},{report.sigma.values[i]:.17g},"
+                    f"{report.residual.values[i]:.17g}")
+    assert len(want) == 2 * len(nodes)
+    assert _solution_csv(report) == "\n".join(want) + "\n"
+    out = tmp_path / "o"
+    assert main(["solve", str(ROOT / "problems" / "worked_family.prob"), "--mesh-cells", "64",
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "solution.csv").read_text() == _solution_csv(report)
+    assert (out / "solve_report.txt").read_text() == capsys.readouterr().out
 
 
 def test_psi_expression_error_exit(tmp_path, capsys):

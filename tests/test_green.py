@@ -205,3 +205,17 @@ def test_both_half_forms_agree_at_origin(quad_green):
     assert abs(quad_green(mu, y, [0.0])[0] - right) <= 1e-12
     x0 = GreenOperator(mu, MESH).apply(y)[0]
     assert abs(x0 - right) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [1.5, 1.9])
+def test_operator_nodes_match_quad_oracle(mu, quad_green):
+    # the Nystrom output: x at every Gauss node (the in-cell integral up to
+    # the node takes the spectral integration matrix), on a smooth integrand
+    op = GreenOperator(mu, MESH)
+    y = lambda tau: np.asarray(tau) ** 2 * np.cos(tau)
+    both = op.apply(y, nodes=True)
+    assert both.shape == op.points.shape == (len(MESH.breakpoints) + MESH.flat_nodes.size,)
+    assert both[:len(op.grid)].tobytes() == op.apply(y).tobytes()
+    direct = quad_green(mu, y, op.tau)
+    got = both[len(op.grid):]
+    assert np.max(np.abs(direct - got)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))

