@@ -124,9 +124,9 @@ class GreenOperator:
         self.grid = t
         self.tau = mesh.flat_nodes
         self.points = np.concatenate((self.grid, self.tau))
-        decay = np.exp(-lam * mesh.nodes)
-        self._weights = mesh.weights * decay
-        self._partial = mesh.partial_weights * decay[:, None, :]
+        self._mesh = mesh
+        self._decay = np.exp(-lam * mesh.nodes)
+        self._weights = mesh.weights * self._decay
         # a(s) without the cancellation of e^{-lam s} - e^{lam s - 2 lam} near s = 1
         a = lambda s: 2.0 * np.exp(-lam) * np.sinh(lam * (1.0 - s)) / d
         b = lambda s: 2.0 * np.cosh(lam * s) / d
@@ -146,7 +146,7 @@ class GreenOperator:
         x = self._below * prefix + self._above * suffix
         if not nodes:
             return x
-        part = np.einsum("cpq,cq->cp", self._partial, y)  # cell start to node
+        part = self._mesh.partial_integrals(self._decay * y)  # cell start to node
         inside = (self._below_nodes * (prefix[:-1, None] + part)
                   + self._above_nodes * (suffix[:-1, None] - part))
         return np.concatenate((x, inside.reshape(-1)))

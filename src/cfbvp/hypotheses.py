@@ -127,6 +127,7 @@ class HypothesisReport:
     passed: bool
     sigma: SymmetricGridFunction
     sigma_nodes: np.ndarray  # the barrier at the mesh's Gauss nodes (flat_nodes)
+    operator: GreenOperator  # the mesh's Green operator, which solve reuses
     sigma_at_zero: float
     I_q: float
     I_qu: float
@@ -137,16 +138,16 @@ class HypothesisReport:
     failures: tuple[CheckFailure, ...]
 
 
-def sigma_R(spec: ProblemSpec, mesh: Mesh, nodes: bool = False):
+def sigma_R(spec: ProblemSpec, mesh: Mesh, nodes: bool = False, op: GreenOperator | None = None):
     """The lower barrier sigma_R(t) = int_0^1 G(t, tau) psi(tau, R) dtau.
 
     Computed on the right-half grid (the mesh breakpoints) and extended to
     [-1, 1] evenly; sigma_R(1) = 0 holds exactly because the kernel row at
     t = 1 vanishes identically.  With ``nodes``, the barrier at the mesh's
     Gauss nodes comes too, from the same application of the operator:
-    (grid function, node values).
+    (grid function, node values).  ``op``, if given, is the mesh's operator.
     """
-    op = GreenOperator(spec.mu, mesh)
+    op = op or GreenOperator(spec.mu, mesh)
     values = op.apply(spec.psi_at, nodes=nodes)
     sigma = SymmetricGridFunction(op.grid, values[:len(op.grid)])
     return (sigma, values[len(op.grid):]) if nodes else sigma
@@ -264,9 +265,9 @@ def check_A1(spec: ProblemSpec, sample_density: int | None = None) -> A1Report:
                     lattice_density=density)
 
 
-def _improper_integral(failures: list, check: str, name: str, fn, meshes,
+def _improper_integral(failures: list, check: str, name: str, integrand, meshes,
                        rel_tol: float = 1e-8) -> float:
-    """int_0^1 fn on the finest of a sequence of refining meshes.
+    """int_0^1 integrand(mesh) on the finer of two refining meshes.
 
     A divergent (non-finite) improper integral shows up as refinement that
     does not stabilize to rel_tol; that, or a failed integration (nan), is
@@ -274,7 +275,7 @@ def _improper_integral(failures: list, check: str, name: str, fn, meshes,
     """
     try:
         with np.errstate(all="ignore"):  # a non-finite integrand raises in integrate
-            vals = [integrate(fn, m) for m in meshes]
+            vals = [integrate(integrand(m), m) for m in meshes]
     except (ex.ExprDomainError, ValueError) as err:
         failures.append(CheckFailure(check, {}, f"integration failed: {err}"))
         return float("nan")
@@ -296,22 +297,22 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     mesh = mesh or spec.default_mesh()
     failures: list[CheckFailure] = []
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
-            sigma, sigma_nodes = sigma_R(spec, mesh, nodes=True)
-        undefined = "barrier takes a non-finite value"
-    except _EXPR_ERRORS as err:
-        # psi is integrated against every row at once: the whole barrier is undefined
-        sigma = SymmetricGridFunction(mesh.breakpoints, np.full(mesh.breakpoints.shape, np.nan))
-        sigma_nodes = np.full(mesh.flat_nodes.shape, np.nan)
-        undefined = f"barrier undefined: expression error in psi: {err}"
+    with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
+        op = GreenOperator(spec.mu, mesh)
+        try:
+            sigma, sigma_nodes = sigma_R(spec, mesh, nodes=True, op=op)
+            undefined = "barrier takes a non-finite value"
+        except _EXPR_ERRORS as err:
+            # psi is integrated against every row at once: the whole barrier is undefined
+            sigma = SymmetricGridFunction(op.grid, np.full(op.grid.shape, np.nan))
+            sigma_nodes = np.full(op.tau.shape, np.nan)
+            undefined = f"barrier undefined: expression error in psi: {err}"
     nonfinite = np.flatnonzero(~np.isfinite(sigma.values))
     if nonfinite.size:
-        # no spline passes through a non-finite barrier: sigma_R(0) and
-        # I_qu = int q u(sigma_R) are left undefined (nan)
+        # sigma_R(0) and I_qu = int q u(sigma_R) are left undefined (nan)
         failures.append(CheckFailure("A2.sigma_finite", {"t": float(sigma.nodes[nonfinite[0]])},
                                      undefined))
-    sigma0 = float("nan") if nonfinite.size else float(sigma(0.0))
+    sigma0 = float("nan") if nonfinite.size else 0.0 + float(sigma.values[0])
     if np.min(sigma.values) < -1e-12:
         failures.append(CheckFailure("A2.sigma_nonneg",
                                      {"t": float(sigma.nodes[np.argmin(sigma.values)])},
@@ -320,19 +321,19 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
                                      f"R = {spec.R:.6g} < sigma_R(0) = {sigma0:.6g}"))
 
-    # improper-integral finiteness decided by refinement stabilization on
-    # meshes of c, 2c, 4c, 8c cells shared by both integrals; a steeper
-    # grading and a resolution floor independent of the solver mesh keep
-    # the graded Gauss rule converging past the 1e-8 threshold
+    # finiteness by refinement stabilization on meshes of 4c and 8c cells,
+    # shared by both integrals; a steeper grading and a resolution floor
+    # independent of the solver mesh keep the Gauss rule past the 1e-8 test
     cells_fin = max(n.mesh_cells, 128)
     meshes = [build_mesh(0.0, 1.0, c * cells_fin, gamma=max(n.gamma, 6.0),
                          singular_at="right", nodes_per_cell=n.nodes_per_cell)
-              for c in (1, 2, 4, 8)]
-    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", spec.q_at, meshes)
+              for c in (4, 8)]
+    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", lambda m: spec.q_at, meshes)
 
-    def qu(t):
-        s = np.maximum(np.asarray(sigma(t), dtype=float), 0.0)
-        return np.asarray(spec.q_at(t), dtype=float) * np.asarray(spec.u_at(s), dtype=float)
+    def qu(m):  # sigma_R at m's own nodes, through m's operator
+        s = np.maximum(sigma_R(spec, m, nodes=True)[1], 0.0)
+        values = np.asarray(spec.q_at(m.flat_nodes), dtype=float) * spec.u_at(s)
+        return lambda t: values
 
     I_qu = float("nan") if nonfinite.size else _improper_integral(
         failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu, meshes)
@@ -352,8 +353,7 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
         if _unusable(failures, "A2.minorant", {"t": t}, p, psi_err.get((i,))):
             continue
         if p < -1e-12:
-            failures.append(CheckFailure("A2.psi_nonneg", {"t": t},
-                                         f"psi(|t|) = {p:.6g} < 0"))
+            failures.append(CheckFailure("A2.psi_nonneg", {"t": t}, f"psi(|t|) = {p:.6g} < 0"))
         for j in np.flatnonzero(suspect[i]):
             x, fv = xs[j], float(f[i, j])
             if not _unusable(failures, "A2.minorant", {"t": t, "x": x}, fv, f_err.get((i, j))) \
@@ -363,13 +363,11 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
 
     c_kernel = 1.0 if n.strict_unit_bound else kernel_bound(spec.mu)
     try:
-        uR = spec.u_at(spec.R)
-        vR = spec.v_at(spec.R)
+        uR, vR = spec.u_at(spec.R), spec.v_at(spec.R)
         denom = c_kernel * (1.0 + vR / uR) * I_qu
         ratio = float("inf") if denom <= 0 else spec.R / denom  # nan stays nan
     except (ex.ExprDomainError, ZeroDivisionError) as err:
-        denom = float("nan")
-        ratio = float("nan")
+        denom = ratio = float("nan")
         failures.append(CheckFailure("A2.ratio", {}, f"ratio undefined: {err}"))
     if not np.isfinite(ratio) or ratio <= 1.0:
         failures.append(CheckFailure("A2.ratio", {"ratio": ratio},
@@ -377,10 +375,9 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     eps_max = spec.R - denom if np.isfinite(denom) else float("nan")
 
     return HypothesisReport(passed=not failures, sigma=sigma, sigma_nodes=sigma_nodes,
-                            sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu, c_kernel=c_kernel,
-                            ratio=ratio, eps_max=eps_max,
-                            strict_unit_bound=n.strict_unit_bound,
-                            failures=tuple(failures))
+                            operator=op, sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu,
+                            c_kernel=c_kernel, ratio=ratio, eps_max=eps_max,
+                            strict_unit_bound=n.strict_unit_bound, failures=tuple(failures))
 
 
 def epsilon_max(report: HypothesisReport) -> float:

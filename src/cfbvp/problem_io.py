@@ -103,6 +103,9 @@ def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
         numerics = replace(numerics, m_schedule=schedule)
     if overrides:
         numerics = replace(numerics, **overrides)
+    if numerics.lattice_density < 2:  # 1 samples t = 0 alone
+        raise ProblemFileError("key 'checks.lattice_density': must be at least 2, "
+                               f"got {numerics.lattice_density}")
 
     mu = _take_float(pairs, "mu")
     R = _take_float(pairs, "R")

@@ -84,12 +84,11 @@ class Mesh:
     def flat_weights(self) -> np.ndarray:
         return self.weights.reshape(-1)
 
-    @property
-    def partial_weights(self) -> np.ndarray:
-        """Shape (cells, k, k): entry [c, p, q] weighs node q of cell c in the
-        integral from the cell's start to its node p (Gauss spectral integration)."""
+    def partial_integrals(self, values) -> np.ndarray:
+        """Integrals from each cell's start to each of its nodes, for values at
+        the nodes (shape (cells, k); Gauss spectral integration)."""
         half = 0.5 * np.diff(self.breakpoints)
-        return half[:, None, None] * _gauss_integration_matrix(self.nodes_per_cell)
+        return half[:, None] * (values @ _gauss_integration_matrix(self.nodes_per_cell).T)
 
     def rescaled(self, a: float, b: float) -> "Mesh":
         """Affine image of this mesh on [a, b] (same relative grading)."""

@@ -193,9 +193,10 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
     on the mesh breakpoints and Gauss nodes (Nystrom): f is evaluated at
     the nodes, and the breakpoint values carry the margins, the inter-level
     deviations and ``x``.  The barrier of the A2 report (a supplied one
-    must come from the same mesh) is the first iterate.  Success requires
-    every inner iteration to converge and the last two level solutions to
-    agree within the inter-level tolerance.  An expression error during the
+    must come from the same mesh) is the first iterate, and its Green
+    operator is the solve's.  Success requires every inner iteration to
+    converge and the last two level solutions to agree within the
+    inter-level tolerance.  An expression error during the
     sweep is a SolverError.
     """
     config = config or SolveConfig.from_numerics(spec.numerics)
@@ -214,11 +215,11 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
         if not 1.0 / m < eps:
             raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
 
-    op = GreenOperator(spec.mu, mesh)
-    sigma = report.sigma
-    if not np.array_equal(sigma.nodes, op.grid) or report.sigma_nodes.shape != op.tau.shape:
+    op = report.operator
+    if not (np.array_equal(op.grid, mesh.breakpoints) and np.array_equal(op.tau, mesh.flat_nodes)):
         raise ValueError("the hypothesis report's barrier grid is not the "
                          "solver mesh's breakpoints and nodes")
+    sigma = report.sigma
 
     n = len(op.grid)
     x = np.concatenate((sigma.values, report.sigma_nodes))

@@ -64,6 +64,10 @@ def test_parse_overrides():
     (lambda t: t + "this line has no equals sign\n", "key = value"),
     (lambda t: t.replace("solver.m_schedule = 16,32,64",
                          "solver.m_schedule = 16,x"), "m_schedule"),
+    # a lattice of fewer than 2 points tests nothing or cannot be built
+    (lambda t: t + "checks.lattice_density = 0\n", "checks.lattice_density"),
+    (lambda t: t + "checks.lattice_density = -3\n", "checks.lattice_density"),
+    (lambda t: t + "checks.lattice_density = 1\n", "checks.lattice_density"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ProblemFileError) as exc:

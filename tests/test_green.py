@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
@@ -219,3 +221,47 @@ def test_operator_nodes_match_quad_oracle(mu, quad_green):
     direct = quad_green(mu, y, op.tau)
     got = both[len(op.grid):]
     assert np.max(np.abs(direct - got)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
+
+
+# Property tests of the Nystrom output apply(y, nodes=True): the breakpoints
+# and the Gauss nodes.  The node values integrate the interpolant of
+# e^{-lam tau} y in each cell, which can dip below zero between nonnegative
+# node values, so the sign property draws y as a nonnegative function, not
+# as arbitrary nonnegative node values.  Its error grows like e^{lam h} in
+# a cell of width h (y = 1 on one cell at mu = 1.9375 gives x = -104 at a
+# node), so it is drawn on meshes of 32 and more cells up to mu = 1.95.
+PROPERTY_MESH = build_mesh(0.0, 1.0, 4, 3.0, "right")
+ORDERS = st.floats(1.01, 1.99)
+NODE_VALUES = st.lists(st.floats(-1e3, 1e3), min_size=PROPERTY_MESH.flat_nodes.size,
+                       max_size=PROPERTY_MESH.flat_nodes.size).map(np.array)
+
+
+@given(mu=ORDERS, y1=NODE_VALUES, y2=NODE_VALUES, alpha=st.floats(-10, 10),
+       beta=st.floats(-10, 10))
+@settings(max_examples=100, deadline=None)
+def test_node_output_is_linear(mu, y1, y2, alpha, beta):
+    op = GreenOperator(mu, PROPERTY_MESH)
+    x1, x2 = op.apply(lambda t: y1, nodes=True), op.apply(lambda t: y2, nodes=True)
+    both = op.apply(lambda t: alpha * y1 + beta * y2, nodes=True)
+    scale = np.max(np.abs(alpha * x1) + np.abs(beta * x2))
+    assert np.max(np.abs(both - (alpha * x1 + beta * x2))) <= 1e-12 * max(1.0, scale)
+
+
+@given(mu=st.floats(1.01, 1.95), cells=st.sampled_from([32, 128]),
+       coef=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
+       rate=st.floats(-5.0, 5.0))
+@settings(max_examples=100, deadline=None)
+def test_node_output_keeps_sign(mu, cells, coef, rate):
+    # y(tau) = e^{rate tau} sum_i coef_i tau^i >= 0 on [0, 1]
+    op = GreenOperator(mu, build_mesh(0.0, 1.0, cells, 3.0, "right"))
+    y = lambda tau: np.exp(rate * tau) * np.polynomial.polynomial.polyval(tau, coef)
+    assert np.all(op.apply(y, nodes=True) >= 0.0)
+
+
+@given(mu=ORDERS, y=NODE_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_node_output_vanishes_at_one(mu, y):
+    op = GreenOperator(mu, PROPERTY_MESH)
+    x = op.apply(lambda t: y, nodes=True)
+    assert op.points[len(op.grid) - 1] == 1.0
+    assert x[len(op.grid) - 1] == 0.0

@@ -138,6 +138,17 @@ def test_a2_worked_family(a2_report):
     assert abs(a2_report.eps_max - 100.0 * (1.0 - 1.0 / a2_report.ratio)) <= 1e-8
 
 
+@pytest.mark.parametrize("mu", [1.5, 1.9])
+def test_I_qu_matches_independent_nystrom(mu, family_nystrom):
+    # I_qu = int q u(sigma_R) at the default 128 cells against the test
+    # suite's own Nystrom barrier (256 cells, grading 6, 12 nodes per cell;
+    # converged to ~1e-10); reading sigma_R through a spline of its
+    # breakpoint values left 3.8e-5 (mu = 1.5) and 3.0e-5 (mu = 1.9)
+    want = family_nystrom(mu, 100.0, 0.25, 0.25).I_qu()
+    got = check_A2(make_spec(mu=mu)).I_qu
+    assert abs(got - want) <= 1e-8 * want
+
+
 def test_a2_zero_profile_diverges():
     # psi = 0 makes sigma = 0, so u(sigma) = sigma^{-1/4} is evaluated at 0
     s = make_spec(psi="0*s")

@@ -148,11 +148,11 @@ def test_integrate_sums_cells_left_to_right():
 
 @pytest.mark.parametrize("k", [2, 3, 8, 12])
 def test_partial_weights_integrate_polynomials_exactly(k):
-    # entry [c, p, q] weighs node q in the integral from cell c's start to
-    # its node p: exact for polynomials of degree < k
+    # entry [c, p] integrates the node values of cell c from the cell's
+    # start to its node p: exact for polynomials of degree < k
     m = build_mesh(0.0, 1.0, 5, 2.0, "right", nodes_per_cell=k)
     start = m.breakpoints[:-1, None]
     for j in range(k):
-        got = np.einsum("cpq,cq->cp", m.partial_weights, m.nodes ** j)
+        got = m.partial_integrals(m.nodes ** j)
         want = (m.nodes ** (j + 1) - start ** (j + 1)) / (j + 1)
         assert np.max(np.abs(got - want)) <= 1e-14

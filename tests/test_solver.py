@@ -159,65 +159,21 @@ def test_x0_refinement_order():
     assert np.all(steps[:-1] / steps[1:] >= 4.0), steps
 
 
-def _family_x0_nystrom(mu, R, a, b, m, cells=256, gamma=6.0, k=12):
-    """x(0) of the fixed point of x = int G f(., clamp_m(x)) for the worked
-    family f = |t| (1 - t^2)^-a x^-b, started from the barrier of
-    psi = |t| (1 - t^2)^-a R^-b; numpy only, sharing no code with cfbvp.
-
-    On 0 <= t <= 1, cosh(lam) G(t, tau) = sinh(lam (1 - t)) e^{-lam tau}
-    for tau <= t and cosh(lam t) e^{lam (1 - tau)} for tau > t.  x is kept
-    at the Gauss nodes of a mesh graded toward t = 1, and the integral
-    from a cell's start to each of its nodes is the spectral integration
-    matrix of the Gauss rule (Nystrom).  Distances to t = 1 are kept exact.
-    """
-    lam = (mu - 1.0) / (2.0 - mu)
-    leg = np.polynomial.legendre
-    g, w = leg.leggauss(k)
-    # int_{-1}^{g_i} of the Lagrange basis: Legendre antiderivatives times
-    # the inverse Vandermonde matrix
-    anti = np.stack([leg.legval(g, leg.legint(np.eye(k)[n], lbnd=-1)) for n in range(k)], 1)
-    spectral = anti @ np.linalg.inv(leg.legvander(g, k - 1))
-    edge = (1.0 - np.arange(cells + 1) / cells) ** gamma  # 1 - breakpoint
-    h = (edge[:-1] - edge[1:])[:, None]
-    dist = edge[:-1, None] - 0.5 * h * (g + 1.0)  # 1 - node
-    tau = 1.0 - dist
-    weight = 0.5 * h * w
-    partial = 0.5 * h[:, :, None] * spectral
-    shape = tau * (dist * (2.0 - dist)) ** (-a)
-
-    def green(y):  # (x at the nodes, x(0))
-        low = np.exp(-lam * tau) * y
-        up = np.exp(lam * dist) * y
-        low_cell, up_cell = (weight * low).sum(1), (weight * up).sum(1)
-        before = np.concatenate([[0.0], np.cumsum(low_cell)[:-1]])[:, None]
-        after = np.cumsum(up_cell[::-1])[::-1][:, None]
-        x = (np.sinh(lam * dist) * (before + np.einsum("cij,cj->ci", partial, low))
-             + np.cosh(lam * tau) * (after - np.einsum("cij,cj->ci", partial, up)))
-        return x / np.cosh(lam), up_cell.sum() / np.cosh(lam)
-
-    x, _ = green(shape * R ** (-b))
-    for _ in range(500):
-        new, x0 = green(shape * np.minimum(np.maximum(x + 1.0 / m, 1.0 / m), R) ** (-b))
-        step, x = np.max(np.abs(new - x)), new
-        if step < 1e-15:
-            return x0
-    raise RuntimeError("reference Picard iteration did not converge")
-
-
-def test_x0_matches_independent_nystrom_reference():
+def test_x0_matches_independent_nystrom_reference(family_nystrom):
     # the mu = 1.9 member at the default 128 cells and grading 3 against an
     # m = 128 reference on 256 cells at grading 6 with 12 nodes per cell
     # (limit of refinement to ~1e-13); reading the iterate through a spline
     # instead of at the quadrature nodes left a 1.9e-8 relative error
-    want = _family_x0_nystrom(1.9, 100.0, 0.25, 0.25, m=128)
+    want = family_nystrom(1.9, 100.0, 0.25, 0.25).x0(m=128)
     rep = solve(make_spec(mu=1.9))
     assert rep.status == "converged" and rep.inner[-1].m == 128
     assert abs(rep.x.values[0] - want) <= 1e-9 * want
 
 
-def test_solve_reads_no_spline(spec, mesh, report, monkeypatch):
-    # given an A2 report, the iterate lives on the breakpoints and the
-    # Gauss nodes: no spline is fitted or evaluated during the solve
+def test_solve_reads_no_spline(spec, mesh, monkeypatch):
+    # the A2 check reads the barrier at its quadrature nodes through each
+    # mesh's operator, and the iterate lives on the breakpoints and the
+    # Gauss nodes: no spline is fitted or evaluated in the check or the solve
     calls = []
     original = SymmetricGridFunction.__call__
 
@@ -226,9 +182,26 @@ def test_solve_reads_no_spline(spec, mesh, report, monkeypatch):
         return original(self, t)
 
     monkeypatch.setattr(SymmetricGridFunction, "__call__", counted)
+    hyp = check_A2(spec, mesh)
+    rep = solve(spec, mesh=mesh, hypothesis=hyp)
+    assert hyp.passed and rep.status == "converged"
+    assert calls == []
+
+
+def test_solve_reuses_the_reports_operator(spec, mesh, report, monkeypatch):
+    # the A2 report carries the Green operator of the mesh; given the
+    # report, the solve builds none of its own
+    builds = []
+    original = GreenOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GreenOperator, "__init__", counted)
     rep = solve(spec, mesh=mesh, hypothesis=report.hypothesis)
     assert rep.status == "converged"
-    assert calls == []
+    assert builds == []
 
 
 def test_solution_brackets(report, spec):
