@@ -4,8 +4,9 @@
 Two tables are printed:
 
   * linear-equation defect of the homogeneous solution cosh(lambda t) under
-    uniform mesh doubling (limited by the cubic-spline fit of x'', so the
-    expected decay factor is about 8 per doubling);
+    uniform mesh doubling (limited by the local quartic's x'', O(h^3), so
+    the expected decay factor is about 8 per doubling; the script exits 1
+    if a factor falls below 4);
   * nonlinear solve on the shipped worked family across mesh resolutions,
     with the inter-level deviations that stand in for the m -> infinity
     limit (measured: a factor 0.58, then 0.57, per doubling of m; on a
@@ -30,18 +31,22 @@ from cfbvp.solver import solve  # noqa: E402
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def linear_table() -> None:
+MIN_FACTOR = 4.0  # the decay the acceptance tests require per doubling
+
+
+def linear_table() -> bool:
+    """Print the defect table; True if every doubling factor is at least MIN_FACTOR."""
     lam = rate_of(1.5)
     fn = lambda s: np.cosh(lam * np.asarray(s))
     zero = lambda s: 0.0 * np.asarray(s)
     print("linear defect of cosh(lambda t), mu = 1.5, uniform mesh")
     print(f"{'cells':>6} {'sup defect':>12} {'factor':>8}")
-    prev = None
+    sups = []
     for cells in (64, 128, 256, 512, 1024):
-        sup = residual_linear(1.5, fn, zero, build_mesh(0.0, 1.0, cells)).sup
-        factor = f"{prev / sup:8.2f}" if prev else " " * 8
-        print(f"{cells:>6} {sup:>12.3e} {factor}")
-        prev = sup
+        sups.append(residual_linear(1.5, fn, zero, build_mesh(0.0, 1.0, cells)).sup)
+        factor = f"{sups[-2] / sups[-1]:8.2f}" if len(sups) > 1 else " " * 8
+        print(f"{cells:>6} {sups[-1]:>12.3e} {factor}")
+    return all(a / b >= MIN_FACTOR for a, b in zip(sups, sups[1:]))
 
 
 def nonlinear_table(problem: str) -> None:
@@ -51,15 +56,18 @@ def nonlinear_table(problem: str) -> None:
         spec = load_problem(problem, {"mesh_cells": cells})
         rep = solve(spec)
         print(f"{cells:>6} {rep.status:>12} {rep.residual_sup:>12.3e} "
-              f"{rep.inter_m_deviations[-1]:>10.3e} {float(rep.x(0.0)):>12.8f}")
+              f"{rep.inter_m_deviations[-1]:>10.3e} {rep.x.values[0]:>12.8f}")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--problem", default=str(ROOT / "problems" / "worked_family.prob"))
     args = ap.parse_args()
-    linear_table()
+    order_ok = linear_table()
     nonlinear_table(args.problem)
+    if not order_ok:
+        print(f"error: a linear-defect factor fell below {MIN_FACTOR}", file=sys.stderr)
+        return 1
     return 0
 
 

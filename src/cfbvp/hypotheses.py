@@ -66,8 +66,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         as_order(self.mu)
-        if not self.R > 0:
-            raise ValueError(f"truncation level R must be positive, got {self.R}")
+        if not 0.0 < self.R < np.inf:
+            raise ValueError(f"truncation level R must be positive and finite, got {self.R}")
         for name, expr, allowed in (("f", self.f, {"t", "x"}),
                                     ("q", self.q, {"s"}),
                                     ("u", self.u, {"x"}),

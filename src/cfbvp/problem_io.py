@@ -22,6 +22,7 @@ and the numbers mu, R are required; everything else has defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,9 +104,20 @@ def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
         numerics = replace(numerics, m_schedule=schedule)
     if overrides:
         numerics = replace(numerics, **overrides)
-    if numerics.lattice_density < 2:  # 1 samples t = 0 alone
-        raise ProblemFileError("key 'checks.lattice_density': must be at least 2, "
-                               f"got {numerics.lattice_density}")
+    # NaN fails every comparison, so each range is written as what must hold
+    for key, value, ok, want in (
+            # a lattice of one point samples t = 0 alone
+            ("checks.lattice_density", numerics.lattice_density,
+             numerics.lattice_density >= 2, "at least 2"),
+            ("mesh.gamma", numerics.gamma, 1.0 <= numerics.gamma < math.inf,
+             "finite and at least 1"),
+            ("solver.inner_tol", numerics.inner_tol, 0.0 < numerics.inner_tol < math.inf,
+             "positive and finite"),
+            ("solver.max_inner", numerics.max_inner, numerics.max_inner >= 1, "at least 1"),
+            ("solver.inter_m_tol", numerics.inter_m_tol,
+             0.0 < numerics.inter_m_tol < math.inf, "positive and finite")):
+        if not ok:
+            raise ProblemFileError(f"key {key!r}: must be {want}, got {value}")
 
     mu = _take_float(pairs, "mu")
     R = _take_float(pairs, "R")

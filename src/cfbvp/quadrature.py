@@ -158,8 +158,8 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
         raise MeshError(f"invalid interval [{a}, {b}]: need a < b")
     if cells < 1:
         raise MeshError("cell count must be positive")
-    if gamma < 1.0:
-        raise MeshError("grading exponent must be >= 1")
+    if not 1.0 <= gamma < np.inf:
+        raise MeshError(f"grading exponent must be finite and >= 1, got {gamma}")
     if singular_at not in VALID_SINGULAR_FLAGS:
         raise MeshError(f"singular_at must be one of {VALID_SINGULAR_FLAGS}")
     bps = _graded_breakpoints(float(a), float(b), cells, float(gamma), singular_at)

@@ -11,7 +11,8 @@ def _quad_green(mu, yfn, ts, knots=()):
 
     An oracle independent of green.GreenOperator: each branch of the kernel
     is integrated against y with scipy's quad, split at the diagonal
-    tau = t and at ``knots`` (where y is not smooth, e.g. a spline's nodes).
+    tau = t and at ``knots`` (where y is not smooth, e.g. an interpolant's
+    nodes).
     """
     lam = rate_of(mu)
     knots = np.asarray(knots, dtype=float)

@@ -120,8 +120,8 @@ def test_criterion_06_homogeneous_residuals():
         for fn in fns:
             rep = residual_linear(1.5, fn, zero, mesh, half=half)
             worst = max(worst, rep.sup)
-    # decay under doubling: limited by the cubic-spline second derivative
-    # (O(h^3)), not the Gauss-rule order; a ledger item records this
+    # decay under doubling: limited by the local quartic's second derivative
+    # (O(h^3)), not the Gauss-rule order
     sups = []
     for cells in (128, 256, 512):
         mesh = build_mesh(0.0, 1.0, cells)

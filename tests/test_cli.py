@@ -68,11 +68,27 @@ def test_parse_overrides():
     (lambda t: t + "checks.lattice_density = 0\n", "checks.lattice_density"),
     (lambda t: t + "checks.lattice_density = -3\n", "checks.lattice_density"),
     (lambda t: t + "checks.lattice_density = 1\n", "checks.lattice_density"),
+    # NaN passes no range test; each would otherwise be taken silently
+    (lambda t: t + "mesh.gamma = nan\n", "key 'mesh.gamma': must be finite"),
+    (lambda t: t + "mesh.gamma = inf\n", "key 'mesh.gamma': must be finite"),
+    (lambda t: t + "mesh.gamma = 0.5\n", "key 'mesh.gamma'"),
+    (lambda t: t + "solver.inter_m_tol = nan\n", "key 'solver.inter_m_tol'"),
+    (lambda t: t + "solver.inner_tol = nan\n", "key 'solver.inner_tol'"),
+    (lambda t: t + "solver.inner_tol = -1\n", "key 'solver.inner_tol'"),
+    (lambda t: t + "solver.max_inner = 0\n", "key 'solver.max_inner': must be at least 1"),
+    (lambda t: t.replace("R = 100", "R = inf"), "R must be positive and finite"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ProblemFileError) as exc:
         parse_problem_text(mutation(WORKED_TEXT))
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_gamma_override_rejected(problem_file, capsys, gamma):
+    # the flags override the file, and are validated after it
+    assert main(["check", str(problem_file), "--gamma", gamma]) == EXIT_USAGE
+    assert "key 'mesh.gamma': must be finite" in capsys.readouterr().err
 
 
 def test_load_problem_missing_file(tmp_path):
@@ -150,6 +166,18 @@ def test_solve_ok_and_deterministic(problem_file, tmp_path, capsys):
     assert np.max(np.abs(res)) < 1e-8
     report = capsys.readouterr().out
     assert "status = converged" in report
+
+
+@pytest.mark.parametrize("cells", ["1", "2"])
+def test_check_and_solve_on_one_or_two_cells(problem_file, tmp_path, capsys, cells):
+    # neither command reads the barrier or the iterate between breakpoints,
+    # so a mesh too coarse to interpolate on still checks and solves
+    out = tmp_path / "o"
+    assert main(["check", str(problem_file), "--mesh-cells", cells]) == EXIT_OK
+    assert main(["solve", str(problem_file), "--mesh-cells", cells, "--out", str(out)]) \
+        == EXIT_OK
+    assert "status = converged" in capsys.readouterr().out
+    assert len((out / "solution.csv").read_text().splitlines()) == 2 * int(cells) + 2
 
 
 def test_solve_hypothesis_failure_exit(problem_file, tmp_path, capsys):

@@ -70,7 +70,7 @@ def test_bvp_square_forcing(quad_green):
     x = apply_green(MU, y, MESH)
     assert abs(x.values[-1]) <= 1e-12
     assert abs(x.values[0] - INT_EXP_SQUARE / math.cosh(1.0)) <= 1e-12
-    # the spline of s^2 is s^2 (not-a-knot splines reproduce cubics)
+    # the interpolant of s^2 is s^2 (the local quartic reproduces quartics)
     want = quad_green(MU, lambda s: s * s, MESH.breakpoints)
     assert np.max(np.abs(x.values - want)) <= 1e-12
 
@@ -89,7 +89,7 @@ def test_bvp_cross_check_random_smooth(quad_green):
         y = SymmetricGridFunction.from_callable(
             lambda s: a * s * s + b * np.sin(s) * s, nodes)
         x = apply_green(MU, y, MESH)
-        # the oracle integrates the same spline piece by piece, at every
+        # the oracle integrates the same interpolant piece by piece, at every
         # 32nd node to keep the scalar quadrature cheap
         want = quad_green(MU, y, nodes[::32], knots=nodes)
         assert np.max(np.abs(x.values[::32] - want)) <= 1e-12
@@ -108,7 +108,7 @@ def test_residual_decreases_under_doubling():
         mesh = build_mesh(0.0, 1.0, cells)
         sups.append(residual_linear(MU, lambda t: np.cosh(LAM * t),
                                     lambda t: 0.0, mesh).sup)
-    # spline-limited: one order-h^3 decade per doubling
+    # interpolation-limited: x'' of the local quartic is O(h^3), a factor 8
     assert sups[0] / sups[1] >= 4.0
     assert sups[1] / sups[2] >= 4.0
 

@@ -162,8 +162,8 @@ def test_x0_refinement_order():
 def test_x0_matches_independent_nystrom_reference(family_nystrom):
     # the mu = 1.9 member at the default 128 cells and grading 3 against an
     # m = 128 reference on 256 cells at grading 6 with 12 nodes per cell
-    # (limit of refinement to ~1e-13); reading the iterate through a spline
-    # instead of at the quadrature nodes left a 1.9e-8 relative error
+    # (limit of refinement to ~1e-13); reading the iterate through a cubic
+    # spline instead of at the quadrature nodes left a 1.9e-8 relative error
     want = family_nystrom(1.9, 100.0, 0.25, 0.25).x0(m=128)
     rep = solve(make_spec(mu=1.9))
     assert rep.status == "converged" and rep.inner[-1].m == 128
@@ -173,7 +173,7 @@ def test_x0_matches_independent_nystrom_reference(family_nystrom):
 def test_solve_reads_no_spline(spec, mesh, monkeypatch):
     # the A2 check reads the barrier at its quadrature nodes through each
     # mesh's operator, and the iterate lives on the breakpoints and the
-    # Gauss nodes: no spline is fitted or evaluated in the check or the solve
+    # Gauss nodes: no interpolant is fitted or read in the check or the solve
     calls = []
     original = SymmetricGridFunction.__call__
 
