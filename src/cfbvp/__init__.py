@@ -13,8 +13,8 @@ from .linear import (GeneralSolutionCoeffs, general_solution_left_half,
                      general_solution_right_half, residual_linear)
 from .problem_io import load_problem, parse_problem_text
 from .quadrature import Mesh, build_mesh, integrate
-from .solver import (SolveConfig, SolveReport, apply_Tm, clamp_m,
-                     residual_nonlinear, solve, solve_fixed_m)
+from .solver import (SolveReport, apply_Tm, clamp_m, residual_nonlinear, solve,
+                     solve_fixed_m)
 
 __all__ = [
     "FracOrder", "cf_left", "cf_right", "rate_of",
@@ -27,7 +27,7 @@ __all__ = [
     "general_solution_right_half", "residual_linear",
     "load_problem", "parse_problem_text",
     "Mesh", "build_mesh", "integrate",
-    "SolveConfig", "SolveReport", "apply_Tm", "clamp_m",
+    "SolveReport", "apply_Tm", "clamp_m",
     "residual_nonlinear", "solve", "solve_fixed_m",
 ]
 

@@ -23,7 +23,7 @@ from .cf_derivative import rate_of
 from .green import green_diagonal_jump, green_eval, green_sup
 from .hypotheses import check_A1, check_A2
 from .problem_io import ProblemFileError, load_problem
-from .solver import HypothesisError, SolveConfig, SolverError, solve
+from .solver import HypothesisError, SolverError, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -32,7 +32,11 @@ __all__ = ["NumericsConfig", "ProblemSpec", "HypothesisReport", "CheckFailure",
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Discretization and iteration parameters shared by checker and solver."""
+    """Discretization and iteration parameters shared by checker and solver.
+
+    Every range is checked here, once, so ``check`` and ``solve`` accept
+    the same values; a ValueError names the problem-file key.
+    """
 
     mesh_cells: int = 128
     gamma: float = 3.0
@@ -44,6 +48,30 @@ class NumericsConfig:
     max_inner: int = 200
     inter_m_tol: float = 0.05
     strict_unit_bound: bool = False
+
+    def __post_init__(self):
+        s = tuple(self.m_schedule)
+        # NaN fails every comparison, so each range is written as what must hold
+        for key, value, ok, want in (
+                ("mesh.cells", self.mesh_cells, self.mesh_cells >= 1, "at least 1"),
+                ("mesh.gamma", self.gamma, 1.0 <= self.gamma < np.inf,
+                 "finite and at least 1"),
+                ("mesh.nodes_per_cell", self.nodes_per_cell, self.nodes_per_cell >= 2,
+                 "at least 2"),
+                # a lattice of one point samples t = 0 alone
+                ("checks.lattice_density", self.lattice_density, self.lattice_density >= 2,
+                 "at least 2"),
+                ("solver.m_schedule", ",".join(map(str, s)),
+                 len(s) >= 1 and s[0] >= 1 and all(a < b for a, b in zip(s, s[1:])),
+                 "non-empty, positive and strictly increasing"),
+                ("solver.omega", self.omega, 0.0 < self.omega <= 1.0, "in (0, 1]"),
+                ("solver.inner_tol", self.inner_tol, 0.0 < self.inner_tol < np.inf,
+                 "positive and finite"),
+                ("solver.max_inner", self.max_inner, self.max_inner >= 1, "at least 1"),
+                ("solver.inter_m_tol", self.inter_m_tol, 0.0 < self.inter_m_tol < np.inf,
+                 "positive and finite")):
+            if not ok:
+                raise ValueError(f"key {key!r}: must be {want}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -138,16 +166,15 @@ class HypothesisReport:
     failures: tuple[CheckFailure, ...]
 
 
-def sigma_R(spec: ProblemSpec, mesh: Mesh, nodes: bool = False, op: GreenOperator | None = None):
+def sigma_R(spec: ProblemSpec, op: GreenOperator, nodes: bool = False):
     """The lower barrier sigma_R(t) = int_0^1 G(t, tau) psi(tau, R) dtau.
 
-    Computed on the right-half grid (the mesh breakpoints) and extended to
-    [-1, 1] evenly; sigma_R(1) = 0 holds exactly because the kernel row at
-    t = 1 vanishes identically.  With ``nodes``, the barrier at the mesh's
-    Gauss nodes comes too, from the same application of the operator:
-    (grid function, node values).  ``op``, if given, is the mesh's operator.
+    Computed on the right-half grid (the breakpoints of the operator's
+    mesh) and extended to [-1, 1] evenly; sigma_R(1) = 0 holds exactly
+    because the kernel row at t = 1 vanishes identically.  With ``nodes``,
+    the barrier at the mesh's Gauss nodes comes too, from the same
+    application of the operator: (grid function, node values).
     """
-    op = op or GreenOperator(spec.mu, mesh)
     values = op.apply(spec.psi_at, nodes=nodes)
     sigma = SymmetricGridFunction(op.grid, values[:len(op.grid)])
     return (sigma, values[len(op.grid):]) if nodes else sigma
@@ -300,7 +327,7 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
         op = GreenOperator(spec.mu, mesh)
         try:
-            sigma, sigma_nodes = sigma_R(spec, mesh, nodes=True, op=op)
+            sigma, sigma_nodes = sigma_R(spec, op, nodes=True)
             undefined = "barrier takes a non-finite value"
         except _EXPR_ERRORS as err:
             # psi is integrated against every row at once: the whole barrier is undefined
@@ -331,7 +358,7 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     I_q = _improper_integral(failures, "A2.I_q_finite", "int q", lambda m: spec.q_at, meshes)
 
     def qu(m):  # sigma_R at m's own nodes, through m's operator
-        s = np.maximum(sigma_R(spec, m, nodes=True)[1], 0.0)
+        s = np.maximum(sigma_R(spec, GreenOperator(spec.mu, m), nodes=True)[1], 0.0)
         values = np.asarray(spec.q_at(m.flat_nodes), dtype=float) * spec.u_at(s)
         return lambda t: values
 

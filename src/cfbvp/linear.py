@@ -79,7 +79,9 @@ def residual_linear(mu, x, y, mesh: Mesh, half: str = "right") -> ResidualReport
     breakpoints and its second derivative comes from the local quartic
     through them, so tolerances on smooth inputs are interpolation-limited
     (1e-9 scale at a few hundred cells, O(h^3)) rather than
-    quadrature-limited.
+    quadrature-limited.  The mesh must be uniform (equal cell widths to
+    within rounding; ValueError otherwise): x'' divides by h^2, so on a
+    graded mesh the roundoff of its finest cells swamps the defect.
     """
     mu = as_order(mu)
     lam = rate_of(mu)
@@ -88,6 +90,8 @@ def residual_linear(mu, x, y, mesh: Mesh, half: str = "right") -> ResidualReport
     bps = mesh.breakpoints
     if mesh.a != 0.0 or mesh.b != 1.0:
         raise ValueError("mesh must cover [0, 1]; the half flag selects the sign")
+    if np.ptp(np.diff(bps)) > 4.0 * np.finfo(float).eps:
+        raise ValueError("mesh must be uniform: the cell widths differ beyond rounding")
     if len(bps) < 9:
         raise ValueError("grid too coarse for differentiating the interpolant (<9 nodes)")
     grid = bps if half == "right" else -bps[::-1]

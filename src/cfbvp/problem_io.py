@@ -22,8 +22,6 @@ and the numbers mu, R are required; everything else has defaults.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace
 from pathlib import Path
 
 from .expressions import ExprSyntaxError
@@ -57,23 +55,29 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _take_float(pairs: dict, key: str, default=None) -> float:
-    if key not in pairs:
-        return default
+def _take(pairs: dict, key: str, convert):
     try:
-        return float(pairs.pop(key))
+        return convert(pairs.pop(key))
     except ValueError as err:
         raise ProblemFileError(f"key {key!r}: {err}") from err
 
 
-def _take_int(pairs: dict, key: str, default=None) -> int:
-    if key not in pairs:
-        return default
-    value = pairs.pop(key)
-    try:
-        return int(value)
-    except ValueError as err:
-        raise ProblemFileError(f"key {key!r}: {err}") from err
+def _schedule(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(","))
+
+
+# optional problem-file key -> (NumericsConfig field, parser of its value)
+NUMERIC_KEYS = {
+    "mesh.cells": ("mesh_cells", int),
+    "mesh.gamma": ("gamma", float),
+    "mesh.nodes_per_cell": ("nodes_per_cell", int),
+    "checks.lattice_density": ("lattice_density", int),
+    "solver.m_schedule": ("m_schedule", _schedule),
+    "solver.omega": ("omega", float),
+    "solver.inner_tol": ("inner_tol", float),
+    "solver.max_inner": ("max_inner", int),
+    "solver.inter_m_tol": ("inter_m_tol", float),
+}
 
 
 def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
@@ -82,45 +86,17 @@ def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
     if missing:
         raise ProblemFileError(f"missing required key(s): {', '.join(missing)}")
 
-    numerics = NumericsConfig()
-    numerics = replace(
-        numerics,
-        mesh_cells=_take_int(pairs, "mesh.cells", numerics.mesh_cells),
-        gamma=_take_float(pairs, "mesh.gamma", numerics.gamma),
-        nodes_per_cell=_take_int(pairs, "mesh.nodes_per_cell", numerics.nodes_per_cell),
-        lattice_density=_take_int(pairs, "checks.lattice_density",
-                                  numerics.lattice_density),
-        omega=_take_float(pairs, "solver.omega", numerics.omega),
-        inner_tol=_take_float(pairs, "solver.inner_tol", numerics.inner_tol),
-        max_inner=_take_int(pairs, "solver.max_inner", numerics.max_inner),
-        inter_m_tol=_take_float(pairs, "solver.inter_m_tol", numerics.inter_m_tol),
-    )
-    if "solver.m_schedule" in pairs:
-        raw = pairs.pop("solver.m_schedule")
-        try:
-            schedule = tuple(int(part) for part in raw.split(","))
-        except ValueError as err:
-            raise ProblemFileError(f"key 'solver.m_schedule': {err}") from err
-        numerics = replace(numerics, m_schedule=schedule)
-    if overrides:
-        numerics = replace(numerics, **overrides)
-    # NaN fails every comparison, so each range is written as what must hold
-    for key, value, ok, want in (
-            # a lattice of one point samples t = 0 alone
-            ("checks.lattice_density", numerics.lattice_density,
-             numerics.lattice_density >= 2, "at least 2"),
-            ("mesh.gamma", numerics.gamma, 1.0 <= numerics.gamma < math.inf,
-             "finite and at least 1"),
-            ("solver.inner_tol", numerics.inner_tol, 0.0 < numerics.inner_tol < math.inf,
-             "positive and finite"),
-            ("solver.max_inner", numerics.max_inner, numerics.max_inner >= 1, "at least 1"),
-            ("solver.inter_m_tol", numerics.inter_m_tol,
-             0.0 < numerics.inter_m_tol < math.inf, "positive and finite")):
-        if not ok:
-            raise ProblemFileError(f"key {key!r}: must be {want}, got {value}")
+    values = {name: _take(pairs, key, convert)
+              for key, (name, convert) in NUMERIC_KEYS.items() if key in pairs}
+    # validated after the overrides, so that a flag can replace a bad file value
+    values.update(overrides or {})
+    try:
+        numerics = NumericsConfig(**values)
+    except ValueError as err:
+        raise ProblemFileError(str(err)) from err
 
-    mu = _take_float(pairs, "mu")
-    R = _take_float(pairs, "R")
+    mu = _take(pairs, "mu", float)
+    R = _take(pairs, "R", float)
     exprs = {k: pairs.pop(k) for k in ("f", "q", "u", "v", "psi")}
     if pairs:
         raise ProblemFileError(f"unknown key(s): {', '.join(sorted(pairs))}")

@@ -68,8 +68,6 @@ class Mesh:
     breakpoints: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    gamma: float
-    singular_at: str
     nodes_per_cell: int
 
     @property
@@ -79,10 +77,6 @@ class Mesh:
     @property
     def flat_nodes(self) -> np.ndarray:
         return self.nodes.reshape(-1)
-
-    @property
-    def flat_weights(self) -> np.ndarray:
-        return self.weights.reshape(-1)
 
     def partial_integrals(self, values) -> np.ndarray:
         """Integrals from each cell's start to each of its nodes, for values at
@@ -96,8 +90,7 @@ class Mesh:
             raise MeshError(f"invalid interval [{a}, {b}]: need a < b")
         scale = (b - a) / (self.b - self.a)
         bps = a + (self.breakpoints - self.a) * scale
-        return mesh_from_breakpoints(bps, self.nodes_per_cell,
-                                     gamma=self.gamma, singular_at=self.singular_at)
+        return mesh_from_breakpoints(bps, self.nodes_per_cell)
 
 
 def _graded_breakpoints(a: float, b: float, cells: int, gamma: float,
@@ -124,8 +117,7 @@ def _graded_breakpoints(a: float, b: float, cells: int, gamma: float,
     return bps
 
 
-def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8, *,
-                          gamma: float = 1.0, singular_at: str = "none") -> Mesh:
+def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
     bps = np.asarray(breakpoints, dtype=float)
     if bps.ndim != 1 or len(bps) < 2:
         raise MeshError("need at least two breakpoints")
@@ -143,8 +135,7 @@ def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8, *,
     weights.setflags(write=False)
     bps.setflags(write=False)
     return Mesh(a=float(bps[0]), b=float(bps[-1]), breakpoints=bps,
-                nodes=nodes, weights=weights, gamma=gamma,
-                singular_at=singular_at, nodes_per_cell=nodes_per_cell)
+                nodes=nodes, weights=weights, nodes_per_cell=nodes_per_cell)
 
 
 def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
@@ -177,8 +168,7 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
         else:
             kept[-1] = bps[-1]  # widening the last cell keeps gaps > tol
     bps = np.array(kept)
-    return mesh_from_breakpoints(bps, nodes_per_cell,
-                                 gamma=float(gamma), singular_at=singular_at)
+    return mesh_from_breakpoints(bps, nodes_per_cell)
 
 
 def sample(fn, x: np.ndarray) -> np.ndarray:

@@ -21,9 +21,8 @@ from .gridfn import SymmetricGridFunction
 from .hypotheses import (HypothesisReport, ProblemSpec, check_A1, check_A2,
                          epsilon_max)
 from .linear import ResidualReport
-from .quadrature import Mesh
 
-__all__ = ["SolveConfig", "SolveReport", "InnerStats", "clamp_m", "apply_Tm",
+__all__ = ["SolveReport", "InnerStats", "clamp_m", "apply_Tm",
            "solve_fixed_m", "solve", "residual_nonlinear", "HypothesisError",
            "SolverError"]
 
@@ -47,31 +46,6 @@ def clamp_m(x, m: int, R: float):
     if not R > 0:
         raise ValueError("truncation level R must be positive")
     return np.minimum(np.maximum(x + 1.0 / m, 1.0 / m), R)
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Iteration controls; mesh/expression data live in the ProblemSpec."""
-
-    m_schedule: tuple[int, ...] = (16, 32, 64, 128)
-    omega: float = 1.0
-    inner_tol: float = 1e-10
-    max_inner: int = 200
-    inter_m_tol: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError("damping factor must lie in (0, 1]")
-        if not self.m_schedule or any(m < 1 for m in self.m_schedule):
-            raise ValueError("m schedule must be nonempty positive integers")
-        if list(self.m_schedule) != sorted(set(self.m_schedule)):
-            raise ValueError("m schedule must strictly increase")
-
-    @classmethod
-    def from_numerics(cls, n) -> "SolveConfig":
-        return cls(m_schedule=tuple(n.m_schedule), omega=n.omega,
-                   inner_tol=n.inner_tol, max_inner=n.max_inner,
-                   inter_m_tol=n.inter_m_tol)
 
 
 @dataclass(frozen=True)
@@ -110,9 +84,7 @@ def _integrand(spec: ProblemSpec, x: np.ndarray, m: int | None, op: GreenOperato
     return lambda tau: spec.f_at(tau, arg)
 
 
-def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, mesh: Mesh,
-             eps_max: float | None = None,
-             op: GreenOperator | None = None) -> np.ndarray:
+def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, op: GreenOperator) -> np.ndarray:
     """One application of the regularized operator, on the Nystrom points.
 
     x and the result hold values at ``op.points`` (the mesh breakpoints,
@@ -120,28 +92,25 @@ def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, mesh: Mesh,
     evaluated at clamped arguments in [1/m, R], so the x = 0 singularity is
     never touched; the output is symmetric by construction.
     """
-    if eps_max is not None and not 1.0 / m < eps_max:
-        raise ValueError(f"m = {m} violates 1/m < eps_max = {eps_max}")
-    op = op or GreenOperator(spec.mu, mesh)
     return op.apply(_integrand(spec, x, m, op), nodes=True)
 
 
-def solve_fixed_m(spec: ProblemSpec, m: int, config: SolveConfig, mesh: Mesh,
-                  x0: np.ndarray,
-                  op: GreenOperator | None = None) -> tuple[np.ndarray, InnerStats]:
+def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
+                  x0: np.ndarray) -> tuple[np.ndarray, InnerStats]:
     """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m.
 
-    The iterate holds values at ``op.points``.  Stops when the sup-norm
-    step drops below the inner tolerance; ten consecutive step growths
-    abort with a divergence diagnostic, and a non-finite value of T_m x
-    aborts naming its first point.
+    The iterate holds values at ``op.points``; the damping w, the inner
+    tolerance and the iteration budget come from ``spec.numerics``.  Stops
+    when the sup-norm step drops below the inner tolerance; ten consecutive
+    step growths abort with a divergence diagnostic, and a non-finite value
+    of T_m x aborts naming its first point.
     """
-    op = op or GreenOperator(spec.mu, mesh)
+    config = spec.numerics
     x = x0
     prev_step = np.inf
     growth = 0
     for it in range(1, config.max_inner + 1):
-        tx = apply_Tm(spec, x, m, mesh, op=op)
+        tx = apply_Tm(spec, x, m, op)
         bad = np.flatnonzero(~np.isfinite(tx))
         if bad.size:
             raise SolverError(
@@ -165,9 +134,8 @@ def solve_fixed_m(spec: ProblemSpec, m: int, config: SolveConfig, mesh: Mesh,
                          converged=False)
 
 
-def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, mesh: Mesh,
-                       m: int | None = None,
-                       op: GreenOperator | None = None):
+def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
+                       m: int | None = None):
     """Integral-equation residual x - int G(t, .) f(., x(.)) at the breakpoints.
 
     x holds values at ``op.points``; f reads it at the nodes.  With m
@@ -176,7 +144,6 @@ def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, mesh: Mesh,
     with m = None it is taken against the limit equation, where it carries
     an O(1/m) regularization offset for any finite-m iterate.
     """
-    op = op or GreenOperator(spec.mu, mesh)
     n = len(op.grid)
     if m is None and np.any(x[n:] <= 0.0):
         raise ValueError("limit-equation residual needs x > 0 at the nodes")
@@ -184,28 +151,25 @@ def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, mesh: Mesh,
     return ResidualReport(nodes=op.grid, values=x[:n] - gx)
 
 
-def solve(spec: ProblemSpec, config: SolveConfig | None = None,
-          mesh: Mesh | None = None,
-          hypothesis: HypothesisReport | None = None) -> SolveReport:
-    """Sweep the m schedule and extract the stabilized solution.
+def solve(spec: ProblemSpec, hypothesis: HypothesisReport | None = None) -> SolveReport:
+    """Sweep the m schedule of ``spec.numerics`` and extract the stabilized solution.
 
-    Refuses to run unless both assumption checks pass.  The iterate lives
-    on the mesh breakpoints and Gauss nodes (Nystrom): f is evaluated at
-    the nodes, and the breakpoint values carry the margins, the inter-level
-    deviations and ``x``.  The barrier of the A2 report (a supplied one
-    must come from the same mesh) is the first iterate, and its Green
-    operator is the solve's.  Success requires every inner iteration to
+    Refuses to run unless both assumption checks pass; the A2 report, if
+    not supplied, is computed on the spec's default mesh.  The solve runs
+    on the report's mesh: the report's barrier is the first iterate and
+    its Green operator is the solve's.  The iterate lives on the mesh
+    breakpoints and Gauss nodes (Nystrom): f is evaluated at the nodes,
+    and the breakpoint values carry the margins, the inter-level
+    deviations and ``x``.  Success requires every inner iteration to
     converge and the last two level solutions to agree within the
-    inter-level tolerance.  An expression error during the
-    sweep is a SolverError.
+    inter-level tolerance.  An expression error during the sweep is a
+    SolverError.
     """
-    config = config or SolveConfig.from_numerics(spec.numerics)
-    mesh = mesh or spec.default_mesh()
-
+    config = spec.numerics
     a1 = check_A1(spec)
     if not a1.passed:
         raise HypothesisError("growth/symmetry assumptions failed", a1.failures)
-    report = hypothesis or check_A2(spec, mesh)
+    report = hypothesis or check_A2(spec)
     if not report.passed:
         raise HypothesisError("barrier/size assumptions failed", report.failures)
 
@@ -216,9 +180,6 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
             raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
 
     op = report.operator
-    if not (np.array_equal(op.grid, mesh.breakpoints) and np.array_equal(op.tau, mesh.flat_nodes)):
-        raise ValueError("the hypothesis report's barrier grid is not the "
-                         "solver mesh's breakpoints and nodes")
     sigma = report.sigma
 
     n = len(op.grid)
@@ -228,16 +189,16 @@ def solve(spec: ProblemSpec, config: SolveConfig | None = None,
     prev = None
     try:
         for m in config.m_schedule:
-            x, stats = solve_fixed_m(spec, m, config, mesh, x0=x, op=op)
+            x, stats = solve_fixed_m(spec, m, op, x)
             inner.append(stats)
             if prev is not None:
                 deviations.append(float(np.max(np.abs(x[:n] - prev[:n]))))
             prev = x
-        res = residual_nonlinear(spec, x, mesh, m=config.m_schedule[-1], op=op)
+        res = residual_nonlinear(spec, x, op, m=config.m_schedule[-1])
     except ex.ExprDomainError as err:
         raise SolverError(f"expression error at m = {m}: {err}") from err
     try:
-        res_limit = residual_nonlinear(spec, x, mesh, m=None, op=op).sup
+        res_limit = residual_nonlinear(spec, x, op).sup
     except (ValueError, ArithmeticError):
         res_limit = float("nan")
 

@@ -53,6 +53,10 @@ def test_parse_overrides():
     assert spec.numerics.gamma == 2.0
 
 
+def _schedule(text, schedule):
+    return text.replace("solver.m_schedule = 16,32,64", f"solver.m_schedule = {schedule}")
+
+
 @pytest.mark.parametrize("mutation,fragment", [
     (lambda t: t.replace("R = 100\n", ""), "missing required key"),
     (lambda t: t + "bogus.key = 1\n", "unknown key"),
@@ -77,11 +81,36 @@ def test_parse_overrides():
     (lambda t: t + "solver.inner_tol = -1\n", "key 'solver.inner_tol'"),
     (lambda t: t + "solver.max_inner = 0\n", "key 'solver.max_inner': must be at least 1"),
     (lambda t: t.replace("R = 100", "R = inf"), "R must be positive and finite"),
+    # check and solve read one validated config: solve no longer has its own
+    (lambda t: t + "solver.omega = nan\n", "key 'solver.omega': must be in (0, 1], got nan"),
+    (lambda t: t + "solver.omega = 0\n", "key 'solver.omega': must be in (0, 1]"),
+    (lambda t: t + "solver.omega = 1.5\n", "key 'solver.omega': must be in (0, 1]"),
+    (lambda t: _schedule(t, "32,16"), "key 'solver.m_schedule': must be non-empty, positive"),
+    (lambda t: _schedule(t, "16,16"), "key 'solver.m_schedule': must be"),
+    (lambda t: _schedule(t, "-5"), "key 'solver.m_schedule': must be"),
+    (lambda t: _schedule(t, "0,16"), "key 'solver.m_schedule': must be"),
+    (lambda t: t.replace("mesh.cells = 64", "mesh.cells = 0"),
+     "key 'mesh.cells': must be at least 1, got 0"),
+    (lambda t: t + "mesh.nodes_per_cell = 1\n",
+     "key 'mesh.nodes_per_cell': must be at least 2, got 1"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ProblemFileError) as exc:
         parse_problem_text(mutation(WORKED_TEXT))
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("key,value", [("solver.omega", "nan"), ("solver.m_schedule", "-5")])
+def test_check_and_solve_reject_the_same_numerics(tmp_path, capsys, key, value):
+    # both commands validate the one config; check once took these values
+    # (exit 0, and exit 2 with an A1 report of x = nan failures)
+    lines = [ln for ln in WORKED_TEXT.splitlines() if not ln.startswith(key)]
+    p = tmp_path / "bad.prob"
+    p.write_text("\n".join([*lines, f"{key} = {value}", ""]))
+    for argv in (["check", str(p)], ["solve", str(p), "--out", str(tmp_path / "o")]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: key '{key}': must be ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf"])

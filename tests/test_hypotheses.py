@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfbvp.cf_derivative import rate_of
-from cfbvp.green import green_sup
+from cfbvp.green import GreenOperator, green_sup
 from cfbvp.hypotheses import (NumericsConfig, ProblemSpec, check_A1, check_A2,
                               epsilon_max, sigma_R)
 from cfbvp.quadrature import build_mesh
@@ -47,8 +47,7 @@ def test_sigma_constant_profile_oracle():
     # psi = 1: sigma(0) = int_0^1 e^{lam(1-s)} / cosh(lam) ds
     #        = (e^lam - 1) / (lam cosh(lam))
     s = make_spec(psi="1")
-    mesh = s.default_mesh()
-    sig = sigma_R(s, mesh)
+    sig = sigma_R(s, GreenOperator(s.mu, s.default_mesh()))
     lam = rate_of(1.5)
     want = (math.exp(lam) - 1.0) / (lam * math.cosh(lam))
     assert abs(float(sig(0.0)) - want) <= 1e-10
@@ -56,12 +55,12 @@ def test_sigma_constant_profile_oracle():
 
 def test_sigma_zero_profile():
     s = make_spec(psi="0*s")
-    sig = sigma_R(s, s.default_mesh())
+    sig = sigma_R(s, GreenOperator(s.mu, s.default_mesh()))
     assert np.all(sig.values == 0.0)
 
 
 def test_sigma_vanishes_at_one(spec):
-    sig = sigma_R(spec, spec.default_mesh())
+    sig = sigma_R(spec, GreenOperator(spec.mu, spec.default_mesh()))
     assert sig.values[-1] == 0.0
     assert np.all(sig.values >= 0.0)
     # even extension is structural
@@ -69,8 +68,9 @@ def test_sigma_vanishes_at_one(spec):
 
 
 def test_sigma_monotone_in_profile():
-    lo = sigma_R(make_spec(psi="s"), make_spec().default_mesh())
-    hi = sigma_R(make_spec(psi="s + 0.5"), make_spec().default_mesh())
+    op = GreenOperator(1.5, make_spec().default_mesh())
+    lo = sigma_R(make_spec(psi="s"), op)
+    hi = sigma_R(make_spec(psi="s + 0.5"), op)
     assert np.all(hi.values >= lo.values - 1e-15)
 
 
@@ -80,7 +80,7 @@ def test_sigma_refinement_order(mu):
     # mesh); with psi ~ (1 - s)^(-1/4) the barrier converges at order
     # gamma (1 - 1/4) = 2.25, a factor 4.76 per doubling
     spec = make_spec(mu=mu)
-    sigmas = [sigma_R(spec, build_mesh(0.0, 1.0, cells, 3.0, "right"))
+    sigmas = [sigma_R(spec, GreenOperator(mu, build_mesh(0.0, 1.0, cells, 3.0, "right")))
               for cells in (64, 128, 256, 512)]
     diffs = []
     for coarse, fine in zip(sigmas, sigmas[1:]):

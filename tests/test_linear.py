@@ -143,6 +143,14 @@ def test_zero_forcing_compatibility_is_sharp():
     assert abs(deriv + 1.0) <= 1e-3
 
 
+def test_graded_mesh_rejected():
+    # x'' divides by h^2: on the graded cells near t = 1 roundoff swamped
+    # the defect (cosh: 6.2e-8, 1.8e-8, 4.2e-7 at 128, 512, 2048 cells)
+    mesh = build_mesh(0.0, 1.0, 512, 3.0, "right")
+    with pytest.raises(ValueError, match="uniform"):
+        residual_linear(MU, lambda t: np.cosh(LAM * t), lambda t: 0.0, mesh)
+
+
 def test_grid_too_coarse_rejected():
     mesh = build_mesh(0.0, 1.0, 4)
     with pytest.raises(ValueError):

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from cfbvp.gridfn import SymmetricGridFunction
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
 from cfbvp.problem_io import load_problem
-from cfbvp.quadrature import build_mesh
-from cfbvp.solver import (GreenOperator, HypothesisError, SolveConfig,
-                          SolverError, apply_Tm, clamp_m, residual_nonlinear,
-                          solve, solve_fixed_m)
+from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
+                          clamp_m, residual_nonlinear, solve, solve_fixed_m)
 
 WORKED = dict(
     mu=1.5,
@@ -85,38 +83,32 @@ def test_operator_matches_quad_oracle(spec, mesh, op, quad_green):
     assert np.max(np.abs(direct - via_op)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
 
-def test_apply_Tm_zero_nonlinearity(mesh, op):
+def test_apply_Tm_zero_nonlinearity(op):
     # f = 0 maps everything to the zero function
     s = make_spec(f="0*t*x", psi="0*s")
     x0 = np.ones(op.points.shape)
-    tx = apply_Tm(s, x0, m=16, mesh=mesh)
+    tx = apply_Tm(s, x0, 16, op)
     assert tx.shape == op.points.shape
     assert np.max(np.abs(tx)) == 0.0
 
 
-def test_apply_Tm_deep_clamp(spec, mesh, op):
+def test_apply_Tm_deep_clamp(spec, op):
     # far below the clamp floor the operator only sees f(., 1/m)
     m = 16
     x0 = np.full(op.points.shape, -50.0)
-    tx = apply_Tm(spec, x0, m=m, mesh=mesh, op=op)
+    tx = apply_Tm(spec, x0, m, op)
     want = op.apply(lambda tau: spec.f_at(tau, 1.0 / m + 0.0 * np.asarray(tau)), nodes=True)
     assert np.max(np.abs(tx - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_solve_fixed_m_names_non_finite_node(mesh, op):
+def test_solve_fixed_m_names_non_finite_node(op):
     # f overflows at x = 1 + 1/m; the first non-finite value of T_m x stops
     # the iteration instead of entering the next step
     s = make_spec(f=WORKED["f"] + " + 0*exp(1000*x)")
     x0 = np.ones(op.points.shape)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SolverError, match=r"not finite at t = .*m = 16"):
-        solve_fixed_m(s, 16, SolveConfig(), mesh, x0)
-
-
-def test_apply_Tm_eps_guard(spec, mesh, op):
-    x0 = np.ones(op.points.shape)
-    with pytest.raises(ValueError):
-        apply_Tm(spec, x0, m=16, mesh=mesh, eps_max=1.0 / 32.0)
+        solve_fixed_m(s, 16, op, x0)
 
 
 def test_apply_Tm_order_interval(spec, mesh, op):
@@ -124,22 +116,22 @@ def test_apply_Tm_order_interval(spec, mesh, op):
     # breakpoints and at the nodes
     hyp = check_A2(spec, mesh)
     sigma = np.concatenate((hyp.sigma.values, hyp.sigma_nodes))
-    tx = apply_Tm(spec, sigma, m=64, mesh=mesh, op=op)
+    tx = apply_Tm(spec, sigma, 64, op)
     assert np.all(tx >= sigma - 1e-12)
     assert np.all(tx <= spec.R + 1e-12)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(omega=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(omega=1.5)
-    with pytest.raises(ValueError):
-        SolveConfig(m_schedule=())
-    with pytest.raises(ValueError):
-        SolveConfig(m_schedule=(16, 16, 32))
-    with pytest.raises(ValueError):
-        SolveConfig(m_schedule=(32, 16))
+    with pytest.raises(ValueError, match="'solver.omega'"):
+        NumericsConfig(omega=0.0)
+    with pytest.raises(ValueError, match="'solver.omega'"):
+        NumericsConfig(omega=1.5)
+    with pytest.raises(ValueError, match="'solver.m_schedule'"):
+        NumericsConfig(m_schedule=())
+    with pytest.raises(ValueError, match="'solver.m_schedule'"):
+        NumericsConfig(m_schedule=(16, 16, 32))
+    with pytest.raises(ValueError, match="'solver.m_schedule'"):
+        NumericsConfig(m_schedule=(32, 16))
 
 
 def test_solve_converges(report):
@@ -183,12 +175,12 @@ def test_solve_reads_no_spline(spec, mesh, monkeypatch):
 
     monkeypatch.setattr(SymmetricGridFunction, "__call__", counted)
     hyp = check_A2(spec, mesh)
-    rep = solve(spec, mesh=mesh, hypothesis=hyp)
+    rep = solve(spec, hypothesis=hyp)
     assert hyp.passed and rep.status == "converged"
     assert calls == []
 
 
-def test_solve_reuses_the_reports_operator(spec, mesh, report, monkeypatch):
+def test_solve_reuses_the_reports_operator(spec, report, monkeypatch):
     # the A2 report carries the Green operator of the mesh; given the
     # report, the solve builds none of its own
     builds = []
@@ -199,7 +191,7 @@ def test_solve_reuses_the_reports_operator(spec, mesh, report, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
-    rep = solve(spec, mesh=mesh, hypothesis=report.hypothesis)
+    rep = solve(spec, hypothesis=report.hypothesis)
     assert rep.status == "converged"
     assert builds == []
 
@@ -224,12 +216,12 @@ def test_level_deviations_shrink(report):
     assert devs[-1] < 0.05
 
 
-def test_clamped_residual_small(report, spec, mesh):
+def test_clamped_residual_small(report, spec, op):
     # the iterate satisfies the regularized integral equation to solver tol
     assert report.residual_sup <= 1e-9
     # and matches a fresh residual computation
     m = spec.numerics.m_schedule[-1]
-    fresh = residual_nonlinear(spec, report.iterate, mesh, m=m)
+    fresh = residual_nonlinear(spec, report.iterate, op, m=m)
     assert fresh.sup == pytest.approx(report.residual_sup, abs=1e-14)
 
 
@@ -240,23 +232,23 @@ def test_limit_residual_tracks_regularization(report):
     assert report.residual_limit_sup > report.residual_sup
 
 
-def test_limit_residual_requires_positivity(spec, mesh, op):
+def test_limit_residual_requires_positivity(spec, op):
     x = np.full(op.points.shape, -1.0)
     with pytest.raises(ValueError):
-        residual_nonlinear(spec, x, mesh, m=None)
+        residual_nonlinear(spec, x, op, m=None)
 
 
-def test_fixed_point_is_stationary(spec, mesh, op, report):
+def test_fixed_point_is_stationary(spec, op, report):
     # re-applying the operator at the final level moves the iterate by no
     # more than the inner tolerance
     m = report.inner[-1].m
-    tx = apply_Tm(spec, report.iterate, m, mesh, op=op)
+    tx = apply_Tm(spec, report.iterate, m, op)
     assert np.max(np.abs(report.iterate - tx)) <= 10.0 * spec.numerics.inner_tol
 
 
-def test_damping_reaches_same_fixed_point(spec, mesh, report):
+def test_damping_reaches_same_fixed_point(report):
     damped = make_spec(numerics=NumericsConfig(omega=0.5))
-    rep2 = solve(damped, mesh=mesh, hypothesis=report.hypothesis)
+    rep2 = solve(damped, hypothesis=report.hypothesis)
     assert rep2.status == "converged"
     assert report.x.sup_diff(rep2.x) <= 1e-8
 
@@ -273,31 +265,23 @@ def test_small_R_rejected():
         solve(make_spec(R=1.0))
 
 
-def test_inner_budget_exhaustion(spec, mesh, report):
-    cfg = SolveConfig(m_schedule=(16,), max_inner=2)
-    rep = solve(spec, config=cfg, mesh=mesh, hypothesis=report.hypothesis)
+def test_inner_budget_exhaustion(report):
+    tight = make_spec(numerics=NumericsConfig(m_schedule=(16,), max_inner=2))
+    rep = solve(tight, hypothesis=report.hypothesis)
     assert rep.status == "inner_failed"
     assert not rep.inner[0].converged
 
 
-def test_schedule_vs_eps_guard(spec, mesh, report):
+def test_schedule_vs_eps_guard(report):
     # eps_max ~ 75 so eps ~ 37; a schedule with 1/m >= eps is impossible to
     # build with integer m here, so synthesize via a doctored report
     from dataclasses import replace
     tiny = replace(report.hypothesis, ratio=1.001, eps_max=0.01)
     with pytest.raises(SolverError):
-        solve(spec, config=SolveConfig(m_schedule=(16,)), mesh=mesh,
-              hypothesis=tiny)
+        solve(make_spec(numerics=NumericsConfig(m_schedule=(16,))), hypothesis=tiny)
 
 
-def test_supplied_report_must_share_the_mesh(spec, report):
-    # solve reuses the report's barrier, so its grid must be the mesh's
-    coarse = build_mesh(0.0, 1.0, 64, 3.0, "right")
-    with pytest.raises(ValueError, match="grid"):
-        solve(spec, mesh=coarse, hypothesis=report.hypothesis)
-
-
-def test_solve_deterministic(spec, mesh, report):
-    rep2 = solve(spec, mesh=mesh, hypothesis=report.hypothesis)
+def test_solve_deterministic(spec, report):
+    rep2 = solve(spec, hypothesis=report.hypothesis)
     assert np.array_equal(rep2.x.values, report.x.values)
     assert rep2.residual_sup == report.residual_sup
