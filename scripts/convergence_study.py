@@ -56,7 +56,7 @@ def nonlinear_table(problem: str) -> None:
         spec = load_problem(problem, {"mesh_cells": cells})
         rep = solve(spec)
         print(f"{cells:>6} {rep.status:>12} {rep.residual_sup:>12.3e} "
-              f"{rep.inter_m_deviations[-1]:>10.3e} {rep.x.values[0]:>12.8f}")
+              f"{rep.inter_m_deviations[-1]:>10.3e} {rep.x[0]:>12.8f}")
 
 
 def main() -> int:

@@ -89,7 +89,8 @@ def cmd_check(args) -> int:
         out = Path(args.out)
         _write(out / "hypothesis_report.txt", text)
         sigma_csv = ["t,sigma_R"]
-        for t, v in zip(a2.sigma.nodes, a2.sigma.values):
+        grid = a2.operator.grid  # the breakpoint values lead a2.sigma
+        for t, v in zip(grid, a2.sigma[:len(grid)]):
             sigma_csv.append(f"{_fmt(t)},{_fmt(v)}")
         _write(out / "sigma_R.csv", "\n".join(sigma_csv) + "\n")
     if not (a1.passed and a2.passed):
@@ -100,10 +101,13 @@ def cmd_check(args) -> int:
 def _solution_csv(report) -> str:
     # full symmetric grid: mirrored left half then the right half; each
     # right-half row is formatted once and its strings serve both rows
-    # (formatting is sign-symmetric, and t > 0 on the mirrored rows)
-    ts = [_fmt(t) for t in report.x.nodes.tolist()]
+    # (formatting is sign-symmetric, and t > 0 on the mirrored rows); the
+    # breakpoint values lead the arrays on the operator's points
+    grid = report.hypothesis.operator.grid
+    n = len(grid)
+    ts = [_fmt(t) for t in grid.tolist()]
     tails = [f"{_fmt(xv)},{_fmt(sv)},{_fmt(rv)}" for xv, sv, rv in
-             zip(report.x.values.tolist(), report.sigma.values.tolist(),
+             zip(report.x[:n].tolist(), report.hypothesis.sigma[:n].tolist(),
                  report.residual.values.tolist())]
     left = [f"-{t},{tail}" for t, tail in zip(ts[:0:-1], tails[:0:-1])]
     right = [f"{t},{tail}" for t, tail in zip(ts, tails)]

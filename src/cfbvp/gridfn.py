@@ -78,26 +78,9 @@ class SymmetricGridFunction:
         self.values = values
         self._interp = None  # the LocalQuartic, fitted on first use
 
-    @classmethod
-    def from_callable(cls, fn, nodes) -> "SymmetricGridFunction":
-        nodes = np.asarray(nodes, dtype=float)
-        return cls(nodes, np.array([float(fn(s)) for s in nodes]))
-
     def __call__(self, t):
         """Interpolated value at |t| (even extension is structural)."""
         if self._interp is None:
             self._interp = LocalQuartic(self.nodes, self.values)
         p = np.abs(t)
         return self._interp(p.ravel()).reshape(np.shape(p))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def sup_diff(self, other: "SymmetricGridFunction") -> float:
-        if not np.array_equal(self.nodes, other.nodes):
-            raise ValueError("grid mismatch")
-        return float(np.max(np.abs(self.values - other.values)))
-
-    def __repr__(self) -> str:
-        return (f"SymmetricGridFunction({len(self.nodes)} right-half nodes, "
-                f"sup={self.sup_norm():.6g})")

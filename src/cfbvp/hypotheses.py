@@ -23,7 +23,6 @@ import numpy as np
 from . import expressions as ex
 from .cf_derivative import as_order
 from .green import GreenOperator, kernel_bound
-from .gridfn import SymmetricGridFunction
 from .quadrature import Mesh, build_mesh, integrate
 
 __all__ = ["NumericsConfig", "ProblemSpec", "HypothesisReport", "CheckFailure",
@@ -153,9 +152,8 @@ class A1Report:
 @dataclass(frozen=True)
 class HypothesisReport:
     passed: bool
-    sigma: SymmetricGridFunction
-    sigma_nodes: np.ndarray  # the barrier at the mesh's Gauss nodes (flat_nodes)
-    operator: GreenOperator  # the mesh's Green operator, which solve reuses
+    sigma: np.ndarray  # the barrier at operator.points
+    operator: GreenOperator  # the default mesh's Green operator, which solve reuses
     sigma_at_zero: float
     I_q: float
     I_qu: float
@@ -166,18 +164,14 @@ class HypothesisReport:
     failures: tuple[CheckFailure, ...]
 
 
-def sigma_R(spec: ProblemSpec, op: GreenOperator, nodes: bool = False):
+def sigma_R(spec: ProblemSpec, op: GreenOperator) -> np.ndarray:
     """The lower barrier sigma_R(t) = int_0^1 G(t, tau) psi(tau, R) dtau.
 
-    Computed on the right-half grid (the breakpoints of the operator's
-    mesh) and extended to [-1, 1] evenly; sigma_R(1) = 0 holds exactly
-    because the kernel row at t = 1 vanishes identically.  With ``nodes``,
-    the barrier at the mesh's Gauss nodes comes too, from the same
-    application of the operator: (grid function, node values).
+    Values at ``op.points``: the right-half mesh breakpoints, then the
+    Gauss nodes; the barrier is even in t.  sigma_R(1) = 0 holds exactly
+    because the kernel row at t = 1 vanishes identically.
     """
-    values = op.apply(spec.psi_at, nodes=nodes)
-    sigma = SymmetricGridFunction(op.grid, values[:len(op.grid)])
-    return (sigma, values[len(op.grid):]) if nodes else sigma
+    return op.apply(spec.psi_at, nodes=True)
 
 
 def _t_lattice(density: int) -> np.ndarray:
@@ -313,36 +307,36 @@ def _improper_integral(failures: list, check: str, name: str, integrand, meshes,
     return vals[-1]
 
 
-def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
+def check_A2(spec: ProblemSpec) -> HypothesisReport:
     """Compute the barrier and size quantities and test the A2 conditions.
 
     Conditions: finiteness of I_q = int q and I_qu = int q * u(sigma_R),
     R >= sigma_R(0), the sampled minorant f(t, x) >= psi(|t|, R) on
     (-1, 1) x (0, R], and ratio = R / (c (1 + v(R)/u(R)) I_qu) > 1.
+    The barrier is computed on the spec's default mesh.
     """
     n = spec.numerics
-    mesh = mesh or spec.default_mesh()
     failures: list[CheckFailure] = []
 
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
-        op = GreenOperator(spec.mu, mesh)
+        op = GreenOperator(spec.mu, spec.default_mesh())
         try:
-            sigma, sigma_nodes = sigma_R(spec, op, nodes=True)
+            sigma = sigma_R(spec, op)
             undefined = "barrier takes a non-finite value"
         except _EXPR_ERRORS as err:
             # psi is integrated against every row at once: the whole barrier is undefined
-            sigma = SymmetricGridFunction(op.grid, np.full(op.grid.shape, np.nan))
-            sigma_nodes = np.full(op.tau.shape, np.nan)
+            sigma = np.full(op.points.shape, np.nan)
             undefined = f"barrier undefined: expression error in psi: {err}"
-    nonfinite = np.flatnonzero(~np.isfinite(sigma.values))
+    at_grid = sigma[:len(op.grid)]  # the breakpoints come first
+    nonfinite = np.flatnonzero(~np.isfinite(at_grid))
     if nonfinite.size:
         # sigma_R(0) and I_qu = int q u(sigma_R) are left undefined (nan)
-        failures.append(CheckFailure("A2.sigma_finite", {"t": float(sigma.nodes[nonfinite[0]])},
+        failures.append(CheckFailure("A2.sigma_finite", {"t": float(op.grid[nonfinite[0]])},
                                      undefined))
-    sigma0 = float("nan") if nonfinite.size else 0.0 + float(sigma.values[0])
-    if np.min(sigma.values) < -1e-12:
+    sigma0 = float("nan") if nonfinite.size else 0.0 + float(sigma[0])
+    if np.min(at_grid) < -1e-12:
         failures.append(CheckFailure("A2.sigma_nonneg",
-                                     {"t": float(sigma.nodes[np.argmin(sigma.values)])},
+                                     {"t": float(op.grid[np.argmin(at_grid)])},
                                      "barrier takes a negative value"))
     if spec.R < sigma0:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
@@ -358,7 +352,8 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
     I_q = _improper_integral(failures, "A2.I_q_finite", "int q", lambda m: spec.q_at, meshes)
 
     def qu(m):  # sigma_R at m's own nodes, through m's operator
-        s = np.maximum(sigma_R(spec, GreenOperator(spec.mu, m), nodes=True)[1], 0.0)
+        op_m = GreenOperator(spec.mu, m)
+        s = np.maximum(sigma_R(spec, op_m)[len(op_m.grid):], 0.0)
         values = np.asarray(spec.q_at(m.flat_nodes), dtype=float) * spec.u_at(s)
         return lambda t: values
 
@@ -401,8 +396,8 @@ def check_A2(spec: ProblemSpec, mesh: Mesh | None = None) -> HypothesisReport:
                                      "size condition requires ratio > 1"))
     eps_max = spec.R - denom if np.isfinite(denom) else float("nan")
 
-    return HypothesisReport(passed=not failures, sigma=sigma, sigma_nodes=sigma_nodes,
-                            operator=op, sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu,
+    return HypothesisReport(passed=not failures, sigma=sigma, operator=op,
+                            sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu,
                             c_kernel=c_kernel, ratio=ratio, eps_max=eps_max,
                             strict_unit_bound=n.strict_unit_bound, failures=tuple(failures))
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import expressions as ex
 from .green import GreenOperator
-from .gridfn import SymmetricGridFunction
 from .hypotheses import (HypothesisReport, ProblemSpec, check_A1, check_A2,
                          epsilon_max)
 from .linear import ResidualReport
@@ -59,9 +58,7 @@ class InnerStats:
 @dataclass(frozen=True)
 class SolveReport:
     status: str  # "converged" | "inner_failed" | "not_stabilized"
-    x: SymmetricGridFunction
-    iterate: np.ndarray  # the final iterate at GreenOperator.points
-    sigma: SymmetricGridFunction
+    x: np.ndarray  # the last level's solution at hypothesis.operator.points
     eps: float
     eps_max: float
     inner: tuple[InnerStats, ...]
@@ -99,9 +96,9 @@ def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
                   x0: np.ndarray) -> tuple[np.ndarray, InnerStats]:
     """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m.
 
-    The iterate holds values at ``op.points``; the damping w, the inner
-    tolerance and the iteration budget come from ``spec.numerics``.  Stops
-    when the sup-norm step drops below the inner tolerance; ten consecutive
+    x holds values at ``op.points``; the damping w, the inner tolerance
+    and the iteration budget come from ``spec.numerics``.  Stops when the
+    sup-norm step drops below the inner tolerance; ten consecutive
     step growths abort with a divergence diagnostic, and a non-finite value
     of T_m x aborts naming its first point.
     """
@@ -142,7 +139,7 @@ def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
     given, f is evaluated at the clamped argument, i.e. the residual is
     taken against the regularized equation the iteration actually solves;
     with m = None it is taken against the limit equation, where it carries
-    an O(1/m) regularization offset for any finite-m iterate.
+    an O(1/m) regularization offset for any finite-m solution.
     """
     n = len(op.grid)
     if m is None and np.any(x[n:] <= 0.0):
@@ -151,25 +148,23 @@ def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
     return ResidualReport(nodes=op.grid, values=x[:n] - gx)
 
 
-def solve(spec: ProblemSpec, hypothesis: HypothesisReport | None = None) -> SolveReport:
+def solve(spec: ProblemSpec) -> SolveReport:
     """Sweep the m schedule of ``spec.numerics`` and extract the stabilized solution.
 
-    Refuses to run unless both assumption checks pass; the A2 report, if
-    not supplied, is computed on the spec's default mesh.  The solve runs
-    on the report's mesh: the report's barrier is the first iterate and
-    its Green operator is the solve's.  The iterate lives on the mesh
-    breakpoints and Gauss nodes (Nystrom): f is evaluated at the nodes,
-    and the breakpoint values carry the margins, the inter-level
-    deviations and ``x``.  Success requires every inner iteration to
-    converge and the last two level solutions to agree within the
-    inter-level tolerance.  An expression error during the sweep is a
-    SolverError.
+    Refuses to run unless both assumption checks pass.  The solve runs on
+    the A2 report's mesh: the report's barrier is the starting x and its
+    Green operator is the solve's.  x lives on the mesh breakpoints and
+    Gauss nodes (Nystrom): f is evaluated at the nodes, and the breakpoint
+    values carry the margins and the inter-level deviations.  Success
+    requires every inner iteration to converge and the last two level
+    solutions to agree within the inter-level tolerance.  An expression
+    error during the sweep is a SolverError.
     """
     config = spec.numerics
     a1 = check_A1(spec)
     if not a1.passed:
         raise HypothesisError("growth/symmetry assumptions failed", a1.failures)
-    report = hypothesis or check_A2(spec)
+    report = check_A2(spec)
     if not report.passed:
         raise HypothesisError("barrier/size assumptions failed", report.failures)
 
@@ -180,10 +175,8 @@ def solve(spec: ProblemSpec, hypothesis: HypothesisReport | None = None) -> Solv
             raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
 
     op = report.operator
-    sigma = report.sigma
-
     n = len(op.grid)
-    x = np.concatenate((sigma.values, report.sigma_nodes))
+    x = report.sigma
     inner: list[InnerStats] = []
     deviations: list[float] = []
     prev = None
@@ -202,7 +195,8 @@ def solve(spec: ProblemSpec, hypothesis: HypothesisReport | None = None) -> Solv
     except (ValueError, ArithmeticError):
         res_limit = float("nan")
 
-    lower_margin = float(np.min(x[:n] - sigma.values))
+    # sigma_R(1) = x(1) = 0 exactly: the margin is taken where it can be nonzero
+    lower_margin = float(np.min(x[:n - 1] - report.sigma[:n - 1]))
     upper_margin = float(np.min((spec.R - eps) - x[:n]))
 
     if not all(s.converged for s in inner):
@@ -212,8 +206,7 @@ def solve(spec: ProblemSpec, hypothesis: HypothesisReport | None = None) -> Solv
     else:
         status = "converged"
 
-    return SolveReport(status=status, x=SymmetricGridFunction(op.grid, x[:n]), iterate=x,
-                       sigma=sigma, eps=eps, eps_max=eps_max,
+    return SolveReport(status=status, x=x, eps=eps, eps_max=eps_max,
                        inner=tuple(inner), inter_m_deviations=tuple(deviations),
                        lower_margin=lower_margin, upper_margin=upper_margin,
                        residual=res, residual_limit_sup=res_limit,

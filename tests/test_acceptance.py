@@ -137,7 +137,7 @@ def test_criterion_06_homogeneous_residuals():
 def test_criterion_07_linear_bvp(quad_green):
     mu = 1.5
     mesh = build_mesh(0.0, 1.0, 256)
-    y = SymmetricGridFunction.from_callable(lambda s: s * s, mesh.breakpoints)
+    y = SymmetricGridFunction(mesh.breakpoints, mesh.breakpoints ** 2)
     x = apply_green(mu, y, mesh)
     bnd = max(abs(float(x(1.0))), abs(float(x(-1.0))))
     h = 1e-3
@@ -170,7 +170,9 @@ def test_criterion_08_hypothesis_checker(spec):
 
     # independent oracle for I_qu: adaptive quadrature with the w = sqrt(1-s)
     # substitution removing the endpoint singularity, against the same barrier
-    sigma = a2.sigma
+    # read between its breakpoints by the local quartic
+    grid = a2.operator.grid
+    sigma = SymmetricGridFunction(grid, a2.sigma[:len(grid)])
 
     def integrand_w(w):
         s = 1.0 - w * w
@@ -189,11 +191,13 @@ def test_criterion_08_hypothesis_checker(spec):
 
 def test_criterion_09_nonlinear_solve(spec, solve_report):
     rep = solve_report
-    x = rep.x
-    lb_ok = bool(np.all(x.values >= rep.sigma.values - 1e-9))
-    ub_ok = bool(np.all(x.values <= spec.R - rep.eps + 1e-9))
+    grid = rep.hypothesis.operator.grid
+    n = len(grid)
+    lb_ok = bool(np.all(rep.x >= rep.hypothesis.sigma - 1e-9))
+    ub_ok = bool(np.all(rep.x <= spec.R - rep.eps + 1e-9))
+    x = SymmetricGridFunction(grid, rep.x[:n])
     symmetric = all(x(t) == x(-t) for t in np.linspace(0.0, 1.0, 101))
-    positive = bool(np.all(x.values[:-1] > 0.0))
+    positive = bool(np.all(rep.x[:n - 1] > 0.0))
     devs = rep.inter_m_deviations
     monotone = all(b < a for a, b in zip(devs, devs[1:]))
     # the residual is measured against the regularized equation actually

@@ -238,6 +238,29 @@ def test_solve_not_stabilized_exit(tmp_path, capsys):
     assert "status = not_stabilized\n" in (out / "solve_report.txt").read_text()
 
 
+def test_solve_divergence_exit(problem_file, tmp_path, capsys, monkeypatch):
+    # T_m x = 2 x + 1: the Picard step doubles every iteration, and the
+    # tenth consecutive growth is a SolverError
+    monkeypatch.setattr("cfbvp.solver.apply_Tm", lambda spec, x, m, op: 2.0 * x + 1.0)
+    out = tmp_path / "o"
+    assert main(["solve", str(problem_file), "--out", str(out)]) == EXIT_SOLVER
+    assert "solver failure: divergence at m = 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_negative_margin_exit(problem_file, tmp_path, capsys, monkeypatch):
+    # T_m x = 0 converges at once, to a solution below the barrier: the
+    # status is converged, yet the negative lower margin fails the solve
+    monkeypatch.setattr("cfbvp.solver.apply_Tm", lambda spec, x, m, op: np.zeros_like(x))
+    out = tmp_path / "o"
+    assert main(["solve", str(problem_file), "--out", str(out)]) == EXIT_SOLVER
+    text = (out / "solve_report.txt").read_text()
+    assert "status = converged\n" in text
+    margin = float(text.split("lower bound margin min(x - sigma_R) = ")[1].split("\n")[0])
+    assert margin < -1e-9
+    assert text == capsys.readouterr().out
+
+
 def _worked_variant(tmp_path, f_extra, schedule="16,32,64"):
     p = tmp_path / "variant.prob"
     p.write_text(WORKED_TEXT
@@ -391,12 +414,12 @@ def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):
     # bytes of formatting each of the 2N + 1 rows on its own
     spec = load_problem(ROOT / "problems" / "worked_family.prob", {"mesh_cells": 64})
     report = solve(spec)
-    nodes = report.x.nodes
+    nodes = report.hypothesis.operator.grid  # the first len(nodes) entries of x and sigma
     rows = [(t, i) for t, i in zip(-nodes[:0:-1], range(len(nodes) - 1, 0, -1))]
     rows += [(t, i) for i, t in enumerate(nodes)]
     want = ["t,x,sigma_R,residual"]
     for t, i in rows:
-        want.append(f"{t:.17g},{report.x.values[i]:.17g},{report.sigma.values[i]:.17g},"
+        want.append(f"{t:.17g},{report.x[i]:.17g},{report.hypothesis.sigma[i]:.17g},"
                     f"{report.residual.values[i]:.17g}")
     assert len(want) == 2 * len(nodes)
     assert _solution_csv(report) == "\n".join(want) + "\n"

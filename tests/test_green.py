@@ -181,7 +181,7 @@ def test_apply_green_zero():
 
 
 def test_apply_green_boundary_conditions():
-    y = SymmetricGridFunction.from_callable(lambda s: s * s, MESH.breakpoints)
+    y = SymmetricGridFunction(MESH.breakpoints, MESH.breakpoints ** 2)
     x = apply_green(1.5, y, MESH)
     assert x.values[-1] == 0.0  # x(1) = 0 exactly
     h = 1e-4
@@ -189,7 +189,7 @@ def test_apply_green_boundary_conditions():
 
 
 def test_apply_green_requires_zero_at_origin():
-    y = SymmetricGridFunction.from_callable(lambda s: 1.0 + s, MESH.breakpoints)
+    y = SymmetricGridFunction(MESH.breakpoints, 1.0 + MESH.breakpoints)
     with pytest.raises(ValueError):
         apply_green(1.5, y, MESH)
 

@@ -82,7 +82,7 @@ def test_interpolant_needs_five_nodes_only_when_read():
     # between its nodes needs the quartic's five
     for n in (2, 3, 4):
         g = SymmetricGridFunction(np.linspace(0.0, 1.0, n), np.ones(n))
-        assert g.sup_norm() == 1.0
+        assert np.array_equal(g.values, np.ones(n))
         with pytest.raises(ValueError, match="at least 5 nodes"):
             g(0.5)
     assert float(SymmetricGridFunction(np.linspace(0.0, 1.0, 5), np.ones(5))(0.3)) \

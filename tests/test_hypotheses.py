@@ -50,28 +50,28 @@ def test_sigma_constant_profile_oracle():
     sig = sigma_R(s, GreenOperator(s.mu, s.default_mesh()))
     lam = rate_of(1.5)
     want = (math.exp(lam) - 1.0) / (lam * math.cosh(lam))
-    assert abs(float(sig(0.0)) - want) <= 1e-10
+    assert abs(sig[0] - want) <= 1e-10  # the breakpoint t = 0 comes first
 
 
 def test_sigma_zero_profile():
     s = make_spec(psi="0*s")
     sig = sigma_R(s, GreenOperator(s.mu, s.default_mesh()))
-    assert np.all(sig.values == 0.0)
+    assert np.all(sig == 0.0)
 
 
 def test_sigma_vanishes_at_one(spec):
-    sig = sigma_R(spec, GreenOperator(spec.mu, spec.default_mesh()))
-    assert sig.values[-1] == 0.0
-    assert np.all(sig.values >= 0.0)
-    # even extension is structural
-    assert sig(-0.375) == sig(0.375)
+    op = GreenOperator(spec.mu, spec.default_mesh())
+    sig = sigma_R(spec, op)
+    assert sig.shape == op.points.shape
+    assert sig[len(op.grid) - 1] == 0.0  # the breakpoint t = 1
+    assert np.all(sig >= 0.0)
 
 
 def test_sigma_monotone_in_profile():
     op = GreenOperator(1.5, make_spec().default_mesh())
     lo = sigma_R(make_spec(psi="s"), op)
     hi = sigma_R(make_spec(psi="s + 0.5"), op)
-    assert np.all(hi.values >= lo.values - 1e-15)
+    assert np.all(hi >= lo - 1e-15)
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
@@ -80,12 +80,13 @@ def test_sigma_refinement_order(mu):
     # mesh); with psi ~ (1 - s)^(-1/4) the barrier converges at order
     # gamma (1 - 1/4) = 2.25, a factor 4.76 per doubling
     spec = make_spec(mu=mu)
-    sigmas = [sigma_R(spec, GreenOperator(mu, build_mesh(0.0, 1.0, cells, 3.0, "right")))
-              for cells in (64, 128, 256, 512)]
+    ops = [GreenOperator(mu, build_mesh(0.0, 1.0, cells, 3.0, "right"))
+           for cells in (64, 128, 256, 512)]
+    sigmas = [sigma_R(spec, op)[:len(op.grid)] for op in ops]
     diffs = []
-    for coarse, fine in zip(sigmas, sigmas[1:]):
-        assert np.array_equal(coarse.nodes, fine.nodes[::2])
-        diffs.append(np.max(np.abs(coarse.values - fine.values[::2])))
+    for coarse, fine, op_c, op_f in zip(sigmas, sigmas[1:], ops, ops[1:]):
+        assert np.array_equal(op_c.grid, op_f.grid[::2])
+        diffs.append(np.max(np.abs(coarse - fine[::2])))
     assert diffs[0] / diffs[1] >= 4.0
     assert diffs[1] / diffs[2] >= 4.0
 
@@ -206,4 +207,4 @@ def test_report_reproducible(spec):
     assert r1.I_q == r2.I_q
     assert r1.I_qu == r2.I_qu
     assert r1.ratio == r2.ratio
-    assert np.array_equal(r1.sigma.values, r2.sigma.values)
+    assert np.array_equal(r1.sigma, r2.sigma)

@@ -66,7 +66,7 @@ def test_out_of_range_t():
 
 
 def test_bvp_square_forcing(quad_green):
-    y = SymmetricGridFunction.from_callable(lambda s: s * s, MESH.breakpoints)
+    y = SymmetricGridFunction(MESH.breakpoints, MESH.breakpoints ** 2)
     x = apply_green(MU, y, MESH)
     assert abs(x.values[-1]) <= 1e-12
     assert abs(x.values[0] - INT_EXP_SQUARE / math.cosh(1.0)) <= 1e-12
@@ -86,8 +86,7 @@ def test_bvp_cross_check_random_smooth(quad_green):
     nodes = MESH.breakpoints
     for _ in range(3):
         a, b = rng.uniform(-2.0, 2.0, 2)
-        y = SymmetricGridFunction.from_callable(
-            lambda s: a * s * s + b * np.sin(s) * s, nodes)
+        y = SymmetricGridFunction(nodes, a * nodes * nodes + b * np.sin(nodes) * nodes)
         x = apply_green(MU, y, MESH)
         # the oracle integrates the same interpolant piece by piece, at every
         # 32nd node to keep the scalar quadrature cheap
@@ -117,7 +116,7 @@ def test_residual_of_bvp_solution_refines():
     sups = []
     for cells in (64, 128):
         mesh = build_mesh(0.0, 1.0, cells)
-        y = SymmetricGridFunction.from_callable(lambda s: s * s, mesh.breakpoints)
+        y = SymmetricGridFunction(mesh.breakpoints, mesh.breakpoints ** 2)
         x = apply_green(MU, y, mesh)
         sups.append(residual_linear(MU, x, y, mesh).sup)
     assert sups[1] < sups[0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbvp.gridfn import SymmetricGridFunction
+from cfbvp.gridfn import LocalQuartic
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
 from cfbvp.problem_io import load_problem
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
@@ -111,11 +111,10 @@ def test_solve_fixed_m_names_non_finite_node(op):
         solve_fixed_m(s, 16, op, x0)
 
 
-def test_apply_Tm_order_interval(spec, mesh, op):
+def test_apply_Tm_order_interval(spec, op):
     # any iterate starting from the barrier stays in [sigma, R], at the
     # breakpoints and at the nodes
-    hyp = check_A2(spec, mesh)
-    sigma = np.concatenate((hyp.sigma.values, hyp.sigma_nodes))
+    sigma = check_A2(spec).sigma
     tx = apply_Tm(spec, sigma, 64, op)
     assert np.all(tx >= sigma - 1e-12)
     assert np.all(tx <= spec.R + 1e-12)
@@ -145,7 +144,7 @@ def test_x0_refinement_order():
     # the graded breakpoints nest and x(0) is the breakpoint t = 0: its
     # change per doubling of the cells shrinks by a factor of about 5
     shipped = Path(__file__).resolve().parents[1] / "problems" / "worked_family.prob"
-    x0 = [solve(load_problem(shipped, {"mesh_cells": cells})).x.values[0]
+    x0 = [solve(load_problem(shipped, {"mesh_cells": cells})).x[0]
           for cells in (64, 128, 256, 512, 1024)]
     steps = np.abs(np.diff(x0))
     assert np.all(steps[:-1] / steps[1:] >= 4.0), steps
@@ -159,54 +158,81 @@ def test_x0_matches_independent_nystrom_reference(family_nystrom):
     want = family_nystrom(1.9, 100.0, 0.25, 0.25).x0(m=128)
     rep = solve(make_spec(mu=1.9))
     assert rep.status == "converged" and rep.inner[-1].m == 128
-    assert abs(rep.x.values[0] - want) <= 1e-9 * want
+    assert abs(rep.x[0] - want) <= 1e-9 * want
 
 
-def test_solve_reads_no_spline(spec, mesh, monkeypatch):
+def test_solve_reads_no_spline(spec, monkeypatch):
     # the A2 check reads the barrier at its quadrature nodes through each
     # mesh's operator, and the iterate lives on the breakpoints and the
-    # Gauss nodes: no interpolant is fitted or read in the check or the solve
-    calls = []
-    original = SymmetricGridFunction.__call__
+    # Gauss nodes: no interpolant is fitted in the check or the solve
+    fits = []
+    original = LocalQuartic.__init__
 
-    def counted(self, t):
-        calls.append(np.size(t))
-        return original(self, t)
+    def counted(self, x, y):
+        fits.append(np.size(x))
+        original(self, x, y)
 
-    monkeypatch.setattr(SymmetricGridFunction, "__call__", counted)
-    hyp = check_A2(spec, mesh)
-    rep = solve(spec, hypothesis=hyp)
+    monkeypatch.setattr(LocalQuartic, "__init__", counted)
+    hyp = check_A2(spec)
+    rep = solve(spec)
     assert hyp.passed and rep.status == "converged"
-    assert calls == []
+    assert fits == []
 
 
-def test_solve_reuses_the_reports_operator(spec, report, monkeypatch):
-    # the A2 report carries the Green operator of the mesh; given the
-    # report, the solve builds none of its own
-    builds = []
+def test_solve_reuses_the_reports_operator(spec, monkeypatch):
+    # the solve builds the 3 operators of its A2 check (the solver mesh,
+    # then the 4c and 8c meshes of the improper integrals) and none of its own
+    cells = []
     original = GreenOperator.__init__
 
-    def counted(self, *args, **kwargs):
-        builds.append(args)
-        original(self, *args, **kwargs)
+    def counted(self, mu, mesh):
+        cells.append(len(mesh.breakpoints) - 1)
+        original(self, mu, mesh)
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
-    rep = solve(spec, hypothesis=report.hypothesis)
+    check_A2(spec)
+    in_check = list(cells)
+    cells.clear()
+    rep = solve(spec)
     assert rep.status == "converged"
-    assert builds == []
+    assert len(in_check) == 3 and in_check[0] == spec.numerics.mesh_cells
+    assert cells == in_check
+    assert len(rep.x) == len(rep.hypothesis.operator.points)
+
+
+def test_solve_takes_no_hypothesis_report():
+    # the solve computes its own A2 report from the spec: a report of
+    # another problem cannot stand in for it
+    with pytest.raises(TypeError):
+        solve(make_spec(mu=1.9), hypothesis=check_A2(make_spec(mu=1.5)))
 
 
 def test_solution_brackets(report, spec):
-    # sigma <= x <= R - eps on the grid, with nonnegative margins
+    # sigma <= x <= R - eps at the breakpoints and the nodes, with
+    # nonnegative margins
     assert report.lower_margin >= -1e-12
     assert report.upper_margin >= 0.0
-    assert np.all(report.x.values >= report.sigma.values - 1e-12)
-    assert np.all(report.x.values <= spec.R - report.eps)
+    assert np.all(report.x >= report.hypothesis.sigma - 1e-12)
+    assert np.all(report.x <= spec.R - report.eps)
+
+
+def test_lower_margin_measures_the_interior(report):
+    # sigma_R(1) = x(1) = 0; away from t = 1 the solution lies strictly
+    # above the barrier, and the margin says by how much
+    n = len(report.hypothesis.operator.grid)
+    gap = report.x[:n - 1] - report.hypothesis.sigma[:n - 1]
+    assert report.lower_margin > 0.0
+    assert report.lower_margin == np.min(gap)
 
 
 def test_solution_symmetric_and_vanishing(report):
-    assert report.x.values[-1] == 0.0
-    assert report.x(0.7) == report.x(-0.7)
+    # x is even by construction: it is held on the right half [0, 1] only,
+    # where x(1) = 0 exactly and x > 0 at every other breakpoint and node
+    grid = report.hypothesis.operator.grid
+    points = report.hypothesis.operator.points
+    assert grid[0] == 0.0 and grid[-1] == 1.0 and np.all((points >= 0.0) & (points <= 1.0))
+    assert report.x[len(grid) - 1] == 0.0
+    assert np.all(np.delete(report.x, len(grid) - 1) > 0.0)
 
 
 def test_level_deviations_shrink(report):
@@ -221,7 +247,7 @@ def test_clamped_residual_small(report, spec, op):
     assert report.residual_sup <= 1e-9
     # and matches a fresh residual computation
     m = spec.numerics.m_schedule[-1]
-    fresh = residual_nonlinear(spec, report.iterate, op, m=m)
+    fresh = residual_nonlinear(spec, report.x, op, m=m)
     assert fresh.sup == pytest.approx(report.residual_sup, abs=1e-14)
 
 
@@ -242,15 +268,15 @@ def test_fixed_point_is_stationary(spec, op, report):
     # re-applying the operator at the final level moves the iterate by no
     # more than the inner tolerance
     m = report.inner[-1].m
-    tx = apply_Tm(spec, report.iterate, m, op)
-    assert np.max(np.abs(report.iterate - tx)) <= 10.0 * spec.numerics.inner_tol
+    tx = apply_Tm(spec, report.x, m, op)
+    assert np.max(np.abs(report.x - tx)) <= 10.0 * spec.numerics.inner_tol
 
 
 def test_damping_reaches_same_fixed_point(report):
     damped = make_spec(numerics=NumericsConfig(omega=0.5))
-    rep2 = solve(damped, hypothesis=report.hypothesis)
+    rep2 = solve(damped)
     assert rep2.status == "converged"
-    assert report.x.sup_diff(rep2.x) <= 1e-8
+    assert np.max(np.abs(report.x - rep2.x)) <= 1e-8
 
 
 def test_solver_refuses_failing_hypotheses():
@@ -267,21 +293,22 @@ def test_small_R_rejected():
 
 def test_inner_budget_exhaustion(report):
     tight = make_spec(numerics=NumericsConfig(m_schedule=(16,), max_inner=2))
-    rep = solve(tight, hypothesis=report.hypothesis)
+    rep = solve(tight)
     assert rep.status == "inner_failed"
     assert not rep.inner[0].converged
 
 
-def test_schedule_vs_eps_guard(report):
+def test_schedule_vs_eps_guard(report, monkeypatch):
     # eps_max ~ 75 so eps ~ 37; a schedule with 1/m >= eps is impossible to
     # build with integer m here, so synthesize via a doctored report
     from dataclasses import replace
     tiny = replace(report.hypothesis, ratio=1.001, eps_max=0.01)
-    with pytest.raises(SolverError):
-        solve(make_spec(numerics=NumericsConfig(m_schedule=(16,))), hypothesis=tiny)
+    monkeypatch.setattr("cfbvp.solver.check_A2", lambda spec: tiny)
+    with pytest.raises(SolverError, match="violates 1/m < eps"):
+        solve(make_spec(numerics=NumericsConfig(m_schedule=(16,))))
 
 
 def test_solve_deterministic(spec, report):
-    rep2 = solve(spec, hypothesis=report.hypothesis)
-    assert np.array_equal(rep2.x.values, report.x.values)
+    rep2 = solve(spec)
+    assert np.array_equal(rep2.x, report.x)
     assert rep2.residual_sup == report.residual_sup
