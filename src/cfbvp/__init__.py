@@ -6,7 +6,6 @@ from .cf_derivative import FracOrder, cf_left, cf_right, rate_of
 from .expressions import Expr, evaluate, parse, unparse
 from .green import (GreenOperator, apply_green, green_diagonal_jump, green_eval,
                     green_sup)
-from .gridfn import SymmetricGridFunction
 from .hypotheses import (HypothesisReport, NumericsConfig, ProblemSpec,
                          check_A1, check_A2, epsilon_max, sigma_R)
 from .linear import (GeneralSolutionCoeffs, general_solution_left_half,
@@ -20,7 +19,6 @@ __all__ = [
     "FracOrder", "cf_left", "cf_right", "rate_of",
     "Expr", "evaluate", "parse", "unparse",
     "GreenOperator", "apply_green", "green_diagonal_jump", "green_eval", "green_sup",
-    "SymmetricGridFunction",
     "HypothesisReport", "NumericsConfig", "ProblemSpec",
     "check_A1", "check_A2", "epsilon_max", "sigma_R",
     "GeneralSolutionCoeffs", "general_solution_left_half",

@@ -58,13 +58,11 @@ def cf_left(xpp, mu, t: float, mesh: Mesh) -> float:
 
 
 def cf_right(xpp, mu, t: float, mesh: Mesh) -> float:
-    """Right derivative at t <= 0: (1/(2-mu)) * int_t^0 exp(-rate*(s-t)) xpp(s) ds."""
-    mu = as_order(mu)
-    rate = rate_of(mu)
+    """Right derivative at t <= 0: (1/(2-mu)) * int_t^0 exp(-rate*(s-t)) xpp(s) ds.
+
+    The reflection s -> -s makes it the left derivative of s -> xpp(-s)
+    at -t.
+    """
     if t > 0:
         raise ValueError(f"right derivative needs t <= 0, got {t}")
-    if t == 0:
-        return 0.0
-    m = mesh.rescaled(t, 0.0)
-    val = integrate(lambda s: np.exp(-rate * (s - t)) * np.asarray(xpp(s), dtype=float), m)
-    return val / (2.0 - mu)
+    return cf_left(lambda s: xpp(-s), mu, -t, mesh)

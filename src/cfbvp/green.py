@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cf_derivative import rate_of
-from .gridfn import SymmetricGridFunction
 from .quadrature import Mesh
 
 __all__ = ["green_eval", "green_diagonal_jump", "green_sup", "kernel_bound",
@@ -152,13 +151,13 @@ class GreenOperator:
         return np.concatenate((x, inside.reshape(-1)))
 
 
-def apply_green(mu, y: SymmetricGridFunction, mesh: Mesh) -> SymmetricGridFunction:
+def apply_green(mu, y, mesh: Mesh) -> np.ndarray:
     """Solve the linear problem: x(t) = int_0^1 G(t, tau) y(tau) dtau.
 
-    Requires y(0) = 0 (the linear problem's compatibility condition); the
-    output lives on the mesh breakpoints and is symmetric by construction.
+    Requires y(0) = 0 (the linear problem's compatibility condition); y is
+    called with the Gauss nodes, and x is returned at the mesh breakpoints
+    (x(-t) = x(t) by the kernel's symmetry).
     """
     if abs(float(y(0.0))) > 1e-12:
         raise ValueError(f"y(0) = {float(y(0.0))!r} violates the y(0) = 0 requirement")
-    op = GreenOperator(mu, mesh)
-    return SymmetricGridFunction(op.grid, op.apply(y))
+    return GreenOperator(mu, mesh).apply(y)

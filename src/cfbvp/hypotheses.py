@@ -224,14 +224,14 @@ def _unusable(failures: list, check: str, witness: dict, value, error) -> bool:
     return True
 
 
-def check_A1(spec: ProblemSpec, sample_density: int | None = None) -> A1Report:
+def check_A1(spec: ProblemSpec) -> A1Report:
     """Sampled falsification of the growth/symmetry assumptions.
 
     Checks, on a (t, x) lattice: f(0, x) = 0, f(t, x) = f(-t, x),
     |f(t, x)| <= q(|t|) (u(x) + v(x)), u decreasing and v increasing.
     An expression error or a non-finite value is a failure at its point.
     """
-    density = sample_density or spec.numerics.lattice_density
+    density = spec.numerics.lattice_density
     ts = _t_lattice(density)
     xs = _x_lattice(density, 10.0 * spec.R, max(spec.numerics.m_schedule))
     mid = density - 1  # ts[mid] = 0 and ts[mid - k] = -ts[mid + k]

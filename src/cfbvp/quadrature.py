@@ -1,8 +1,8 @@
 """Graded meshes and composite Gauss-Legendre quadrature.
 
-Integrands may have integrable singularities at interval endpoints; the
-mesh is then graded polynomially toward those endpoints and quadrature
-nodes stay strictly interior to every cell.
+Integrands may have an integrable singularity at the right endpoint; the
+mesh is then graded polynomially toward it and quadrature nodes stay
+strictly interior to every cell.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 __all__ = ["Mesh", "build_mesh", "mesh_from_breakpoints", "integrate"]
 
-VALID_SINGULAR_FLAGS = ("none", "left", "right", "both")
+VALID_SINGULAR_FLAGS = ("none", "right")
 
 
 class MeshError(ValueError):
@@ -93,30 +93,6 @@ class Mesh:
         return mesh_from_breakpoints(bps, self.nodes_per_cell)
 
 
-def _graded_breakpoints(a: float, b: float, cells: int, gamma: float,
-                        singular_at: str) -> np.ndarray:
-    j = np.arange(cells + 1, dtype=float)
-    if singular_at == "none" or gamma == 1.0:
-        bps = a + (b - a) * j / cells
-    elif singular_at == "right":
-        bps = b - (b - a) * (1.0 - j / cells) ** gamma
-    elif singular_at == "left":
-        bps = a + (b - a) * (j / cells) ** gamma
-    elif singular_at == "both":
-        # grade half the cells toward each endpoint, meeting at the midpoint
-        left_cells = cells // 2
-        right_cells = cells - left_cells
-        mid = 0.5 * (a + b)
-        left = _graded_breakpoints(a, mid, max(left_cells, 1), gamma, "left")
-        right = _graded_breakpoints(mid, b, max(right_cells, 1), gamma, "right")
-        bps = np.concatenate([left[:-1], right]) if left_cells >= 1 else right
-    else:
-        raise MeshError(f"unknown singular_at flag {singular_at!r}")
-    bps[0] = a
-    bps[-1] = b
-    return bps
-
-
 def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
     bps = np.asarray(breakpoints, dtype=float)
     if bps.ndim != 1 or len(bps) < 2:
@@ -140,10 +116,10 @@ def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
 
 def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
                singular_at: str = "none", nodes_per_cell: int = 8) -> Mesh:
-    """Mesh on [a, b], graded with exponent gamma toward flagged endpoints.
+    """Mesh on [a, b], uniform or graded with exponent gamma toward b.
 
-    Toward the right endpoint the breakpoints are
-    ``b - (b - a) * (1 - j/N)**gamma``; the left grading mirrors this.
+    With ``singular_at="right"`` the breakpoints are
+    ``b - (b - a) * (1 - j/N)**gamma``.
     """
     if not b > a:
         raise MeshError(f"invalid interval [{a}, {b}]: need a < b")
@@ -153,7 +129,13 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
         raise MeshError(f"grading exponent must be finite and >= 1, got {gamma}")
     if singular_at not in VALID_SINGULAR_FLAGS:
         raise MeshError(f"singular_at must be one of {VALID_SINGULAR_FLAGS}")
-    bps = _graded_breakpoints(float(a), float(b), cells, float(gamma), singular_at)
+    a, b = float(a), float(b)
+    j = np.arange(cells + 1, dtype=float)
+    if singular_at == "none" or gamma == 1.0:
+        bps = a + (b - a) * j / cells
+    else:
+        bps = b - (b - a) * (1.0 - j / cells) ** float(gamma)
+    bps[0], bps[-1] = a, b
     # steep gradings can push cell widths below double-precision spacing
     # near the singular endpoint; merge cells narrower than a few ulps so
     # quadrature nodes cannot round onto the singular endpoint itself

@@ -15,9 +15,8 @@ import scipy.integrate
 from cfbvp.cf_derivative import cf_left, cf_right, rate_of
 from cfbvp.cli import main as cli_main
 from cfbvp.green import apply_green, green_diagonal_jump, green_eval, green_sup
-from cfbvp.gridfn import SymmetricGridFunction
 from cfbvp.hypotheses import check_A1, check_A2
-from cfbvp.linear import (GeneralSolutionCoeffs, general_solution_right_half,
+from cfbvp.linear import (GeneralSolutionCoeffs, LocalQuartic, general_solution_right_half,
                           residual_linear)
 from cfbvp.problem_io import load_problem
 from cfbvp.quadrature import build_mesh
@@ -137,14 +136,16 @@ def test_criterion_06_homogeneous_residuals():
 def test_criterion_07_linear_bvp(quad_green):
     mu = 1.5
     mesh = build_mesh(0.0, 1.0, 256)
-    y = SymmetricGridFunction(mesh.breakpoints, mesh.breakpoints ** 2)
-    x = apply_green(mu, y, mesh)
-    bnd = max(abs(float(x(1.0))), abs(float(x(-1.0))))
+    y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
+    values = apply_green(mu, y, mesh)
+    fit = LocalQuartic(mesh.breakpoints, values)
+    x = lambda t: float(fit(abs(t)))  # x is even
+    bnd = max(abs(x(1.0)), abs(x(-1.0)))
     h = 1e-3
-    centered = abs(float(x(h)) - float(x(-h))) / (2.0 * h)
+    centered = abs(x(h) - x(-h)) / (2.0 * h)
     # independent oracle: adaptive quadrature of the kernel against s^2
     discrepancy = float(np.max(np.abs(
-        x.values - quad_green(mu, lambda s: s * s, mesh.breakpoints))))
+        values - quad_green(mu, lambda s: s * s, mesh.breakpoints))))
     ok_smooth = bnd <= 1e-12 and centered <= 1e-6 and discrepancy <= 1e-12
 
     # forcing with y(0) != 0 breaks the corner condition: the even extension
@@ -172,7 +173,7 @@ def test_criterion_08_hypothesis_checker(spec):
     # substitution removing the endpoint singularity, against the same barrier
     # read between its breakpoints by the local quartic
     grid = a2.operator.grid
-    sigma = SymmetricGridFunction(grid, a2.sigma[:len(grid)])
+    sigma = LocalQuartic(grid, a2.sigma[:len(grid)])
 
     def integrand_w(w):
         s = 1.0 - w * w
@@ -195,8 +196,8 @@ def test_criterion_09_nonlinear_solve(spec, solve_report):
     n = len(grid)
     lb_ok = bool(np.all(rep.x >= rep.hypothesis.sigma - 1e-9))
     ub_ok = bool(np.all(rep.x <= spec.R - rep.eps + 1e-9))
-    x = SymmetricGridFunction(grid, rep.x[:n])
-    symmetric = all(x(t) == x(-t) for t in np.linspace(0.0, 1.0, 101))
+    x = LocalQuartic(grid, rep.x[:n])
+    symmetric = all(x(abs(t)) == x(abs(-t)) for t in np.linspace(0.0, 1.0, 101))
     positive = bool(np.all(rep.x[:n - 1] > 0.0))
     devs = rep.inter_m_deviations
     monotone = all(b < a for a, b in zip(devs, devs[1:]))

@@ -60,14 +60,16 @@ def test_square_oracle_right(mu, t):
 
 
 def test_reflection_identity():
-    # cf_right(x'', mu, t) = cf_left(s -> x''(-s), mu, -t) for t <= 0,
-    # checked on x(t) = t^3 at t = -0.7 (x'' = 6t, not even)
-    mu = 1.5
+    # cf_right reflects its input onto cf_left; checked on x(t) = t^3
+    # (x'' = 6t, odd, so a missing reflection flips the sign) against
+    # int_t^0 e^{-lam(s-t)} 6s ds = -6 (r/lam - (1 - e^{-lam r})/lam^2), r = -t
     t = -0.7
-    x2 = lambda s: 6.0 * s
-    lhs = cf_right(x2, mu, t, MESH)
-    rhs = cf_left(lambda s: x2(-s), mu, -t, MESH)
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    r = -t
+    for mu in (1.2, 1.5, 1.8):
+        lam = rate_of(mu)
+        want = -6.0 * (r / lam - (1.0 - math.exp(-lam * r)) / lam ** 2) / (2.0 - mu)
+        got = cf_right(lambda s: 6.0 * s, mu, t, MESH)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_linearity():

@@ -349,6 +349,17 @@ def test_green_dump(tmp_path):
     assert float(first[3]) == pytest.approx(math.tanh(1.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("grid", [0, 1])
+def test_green_rejects_a_degenerate_grid(tmp_path, capsys, grid):
+    # a grid of 0 points wrote a header and blank lines, and one of 1 point
+    # the origin twice (0,0 and -0,-0); audit rejects the same densities
+    out = tmp_path / "green.csv"
+    for command in (["green", "1.5", "--out", str(out)], ["audit", "1.5"]):
+        assert main([*command, "--grid", str(grid)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: grid_density must be >= 2\n"
+    assert not out.exists()
+
+
 def test_audit_table(tmp_path, capsys):
     out = tmp_path / "audit.csv"
     assert main(["audit", "1.2,1.5,1.8", "--grid", "101",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
                          green_eval, green_sup, kernel_bound, lower_branch)
-from cfbvp.gridfn import SymmetricGridFunction
-from cfbvp.quadrature import build_mesh, integrate
+from cfbvp.linear import LocalQuartic
+from cfbvp.quadrature import build_mesh, integrate, mesh_from_breakpoints
 
 MESH = build_mesh(0.0, 1.0, 128, 3.0, "right")
 
@@ -175,21 +175,23 @@ def test_branch_continuity_under_refinement():
 
 
 def test_apply_green_zero():
-    y = SymmetricGridFunction(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
+    y = LocalQuartic(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
     x = apply_green(1.5, y, MESH)
-    assert np.all(x.values == 0.0)
+    assert np.all(x == 0.0)
 
 
 def test_apply_green_boundary_conditions():
-    y = SymmetricGridFunction(MESH.breakpoints, MESH.breakpoints ** 2)
-    x = apply_green(1.5, y, MESH)
-    assert x.values[-1] == 0.0  # x(1) = 0 exactly
+    y = LocalQuartic(MESH.breakpoints, MESH.breakpoints ** 2)
+    values = apply_green(1.5, y, MESH)
+    assert values[-1] == 0.0  # x(1) = 0 exactly
+    fit = LocalQuartic(MESH.breakpoints, values)
+    x = lambda t: fit(abs(t))  # x is even
     h = 1e-4
     assert abs((x(h) - x(-h)) / (2 * h)) <= 1e-6  # centered difference at 0
 
 
 def test_apply_green_requires_zero_at_origin():
-    y = SymmetricGridFunction(MESH.breakpoints, 1.0 + MESH.breakpoints)
+    y = LocalQuartic(MESH.breakpoints, 1.0 + MESH.breakpoints)
     with pytest.raises(ValueError):
         apply_green(1.5, y, MESH)
 
@@ -201,7 +203,7 @@ def test_both_half_forms_agree_at_origin(quad_green):
     lam = rate_of(mu)
     y = lambda s: s * s
     right = integrate(lambda s: np.exp(lam * (1.0 - s)) * y(s), MESH) / np.cosh(lam)
-    left_mesh = build_mesh(-1.0, 0.0, 128, 3.0, "left")
+    left_mesh = mesh_from_breakpoints(-MESH.breakpoints[::-1])
     left = integrate(lambda s: np.exp(lam * (1.0 + s)) * y(s), left_mesh) / np.cosh(lam)
     assert abs(right - left) <= 1e-12
     assert abs(quad_green(mu, y, [0.0])[0] - right) <= 1e-12

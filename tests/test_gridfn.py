@@ -1,4 +1,4 @@
-"""The local quartic interpolant of ``gridfn``, and the CLI without scipy.
+"""The local quartic interpolant of ``linear``, and the CLI without scipy.
 
 The interpolant is exact on quartics, and its value error on smooth data
 falls like h^5.  scipy is not needed here: the package itself must import
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cfbvp.cli import main
-from cfbvp.gridfn import LocalQuartic, SymmetricGridFunction
+from cfbvp.linear import LocalQuartic
 from cfbvp.quadrature import build_mesh
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,7 +36,7 @@ def test_quartics_are_reproduced(grading, cells):
     mesh = build_mesh(0.0, 1.0, cells, gamma=1.0 if grading == "uniform" else 3.0,
                       singular_at="right")
     grid, p = mesh.breakpoints, mesh.flat_nodes
-    if grading == "left":  # residual_linear's left-half grid
+    if grading == "left":  # the mirrored grid, on [-1, 0]
         grid, p = -grid[::-1], -p
     fit = LocalQuartic(grid, QUARTIC(grid))
     assert np.max(np.abs(fit(p) - QUARTIC(p))) <= 1e-13
@@ -51,21 +51,21 @@ def test_value_error_falls_like_h5():
     errs = []
     for cells in (16, 32, 64, 128, 256):
         mesh = build_mesh(0.0, 1.0, cells)
-        g = SymmetricGridFunction(mesh.breakpoints, np.cos(3.0 * mesh.breakpoints))
+        g = LocalQuartic(mesh.breakpoints, np.cos(3.0 * mesh.breakpoints))
         errs.append(np.max(np.abs(g(mesh.flat_nodes) - np.cos(3.0 * mesh.flat_nodes))))
     factors = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all(factors >= 16.0), factors  # 2^5 = 32 measured
 
 
-def test_grid_function_evaluation_and_reuse():
+def test_interpolant_evaluation_and_reuse():
     mesh = build_mesh(0.0, 1.0, 128, gamma=3.0, singular_at="right")
     bps, tau = mesh.breakpoints, mesh.flat_nodes
-    g = SymmetricGridFunction(bps, barrier_like(bps))
-    h = SymmetricGridFunction(bps, 2.0 * barrier_like(bps) - bps)
-    for fn in (g, h, g, h):  # each keeps its own fit on the same grid
-        want = LocalQuartic(bps, fn.values)(tau)
-        np.testing.assert_array_equal(fn(tau), want)
-        np.testing.assert_array_equal(fn(-tau), want)
+    values = {"g": barrier_like(bps), "h": 2.0 * barrier_like(bps) - bps}
+    fits = {name: LocalQuartic(bps, v) for name, v in values.items()}
+    for name in ("g", "h", "g", "h"):  # each keeps its own fit on the same grid
+        want = LocalQuartic(bps, values[name])(tau)
+        np.testing.assert_array_equal(fits[name](tau), want)
+    g = fits["g"]
     assert np.max(np.abs(g(tau) - barrier_like(tau))) <= 1e-4
     p = tau.copy()
     g(p)
@@ -73,19 +73,14 @@ def test_grid_function_evaluation_and_reuse():
     np.testing.assert_array_equal(g(p), g(tau)[::-1])
     scalar = g(0.0)
     assert scalar.shape == () and float(scalar) == float(g(np.array([0.0]))[0])
-    assert g(-0.3).shape == () and float(g(-0.3)) == float(g(0.3))
     assert g(tau.reshape(-1, 8)).shape == (len(tau) // 8, 8)
 
 
-def test_interpolant_needs_five_nodes_only_when_read():
-    # grid functions on one to three cells are valid; only reading one
-    # between its nodes needs the quartic's five
+def test_interpolant_needs_five_nodes():
     for n in (2, 3, 4):
-        g = SymmetricGridFunction(np.linspace(0.0, 1.0, n), np.ones(n))
-        assert np.array_equal(g.values, np.ones(n))
         with pytest.raises(ValueError, match="at least 5 nodes"):
-            g(0.5)
-    assert float(SymmetricGridFunction(np.linspace(0.0, 1.0, 5), np.ones(5))(0.3)) \
+            LocalQuartic(np.linspace(0.0, 1.0, n), np.ones(n))
+    assert float(LocalQuartic(np.linspace(0.0, 1.0, 5), np.ones(5))(0.3)) \
         == pytest.approx(1.0, abs=1e-15)
 
 
@@ -95,10 +90,7 @@ def test_non_finite_value_fails_fast_naming_its_node(bad):
     values = np.ones(9)
     values[3] = bad
     values[6] = np.nan
-    g = SymmetricGridFunction(nodes, values)
     with pytest.raises(ValueError, match=r"non-finite value .* at node 0\.375$"):
-        g(0.5)
-    with pytest.raises(ValueError, match="at node 0.375"):
         LocalQuartic(nodes, values)
 
 

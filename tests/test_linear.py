@@ -5,8 +5,7 @@ import pytest
 
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import apply_green
-from cfbvp.gridfn import SymmetricGridFunction
-from cfbvp.linear import (GeneralSolutionCoeffs, general_solution_left_half,
+from cfbvp.linear import (GeneralSolutionCoeffs, LocalQuartic, general_solution_left_half,
                           general_solution_right_half, residual_linear)
 from cfbvp.quadrature import build_mesh
 
@@ -45,6 +44,14 @@ def test_empty_integral_at_origin():
     assert general_solution_left_half(MU, c, lambda s: s * s, 0.0, MESH) == 0.0
 
 
+def test_left_half_odd_forcing_oracle():
+    # -int_{-1}^0 e^{1+s} s^3 ds = -[e^{1+s}(s^3 - 3s^2 + 6s - 6)]_{-1}^0 = 6e - 16;
+    # an even forcing could not tell y(s) from y(-s)
+    c = GeneralSolutionCoeffs(0.0, 0.0)
+    got = general_solution_left_half(MU, c, lambda s: s ** 3, -1.0, MESH)
+    assert abs(got - (6.0 * math.e - 16.0)) <= 1e-14
+
+
 def test_mirror_between_halves():
     # for even y, the left-half value at -t matches the right-half value at t
     # when a1 = b1 and a2 = -b2
@@ -66,19 +73,19 @@ def test_out_of_range_t():
 
 
 def test_bvp_square_forcing(quad_green):
-    y = SymmetricGridFunction(MESH.breakpoints, MESH.breakpoints ** 2)
+    y = LocalQuartic(MESH.breakpoints, MESH.breakpoints ** 2)
     x = apply_green(MU, y, MESH)
-    assert abs(x.values[-1]) <= 1e-12
-    assert abs(x.values[0] - INT_EXP_SQUARE / math.cosh(1.0)) <= 1e-12
+    assert abs(x[-1]) <= 1e-12
+    assert abs(x[0] - INT_EXP_SQUARE / math.cosh(1.0)) <= 1e-12
     # the interpolant of s^2 is s^2 (the local quartic reproduces quartics)
     want = quad_green(MU, lambda s: s * s, MESH.breakpoints)
-    assert np.max(np.abs(x.values - want)) <= 1e-12
+    assert np.max(np.abs(x - want)) <= 1e-12
 
 
 def test_bvp_zero_forcing():
-    y = SymmetricGridFunction(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
+    y = LocalQuartic(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
     x = apply_green(MU, y, MESH)
-    assert np.all(x.values == 0.0)
+    assert np.all(x == 0.0)
 
 
 def test_bvp_cross_check_random_smooth(quad_green):
@@ -86,12 +93,12 @@ def test_bvp_cross_check_random_smooth(quad_green):
     nodes = MESH.breakpoints
     for _ in range(3):
         a, b = rng.uniform(-2.0, 2.0, 2)
-        y = SymmetricGridFunction(nodes, a * nodes * nodes + b * np.sin(nodes) * nodes)
+        y = LocalQuartic(nodes, a * nodes * nodes + b * np.sin(nodes) * nodes)
         x = apply_green(MU, y, MESH)
         # the oracle integrates the same interpolant piece by piece, at every
         # 32nd node to keep the scalar quadrature cheap
         want = quad_green(MU, y, nodes[::32], knots=nodes)
-        assert np.max(np.abs(x.values[::32] - want)) <= 1e-12
+        assert np.max(np.abs(x[::32] - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("half", ["right", "left"])
@@ -99,6 +106,21 @@ def test_bvp_cross_check_random_smooth(quad_green):
 def test_homogeneous_residual(half, fn):
     res = residual_linear(MU, lambda t: fn(LAM * t), lambda t: 0.0, UNIFORM, half=half)
     assert res.sup <= 1e-8
+
+
+def test_left_half_residual_of_odd_forcing():
+    # x = t^3 on [-1, 0]: (2 - mu) D x = int_t^0 e^{-lam(s-t)} 6s ds, and the
+    # left-half equation (2 - mu) D x + y = lam^2 int_t^0 e^{-lam(s-t)} x(s) ds
+    # fixes y in closed form (here lam = 1); y is not even, and a residual
+    # that read y(s) for y(-s) would have sup 2
+    assert LAM == 1.0
+    r = lambda t: -np.asarray(t, dtype=float)
+    cfd = lambda t: -6.0 * (r(t) - (1.0 - np.exp(-r(t))))
+    memory = lambda t: -(r(t) ** 3 - 3.0 * r(t) ** 2 + 6.0 * r(t) - 6.0 + 6.0 * np.exp(-r(t)))
+    y = lambda t: memory(t) - cfd(t)
+    res = residual_linear(MU, lambda t: t ** 3, y, build_mesh(0.0, 1.0, 256), half="left")
+    assert res.nodes[0] == -1.0 and res.nodes[-1] == 0.0
+    assert res.sup <= 1e-12
 
 
 def test_residual_decreases_under_doubling():
@@ -116,8 +138,8 @@ def test_residual_of_bvp_solution_refines():
     sups = []
     for cells in (64, 128):
         mesh = build_mesh(0.0, 1.0, cells)
-        y = SymmetricGridFunction(mesh.breakpoints, mesh.breakpoints ** 2)
-        x = apply_green(MU, y, mesh)
+        y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
+        x = LocalQuartic(mesh.breakpoints, apply_green(MU, y, mesh))
         sups.append(residual_linear(MU, x, y, mesh).sup)
     assert sups[1] < sups[0]
     assert sups[1] <= 1e-5

@@ -32,9 +32,12 @@ def test_gamma_below_one_rejected():
 
 
 def test_weights_positive_and_breakpoints_increase():
-    m = build_mesh(-1.0, 1.0, 10, 3.0, "both")
+    m = build_mesh(-1.0, 1.0, 10, 3.0, "right")
     assert np.all(np.diff(m.breakpoints) > 0)
     assert np.all(m.weights > 0)
+    for flag in ("left", "both"):  # the BVP grades toward t = 1 only
+        with pytest.raises(MeshError):
+            build_mesh(-1.0, 1.0, 10, 3.0, flag)
 
 
 def test_constant_exact():

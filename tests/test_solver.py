@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbvp.gridfn import LocalQuartic
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
+from cfbvp.linear import LocalQuartic
 from cfbvp.problem_io import load_problem
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
                           clamp_m, residual_nonlinear, solve, solve_fixed_m)
