@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -163,17 +162,24 @@ def cmd_solve(args) -> int:
 def _green_table(mu, n: int) -> str:
     """The ``green`` CSV; its pieces are freed before the caller writes it."""
     grid = np.linspace(0.0, 1.0, n)
-    t, tau = np.meshgrid(grid, grid, indexing="ij")
-    # G(-t, -tau) = G(t, tau): the mirrored left-half square reuses the
-    # branch and value strings of the right half, row for row
-    tails = [f"{'lower' if low else 'upper'},{_fmt(v)}" for low, v in
-             zip((tau <= t).ravel().tolist(), green_eval(mu, t, tau).ravel().tolist())]
+    t, tau = grid[:, None], grid[None, :]
+    # one row is four fields, "t," "tau," "branch," "value\n"; every value is
+    # formatted once, in one pass, and G(-t, -tau) = G(t, tau) lets the
+    # mirrored left-half square reuse the branch and value strings row for row
+    rows = n * n
+    values = ("%.17g\n" * rows) % tuple(green_eval(mu, t, tau).ravel().tolist())
+    fields = [""] * (4 * rows)
+    fields[2::4] = [("upper,", "lower,")[low] for low in (tau <= t).ravel().tolist()]
+    fields[3::4] = values.splitlines(keepends=True)
+    del values
     halves = []
     for sign in (1.0, -1.0):
-        coords = [_fmt(sign * g) for g in grid.tolist()]
-        halves.append("\n".join(f"{a},{b},{tail}" for (a, b), tail in
-                                zip(product(coords, coords), tails)))
-    return "\n".join(["t,tau,branch,value", *halves, ""])
+        coords = [_fmt(sign * g) + "," for g in grid.tolist()]
+        fields[0::4] = [c for c in coords for _ in range(n)]
+        fields[1::4] = coords * n
+        halves.append("".join(fields))
+    del fields
+    return "".join(["t,tau,branch,value\n", *halves])
 
 
 def cmd_green(args) -> int:

@@ -77,11 +77,12 @@ def green_sup(mu, grid_density: int) -> float:
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
     g = np.linspace(0.0, 1.0, grid_density)
-    i, j = np.tril_indices(grid_density)  # g[j] <= g[i]: each branch on its own triangle
+    t, tau = g[:, None], g[None, :]
+    below = tau <= t  # each branch on its own closed triangle of the square
     # np.max, unlike max, keeps a NaN of either branch
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: nan
-        return float(np.max([np.max(lower_branch(lam, g[i], g[j])),
-                             np.max(upper_branch(lam, g[j], g[i]))]))
+        return float(np.max([np.max(lower_branch(lam, t, tau), where=below, initial=-np.inf),
+                             np.max(upper_branch(lam, tau, t), where=below, initial=-np.inf)]))
 
 
 def kernel_bound(mu) -> float:

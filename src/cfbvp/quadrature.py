@@ -140,16 +140,18 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
     # near the singular endpoint; merge cells narrower than a few ulps so
     # quadrature nodes cannot round onto the singular endpoint itself
     tol = 16.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
-    kept = [bps[0]]
-    for v in bps[1:]:
-        if v - kept[-1] > tol:
-            kept.append(v)
-    if kept[-1] != bps[-1]:
-        if bps[-1] - kept[-1] > tol:
-            kept.append(bps[-1])
-        else:
-            kept[-1] = bps[-1]  # widening the last cell keeps gaps > tol
-    bps = np.array(kept)
+    narrow = np.flatnonzero(np.diff(bps) <= tol)
+    if narrow.size:  # the breakpoints before the first narrow gap stay as they are
+        kept = bps[:narrow[0] + 1].tolist()
+        for v in bps[narrow[0] + 1:].tolist():
+            if v - kept[-1] > tol:
+                kept.append(v)
+        if kept[-1] != b:
+            if b - kept[-1] > tol:
+                kept.append(b)
+            else:
+                kept[-1] = b  # widening the last cell keeps gaps > tol
+        bps = np.array(kept)
     return mesh_from_breakpoints(bps, nodes_per_cell)
 
 

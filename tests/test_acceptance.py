@@ -33,6 +33,11 @@ def _report(num: int, label: str, passed: bool, detail: str = "") -> None:
     assert passed, f"criterion {num} failed: {label}{suffix}"
 
 
+def _slope_at_zero(x0, xh, x2h, h):
+    """(-3 x(0) + 4 x(h) - x(2h)) / 2h: x'(0+) to O(h^2)."""
+    return (-3.0 * x0 + 4.0 * xh - x2h) / (2.0 * h)
+
+
 @pytest.fixture(scope="module")
 def spec():
     return load_problem(PROBLEM_FILE)
@@ -138,29 +143,33 @@ def test_criterion_07_linear_bvp(quad_green):
     mesh = build_mesh(0.0, 1.0, 256)
     y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
     values = apply_green(mu, y, mesh)
-    fit = LocalQuartic(mesh.breakpoints, values)
-    x = lambda t: float(fit(abs(t)))  # x is even
-    bnd = max(abs(x(1.0)), abs(x(-1.0)))
-    h = 1e-3
-    centered = abs(x(h) - x(-h)) / (2.0 * h)
+    bnd = abs(values[-1])
+    # x is even, so flat at zero: x'(0+) = -y(0) = 0.  On the uniform mesh
+    # the one-sided difference of the breakpoint values differs from x'(0)
+    # by at most h^2 max |x'''| on [0, 2h] (Taylor remainder), and x'''
+    # = lam^2 x' - lam y' - y'' is -2 + O(h) there (lam = 1, y = t^2,
+    # |x| < 2/3): |slope| <= h^2 (2 + 6h)
+    h = float(mesh.breakpoints[1])
+    flat = h * h * (2.0 + 6.0 * h)
+    slope = _slope_at_zero(*values[:3], h)
     # independent oracle: adaptive quadrature of the kernel against s^2
     discrepancy = float(np.max(np.abs(
         values - quad_green(mu, lambda s: s * s, mesh.breakpoints))))
-    ok_smooth = bnd <= 1e-12 and centered <= 1e-6 and discrepancy <= 1e-12
+    ok_smooth = bnd <= 1e-12 and abs(slope) <= flat and discrepancy <= 1e-12
 
     # forcing with y(0) != 0 breaks the corner condition: the even extension
-    # of the boundary-fitted profile has one-sided slope -y(0) = -1 at 0+
+    # of the boundary-fitted profile has one-sided slope -y(0) = -1 at 0+,
+    # which the flatness check above rejects
     lam = rate_of(mu)
     b1 = (math.exp(lam) - 1.0) / (lam * math.cosh(lam))
     coeffs = GeneralSolutionCoeffs(b1, 0.0)
-    vals = [general_solution_right_half(mu, coeffs, lambda s: 1.0, t, mesh)
-            for t in (0.0, h, 2.0 * h)]
-    deriv = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    ok_counter = abs(deriv - (-1.0)) <= 1e-3
+    deriv = _slope_at_zero(*[general_solution_right_half(mu, coeffs, lambda s: 1.0, t, mesh)
+                             for t in (0.0, h, 2.0 * h)], h)
+    ok_counter = abs(deriv - (-1.0)) <= 1e-3 and abs(deriv) > flat
     _report(7, "quadratic forcing gives a flat-at-zero solution; constant "
                "forcing produces the corner slope -1",
             ok_smooth and ok_counter,
-            f"|x(+-1)| = {bnd:g}, |x'(0)| = {centered:g}, "
+            f"|x(+-1)| = {bnd:g}, |x'(0+)| = {abs(slope):g} <= {flat:g}, "
             f"quadrature discrepancy = {discrepancy:g}, "
             f"corner slope = {deriv:.6f}")
 
@@ -196,8 +205,18 @@ def test_criterion_09_nonlinear_solve(spec, solve_report):
     n = len(grid)
     lb_ok = bool(np.all(rep.x >= rep.hypothesis.sigma - 1e-9))
     ub_ok = bool(np.all(rep.x <= spec.R - rep.eps + 1e-9))
-    x = LocalQuartic(grid, rep.x[:n])
-    symmetric = all(x(abs(t)) == x(abs(-t)) for t in np.linspace(0.0, 1.0, 101))
+    # x is even, so flat at zero.  The one-sided difference differs from
+    # x'(0+) by at most h^2 max |x'''| on [0, 2h]; x''' = lam^2 x' - lam y'
+    # - y'' with y = f(t, x + 1/m) is -lam (x(0) + 1/m)^(-1/4) at 0, at most
+    # lam m^(1/4) for x >= 0, and moves by O(h) across [0, 2h], which the
+    # factor 2 covers.  2h stays in the first cell of the mesh
+    h = 1e-2
+    flat = 2.0 * rate_of(spec.mu) * rep.inner[-1].m ** 0.25 * h * h
+    at = np.array([0.0, h, 2.0 * h])
+    # forcing f + 1 breaks f(0, x) = 0: slope -1 at 0+, which the check rejects
+    corner = rep.x[:n] + rep.hypothesis.operator.apply(lambda s: np.ones_like(s))
+    symmetric = (abs(_slope_at_zero(*LocalQuartic(grid, rep.x[:n])(at), h)) <= flat
+                 and abs(_slope_at_zero(*LocalQuartic(grid, corner)(at), h)) > flat)
     positive = bool(np.all(rep.x[:n - 1] > 0.0))
     devs = rep.inter_m_deviations
     monotone = all(b < a for a, b in zip(devs, devs[1:]))

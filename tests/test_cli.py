@@ -9,6 +9,7 @@ import pytest
 
 from cfbvp.cli import (EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                        _solution_csv, main)
+from cfbvp.green import green_eval
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
 from cfbvp.solver import solve
@@ -439,6 +440,24 @@ def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_OK
     assert (out / "solution.csv").read_text() == _solution_csv(report)
     assert (out / "solve_report.txt").read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mu,grid", [(1.93, 201), (1.3, 37), (1.9987, 9)])
+def test_green_table_is_the_per_row_rendering(tmp_path, mu, grid):
+    # the dump formats every value once, in one pass, and the mirrored half
+    # reuses its strings; it must be the bytes of formatting each row on its
+    # own (at mu = 1.9987 the upper-branch values are nan)
+    nodes = np.linspace(0.0, 1.0, grid)
+    right = []
+    for t in nodes:
+        for tau, v in zip(nodes, green_eval(mu, t, nodes).tolist()):
+            right.append((t, tau, "lower" if tau <= t else "upper", v))
+    want = ["t,tau,branch,value"]
+    want += [f"{t:.17g},{tau:.17g},{branch},{v:.17g}" for t, tau, branch, v in right]
+    want += [f"{-t:.17g},{-tau:.17g},{branch},{v:.17g}" for t, tau, branch, v in right]
+    out = tmp_path / "green.csv"
+    assert main(["green", str(mu), "--grid", str(grid), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_psi_expression_error_exit(tmp_path, capsys):

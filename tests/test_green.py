@@ -180,14 +180,28 @@ def test_apply_green_zero():
     assert np.all(x == 0.0)
 
 
+def _slope_at_zero(x, h):
+    """(-3 x(0) + 4 x(h) - x(2h)) / 2h: x'(0+) to O(h^2)."""
+    x0, xh, x2h = x(np.array([0.0, h, 2.0 * h]))
+    return (-3.0 * x0 + 4.0 * xh - x2h) / (2.0 * h)
+
+
 def test_apply_green_boundary_conditions():
     y = LocalQuartic(MESH.breakpoints, MESH.breakpoints ** 2)
     values = apply_green(1.5, y, MESH)
     assert values[-1] == 0.0  # x(1) = 0 exactly
-    fit = LocalQuartic(MESH.breakpoints, values)
-    x = lambda t: fit(abs(t))  # x is even
-    h = 1e-4
-    assert abs((x(h) - x(-h)) / (2 * h)) <= 1e-6  # centered difference at 0
+    # x is even, so flat at zero: x'(0+) = -y(0) = 0.  The one-sided
+    # difference D differs from x'(0) by at most h^2 max |x'''| on [0, 2h]
+    # (Taylor remainder); x''' = lam^2 x' - lam y' - y'' is -2 + O(h) there
+    # (lam = 1, y = t^2, |x| < 2/3), so |D| <= h^2 (2 + 6h).  2h stays in
+    # the first cell, where the quartic's own slope error (~1e-7) is far
+    # below that
+    h = 1e-2
+    flat = h * h * (2.0 + 6.0 * h)
+    assert abs(_slope_at_zero(LocalQuartic(MESH.breakpoints, values), h)) <= flat
+    # forcing 1 breaks y(0) = 0: slope -1 at 0+, which the same check rejects
+    corner = GreenOperator(1.5, MESH).apply(lambda s: np.ones_like(s))
+    assert abs(_slope_at_zero(LocalQuartic(MESH.breakpoints, corner), h)) > flat
 
 
 def test_apply_green_requires_zero_at_origin():

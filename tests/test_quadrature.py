@@ -16,6 +16,35 @@ def test_right_graded_breakpoints():
     assert np.allclose(m.breakpoints, [0.0, 0.4375, 0.75, 0.9375, 1.0], atol=1e-15)
 
 
+def _merged_by_loop(a, b, cells, gamma):
+    # build_mesh's breakpoints, narrow gaps merged by the loop over all of them
+    j = np.arange(cells + 1, dtype=float)
+    bps = a + (b - a) * j / cells if gamma == 1.0 else b - (b - a) * (1.0 - j / cells) ** gamma
+    bps[0], bps[-1] = a, b
+    tol = 16.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
+    kept = [bps[0]]
+    for v in bps[1:]:
+        if v - kept[-1] > tol:
+            kept.append(v)
+    if kept[-1] != bps[-1]:
+        if bps[-1] - kept[-1] > tol:
+            kept.append(bps[-1])
+        else:
+            kept[-1] = bps[-1]
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0, 20.0])
+@pytest.mark.parametrize("cells", [1, 2, 128, 4096, 8192])
+def test_merged_breakpoints_are_the_loop_bit_for_bit(gamma, cells):
+    # the merge loop starts at the first narrow gap; every breakpoint and its
+    # bits are the full loop's (gamma 6 and 20 merge cells at 4096 and 8192)
+    got = build_mesh(0.0, 1.0, cells, gamma, "right").breakpoints
+    want = _merged_by_loop(0.0, 1.0, cells, gamma)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_invalid_interval():
     with pytest.raises(MeshError):
         build_mesh(1.0, 0.0, 4)
