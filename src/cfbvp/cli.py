@@ -98,19 +98,17 @@ def cmd_check(args) -> int:
 
 
 def _solution_csv(report) -> str:
-    # full symmetric grid: mirrored left half then the right half; each
-    # right-half row is formatted once and its strings serve both rows
+    # full symmetric grid: mirrored left half then the right half; the
+    # right-half rows are formatted in one pass and serve both halves
     # (formatting is sign-symmetric, and t > 0 on the mirrored rows); the
     # breakpoint values lead the arrays on the operator's points
     grid = report.hypothesis.operator.grid
     n = len(grid)
-    ts = [_fmt(t) for t in grid.tolist()]
-    tails = [f"{_fmt(xv)},{_fmt(sv)},{_fmt(rv)}" for xv, sv, rv in
-             zip(report.x[:n].tolist(), report.hypothesis.sigma[:n].tolist(),
-                 report.residual.values.tolist())]
-    left = [f"-{t},{tail}" for t, tail in zip(ts[:0:-1], tails[:0:-1])]
-    right = [f"{t},{tail}" for t, tail in zip(ts, tails)]
-    return "\n".join(["t,x,sigma_R,residual", *left, *right, ""])
+    columns = np.column_stack((grid, report.x[:n], report.hypothesis.sigma[:n],
+                               report.residual.values))
+    right = (("%.17g,%.17g,%.17g,%.17g\n" * n) % tuple(columns.ravel().tolist())
+             ).splitlines(keepends=True)
+    return "".join(["t,x,sigma_R,residual\n", *("-" + row for row in right[:0:-1]), *right])
 
 
 def _solve_text(report) -> str:

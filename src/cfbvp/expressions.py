@@ -10,7 +10,9 @@ tiny so an expression can be audited at a glance:
     power  := atom ('^' factor)?
     atom   := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')'
 
-Evaluation is pure and accepts numpy arrays as bindings.
+Evaluation is pure and accepts numpy arrays as bindings.  ``bind`` fixes
+some variables and evaluates the subexpressions that read only those
+once, for repeated evaluations over the others.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "parse", "evaluate", "unparse", "ExprSyntaxError", "ExprDomainError"]
+__all__ = ["Expr", "parse", "evaluate", "bind", "unparse", "ExprSyntaxError",
+           "ExprDomainError"]
 
 ALLOWED_VARIABLES = ("t", "x", "s", "R")
 
@@ -204,13 +207,64 @@ def _is_int_valued(v) -> bool:
 
 def evaluate(e: Expr, bindings: dict) -> float | np.ndarray:
     """Evaluate e with the given variable bindings (scalars or ndarrays)."""
-    v = _eval(e, bindings)
-    if np.ndim(v) == 0:
-        return float(v)
-    return v
+    return _result(_eval(e, bindings, {}))
 
 
-def _eval(e: Expr, env: dict):
+def bind(e: Expr, fixed: dict):
+    """env -> evaluate(e, env | fixed), for env binding the other variables.
+
+    Every maximal subexpression that reads only the ``fixed`` variables (or
+    no variable) is evaluated once, here.  Its failure is kept and raised
+    when an evaluation reaches it, so errors come in evaluate's order and
+    text.  The fixed values must not change while the result is in use.
+    """
+    memo: dict = {}
+    if _fold(e, fixed, memo):
+        _store(e, fixed, memo)
+    return lambda env: _result(_eval(e, {**env, **fixed}, memo))
+
+
+def _result(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _fold(e: Expr, fixed: dict, memo: dict) -> bool:
+    """True if e reads only fixed variables; otherwise stores in memo each
+    child subexpression that does (leaves need no storing)."""
+    if e.kind == "var":
+        return e.value in fixed
+    if e.kind == "const":
+        return True
+    known = [_fold(a, fixed, memo) for a in e.args]
+    if all(known):
+        return True
+    for a, k in zip(e.args, known):
+        if k:
+            _store(a, fixed, memo)
+    return False
+
+
+def _store(e: Expr, fixed: dict, memo: dict) -> None:
+    if e.kind in ("const", "var"):
+        return
+    try:
+        memo[id(e)] = _eval(e, fixed, {})
+    except Exception as err:  # kept, not handled: _eval raises it on reaching e
+        memo[id(e)] = err
+
+
+_MISSING = object()
+
+
+def _eval(e: Expr, env: dict, memo: dict):
+    """e's value; ``memo`` maps id(node) to a value or an error computed
+    beforehand for that node."""
+    if memo:
+        done = memo.get(id(e), _MISSING)
+        if done is not _MISSING:
+            if isinstance(done, Exception):
+                raise done.with_traceback(None)
+            return done
     if e.kind == "const":
         return e.value
     if e.kind == "var":
@@ -218,10 +272,10 @@ def _eval(e: Expr, env: dict):
             raise UnboundVariableError(f"variable {e.value!r} is not bound")
         return env[e.value]
     if e.kind == "neg":
-        return -_eval(e.args[0], env)
+        return -_eval(e.args[0], env, memo)
     if e.kind in ("add", "sub", "mul", "div"):
-        a = _eval(e.args[0], env)
-        b = _eval(e.args[1], env)
+        a = _eval(e.args[0], env, memo)
+        b = _eval(e.args[1], env, memo)
         if e.kind == "add":
             return np.add(a, b)
         if e.kind == "sub":
@@ -232,8 +286,8 @@ def _eval(e: Expr, env: dict):
             raise ExprDomainError("division by zero", e)
         return np.divide(a, b)
     if e.kind == "pow":
-        base = _eval(e.args[0], env)
-        exponent = _eval(e.args[1], env)
+        base = _eval(e.args[0], env, memo)
+        exponent = _eval(e.args[1], env, memo)
         if not _is_int_valued(exponent):
             if np.any(np.less(base, 0.0)):
                 raise ExprDomainError("negative base with non-integer exponent", e)
@@ -241,7 +295,7 @@ def _eval(e: Expr, env: dict):
             raise ExprDomainError("zero base with negative exponent", e)
         return np.power(base, exponent)
     if e.kind == "call":
-        args = [_eval(a, env) for a in e.args]
+        args = [_eval(a, env, memo) for a in e.args]
         if e.value == "sqrt":
             if np.any(np.less(args[0], 0.0)):
                 raise ExprDomainError("square root of a negative value", e)

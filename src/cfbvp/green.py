@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cf_derivative import rate_of
-from .quadrature import Mesh
+from .quadrature import Mesh, gauss_integration_matrix
 
 __all__ = ["green_eval", "green_diagonal_jump", "green_sup", "kernel_bound",
            "GreenOperator", "apply_green"]
@@ -124,7 +124,10 @@ class GreenOperator:
         self.grid = t
         self.tau = mesh.flat_nodes
         self.points = np.concatenate((self.grid, self.tau))
-        self._mesh = mesh
+        # the spectral step from each cell's start to its nodes: half-widths
+        # times the node values through the transposed integration matrix
+        self._half = 0.5 * np.diff(t)[:, None]
+        self._spectral = gauss_integration_matrix(mesh.nodes_per_cell).T
         self._decay = np.exp(-lam * mesh.nodes)
         self._weights = mesh.weights * self._decay
         # a(s) without the cancellation of e^{-lam s} - e^{lam s - 2 lam} near s = 1
@@ -146,7 +149,7 @@ class GreenOperator:
         x = self._below * prefix + self._above * suffix
         if not nodes:
             return x
-        part = self._mesh.partial_integrals(self._decay * y)  # cell start to node
+        part = self._half * ((self._decay * y) @ self._spectral)  # cell start to node
         inside = (self._below_nodes * (prefix[:-1, None] + part)
                   + self._above_nodes * (suffix[:-1, None] - part))
         return np.concatenate((x, inside.reshape(-1)))

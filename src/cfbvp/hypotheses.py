@@ -90,6 +90,8 @@ class ProblemSpec:
     v: ex.Expr
     psi: ex.Expr
     numerics: NumericsConfig = field(default_factory=NumericsConfig)
+    # (t, x -> f(t, x)) of the last read-only t that f_given_t bound
+    _f_binding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         as_order(self.mu)
@@ -117,6 +119,22 @@ class ProblemSpec:
 
     def f_at(self, t, x):
         return ex.evaluate(self.f, {"t": t, "x": x})
+
+    def f_given_t(self, t):
+        """x -> f(t, x), with the part of f that reads only t evaluated once.
+
+        The binding (``expressions.bind``) of the last read-only array t is
+        kept, so the Picard applies on one operator's nodes, which never
+        change, bind f once.
+        """
+        last = self._f_binding.get("t")
+        if last is not None and last[0] is t:
+            return last[1]
+        bound = ex.bind(self.f, {"t": t})
+        f_of_x = lambda x: bound({"x": x})
+        if isinstance(t, np.ndarray) and not t.flags.writeable:
+            self._f_binding["t"] = (t, f_of_x)
+        return f_of_x
 
     def q_at(self, s):
         return ex.evaluate(self.q, {"s": s})
@@ -286,25 +304,57 @@ def check_A1(spec: ProblemSpec) -> A1Report:
                     lattice_density=density)
 
 
-def _improper_integral(failures: list, check: str, name: str, integrand, meshes,
+def _refine(spec: ProblemSpec, mesh: Mesh, q_runs: list, qu_runs: list | None) -> None:
+    """Append int q to q_runs and int q u(sigma_R) to qu_runs, on one mesh.
+
+    q is evaluated once, for both integrals.  A run ends at the ValueError
+    that failed it (an expression error or a non-finite integrand), and a
+    run that has ended, or is None, is not extended.
+    """
+    def growing(runs):
+        return runs is not None and not (runs and isinstance(runs[-1], ValueError))
+
+    with np.errstate(all="ignore"):  # a non-finite integrand raises in integrate
+        try:
+            q = np.asarray(spec.q_at(mesh.flat_nodes), dtype=float)
+        except ValueError as err:
+            q = err
+        if growing(q_runs):
+            try:
+                # a failed q goes to integrate, whose point-by-point retry
+                # (quadrature.sample) reports the first node that fails
+                q_runs.append(integrate(spec.q_at if isinstance(q, ValueError)
+                                        else lambda s: q, mesh))
+            except ValueError as err:
+                q_runs.append(err)
+        if growing(qu_runs):
+            try:
+                op = GreenOperator(spec.mu, mesh)  # sigma_R at the mesh's own nodes
+                sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
+                if isinstance(q, ValueError):
+                    raise q
+                qu = q * spec.u_at(sigma)
+                qu_runs.append(integrate(lambda s: qu, mesh))
+            except ValueError as err:
+                qu_runs.append(err)
+
+
+def _improper_integral(failures: list, check: str, name: str, runs: list,
                        rel_tol: float = 1e-8) -> float:
-    """int_0^1 integrand(mesh) on the finer of two refining meshes.
+    """The integral on the finer of two refining meshes, from _refine's run.
 
     A divergent (non-finite) improper integral shows up as refinement that
     does not stabilize to rel_tol; that, or a failed integration (nan), is
     recorded as a failure of ``check``.
     """
-    try:
-        with np.errstate(all="ignore"):  # a non-finite integrand raises in integrate
-            vals = [integrate(integrand(m), m) for m in meshes]
-    except (ex.ExprDomainError, ValueError) as err:
-        failures.append(CheckFailure(check, {}, f"integration failed: {err}"))
+    if isinstance(runs[-1], ValueError):
+        failures.append(CheckFailure(check, {}, f"integration failed: {runs[-1]}"))
         return float("nan")
-    change = abs(vals[-1] - vals[-2]) / max(abs(vals[-1]), 1e-300)
+    change = abs(runs[-1] - runs[-2]) / max(abs(runs[-1]), 1e-300)
     if not change < rel_tol:
         failures.append(CheckFailure(check, {"rel_change": change},
                                      f"{name} did not stabilize under refinement"))
-    return vals[-1]
+    return runs[-1]
 
 
 def check_A2(spec: ProblemSpec) -> HypothesisReport:
@@ -344,21 +394,17 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
 
     # finiteness by refinement stabilization on meshes of 4c and 8c cells,
     # shared by both integrals; a steeper grading and a resolution floor
-    # independent of the solver mesh keep the Gauss rule past the 1e-8 test
+    # independent of the solver mesh keep the Gauss rule past the 1e-8 test.
+    # One mesh is built and integrated at a time.
     cells_fin = max(n.mesh_cells, 128)
-    meshes = [build_mesh(0.0, 1.0, c * cells_fin, gamma=max(n.gamma, 6.0),
-                         singular_at="right", nodes_per_cell=n.nodes_per_cell)
-              for c in (4, 8)]
-    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", lambda m: spec.q_at, meshes)
-
-    def qu(m):  # sigma_R at m's own nodes, through m's operator
-        op_m = GreenOperator(spec.mu, m)
-        s = np.maximum(sigma_R(spec, op_m)[len(op_m.grid):], 0.0)
-        values = np.asarray(spec.q_at(m.flat_nodes), dtype=float) * spec.u_at(s)
-        return lambda t: values
-
-    I_qu = float("nan") if nonfinite.size else _improper_integral(
-        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu, meshes)
+    q_runs, qu_runs = [], None if nonfinite.size else []  # I_qu needs sigma_R
+    for c in (4, 8):
+        _refine(spec, build_mesh(0.0, 1.0, c * cells_fin, gamma=max(n.gamma, 6.0),
+                                 singular_at="right", nodes_per_cell=n.nodes_per_cell),
+                q_runs, qu_runs)
+    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_runs)
+    I_qu = float("nan") if qu_runs is None else _improper_integral(
+        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_runs)
 
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
     density = n.lattice_density

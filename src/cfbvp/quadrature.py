@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Mesh", "build_mesh", "mesh_from_breakpoints", "integrate"]
+__all__ = ["Mesh", "build_mesh", "mesh_from_breakpoints", "integrate",
+           "gauss_integration_matrix"]
 
 VALID_SINGULAR_FLAGS = ("none", "right")
 
@@ -37,7 +38,7 @@ def _gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _gauss_integration_matrix(k: int) -> np.ndarray:
+def gauss_integration_matrix(k: int) -> np.ndarray:
     """S[p, q] = int_{-1}^{x_p} l_q(s) ds for the Lagrange basis l_q on the Gauss nodes x.
 
     S @ v integrates the interpolant of the values v from -1 to each node,
@@ -77,12 +78,6 @@ class Mesh:
     @property
     def flat_nodes(self) -> np.ndarray:
         return self.nodes.reshape(-1)
-
-    def partial_integrals(self, values) -> np.ndarray:
-        """Integrals from each cell's start to each of its nodes, for values at
-        the nodes (shape (cells, k); Gauss spectral integration)."""
-        half = 0.5 * np.diff(self.breakpoints)
-        return half[:, None] * (values @ _gauss_integration_matrix(self.nodes_per_cell).T)
 
     def rescaled(self, a: float, b: float) -> "Mesh":
         """Affine image of this mesh on [a, b] (same relative grading)."""

@@ -75,10 +75,14 @@ class SolveReport:
 
 
 def _integrand(spec: ProblemSpec, x: np.ndarray, m: int | None, op: GreenOperator):
-    """tau -> f(tau, x(tau)) at the nodes, the argument clamped at level m."""
+    """tau -> f(tau, x(tau)) at the nodes, the argument clamped at level m.
+
+    f is bound to the nodes once per operator (``ProblemSpec.f_given_t``):
+    its x-free part is not evaluated again on every apply.
+    """
     xv = x[len(op.grid):]
     arg = clamp_m(xv, m, spec.R) if m is not None else xv
-    return lambda tau: spec.f_at(tau, arg)
+    return lambda tau: spec.f_given_t(tau)(arg)
 
 
 def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, op: GreenOperator) -> np.ndarray:

@@ -293,6 +293,18 @@ def test_solve_expression_error_exit(tmp_path, capsys):
     assert "sqrt" in err
 
 
+def test_solve_t_only_expression_error_exit(tmp_path, capsys):
+    # f is undefined only for |t - 0.305| < 0.01, between the lattice points
+    # but at Gauss nodes: the error is found when f is bound to the nodes,
+    # and raised by the first apply, at the first level
+    p = _worked_variant(tmp_path, " + 0*sqrt((t - 0.305)^2 - 0.0001)")
+    assert main(["check", str(p)]) == EXIT_OK
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == ("solver failure: expression error at m = 16: square root of a negative "
+                   "value in subexpression 'sqrt((t - 0.305)^2.0 - 0.0001)'\n")
+
+
 def test_check_emits_no_runtime_warning(tmp_path, capsys):
     # f overflows to nan on part of the lattice; that is a reported failure,
     # not a numpy warning leaking from inside the evaluation

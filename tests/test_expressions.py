@@ -104,3 +104,70 @@ def test_eval_deterministic():
     e = ex.parse("exp(t) + cosh(x) / (1 + s^2)")
     env = {"t": 0.3, "x": 0.7, "s": 0.2}
     assert ex.evaluate(e, env) == ex.evaluate(e, env)
+
+
+# bind(e, fixed) evaluates the subexpressions that read only the fixed
+# variables once; every evaluation through it must be evaluate's, bit for
+# bit, NaN included, and raise evaluate's error, in evaluate's order.
+T = np.array([-1.5, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0, 800.0])
+X = np.array([0.5, 2.0, 1.0, 3.0, -0.75, 1e-3, 0.0, 4.0])
+
+
+def _outcome(fn):
+    with np.errstate(all="ignore"):
+        try:
+            return fn()
+        except (ex.ExprDomainError, ex.UnboundVariableError) as err:
+            return f"{type(err).__name__}: {err}"
+
+
+def _assert_bound_is_evaluate(e, fixed, env):
+    want = _outcome(lambda: ex.evaluate(e, {**fixed, **env}))
+    got = _outcome(lambda: ex.bind(e, fixed)(env))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("text", [
+    "-t", "t + x", "x - t", "t*x", "x/t", "t/x", "t^x", "x^t", "x^(-0.25)",
+    "abs(t)*(1-t^2)^(-0.25)*x^(-0.25)", "exp(t) + exp(x)", "abs(t - x)",
+    "cosh(t)*sinh(x)", "sinh(t)/cosh(x)", "sqrt(abs(t))*sqrt(abs(x))",
+    "min(t, x)", "max(t, x)", "min(t, 1)*max(x, 0.5)", "exp(1000*t) - exp(1000*t) + x",
+    "2^-2", "t*t", "x*x", "(t - t)/x"])
+def test_bind_is_evaluate_bit_for_bit(text):
+    e = ex.parse(text)
+    for fixed, env in (({"t": T}, {"x": X}), ({"t": T[:, None]}, {"x": X}),
+                       ({"t": 0.5}, {"x": X}), ({"x": X}, {"t": T}), ({}, {"t": T, "x": X})):
+        _assert_bound_is_evaluate(e, fixed, env)
+
+
+@given(_trees)
+def test_bind_is_evaluate_on_any_tree(tree):
+    _assert_bound_is_evaluate(tree, {"t": T, "s": T[::-1]}, {"x": X, "R": 2.0})
+
+
+@pytest.mark.parametrize("text, failing", [("x^(-1)*sqrt(t-2)", "x^(-1.0)"),
+                                           ("sqrt(t-2)*x^(-1)", "sqrt(t - 2.0)")])
+def test_bind_keeps_the_error_order(text, failing):
+    # both factors fail; the one evaluation reaches first names the error,
+    # though the t-only factor's error was found when binding
+    e = ex.parse(text)
+    with pytest.raises(ex.ExprDomainError) as want:
+        ex.evaluate(e, {"t": T, "x": X})
+    bound = ex.bind(e, {"t": T})
+    with pytest.raises(ex.ExprDomainError) as got:
+        bound({"x": X})
+    assert str(got.value) == str(want.value)
+    assert f"'{failing}'" in str(got.value)
+
+
+def test_bind_raises_a_constant_error_on_evaluation():
+    e = ex.parse("x + 1/0")
+    for fixed in ({}, {"t": T}):
+        bound = ex.bind(e, fixed)  # does not raise
+        for _ in range(2):  # and raises on every evaluation
+            with pytest.raises(ex.ExprDomainError, match="division by zero in subexpression '1.0/0.0'"):
+                bound({"x": X})

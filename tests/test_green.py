@@ -251,16 +251,41 @@ ORDERS = st.floats(1.01, 1.99)
 NODE_VALUES = st.lists(st.floats(-1e3, 1e3), min_size=PROPERTY_MESH.flat_nodes.size,
                        max_size=PROPERTY_MESH.flat_nodes.size).map(np.array)
 
+# Linearity holds up to rounding, which the node output amplifies like
+# e^{lam h} across a cell of width h (ROADMAP item 3).  The spectral step
+# sums k = nodes_per_cell rounded products, so a node's rounding is about
+# k eps of the integrand's scale; across the first cell, the widest
+# (h_0 = 0.578), it grows by up to e^{lam h_0}.  It stays within the 1e-12
+# bound while k eps e^{lam h_0} <= 1e-12, that is, up to the rate below;
+# mu = (1 + 2 lam) / (1 + lam) inverts lam = (mu - 1) / (2 - mu).
+LINEAR_LAM_MAX = math.log(1e-12 / (PROPERTY_MESH.nodes_per_cell * np.finfo(float).eps)) \
+    / PROPERTY_MESH.breakpoints[1]
+LINEAR_MU_MAX = (1.0 + 2.0 * LINEAR_LAM_MAX) / (1.0 + LINEAR_LAM_MAX)
 
-@given(mu=ORDERS, y1=NODE_VALUES, y2=NODE_VALUES, alpha=st.floats(-10, 10),
-       beta=st.floats(-10, 10))
-@settings(max_examples=100, deadline=None)
-def test_node_output_is_linear(mu, y1, y2, alpha, beta):
+
+def _assert_node_output_linear(mu, y1, y2, alpha, beta):
     op = GreenOperator(mu, PROPERTY_MESH)
     x1, x2 = op.apply(lambda t: y1, nodes=True), op.apply(lambda t: y2, nodes=True)
     both = op.apply(lambda t: alpha * y1 + beta * y2, nodes=True)
     scale = np.max(np.abs(alpha * x1) + np.abs(beta * x2))
     assert np.max(np.abs(both - (alpha * x1 + beta * x2))) <= 1e-12 * max(1.0, scale)
+
+
+@given(mu=st.floats(1.01, LINEAR_MU_MAX), y1=NODE_VALUES, y2=NODE_VALUES,
+       alpha=st.floats(-10, 10), beta=st.floats(-10, 10))
+@settings(max_examples=100, deadline=None)
+def test_node_output_is_linear(mu, y1, y2, alpha, beta):
+    _assert_node_output_linear(mu, y1, y2, alpha, beta)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the node output amplifies "
+                   "rounding by e^{lam h}; lam h_0 = 15 here, past LINEAR_LAM_MAX")
+def test_node_output_is_linear_past_the_rounding_limit():
+    # the draw that failed the property when it drew mu up to 1.99: the
+    # error is 2.16e-8 against the bound 1.96e-8
+    y1 = np.zeros(PROPERTY_MESH.flat_nodes.size)
+    y1[:3] = (-355.0, -218.0, 409.0)
+    _assert_node_output_linear(1.962890625, y1, np.zeros_like(y1), 3.0, 0.0)
 
 
 @given(mu=st.floats(1.01, 1.95), cells=st.sampled_from([32, 128]),

@@ -174,6 +174,23 @@ def test_a2_minorant_violation_detected():
     assert any(f.check == "A2.minorant" for f in report.failures)
 
 
+def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
+    # int q and int q u(sigma_R) share each mesh's q values: one call per
+    # mesh (4c, then 8c cells), where one per integral and mesh took four
+    sizes = []
+    original = ProblemSpec.q_at
+
+    def counted(self, s):
+        sizes.append(np.size(s))
+        return original(self, s)
+
+    monkeypatch.setattr(ProblemSpec, "q_at", counted)
+    report = check_A2(spec)
+    assert report.passed
+    # (build_mesh merges the sub-ulp cells of the steep grading near t = 1)
+    assert len(sizes) == 2 and report.operator.tau.size < sizes[0] < sizes[1]
+
+
 def test_strict_mode_uses_unit_bound():
     s = make_spec(numerics=NumericsConfig(strict_unit_bound=True))
     report = check_A2(s)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfbvp.quadrature import (MeshError, NonFiniteIntegrandError, _sum_left_to_right,
-                              build_mesh, integrate, mesh_from_breakpoints)
+                              build_mesh, gauss_integration_matrix, integrate,
+                              mesh_from_breakpoints)
 
 
 def test_uniform_breakpoints():
@@ -180,11 +181,11 @@ def test_integrate_sums_cells_left_to_right():
 
 @pytest.mark.parametrize("k", [2, 3, 8, 12])
 def test_partial_weights_integrate_polynomials_exactly(k):
-    # entry [c, p] integrates the node values of cell c from the cell's
-    # start to its node p: exact for polynomials of degree < k
-    m = build_mesh(0.0, 1.0, 5, 2.0, "right", nodes_per_cell=k)
-    start = m.breakpoints[:-1, None]
+    # entry [p, q] of the integration matrix integrates the Lagrange basis
+    # polynomial of Gauss node q from -1 to node p, so its product with node
+    # values integrates them from -1 to each node: exact for degree < k
+    x, _ = np.polynomial.legendre.leggauss(k)
+    S = gauss_integration_matrix(k)
     for j in range(k):
-        got = m.partial_integrals(m.nodes ** j)
-        want = (m.nodes ** (j + 1) - start ** (j + 1)) / (j + 1)
-        assert np.max(np.abs(got - want)) <= 1e-14
+        want = (x ** (j + 1) - (-1.0) ** (j + 1)) / (j + 1)
+        assert np.max(np.abs(S @ x ** j - want)) <= 1e-14

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfbvp import expressions as ex
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
 from cfbvp.linear import LocalQuartic
 from cfbvp.problem_io import load_problem
@@ -198,6 +199,25 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch):
     assert len(in_check) == 3 and in_check[0] == spec.numerics.mesh_cells
     assert cells == in_check
     assert len(rep.x) == len(rep.hypothesis.operator.points)
+
+
+def test_solve_binds_f_once(spec, monkeypatch):
+    # the ~50 Picard applies and both residuals share one binding of f to
+    # the operator's nodes: f's x-free part is evaluated once per solve
+    bound = []
+    original = ex.bind
+
+    def counted(e, fixed):
+        bound.append((e, fixed))
+        return original(e, fixed)
+
+    monkeypatch.setattr(ex, "bind", counted)
+    rep = solve(spec)
+    assert rep.status == "converged"
+    assert sum(s.iterations for s in rep.inner) > 40
+    assert len(bound) == 1
+    e, fixed = bound[0]
+    assert e is spec.f and fixed["t"] is rep.hypothesis.operator.tau
 
 
 def test_solve_takes_no_hypothesis_report():
