@@ -87,14 +87,19 @@ def cmd_check(args) -> int:
     if args.out:
         out = Path(args.out)
         _write(out / "hypothesis_report.txt", text)
-        sigma_csv = ["t,sigma_R"]
-        grid = a2.operator.grid  # the breakpoint values lead a2.sigma
-        for t, v in zip(grid, a2.sigma[:len(grid)]):
-            sigma_csv.append(f"{_fmt(t)},{_fmt(v)}")
-        _write(out / "sigma_R.csv", "\n".join(sigma_csv) + "\n")
+        _write(out / "sigma_R.csv", _sigma_csv(a2))
     if not (a1.passed and a2.passed):
         return EXIT_HYPOTHESIS
     return EXIT_OK
+
+
+def _sigma_csv(a2) -> str:
+    # the right-half breakpoints, formatted in one pass; the breakpoint
+    # values lead a2.sigma
+    grid = a2.operator.grid
+    n = len(grid)
+    columns = np.column_stack((grid, a2.sigma[:n]))
+    return "t,sigma_R\n" + ("%.17g,%.17g\n" * n) % tuple(columns.ravel().tolist())
 
 
 def _solution_csv(report) -> str:

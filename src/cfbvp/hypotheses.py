@@ -205,6 +205,9 @@ def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
 
 _EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
 
+# the A2 refinement meshes have 4 and 8 times this many cells, whatever mesh.cells
+REFINE_BASE_CELLS = 128
+
 
 def _on_lattice(fn, *axes) -> tuple[np.ndarray, dict]:
     """fn(*axes) over the broadcast lattice, with the expression errors on it.
@@ -320,11 +323,8 @@ def _refine(spec: ProblemSpec, mesh: Mesh, q_runs: list, qu_runs: list | None) -
         except ValueError as err:
             q = err
         if growing(q_runs):
-            try:
-                # a failed q goes to integrate, whose point-by-point retry
-                # (quadrature.sample) reports the first node that fails
-                q_runs.append(integrate(spec.q_at if isinstance(q, ValueError)
-                                        else lambda s: q, mesh))
+            try:  # a failed q ends the run with its vector error, as in I_qu
+                q_runs.append(q if isinstance(q, ValueError) else integrate(lambda s: q, mesh))
             except ValueError as err:
                 q_runs.append(err)
         if growing(qu_runs):
@@ -392,14 +392,14 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
                                      f"R = {spec.R:.6g} < sigma_R(0) = {sigma0:.6g}"))
 
-    # finiteness by refinement stabilization on meshes of 4c and 8c cells,
-    # shared by both integrals; a steeper grading and a resolution floor
-    # independent of the solver mesh keep the Gauss rule past the 1e-8 test.
+    # finiteness by refinement stabilization on meshes of 4 and 8 times
+    # REFINE_BASE_CELLS cells, shared by both integrals; I_q and I_qu belong
+    # to the problem, not to the solver mesh, so these meshes do not follow
+    # mesh.cells.  A steeper grading keeps the Gauss rule past the 1e-8 test.
     # One mesh is built and integrated at a time.
-    cells_fin = max(n.mesh_cells, 128)
     q_runs, qu_runs = [], None if nonfinite.size else []  # I_qu needs sigma_R
     for c in (4, 8):
-        _refine(spec, build_mesh(0.0, 1.0, c * cells_fin, gamma=max(n.gamma, 6.0),
+        _refine(spec, build_mesh(0.0, 1.0, c * REFINE_BASE_CELLS, gamma=max(n.gamma, 6.0),
                                  singular_at="right", nodes_per_cell=n.nodes_per_cell),
                 q_runs, qu_runs)
     I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_runs)

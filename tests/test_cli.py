@@ -10,6 +10,7 @@ import pytest
 from cfbvp.cli import (EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                        _solution_csv, main)
 from cfbvp.green import green_eval
+from cfbvp.hypotheses import check_A2
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
 from cfbvp.solver import solve
@@ -452,6 +453,20 @@ def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):
                  "--out", str(out)]) == EXIT_OK
     assert (out / "solution.csv").read_text() == _solution_csv(report)
     assert (out / "solve_report.txt").read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cells", [1, 128, 2048])
+def test_sigma_csv_is_the_per_row_rendering(tmp_path, capsys, cells):
+    # sigma_R.csv is formatted in one pass; it must be the bytes of
+    # formatting each breakpoint row on its own
+    prob = ROOT / "problems" / "worked_family.prob"
+    a2 = check_A2(load_problem(prob, {"mesh_cells": cells}))
+    grid = a2.operator.grid  # the first len(grid) entries of sigma
+    want = ["t,sigma_R"] + [f"{t:.17g},{v:.17g}" for t, v in zip(grid, a2.sigma[:len(grid)])]
+    assert len(want) == cells + 2
+    out = tmp_path / "o"
+    assert main(["check", str(prob), "--mesh-cells", str(cells), "--out", str(out)]) == EXIT_OK
+    assert (out / "sigma_R.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 @pytest.mark.parametrize("mu,grid", [(1.93, 201), (1.3, 37), (1.9987, 9)])

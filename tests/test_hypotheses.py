@@ -176,7 +176,7 @@ def test_a2_minorant_violation_detected():
 
 def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
     # int q and int q u(sigma_R) share each mesh's q values: one call per
-    # mesh (4c, then 8c cells), where one per integral and mesh took four
+    # mesh (512, then 1024 cells), where one per integral and mesh took four
     sizes = []
     original = ProblemSpec.q_at
 
@@ -189,6 +189,31 @@ def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
     assert report.passed
     # (build_mesh merges the sub-ulp cells of the steep grading near t = 1)
     assert len(sizes) == 2 and report.operator.tau.size < sizes[0] < sizes[1]
+
+
+@pytest.mark.parametrize("mu", [1.5, 1.9])
+def test_size_terms_do_not_depend_on_the_mesh(mu):
+    # the refinement meshes of I_q and I_qu have 4 and 8 times
+    # REFINE_BASE_CELLS cells whatever mesh.cells, so the size terms of a
+    # refined solver mesh are the default mesh's, bit for bit
+    def terms(cells):
+        r = check_A2(make_spec(mu=mu, numerics=NumericsConfig(mesh_cells=cells)))
+        assert r.passed
+        return r.I_q, r.I_qu, r.ratio, r.eps_max
+
+    want = terms(128)
+    assert terms(512) == want
+    assert terms(2048) == want
+
+
+def test_q_failure_names_one_subexpression():
+    # q fails at two subexpressions; the vector evaluation of q meets
+    # sqrt(0.5 - s) first, and both integrals report that one error
+    report = check_A2(make_spec(q="sqrt(0.5 - s) + sqrt(s - 0.001) + s*(1-s^2)^(-0.25)"))
+    details = {f.check: f.detail for f in report.failures}
+    assert details["A2.I_q_finite"] == details["A2.I_qu_finite"] == (
+        "integration failed: square root of a negative value in subexpression "
+        "'sqrt(0.5 - s)'")
 
 
 def test_strict_mode_uses_unit_bound():

@@ -9,6 +9,7 @@ from cfbvp import expressions as ex
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
 from cfbvp.linear import LocalQuartic
 from cfbvp.problem_io import load_problem
+from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
                           clamp_m, residual_nonlinear, solve, solve_fixed_m)
 
@@ -182,23 +183,30 @@ def test_solve_reads_no_spline(spec, monkeypatch):
 
 def test_solve_reuses_the_reports_operator(spec, monkeypatch):
     # the solve builds the 3 operators of its A2 check (the solver mesh,
-    # then the 4c and 8c meshes of the improper integrals) and none of its own
+    # then the 512- and 1024-cell meshes of the improper integrals, whatever
+    # the solver mesh) and none of its own
     cells = []
     original = GreenOperator.__init__
 
     def counted(self, mu, mesh):
-        cells.append(len(mesh.breakpoints) - 1)
+        cells.append(mesh.cells)
         original(self, mu, mesh)
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
-    check_A2(spec)
-    in_check = list(cells)
-    cells.clear()
-    rep = solve(spec)
-    assert rep.status == "converged"
-    assert len(in_check) == 3 and in_check[0] == spec.numerics.mesh_cells
-    assert cells == in_check
-    assert len(rep.x) == len(rep.hypothesis.operator.points)
+    # build_mesh merges the sub-ulp cells of the grading-6 meshes near t = 1
+    refined = [build_mesh(0.0, 1.0, c, gamma=6.0, singular_at="right").cells
+               for c in (512, 1024)]
+    for s in (spec, make_spec(NumericsConfig(mesh_cells=64)),
+              make_spec(NumericsConfig(mesh_cells=512))):
+        cells.clear()
+        check_A2(s)
+        in_check = list(cells)
+        cells.clear()
+        rep = solve(s)
+        assert rep.status == "converged"
+        assert in_check == [s.numerics.mesh_cells, *refined]
+        assert cells == in_check
+        assert len(rep.x) == len(rep.hypothesis.operator.points)
 
 
 def test_solve_binds_f_once(spec, monkeypatch):
