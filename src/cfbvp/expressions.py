@@ -17,6 +17,7 @@ once, for repeated evaluations over the others.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -288,10 +289,18 @@ def _eval(e: Expr, env: dict, memo: dict):
     if e.kind == "pow":
         base = _eval(e.args[0], env, memo)
         exponent = _eval(e.args[1], env, memo)
-        if not _is_int_valued(exponent):
+        # a finite scalar exponent (a float or np.float64, e.g. a constant)
+        # is settled without array passes; the zero-base pass runs only if
+        # some exponent is negative
+        if isinstance(exponent, float) and math.isfinite(exponent):
+            int_valued, negative = exponent.is_integer(), exponent < 0.0
+        else:
+            int_valued = _is_int_valued(exponent)
+            negative = np.any(np.less(exponent, 0.0))
+        if not int_valued:
             if np.any(np.less(base, 0.0)):
                 raise ExprDomainError("negative base with non-integer exponent", e)
-        if np.any(np.logical_and(np.equal(base, 0.0), np.less(exponent, 0.0))):
+        if negative and np.any(np.logical_and(np.equal(base, 0.0), np.less(exponent, 0.0))):
             raise ExprDomainError("zero base with negative exponent", e)
         return np.power(base, exponent)
     if e.kind == "call":

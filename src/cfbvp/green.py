@@ -139,20 +139,34 @@ class GreenOperator:
     def apply(self, integrand, nodes: bool = False) -> np.ndarray:
         """x at ``grid``; with ``nodes``, at ``points``: ``grid``, then ``tau``.
 
-        ``integrand`` is called once, with the nodes ``tau``.
+        ``integrand`` is called once, with the nodes ``tau``.  The result
+        is a new array; the sums are filled into buffers in place.
         """
-        y = np.broadcast_to(np.asarray(integrand(self.tau), dtype=float), self.tau.shape)
+        y = np.asarray(integrand(self.tau), dtype=float)
+        if y.shape != self.tau.shape:  # e.g. a constant integrand
+            y = np.broadcast_to(y, self.tau.shape)
         y = y.reshape(self._weights.shape)
+        n = len(self.grid)
+        out = np.empty(len(self.points) if nodes else n)
+        x = out[:n]
         cells = np.einsum("ij,ij->i", self._weights, y)
-        prefix = np.concatenate(([0.0], np.cumsum(cells)))
-        suffix = np.concatenate((np.cumsum(cells[::-1])[::-1], [0.0]))
-        x = self._below * prefix + self._above * suffix
+        prefix, suffix = np.empty(n), np.empty(n)
+        prefix[0] = suffix[-1] = 0.0
+        cells.cumsum(out=prefix[1:])
+        cells[::-1].cumsum(out=suffix[-2::-1])  # the sums from each cell to 1
+        np.multiply(self._below, prefix, out=x)
+        x += self._above * suffix
         if not nodes:
-            return x
-        part = self._half * ((self._decay * y) @ self._spectral)  # cell start to node
-        inside = (self._below_nodes * (prefix[:-1, None] + part)
-                  + self._above_nodes * (suffix[:-1, None] - part))
-        return np.concatenate((x, inside.reshape(-1)))
+            return out
+        inside = out[n:].reshape(self._weights.shape)
+        part = (self._decay * y) @ self._spectral
+        part *= self._half  # cell start to node
+        np.add(prefix[:-1, None], part, out=inside)
+        inside *= self._below_nodes
+        np.subtract(suffix[:-1, None], part, out=part)
+        part *= self._above_nodes
+        inside += part
+        return out
 
 
 def apply_green(mu, y, mesh: Mesh) -> np.ndarray:

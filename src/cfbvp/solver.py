@@ -44,7 +44,7 @@ def clamp_m(x, m: int, R: float):
         raise ValueError("regularization index m must be >= 1")
     if not R > 0:
         raise ValueError("truncation level R must be positive")
-    return np.minimum(np.maximum(x + 1.0 / m, 1.0 / m), R)
+    return np.clip(x + 1.0 / m, 1.0 / m, R)
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,22 @@ def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
     of T_m x aborts naming its first point.
     """
     config = spec.numerics
+    omega = config.omega
     x = x0
     prev_step = np.inf
     growth = 0
     for it in range(1, config.max_inner + 1):
-        tx = apply_Tm(spec, x, m, op)
-        bad = np.flatnonzero(~np.isfinite(tx))
-        if bad.size:
+        tx = apply_Tm(spec, x, m, op)  # a new array: the steps below reuse it
+        if not np.isfinite(tx).all():
+            bad = np.flatnonzero(~np.isfinite(tx))
             raise SolverError(
                 f"T_m x is not finite at t = {op.points[bad[0]]:.6g} "
                 f"(m = {m}, iteration {it})")
-        new = (1.0 - config.omega) * x + config.omega * tx
-        step = float(np.max(np.abs(new - x)))
+        new = (1.0 - omega) * x
+        tx *= omega
+        new += tx
+        np.subtract(new, x, out=tx)
+        step = float(np.abs(tx, out=tx).max())
         x = new
         if step < config.inner_tol:
             return x, InnerStats(m=m, iterations=it, final_step=step, converged=True)

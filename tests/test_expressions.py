@@ -171,3 +171,49 @@ def test_bind_raises_a_constant_error_on_evaluation():
         for _ in range(2):  # and raises on every evaluation
             with pytest.raises(ex.ExprDomainError, match="division by zero in subexpression '1.0/0.0'"):
                 bound({"x": X})
+
+
+# The domain checks of pow: a scalar exponent is settled without array
+# passes, and the zero-base pass runs only where an exponent is negative;
+# the verdicts, their order and their text are the same through evaluate
+# and through bind, with the exponent or the base fixed.
+ZEROS = np.array([0.0, 1.0, 4.0, 0.0])
+ZERO_BASE = "ExprDomainError: zero base with negative exponent in subexpression"
+NEGATIVE_BASE = "ExprDomainError: negative base with non-integer exponent in subexpression"
+
+
+@pytest.mark.parametrize("text, env, want", [
+    ("x^(-1)", {"x": ZEROS}, f"{ZERO_BASE} 'x^(-1.0)'"),
+    ("x^(-1)", {"x": 0.0}, f"{ZERO_BASE} 'x^(-1.0)'"),
+    ("x^2", {"x": ZEROS}, ZEROS ** 2),
+    ("x^0", {"x": ZEROS}, np.ones(4)),
+    ("x^0", {"x": 0.0}, 1.0),
+    ("(-x)^0.5", {"x": ZEROS}, f"{NEGATIVE_BASE} '(-x)^0.5'"),
+    # both checks fail; the negative base is named first
+    ("(-x)^(-0.5)", {"x": ZEROS}, f"{NEGATIVE_BASE} '(-x)^(-0.5)'"),
+    ("(-x)^(-2)", {"x": ZEROS[1:3]}, np.array([1.0, 0.0625])),
+    # array exponents of mixed sign: only a negative one at a zero base fails
+    ("x^t", {"x": ZEROS, "t": np.array([1.0, -1.0, 0.5, -2.0])}, f"{ZERO_BASE} 'x^t'"),
+    ("x^t", {"x": ZEROS, "t": np.array([2.0, -1.0, -0.5, 0.0])}, np.array([0.0, 1.0, 0.5, 1.0])),
+    ("x^t", {"x": -ZEROS, "t": np.array([2.0, -1.0, 3.0, 0.0])}, np.array([0.0, -1.0, -64.0, 1.0])),
+    ("x^t", {"x": -ZEROS, "t": np.array([2.0, -1.0, 0.5, 0.0])}, f"{NEGATIVE_BASE} 'x^t'"),
+    # np.float64 exponents: bound as t, and computed by a constant subexpression
+    ("x^t", {"x": ZEROS, "t": np.float64(-1.0)}, f"{ZERO_BASE} 'x^t'"),
+    ("x^t", {"x": -ZEROS, "t": np.float64(2.0)}, ZEROS ** 2),
+    ("x^t", {"x": -ZEROS, "t": np.float64(0.5)}, f"{NEGATIVE_BASE} 'x^t'"),
+    ("x^(0.5 - 1)", {"x": ZEROS}, f"{ZERO_BASE} 'x^(0.5 - 1.0)'"),
+    ("x^(3 - 1)", {"x": -ZEROS}, ZEROS ** 2),
+])
+def test_pow_domain_checks(text, env, want):
+    e = ex.parse(text)
+    assert type(np.subtract(0.5, 1.0)) is np.float64  # what 0.5 - 1 evaluates to
+    for fixed in ({}, {k: v for k, v in env.items() if k == "t"},
+                  {k: v for k, v in env.items() if k == "x"}):
+        rest = {k: v for k, v in env.items() if k not in fixed}
+        for got in (_outcome(lambda: ex.evaluate(e, env)),
+                    _outcome(lambda: ex.bind(e, fixed)(rest))):
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+                assert type(got) is type(want)

@@ -8,6 +8,10 @@ and ``sigma_R.csv`` written at ``checks.lattice_density = 9``;
 ``tests/data/golden/default_density.sha256`` holds the sha256 of the report
 at the default density.  The report lists every failure witness in order,
 so any change to the order or text of a ``CheckFailure`` shows up here.
+``tests/data/golden/solve.sha256`` holds the sha256 of ``solution.csv`` and
+``solve_report.txt`` of ``cfbvp solve`` for ``problems/worked_family.prob``
+and its mu = 1.9 twin at 128 and 512 cells, so a rounding change on the
+Picard path shows up too.
 The goldens were written by a point-by-point evaluation of the checks, so
 they pin the lattice (whole-array) evaluation to it; ``psi_domain`` (an
 expression error of psi inside (0, 1), once an unreported exit 1) and the
@@ -21,6 +25,7 @@ Regenerate the goldens, only when a change to the reports is intended, with
 from __future__ import annotations
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +33,7 @@ import pytest
 from cfbvp.cli import EXIT_HYPOTHESIS, EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+WORKED_FAMILY = Path(__file__).resolve().parents[1] / "problems" / "worked_family.prob"
 SMALL_DENSITY = 9
 
 F = "abs(t)*(1-t^2)^(-0.25)*x^(-0.25)"
@@ -101,6 +107,39 @@ def test_default_density_report_digest(case, tmp_path, capsys):
     assert code == _expected_code(report.decode())
 
 
+SOLVES = {f"{name}_{cells}": (mu, cells) for name, mu in (("worked_family", None),
+                                                          ("twin_1.9", "1.9"))
+          for cells in (128, 512)}
+
+
+def run_solve(case: str, work: Path) -> Path:
+    mu, cells = SOLVES[case]
+    text = WORKED_FAMILY.read_text()
+    if mu is not None:
+        text, count = re.subn(r"(?m)^mu = 1\.5$", f"mu = {mu}", text)
+        assert count == 1
+    problem = work / f"{case}.prob"
+    problem.write_text(text)
+    out = work / case
+    assert main(["solve", str(problem), "--mesh-cells", str(cells), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _solve_digests() -> dict:
+    lines = (GOLDEN / "solve.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (ln.split() for ln in lines)}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVES))
+def test_solve_outputs_digest(case, tmp_path, capsys):
+    out = run_solve(case, tmp_path)
+    capsys.readouterr()
+    digests = _solve_digests()
+    for name in ("solution.csv", "solve_report.txt"):
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digests[f"{case}/{name}"], name
+
+
 def regenerate(work: Path) -> None:
     (work / "small").mkdir()
     (work / "default").mkdir()
@@ -115,6 +154,13 @@ def regenerate(work: Path) -> None:
         report = (out / "hypothesis_report.txt").read_bytes()
         digests.append(f"{hashlib.sha256(report).hexdigest()}  {case}\n")
     (GOLDEN / "default_density.sha256").write_text("".join(digests))
+    digests = []
+    for case in SOLVES:
+        out = run_solve(case, work)
+        for name in ("solution.csv", "solve_report.txt"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            digests.append(f"{digest}  {case}/{name}\n")
+    (GOLDEN / "solve.sha256").write_text("".join(digests))
 
 
 if __name__ == "__main__":

@@ -306,3 +306,37 @@ def test_node_output_vanishes_at_one(mu, y):
     x = op.apply(lambda t: y, nodes=True)
     assert op.points[len(op.grid) - 1] == 1.0
     assert x[len(op.grid) - 1] == 0.0
+
+
+def _apply_concatenate_form(op, integrand, nodes):
+    """GreenOperator.apply as it was written before it filled its buffers in
+    place: the same floating-point operations, on fresh arrays."""
+    y = np.broadcast_to(np.asarray(integrand(op.tau), dtype=float), op.tau.shape)
+    y = y.reshape(op._weights.shape)
+    cells = np.einsum("ij,ij->i", op._weights, y)
+    prefix = np.concatenate(([0.0], np.cumsum(cells)))
+    suffix = np.concatenate((np.cumsum(cells[::-1])[::-1], [0.0]))
+    x = op._below * prefix + op._above * suffix
+    if not nodes:
+        return x
+    part = op._half * ((op._decay * y) @ op._spectral)
+    inside = (op._below_nodes * (prefix[:-1, None] + part)
+              + op._above_nodes * (suffix[:-1, None] - part))
+    return np.concatenate((x, inside.reshape(-1)))
+
+
+@pytest.mark.parametrize("mu", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("cells", [1, 4, 128, 512])
+@pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0])
+def test_apply_is_the_concatenate_form_bit_for_bit(mu, cells, gamma):
+    op = GreenOperator(mu, build_mesh(0.0, 1.0, cells, gamma, "right"))
+    rng = np.random.default_rng(cells)
+    noise = rng.uniform(-1.0, 1.0, op.tau.shape)
+    integrands = (lambda tau: tau ** 2 * np.cos(3.0 * tau) + noise,  # full array
+                  lambda tau: 0.7)  # a constant, broadcast to the nodes
+    for integrand in integrands:
+        for nodes in (False, True):
+            got = op.apply(integrand, nodes=nodes)
+            want = _apply_concatenate_form(op, integrand, nodes)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()

@@ -340,3 +340,33 @@ def test_solve_deterministic(spec, report):
     rep2 = solve(spec)
     assert np.array_equal(rep2.x, report.x)
     assert rep2.residual_sup == report.residual_sup
+
+
+def test_solve_fixed_m_leaves_x0_unchanged(spec, op):
+    # the Picard step damps in place into arrays of its own
+    x0 = check_A2(spec).sigma
+    before = x0.copy()
+    x, _ = solve_fixed_m(spec, 16, op, x0)
+    assert x is not x0
+    assert x0.tobytes() == before.tobytes()
+
+
+def test_solve_leaves_the_barrier_unchanged(spec, report):
+    # the solve starts from the A2 report's barrier, which it must not overwrite
+    assert report.hypothesis.sigma.tobytes() == check_A2(spec).sigma.tobytes()
+
+
+# x + 1/m straddles 1/m where x straddles 0, and R = 2 where x straddles 1.9 (m = 10)
+CLAMP_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, -5e-324, 5e-324, -0.1, 0.1,
+                1.9, np.nextafter(1.9, 0.0), np.nextafter(1.9, 2.0), 2.0, 3.0, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("m, R", [(10, 2.0), (1, 0.5), (3, 1.0 / 3.0), (16, np.inf)])
+def test_clamp_is_min_max_bit_for_bit(m, R):
+    # NaN stays NaN, -0.0 and values straddling 1/m and R, scalars and arrays
+    want = lambda x: np.minimum(np.maximum(x + 1.0 / m, 1.0 / m), R)
+    for x in [*CLAMP_VALUES, np.array(CLAMP_VALUES), np.array(CLAMP_VALUES).reshape(4, 4)]:
+        got = clamp_m(x, m, R)
+        assert type(got) is type(want(x))
+        assert np.shape(got) == np.shape(want(x))
+        assert np.asarray(got).tobytes() == np.asarray(want(x)).tobytes()
