@@ -43,8 +43,8 @@ def rate_of(mu) -> float:
 def cf_left(xpp, mu, t: float, mesh: Mesh) -> float:
     """Left derivative at t >= 0: (1/(2-mu)) * int_0^t exp(-rate*(t-s)) xpp(s) ds.
 
-    xpp is the second classical derivative of the target function; mesh
-    fixes the cell layout and is rescaled onto [0, t].
+    xpp is the second classical derivative of the target function, a
+    callable evaluated at the Gauss nodes of mesh rescaled onto [0, t].
     """
     mu = as_order(mu)
     rate = rate_of(mu)
@@ -53,7 +53,8 @@ def cf_left(xpp, mu, t: float, mesh: Mesh) -> float:
     if t == 0:
         return 0.0
     m = mesh.rescaled(0.0, t)
-    val = integrate(lambda s: np.exp(-rate * (t - s)) * np.asarray(xpp(s), dtype=float), m)
+    s = m.flat_nodes
+    val = integrate(np.exp(-rate * (t - s)) * np.asarray(xpp(s), dtype=float), m)
     return val / (2.0 - mu)
 
 

@@ -110,7 +110,7 @@ def _solution_csv(report) -> str:
     grid = report.hypothesis.operator.grid
     n = len(grid)
     columns = np.column_stack((grid, report.x[:n], report.hypothesis.sigma[:n],
-                               report.residual.values))
+                               report.residual))
     right = (("%.17g,%.17g,%.17g,%.17g\n" * n) % tuple(columns.ravel().tolist())
              ).splitlines(keepends=True)
     return "".join(["t,x,sigma_R,residual\n", *("-" + row for row in right[:0:-1]), *right])

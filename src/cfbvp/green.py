@@ -37,17 +37,17 @@ def upper_branch(lam: float, t, tau):
     return (np.cosh(lam * t) / np.cosh(lam)) * np.exp(lam * (1.0 - tau))
 
 
-def green_eval(mu, t, tau, side: str = "auto") -> np.ndarray:
+def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
     """Kernel values at the broadcast points (t, tau); a 0-d array for scalars.
 
     On the diagonal tau == t the two branches disagree by a unit jump;
-    ``side`` selects which one ("lower" is the default convention,
-    "upper" exposes the other one-sided value).  For lam > 709 the upper
+    ``side`` selects which one ("lower", the default convention, or
+    "upper", the other one-sided value).  For lam > 709 the upper
     branch overflows to nan, without a numpy warning.
     """
     lam = rate_of(mu)
-    if side not in ("auto", "lower", "upper"):
-        raise ValueError(f"side must be auto, lower or upper, got {side!r}")
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be lower or upper, got {side!r}")
     t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
     for bad, message in (((np.abs(t) > 1.0) | (np.abs(tau) > 1.0),
                           "(t, tau) = ({}, {}) outside [-1, 1]^2"),
@@ -136,14 +136,15 @@ class GreenOperator:
         self._below, self._above = a(t), b(t)
         self._below_nodes, self._above_nodes = a(mesh.nodes), b(mesh.nodes)
 
-    def apply(self, integrand, nodes: bool = False) -> np.ndarray:
+    def apply(self, y, nodes: bool = False) -> np.ndarray:
         """x at ``grid``; with ``nodes``, at ``points``: ``grid``, then ``tau``.
 
-        ``integrand`` is called once, with the nodes ``tau``.  The result
-        is a new array; the sums are filled into buffers in place.
+        ``y`` holds the integrand's values at the nodes ``tau``; a scalar
+        is a constant integrand.  The result is a new array; the sums are
+        filled into buffers in place.
         """
-        y = np.asarray(integrand(self.tau), dtype=float)
-        if y.shape != self.tau.shape:  # e.g. a constant integrand
+        y = np.asarray(y, dtype=float)
+        if y.shape != self.tau.shape:  # a constant integrand
             y = np.broadcast_to(y, self.tau.shape)
         y = y.reshape(self._weights.shape)
         n = len(self.grid)
@@ -172,10 +173,10 @@ class GreenOperator:
 def apply_green(mu, y, mesh: Mesh) -> np.ndarray:
     """Solve the linear problem: x(t) = int_0^1 G(t, tau) y(tau) dtau.
 
-    Requires y(0) = 0 (the linear problem's compatibility condition); y is
-    called with the Gauss nodes, and x is returned at the mesh breakpoints
-    (x(-t) = x(t) by the kernel's symmetry).
+    Requires y(0) = 0 (the linear problem's compatibility condition); the
+    callable y is evaluated at the Gauss nodes, and x is returned at the
+    mesh breakpoints (x(-t) = x(t) by the kernel's symmetry).
     """
     if abs(float(y(0.0))) > 1e-12:
         raise ValueError(f"y(0) = {float(y(0.0))!r} violates the y(0) = 0 requirement")
-    return GreenOperator(mu, mesh).apply(y)
+    return GreenOperator(mu, mesh).apply(y(mesh.flat_nodes))

@@ -115,7 +115,7 @@ class ProblemSpec:
     def default_mesh(self) -> Mesh:
         n = self.numerics
         return build_mesh(0.0, 1.0, n.mesh_cells, gamma=n.gamma,
-                          singular_at="right", nodes_per_cell=n.nodes_per_cell)
+                          nodes_per_cell=n.nodes_per_cell)
 
     def f_at(self, t, x):
         return ex.evaluate(self.f, {"t": t, "x": x})
@@ -189,7 +189,7 @@ def sigma_R(spec: ProblemSpec, op: GreenOperator) -> np.ndarray:
     Gauss nodes; the barrier is even in t.  sigma_R(1) = 0 holds exactly
     because the kernel row at t = 1 vanishes identically.
     """
-    return op.apply(spec.psi_at, nodes=True)
+    return op.apply(spec.psi_at(op.tau), nodes=True)
 
 
 def _t_lattice(density: int) -> np.ndarray:
@@ -307,54 +307,49 @@ def check_A1(spec: ProblemSpec) -> A1Report:
                     lattice_density=density)
 
 
-def _refine(spec: ProblemSpec, mesh: Mesh, q_runs: list, qu_runs: list | None) -> None:
-    """Append int q to q_runs and int q u(sigma_R) to qu_runs, on one mesh.
+def _size_integrals(spec: ProblemSpec, mesh: Mesh) -> tuple:
+    """(int q, int q u(sigma_R)) on one mesh, each a float or the ValueError
+    (an expression error or a non-finite integrand) that failed it.
 
-    q is evaluated once, for both integrals.  A run ends at the ValueError
-    that failed it (an expression error or a non-finite integrand), and a
-    run that has ended, or is None, is not extended.
+    q is evaluated once, for both integrals.  If q fails to evaluate, that
+    error fails int q u(sigma_R) too, but only after the barrier on this
+    mesh, so an error of psi comes first.
     """
-    def growing(runs):
-        return runs is not None and not (runs and isinstance(runs[-1], ValueError))
-
+    q = None
     with np.errstate(all="ignore"):  # a non-finite integrand raises in integrate
         try:
-            q = np.asarray(spec.q_at(mesh.flat_nodes), dtype=float)
+            q = spec.q_at(mesh.flat_nodes)
+            I_q = integrate(q, mesh)
         except ValueError as err:
-            q = err
-        if growing(q_runs):
-            try:  # a failed q ends the run with its vector error, as in I_qu
-                q_runs.append(q if isinstance(q, ValueError) else integrate(lambda s: q, mesh))
-            except ValueError as err:
-                q_runs.append(err)
-        if growing(qu_runs):
-            try:
-                op = GreenOperator(spec.mu, mesh)  # sigma_R at the mesh's own nodes
-                sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
-                if isinstance(q, ValueError):
-                    raise q
-                qu = q * spec.u_at(sigma)
-                qu_runs.append(integrate(lambda s: qu, mesh))
-            except ValueError as err:
-                qu_runs.append(err)
+            I_q = err
+        try:
+            op = GreenOperator(spec.mu, mesh)  # sigma_R at the mesh's own nodes
+            sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
+            if q is None:
+                raise I_q
+            I_qu = integrate(q * spec.u_at(sigma), mesh)
+        except ValueError as err:
+            I_qu = err
+    return I_q, I_qu
 
 
-def _improper_integral(failures: list, check: str, name: str, runs: list,
+def _improper_integral(failures: list, check: str, name: str, coarse, fine,
                        rel_tol: float = 1e-8) -> float:
-    """The integral on the finer of two refining meshes, from _refine's run.
+    """The integral on the finer of two refining meshes, from _size_integrals.
 
     A divergent (non-finite) improper integral shows up as refinement that
-    does not stabilize to rel_tol; that, or a failed integration (nan), is
-    recorded as a failure of ``check``.
+    does not stabilize to rel_tol; that, or a failed integration (nan, with
+    the coarse mesh's error first), is recorded as a failure of ``check``.
     """
-    if isinstance(runs[-1], ValueError):
-        failures.append(CheckFailure(check, {}, f"integration failed: {runs[-1]}"))
-        return float("nan")
-    change = abs(runs[-1] - runs[-2]) / max(abs(runs[-1]), 1e-300)
+    for value in (coarse, fine):
+        if isinstance(value, ValueError):
+            failures.append(CheckFailure(check, {}, f"integration failed: {value}"))
+            return float("nan")
+    change = abs(fine - coarse) / max(abs(fine), 1e-300)
     if not change < rel_tol:
         failures.append(CheckFailure(check, {"rel_change": change},
                                      f"{name} did not stabilize under refinement"))
-    return runs[-1]
+    return fine
 
 
 def check_A2(spec: ProblemSpec) -> HypothesisReport:
@@ -397,14 +392,14 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     # to the problem, not to the solver mesh, so these meshes do not follow
     # mesh.cells.  A steeper grading keeps the Gauss rule past the 1e-8 test.
     # One mesh is built and integrated at a time.
-    q_runs, qu_runs = [], None if nonfinite.size else []  # I_qu needs sigma_R
-    for c in (4, 8):
-        _refine(spec, build_mesh(0.0, 1.0, c * REFINE_BASE_CELLS, gamma=max(n.gamma, 6.0),
-                                 singular_at="right", nodes_per_cell=n.nodes_per_cell),
-                q_runs, qu_runs)
-    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_runs)
-    I_qu = float("nan") if qu_runs is None else _improper_integral(
-        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_runs)
+    (q_coarse, qu_coarse), (q_fine, qu_fine) = (
+        _size_integrals(spec, build_mesh(0.0, 1.0, c * REFINE_BASE_CELLS,
+                                         gamma=max(n.gamma, 6.0),
+                                         nodes_per_cell=n.nodes_per_cell))
+        for c in (4, 8))
+    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_coarse, q_fine)
+    I_qu = float("nan") if nonfinite.size else _improper_integral(  # I_qu needs sigma_R
+        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_coarse, qu_fine)
 
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
     density = n.lattice_density

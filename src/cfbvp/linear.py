@@ -81,14 +81,18 @@ class GeneralSolutionCoeffs:
 
 def general_solution_right_half(mu, coeffs: GeneralSolutionCoeffs, y,
                                 t: float, mesh: Mesh) -> float:
-    """c1 cosh(lam t) + c2 sinh(lam t) - int_0^t e^{lam(t-tau)} y(tau) dtau, t in [0,1]."""
+    """c1 cosh(lam t) + c2 sinh(lam t) - int_0^t e^{lam(t-tau)} y(tau) dtau, t in [0,1].
+
+    The callable y is evaluated at the Gauss nodes of mesh rescaled onto [0, t].
+    """
     lam = rate_of(mu)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t = {t} outside [0, 1]")
     val = coeffs.c1 * np.cosh(lam * t) + coeffs.c2 * np.sinh(lam * t)
     if t > 0.0:
         m = mesh.rescaled(0.0, t)
-        val -= integrate(lambda s: np.exp(lam * (t - s)) * np.asarray(y(s), dtype=float), m)
+        s = m.flat_nodes
+        val -= integrate(np.exp(lam * (t - s)) * np.asarray(y(s), dtype=float), m)
     return float(val)
 
 

@@ -15,9 +15,6 @@ import numpy as np
 __all__ = ["Mesh", "build_mesh", "mesh_from_breakpoints", "integrate",
            "gauss_integration_matrix"]
 
-VALID_SINGULAR_FLAGS = ("none", "right")
-
-
 class MeshError(ValueError):
     pass
 
@@ -110,11 +107,10 @@ def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
 
 
 def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
-               singular_at: str = "none", nodes_per_cell: int = 8) -> Mesh:
-    """Mesh on [a, b], uniform or graded with exponent gamma toward b.
+               nodes_per_cell: int = 8) -> Mesh:
+    """Mesh on [a, b], uniform for gamma = 1, else graded with exponent gamma toward b.
 
-    With ``singular_at="right"`` the breakpoints are
-    ``b - (b - a) * (1 - j/N)**gamma``.
+    The graded breakpoints are ``b - (b - a) * (1 - j/N)**gamma``.
     """
     if not b > a:
         raise MeshError(f"invalid interval [{a}, {b}]: need a < b")
@@ -122,11 +118,9 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
         raise MeshError("cell count must be positive")
     if not 1.0 <= gamma < np.inf:
         raise MeshError(f"grading exponent must be finite and >= 1, got {gamma}")
-    if singular_at not in VALID_SINGULAR_FLAGS:
-        raise MeshError(f"singular_at must be one of {VALID_SINGULAR_FLAGS}")
     a, b = float(a), float(b)
     j = np.arange(cells + 1, dtype=float)
-    if singular_at == "none" or gamma == 1.0:
+    if gamma == 1.0:
         bps = a + (b - a) * j / cells
     else:
         bps = b - (b - a) * (1.0 - j / cells) ** float(gamma)
@@ -150,27 +144,16 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
     return mesh_from_breakpoints(bps, nodes_per_cell)
 
 
-def sample(fn, x: np.ndarray) -> np.ndarray:
-    """Evaluate fn at the points x, accepting scalar-only callables."""
-    try:
-        v = np.asarray(fn(x), dtype=float)
-        if v.shape == x.shape:
-            return v
-        if v.ndim == 0:  # constant-returning callable
-            return np.full_like(x, float(v))
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(xi)) for xi in x])
+def integrate(values, mesh: Mesh) -> float:
+    """Composite Gauss-Legendre integral of the values at ``mesh.flat_nodes``.
 
-
-def integrate(fn, mesh: Mesh) -> float:
-    """Composite Gauss-Legendre integral of fn over the mesh.
-
-    Cell sums are accumulated strictly left to right so results are
-    bit-reproducible.
+    A scalar is a constant integrand.  Cell sums are accumulated strictly
+    left to right so results are bit-reproducible.
     """
     x = mesh.flat_nodes
-    v = sample(fn, x)
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0:  # filled, not broadcast: einsum sums a stride-0 view differently
+        v = np.full(x.shape, v)
     if not np.all(np.isfinite(v)):
         bad = int(np.argmax(~np.isfinite(v)))
         raise NonFiniteIntegrandError(float(x[bad]))

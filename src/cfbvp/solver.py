@@ -19,7 +19,6 @@ from . import expressions as ex
 from .green import GreenOperator
 from .hypotheses import (HypothesisReport, ProblemSpec, check_A1, check_A2,
                          epsilon_max)
-from .linear import ResidualReport
 
 __all__ = ["SolveReport", "InnerStats", "clamp_m", "apply_Tm",
            "solve_fixed_m", "solve", "residual_nonlinear", "HypothesisError",
@@ -65,24 +64,25 @@ class SolveReport:
     inter_m_deviations: tuple[float, ...]
     lower_margin: float
     upper_margin: float
-    residual: ResidualReport
+    residual: np.ndarray  # the regularized equation's residual at hypothesis.operator.grid
     residual_limit_sup: float
     hypothesis: HypothesisReport
 
     @property
     def residual_sup(self) -> float:
-        return self.residual.sup
+        return float(np.max(np.abs(self.residual)))
 
 
-def _integrand(spec: ProblemSpec, x: np.ndarray, m: int | None, op: GreenOperator):
-    """tau -> f(tau, x(tau)) at the nodes, the argument clamped at level m.
+def _integrand(spec: ProblemSpec, x: np.ndarray, m: int | None,
+               op: GreenOperator) -> np.ndarray:
+    """f(tau, x(tau)) at the nodes ``op.tau``, the argument clamped at level m.
 
     f is bound to the nodes once per operator (``ProblemSpec.f_given_t``):
     its x-free part is not evaluated again on every apply.
     """
     xv = x[len(op.grid):]
     arg = clamp_m(xv, m, spec.R) if m is not None else xv
-    return lambda tau: spec.f_given_t(tau)(arg)
+    return spec.f_given_t(op.tau)(arg)
 
 
 def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, op: GreenOperator) -> np.ndarray:
@@ -140,8 +140,8 @@ def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
 
 
 def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
-                       m: int | None = None):
-    """Integral-equation residual x - int G(t, .) f(., x(.)) at the breakpoints.
+                       m: int | None = None) -> np.ndarray:
+    """Integral-equation residual x - int G(t, .) f(., x(.)) at ``op.grid``.
 
     x holds values at ``op.points``; f reads it at the nodes.  With m
     given, f is evaluated at the clamped argument, i.e. the residual is
@@ -152,8 +152,7 @@ def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
     n = len(op.grid)
     if m is None and np.any(x[n:] <= 0.0):
         raise ValueError("limit-equation residual needs x > 0 at the nodes")
-    gx = op.apply(_integrand(spec, x, m, op))
-    return ResidualReport(nodes=op.grid, values=x[:n] - gx)
+    return x[:n] - op.apply(_integrand(spec, x, m, op))
 
 
 def solve(spec: ProblemSpec) -> SolveReport:
@@ -199,7 +198,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
     except ex.ExprDomainError as err:
         raise SolverError(f"expression error at m = {m}: {err}") from err
     try:
-        res_limit = residual_nonlinear(spec, x, op).sup
+        res_limit = float(np.max(np.abs(residual_nonlinear(spec, x, op))))
     except (ValueError, ArithmeticError):
         res_limit = float("nan")
 

@@ -445,7 +445,7 @@ def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):
     want = ["t,x,sigma_R,residual"]
     for t, i in rows:
         want.append(f"{t:.17g},{report.x[i]:.17g},{report.hypothesis.sigma[i]:.17g},"
-                    f"{report.residual.values[i]:.17g}")
+                    f"{report.residual[i]:.17g}")
     assert len(want) == 2 * len(nodes)
     assert _solution_csv(report) == "\n".join(want) + "\n"
     out = tmp_path / "o"

@@ -39,6 +39,8 @@ SMALL_DENSITY = 9
 F = "abs(t)*(1-t^2)^(-0.25)*x^(-0.25)"
 Q = "s*(1-s^2)^(-0.25)"
 PSI = "s*(1-s^2)^(-0.25)*R^(-0.25)"
+# fails only on the A2 refinement meshes, whose last nodes pass 0.999999999
+PSI_TAIL = PSI + " + 0*sqrt(0.999999999 - s)"
 BASE = dict(f=F, q=Q, u="x^(-0.25)", v="x^(0.25)", psi=PSI)
 
 CASES = {
@@ -59,6 +61,12 @@ CASES = {
     "f_left_overflow": {"f": F + " + 0*exp(-1000*t)"},
     "t_domain": {"f": F + " + 0*sqrt(t - 0.5)"},
     "psi_domain": {"psi": PSI + " + 0*sqrt(s - 0.5)"},
+    "q_constant": {"q": "3"},
+    "psi_constant": {"psi": "0.001"},
+    "q_divergent": {"q": "s*(1-s^2)^(-1.2)"},
+    "q_exp_overflow": {"q": "s*exp(800*s)"},
+    "psi_tail": {"psi": PSI_TAIL},
+    "psi_tail_q_domain": {"psi": PSI_TAIL, "q": Q + " + 0*sqrt(s - 0.5)"},
 }
 
 

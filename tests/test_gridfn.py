@@ -33,8 +33,7 @@ def barrier_like(t):
 @pytest.mark.parametrize("cells", [16, 64, 512, 2048])
 @pytest.mark.parametrize("grading", ["uniform", "graded", "left"])
 def test_quartics_are_reproduced(grading, cells):
-    mesh = build_mesh(0.0, 1.0, cells, gamma=1.0 if grading == "uniform" else 3.0,
-                      singular_at="right")
+    mesh = build_mesh(0.0, 1.0, cells, gamma=1.0 if grading == "uniform" else 3.0)
     grid, p = mesh.breakpoints, mesh.flat_nodes
     if grading == "left":  # the mirrored grid, on [-1, 0]
         grid, p = -grid[::-1], -p
@@ -58,7 +57,7 @@ def test_value_error_falls_like_h5():
 
 
 def test_interpolant_evaluation_and_reuse():
-    mesh = build_mesh(0.0, 1.0, 128, gamma=3.0, singular_at="right")
+    mesh = build_mesh(0.0, 1.0, 128, gamma=3.0)
     bps, tau = mesh.breakpoints, mesh.flat_nodes
     values = {"g": barrier_like(bps), "h": 2.0 * barrier_like(bps) - bps}
     fits = {name: LocalQuartic(bps, v) for name, v in values.items()}

@@ -11,7 +11,7 @@ from cfbvp.quadrature import build_mesh
 
 MU = 1.5
 LAM = rate_of(MU)
-MESH = build_mesh(0.0, 1.0, 256, 3.0, "right")
+MESH = build_mesh(0.0, 1.0, 256, 3.0)
 UNIFORM = build_mesh(0.0, 1.0, 512)
 
 # oracle: int_0^1 e^{1-s} s^2 ds = [-e^{1-s}(s^2+2s+2)]_0^1 = 2e - 5
@@ -167,7 +167,7 @@ def test_zero_forcing_compatibility_is_sharp():
 def test_graded_mesh_rejected():
     # x'' divides by h^2: on the graded cells near t = 1 roundoff swamped
     # the defect (cosh: 6.2e-8, 1.8e-8, 4.2e-7 at 128, 512, 2048 cells)
-    mesh = build_mesh(0.0, 1.0, 512, 3.0, "right")
+    mesh = build_mesh(0.0, 1.0, 512, 3.0)
     with pytest.raises(ValueError, match="uniform"):
         residual_linear(MU, lambda t: np.cosh(LAM * t), lambda t: 0.0, mesh)
 
