@@ -255,6 +255,8 @@ def _store(e: Expr, fixed: dict, memo: dict) -> None:
 
 
 _MISSING = object()
+_NEGATIVE_BASE = "negative base with non-integer exponent"
+_ZERO_BASE = "zero base with negative exponent"
 
 
 def _eval(e: Expr, env: dict, memo: dict):
@@ -290,18 +292,26 @@ def _eval(e: Expr, env: dict, memo: dict):
         base = _eval(e.args[0], env, memo)
         exponent = _eval(e.args[1], env, memo)
         # a finite scalar exponent (a float or np.float64, e.g. a constant)
-        # is settled without array passes; the zero-base pass runs only if
-        # some exponent is negative
+        # is settled in at most one pass over the base
         if isinstance(exponent, float) and math.isfinite(exponent):
-            int_valued, negative = exponent.is_integer(), exponent < 0.0
-        else:
-            int_valued = _is_int_valued(exponent)
-            negative = np.any(np.less(exponent, 0.0))
-        if not int_valued:
-            if np.any(np.less(base, 0.0)):
-                raise ExprDomainError("negative base with non-integer exponent", e)
-        if negative and np.any(np.logical_and(np.equal(base, 0.0), np.less(exponent, 0.0))):
-            raise ExprDomainError("zero base with negative exponent", e)
+            if exponent.is_integer():
+                if exponent < 0.0 and np.any(np.equal(base, 0.0)):
+                    raise ExprDomainError(_ZERO_BASE, e)
+            elif exponent < 0.0:
+                # one pass finds any base <= 0 (a NaN base is neither, as it
+                # would not be under a min-reduction); which check fails is
+                # sorted out only then, the negative base first
+                if np.any(np.less_equal(base, 0.0)):
+                    if np.any(np.less(base, 0.0)):
+                        raise ExprDomainError(_NEGATIVE_BASE, e)
+                    raise ExprDomainError(_ZERO_BASE, e)
+            elif np.any(np.less(base, 0.0)):
+                raise ExprDomainError(_NEGATIVE_BASE, e)
+            return np.power(base, exponent)
+        if not _is_int_valued(exponent) and np.any(np.less(base, 0.0)):
+            raise ExprDomainError(_NEGATIVE_BASE, e)
+        if np.any(np.logical_and(np.equal(base, 0.0), np.less(exponent, 0.0))):
+            raise ExprDomainError(_ZERO_BASE, e)
         return np.power(base, exponent)
     if e.kind == "call":
         args = [_eval(a, env, memo) for a in e.args]

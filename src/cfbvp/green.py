@@ -77,12 +77,19 @@ def green_sup(mu, grid_density: int) -> float:
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
     g = np.linspace(0.0, 1.0, grid_density)
-    t, tau = g[:, None], g[None, :]
-    below = tau <= t  # each branch on its own closed triangle of the square
-    # np.max, unlike max, keeps a NaN of either branch
+    # about 8 row blocks, each up to its last row's diagonal: the triangle
+    # is swept in temporaries that fit in cache
+    rows = -(-grid_density // 8)
+    sups = []
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: nan
-        return float(np.max([np.max(lower_branch(lam, t, tau), where=below, initial=-np.inf),
-                             np.max(upper_branch(lam, tau, t), where=below, initial=-np.inf)]))
+        for start in range(0, grid_density, rows):
+            stop = min(start + rows, grid_density)
+            t, tau = g[start:stop, None], g[None, :stop]
+            below = tau <= t  # each branch on its own closed triangle of the square
+            sups += [np.max(lower_branch(lam, t, tau), where=below, initial=-np.inf),
+                     np.max(upper_branch(lam, tau, t), where=below, initial=-np.inf)]
+    # np.max, unlike max, keeps a NaN of either branch
+    return float(np.max(sups))
 
 
 def kernel_bound(mu) -> float:
@@ -125,8 +132,10 @@ class GreenOperator:
         self.tau = mesh.flat_nodes
         self.points = np.concatenate((self.grid, self.tau))
         # the spectral step from each cell's start to its nodes: half-widths
-        # times the node values through the transposed integration matrix
-        self._half = 0.5 * np.diff(t)[:, None]
+        # times the node values through the transposed integration matrix;
+        # stored in the nodes' full shape, so apply multiplies without a
+        # column broadcast
+        self._half = np.repeat(0.5 * np.diff(t), mesh.nodes_per_cell).reshape(mesh.nodes.shape)
         self._spectral = gauss_integration_matrix(mesh.nodes_per_cell).T
         self._decay = np.exp(-lam * mesh.nodes)
         self._weights = mesh.weights * self._decay

@@ -131,7 +131,8 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
     tol = 16.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
     narrow = np.flatnonzero(np.diff(bps) <= tol)
     if narrow.size:  # the breakpoints before the first narrow gap stay as they are
-        kept = bps[:narrow[0] + 1].tolist()
+        head = bps[:narrow[0]]
+        kept = [float(bps[narrow[0]])]  # the loop runs over the tail only
         for v in bps[narrow[0] + 1:].tolist():
             if v - kept[-1] > tol:
                 kept.append(v)
@@ -140,7 +141,7 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
                 kept.append(b)
             else:
                 kept[-1] = b  # widening the last cell keeps gaps > tol
-        bps = np.array(kept)
+        bps = np.concatenate((head, kept))
     return mesh_from_breakpoints(bps, nodes_per_cell)
 
 

@@ -43,7 +43,9 @@ def clamp_m(x, m: int, R: float):
         raise ValueError("regularization index m must be >= 1")
     if not R > 0:
         raise ValueError("truncation level R must be positive")
-    return np.clip(x + 1.0 / m, 1.0 / m, R)
+    floor = 1.0 / m
+    # np.clip's bounds, without its Python wrapper
+    return np.minimum(np.maximum(x + floor, floor), R)
 
 
 @dataclass(frozen=True)

@@ -173,10 +173,10 @@ def test_bind_raises_a_constant_error_on_evaluation():
                 bound({"x": X})
 
 
-# The domain checks of pow: a scalar exponent is settled without array
-# passes, and the zero-base pass runs only where an exponent is negative;
-# the verdicts, their order and their text are the same through evaluate
-# and through bind, with the exponent or the base fixed.
+# The domain checks of pow: a scalar exponent is settled in at most one
+# pass over the base, and a zero base fails only where its exponent is
+# negative; the verdicts, their order and their text are the same through
+# evaluate and through bind, with the exponent or the base fixed.
 ZEROS = np.array([0.0, 1.0, 4.0, 0.0])
 ZERO_BASE = "ExprDomainError: zero base with negative exponent in subexpression"
 NEGATIVE_BASE = "ExprDomainError: negative base with non-integer exponent in subexpression"
@@ -203,6 +203,11 @@ NEGATIVE_BASE = "ExprDomainError: negative base with non-integer exponent in sub
     ("x^t", {"x": -ZEROS, "t": np.float64(0.5)}, f"{NEGATIVE_BASE} 'x^t'"),
     ("x^(0.5 - 1)", {"x": ZEROS}, f"{ZERO_BASE} 'x^(0.5 - 1.0)'"),
     ("x^(3 - 1)", {"x": -ZEROS}, ZEROS ** 2),
+    # a NaN base is neither negative nor zero; it hides no other base (a
+    # min-reduction would read NaN and miss the -1)
+    ("x^(-0.5)", {"x": np.array([np.nan, -1.0])}, f"{NEGATIVE_BASE} 'x^(-0.5)'"),
+    ("x^(-0.5)", {"x": np.array([0.0, np.nan])}, f"{ZERO_BASE} 'x^(-0.5)'"),
+    ("x^(-2)", {"x": ZEROS}, f"{ZERO_BASE} 'x^(-2.0)'"),
 ])
 def test_pow_domain_checks(text, env, want):
     e = ex.parse(text)

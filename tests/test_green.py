@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
-                         green_eval, green_sup, kernel_bound, lower_branch)
+                         green_eval, green_sup, kernel_bound, lower_branch,
+                         upper_branch)
 from cfbvp.linear import LocalQuartic
 from cfbvp.quadrature import build_mesh, integrate, mesh_from_breakpoints
 
@@ -134,6 +135,31 @@ def test_sup_propagates_overflow():
         assert math.isnan(green_sup(1.9987, 41))
 
 
+def _full_square_sup(mu, n):
+    # both branches over the whole n x n square, each masked to its closed
+    # triangle: the sup that green_sup sweeps in row blocks
+    lam = rate_of(mu)
+    g = np.linspace(0.0, 1.0, n)
+    t, tau = g[:, None], g[None, :]
+    below = tau <= t
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max([np.max(lower_branch(lam, t, tau), where=below, initial=-np.inf),
+                             np.max(upper_branch(lam, tau, t), where=below, initial=-np.inf)]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 402])
+def test_sup_in_row_blocks_is_the_full_square(n):
+    # the row blocks end at their last row's diagonal and still see every
+    # point of the triangle: the same double, or nan where lam > 709
+    # (which nan, of either sign, the reductions pick depends on their shapes)
+    for mu in [*np.linspace(1.0005, 1.9999, 41).tolist(), 1.05, 1.9987]:
+        got, want = green_sup(mu, n), _full_square_sup(mu, n)
+        if math.isnan(want):
+            assert math.isnan(got), mu
+        else:
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), mu
+
+
 @pytest.mark.parametrize("n", [2, 41, 401])
 def test_kernel_bound_is_the_grid_sup(n):
     # the sup sits at the grid corner t = tau = 0, so the corner value is
@@ -167,7 +193,6 @@ def test_branch_continuity_under_refinement():
     for n in (51, 101, 201):
         g = np.linspace(0.0, 1.0, n)
         tt, ss = np.meshgrid(g, g, indexing="ij")
-        from cfbvp.green import upper_branch
         vals = upper_branch(lam, tt, ss)
         diffs.append(max(np.max(np.abs(np.diff(vals, axis=0))),
                          np.max(np.abs(np.diff(vals, axis=1)))))

@@ -38,10 +38,12 @@ def _merged_by_loop(a, b, cells, gamma):
 
 
 @pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0, 20.0])
-@pytest.mark.parametrize("cells", [1, 2, 128, 4096, 8192])
+@pytest.mark.parametrize("cells", [1, 2, 128, 512, 1024, 4096, 8192])
 def test_merged_breakpoints_are_the_loop_bit_for_bit(gamma, cells):
-    # the merge loop starts at the first narrow gap; every breakpoint and its
-    # bits are the full loop's (gamma 6 and 20 merge cells at 4096 and 8192)
+    # the merge loop runs over the tail from the first narrow gap, the head
+    # stays an array; every breakpoint and its bits are the full loop's
+    # (gamma 6 merges cells from 512 on, A2's refinement meshes among them,
+    # and gamma 20 from 128 on)
     got = build_mesh(0.0, 1.0, cells, gamma).breakpoints
     want = _merged_by_loop(0.0, 1.0, cells, gamma)
     assert got.shape == want.shape
