@@ -7,37 +7,23 @@ rate = (mu - 1) / (2 - mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quadrature import Mesh, integrate
 
-__all__ = ["FracOrder", "rate_of", "cf_left", "cf_right"]
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order mu, restricted to the working range (1, 2)."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not 1.0 < self.mu < 2.0:
-            raise ValueError(f"order must lie in (1, 2), got {self.mu}")
-
-
-def as_order(mu) -> float:
-    """Validate and unwrap an order given as FracOrder or bare float."""
-    if isinstance(mu, FracOrder):
-        return mu.mu
-    return FracOrder(float(mu)).mu
+__all__ = ["rate_of", "cf_left", "cf_right"]
 
 
 def rate_of(mu) -> float:
-    """The kernel decay rate (mu - 1) / (2 - mu) > 0 for mu in (1, 2)."""
-    m = as_order(mu)
-    return (m - 1.0) / (2.0 - m)
+    """The kernel decay rate (mu - 1) / (2 - mu) > 0 for mu in (1, 2).
+
+    The one check of an order: a mu outside the working range (1, 2) is a
+    ValueError.
+    """
+    mu = float(mu)
+    if not 1.0 < mu < 2.0:
+        raise ValueError(f"order must lie in (1, 2), got {mu}")
+    return (mu - 1.0) / (2.0 - mu)
 
 
 def cf_left(xpp, mu, t: float, mesh: Mesh) -> float:
@@ -46,7 +32,6 @@ def cf_left(xpp, mu, t: float, mesh: Mesh) -> float:
     xpp is the second classical derivative of the target function, a
     callable evaluated at the Gauss nodes of mesh rescaled onto [0, t].
     """
-    mu = as_order(mu)
     rate = rate_of(mu)
     if t < 0:
         raise ValueError(f"left derivative needs t >= 0, got {t}")

@@ -55,7 +55,7 @@ def _hypothesis_text(spec, a1, a2) -> str:
         "hypothesis report",
         f"mu = {_fmt(spec.mu)}",
         f"R = {_fmt(spec.R)}",
-        f"A1 passed = {a1.passed} (lattice density {a1.lattice_density})",
+        f"A1 passed = {a1.passed} (lattice density {spec.numerics.lattice_density})",
     ]
     for fail in a1.failures:
         lines.append(f"A1 failure: {fail}")
@@ -65,7 +65,8 @@ def _hypothesis_text(spec, a1, a2) -> str:
         f"I_q = {_fmt(a2.I_q)}",
         f"I_qu = {_fmt(a2.I_qu)}",
         f"kernel bound c = {_fmt(a2.c_kernel)}"
-        + (" (strict literal bound 1)" if a2.strict_unit_bound else " (audited sup)"),
+        + (" (strict literal bound 1)" if spec.numerics.strict_unit_bound
+           else " (audited sup)"),
         f"ratio = {_fmt(a2.ratio)}",
         f"eps_max = {_fmt(a2.eps_max)}",
     ]
@@ -120,7 +121,7 @@ def _solve_text(report) -> str:
     lines = [
         "solve report",
         f"status = {report.status}",
-        f"eps = {_fmt(report.eps)} (eps_max = {_fmt(report.eps_max)})",
+        f"eps = {_fmt(report.eps)} (eps_max = {_fmt(report.hypothesis.eps_max)})",
         f"residual sup (regularized equation, final m) = {_fmt(report.residual_sup)}",
         f"residual sup (limit equation, O(1/m) offset) = {_fmt(report.residual_limit_sup)}",
         f"lower bound margin min(x - sigma_R) = {_fmt(report.lower_margin)}",

@@ -145,8 +145,8 @@ class GreenOperator:
         self._below, self._above = a(t), b(t)
         self._below_nodes, self._above_nodes = a(mesh.nodes), b(mesh.nodes)
 
-    def apply(self, y, nodes: bool = False) -> np.ndarray:
-        """x at ``grid``; with ``nodes``, at ``points``: ``grid``, then ``tau``.
+    def apply(self, y) -> np.ndarray:
+        """x at ``points``: ``grid``, then ``tau``.
 
         ``y`` holds the integrand's values at the nodes ``tau``; a scalar
         is a constant integrand.  The result is a new array; the sums are
@@ -157,7 +157,7 @@ class GreenOperator:
             y = np.broadcast_to(y, self.tau.shape)
         y = y.reshape(self._weights.shape)
         n = len(self.grid)
-        out = np.empty(len(self.points) if nodes else n)
+        out = np.empty(len(self.points))
         x = out[:n]
         cells = np.einsum("ij,ij->i", self._weights, y)
         prefix, suffix = np.empty(n), np.empty(n)
@@ -166,8 +166,6 @@ class GreenOperator:
         cells[::-1].cumsum(out=suffix[-2::-1])  # the sums from each cell to 1
         np.multiply(self._below, prefix, out=x)
         x += self._above * suffix
-        if not nodes:
-            return out
         inside = out[n:].reshape(self._weights.shape)
         part = (self._decay * y) @ self._spectral
         part *= self._half  # cell start to node
@@ -188,4 +186,5 @@ def apply_green(mu, y, mesh: Mesh) -> np.ndarray:
     """
     if abs(float(y(0.0))) > 1e-12:
         raise ValueError(f"y(0) = {float(y(0.0))!r} violates the y(0) = 0 requirement")
-    return GreenOperator(mu, mesh).apply(y(mesh.flat_nodes))
+    op = GreenOperator(mu, mesh)
+    return op.apply(y(mesh.flat_nodes))[:len(op.grid)]

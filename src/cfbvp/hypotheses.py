@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .cf_derivative import as_order
+from .cf_derivative import rate_of
 from .green import GreenOperator, kernel_bound
 from .quadrature import Mesh, build_mesh, integrate
 
 __all__ = ["NumericsConfig", "ProblemSpec", "HypothesisReport", "CheckFailure",
-           "sigma_R", "check_A1", "check_A2", "epsilon_max"]
+           "sigma_R", "check_A1", "check_A2"]
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class ProblemSpec:
     _f_binding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        as_order(self.mu)
+        rate_of(self.mu)
         if not 0.0 < self.R < np.inf:
             raise ValueError(f"truncation level R must be positive and finite, got {self.R}")
         for name, expr, allowed in (("f", self.f, {"t", "x"}),
@@ -164,7 +164,6 @@ class CheckFailure:
 class A1Report:
     passed: bool
     failures: tuple[CheckFailure, ...]
-    lattice_density: int
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,7 @@ class HypothesisReport:
     I_qu: float
     c_kernel: float
     ratio: float
-    eps_max: float
-    strict_unit_bound: bool
+    eps_max: float  # the largest admissible slack R - c (1 + v(R)/u(R)) I_qu
     failures: tuple[CheckFailure, ...]
 
 
@@ -189,7 +187,7 @@ def sigma_R(spec: ProblemSpec, op: GreenOperator) -> np.ndarray:
     Gauss nodes; the barrier is even in t.  sigma_R(1) = 0 holds exactly
     because the kernel row at t = 1 vanishes identically.
     """
-    return op.apply(spec.psi_at(op.tau), nodes=True)
+    return op.apply(spec.psi_at(op.tau))
 
 
 def _t_lattice(density: int) -> np.ndarray:
@@ -303,8 +301,7 @@ def check_A1(spec: ProblemSpec) -> A1Report:
         if v_down[k]:
             failures.append(CheckFailure("A1.v_increasing", {"x": x1}, f"v({x0:.6g}) = "
                                          f"{v[k]:.6g} > v({x1:.6g}) = {v[k + 1]:.6g}"))
-    return A1Report(passed=not failures, failures=tuple(failures),
-                    lattice_density=density)
+    return A1Report(passed=not failures, failures=tuple(failures))
 
 
 def _size_integrals(spec: ProblemSpec, mesh: Mesh) -> tuple:
@@ -440,11 +437,4 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     return HypothesisReport(passed=not failures, sigma=sigma, operator=op,
                             sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu,
                             c_kernel=c_kernel, ratio=ratio, eps_max=eps_max,
-                            strict_unit_bound=n.strict_unit_bound, failures=tuple(failures))
-
-
-def epsilon_max(report: HypothesisReport) -> float:
-    """Largest admissible slack: R - c (1 + v(R)/u(R)) I_qu, for ratio > 1."""
-    if not (np.isfinite(report.ratio) and report.ratio > 1.0):
-        raise ValueError(f"size ratio must exceed 1, got {report.ratio}")
-    return report.eps_max
+                            failures=tuple(failures))

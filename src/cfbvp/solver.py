@@ -17,8 +17,7 @@ import numpy as np
 
 from . import expressions as ex
 from .green import GreenOperator
-from .hypotheses import (HypothesisReport, ProblemSpec, check_A1, check_A2,
-                         epsilon_max)
+from .hypotheses import HypothesisReport, ProblemSpec, check_A1, check_A2
 
 __all__ = ["SolveReport", "InnerStats", "clamp_m", "apply_Tm",
            "solve_fixed_m", "solve", "residual_nonlinear", "HypothesisError",
@@ -60,8 +59,7 @@ class InnerStats:
 class SolveReport:
     status: str  # "converged" | "inner_failed" | "not_stabilized"
     x: np.ndarray  # the last level's solution at hypothesis.operator.points
-    eps: float
-    eps_max: float
+    eps: float  # half the A2 report's eps_max
     inner: tuple[InnerStats, ...]
     inter_m_deviations: tuple[float, ...]
     lower_margin: float
@@ -95,7 +93,7 @@ def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, op: GreenOperator) -> np.
     evaluated at clamped arguments in [1/m, R], so the x = 0 singularity is
     never touched; the output is symmetric by construction.
     """
-    return op.apply(_integrand(spec, x, m, op), nodes=True)
+    return op.apply(_integrand(spec, x, m, op))
 
 
 def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
@@ -154,7 +152,7 @@ def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
     n = len(op.grid)
     if m is None and np.any(x[n:] <= 0.0):
         raise ValueError("limit-equation residual needs x > 0 at the nodes")
-    return x[:n] - op.apply(_integrand(spec, x, m, op))
+    return x[:n] - op.apply(_integrand(spec, x, m, op))[:n]
 
 
 def solve(spec: ProblemSpec) -> SolveReport:
@@ -177,8 +175,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
     if not report.passed:
         raise HypothesisError("barrier/size assumptions failed", report.failures)
 
-    eps_max = epsilon_max(report)
-    eps = 0.5 * eps_max  # strictly inside the admissible slack
+    # a passed report has ratio > 1, so its slack eps_max is positive
+    eps = 0.5 * report.eps_max  # strictly inside the admissible slack
     for m in config.m_schedule:
         if not 1.0 / m < eps:
             raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
@@ -215,7 +213,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
     else:
         status = "converged"
 
-    return SolveReport(status=status, x=x, eps=eps, eps_max=eps_max,
+    return SolveReport(status=status, x=x, eps=eps,
                        inner=tuple(inner), inter_m_deviations=tuple(deviations),
                        lower_margin=lower_margin, upper_margin=upper_margin,
                        residual=res, residual_limit_sup=res_limit,

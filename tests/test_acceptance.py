@@ -214,7 +214,7 @@ def test_criterion_09_nonlinear_solve(spec, solve_report):
     flat = 2.0 * rate_of(spec.mu) * rep.inner[-1].m ** 0.25 * h * h
     at = np.array([0.0, h, 2.0 * h])
     # forcing f + 1 breaks f(0, x) = 0: slope -1 at 0+, which the check rejects
-    corner = rep.x[:n] + rep.hypothesis.operator.apply(1.0)
+    corner = rep.x[:n] + rep.hypothesis.operator.apply(1.0)[:n]
     symmetric = (abs(_slope_at_zero(*LocalQuartic(grid, rep.x[:n])(at), h)) <= flat
                  and abs(_slope_at_zero(*LocalQuartic(grid, corner)(at), h)) > flat)
     positive = bool(np.all(rep.x[:n - 1] > 0.0))

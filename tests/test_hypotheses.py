@@ -5,8 +5,7 @@ import pytest
 
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import GreenOperator, green_sup
-from cfbvp.hypotheses import (NumericsConfig, ProblemSpec, check_A1, check_A2,
-                              epsilon_max, sigma_R)
+from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
 from cfbvp.quadrature import build_mesh
 
 WORKED = dict(
@@ -220,27 +219,6 @@ def test_strict_mode_uses_unit_bound():
     s = make_spec(numerics=NumericsConfig(strict_unit_bound=True))
     report = check_A2(s)
     assert report.c_kernel == 1.0
-    assert report.strict_unit_bound
-
-
-def test_epsilon_max(a2_report):
-    assert epsilon_max(a2_report) == a2_report.eps_max
-
-
-def test_epsilon_max_requires_ratio_above_one():
-    s = make_spec(R=1.0)
-    report = check_A2(s)
-    assert not report.passed
-    with pytest.raises(ValueError):
-        epsilon_max(report)
-
-
-def test_epsilon_arithmetic():
-    # R = 10 with denominator 4 leaves eps_max = 6
-    from dataclasses import replace
-    base = check_A2(make_spec())
-    doctored = replace(base, ratio=2.5, eps_max=10.0 - 4.0)
-    assert epsilon_max(doctored) == 6.0
 
 
 def test_report_reproducible(spec):

@@ -1,0 +1,22 @@
+"""The package's public names: each one in ``__all__`` resolves, and the
+names removed from it stay removed."""
+
+import pytest
+
+import cfbvp
+from cfbvp import cf_derivative, hypotheses
+
+
+@pytest.mark.parametrize("name", cfbvp.__all__)
+def test_exported_name_resolves(name):
+    assert getattr(cfbvp, name) is not None
+
+
+@pytest.mark.parametrize("module, name", [
+    (cfbvp, "FracOrder"), (cfbvp, "as_order"), (cfbvp, "epsilon_max"),
+    (cf_derivative, "FracOrder"), (cf_derivative, "as_order"),
+    (hypotheses, "epsilon_max"),
+])
+def test_removed_name_is_gone(module, name):
+    assert name not in getattr(module, "__all__")
+    assert not hasattr(module, name)
