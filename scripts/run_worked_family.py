@@ -6,8 +6,8 @@ Equivalent to:
     cfbvp check problems/worked_family.prob --out results/worked_family
     cfbvp solve problems/worked_family.prob --out results/worked_family
 
-but run through the library API so the report objects are available for
-further inspection.
+in one process, through the CLI's own entry point: the files it writes are
+the CLI's, and a failing check stops the run before the solve.
 """
 
 import argparse

@@ -8,8 +8,8 @@ from .green import (GreenOperator, apply_green, green_diagonal_jump, green_eval,
                     green_sup)
 from .hypotheses import (HypothesisReport, NumericsConfig, ProblemSpec,
                          check_A1, check_A2, sigma_R)
-from .linear import (GeneralSolutionCoeffs, general_solution_left_half,
-                     general_solution_right_half, residual_linear)
+from .linear import (general_solution_left_half, general_solution_right_half,
+                     residual_linear)
 from .problem_io import load_problem, parse_problem_text
 from .quadrature import Mesh, build_mesh, integrate
 from .solver import (SolveReport, apply_Tm, clamp_m, residual_nonlinear, solve,
@@ -21,8 +21,7 @@ __all__ = [
     "GreenOperator", "apply_green", "green_diagonal_jump", "green_eval", "green_sup",
     "HypothesisReport", "NumericsConfig", "ProblemSpec",
     "check_A1", "check_A2", "sigma_R",
-    "GeneralSolutionCoeffs", "general_solution_left_half",
-    "general_solution_right_half", "residual_linear",
+    "general_solution_left_half", "general_solution_right_half", "residual_linear",
     "load_problem", "parse_problem_text",
     "Mesh", "build_mesh", "integrate",
     "SolveReport", "apply_Tm", "clamp_m",

@@ -11,16 +11,13 @@ green.apply_green.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cf_derivative import rate_of
-from .quadrature import Mesh, integrate
+from .cf_derivative import cf_left, check_unit_mesh, exp_convolution, rate_of
+from .quadrature import Mesh
 
-__all__ = ["GeneralSolutionCoeffs", "general_solution_right_half",
-           "general_solution_left_half", "residual_linear", "ResidualReport",
-           "LocalQuartic"]
+__all__ = ["general_solution_right_half", "general_solution_left_half",
+           "residual_linear", "LocalQuartic"]
 
 
 class LocalQuartic:
@@ -71,94 +68,55 @@ class LocalQuartic:
         return ((12.0 * a4 * u + 6.0 * a3) * u + 2.0 * a2) / self.h[i] ** 2
 
 
-@dataclass(frozen=True)
-class GeneralSolutionCoeffs:
-    """Free coefficients (c1, c2) of the homogeneous part on one half."""
+def general_solution_right_half(mu, c1: float, c2: float, y, mesh: Mesh) -> np.ndarray:
+    """c1 cosh(lam t) + c2 sinh(lam t) - int_0^t e^{lam(t-tau)} y(tau) dtau at
+    ``mesh.breakpoints``.
 
-    c1: float
-    c2: float
-
-
-def general_solution_right_half(mu, coeffs: GeneralSolutionCoeffs, y,
-                                t: float, mesh: Mesh) -> float:
-    """c1 cosh(lam t) + c2 sinh(lam t) - int_0^t e^{lam(t-tau)} y(tau) dtau, t in [0,1].
-
-    The callable y is evaluated at the Gauss nodes of mesh rescaled onto [0, t].
+    The callable y is evaluated at the mesh's Gauss nodes.
     """
     lam = rate_of(mu)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t = {t} outside [0, 1]")
-    val = coeffs.c1 * np.cosh(lam * t) + coeffs.c2 * np.sinh(lam * t)
-    if t > 0.0:
-        m = mesh.rescaled(0.0, t)
-        s = m.flat_nodes
-        val -= integrate(np.exp(lam * (t - s)) * np.asarray(y(s), dtype=float), m)
-    return float(val)
+    check_unit_mesh(mesh)
+    t = mesh.breakpoints
+    return (c1 * np.cosh(lam * t) + c2 * np.sinh(lam * t)
+            - exp_convolution(y(mesh.flat_nodes), -lam, mesh))
 
 
-def general_solution_left_half(mu, coeffs: GeneralSolutionCoeffs, y,
-                               t: float, mesh: Mesh) -> float:
-    """c1 cosh(lam t) + c2 sinh(lam t) - int_t^0 e^{lam(tau-t)} y(tau) dtau, t in [-1,0].
+def general_solution_left_half(mu, c1: float, c2: float, y, mesh: Mesh) -> np.ndarray:
+    """c1 cosh(lam t) + c2 sinh(lam t) - int_t^0 e^{lam(tau-t)} y(tau) dtau at
+    ``-mesh.breakpoints[::-1]``, the left half in ascending order.
 
-    This is the right-half solution of s -> y(-s) at -t, with c2 negated
-    because sinh is odd.
+    This is the right-half solution of s -> y(-s), read back at -t, with c2
+    negated because sinh is odd.
     """
-    if not -1.0 <= t <= 0.0:
-        raise ValueError(f"t = {t} outside [-1, 0]")
-    mirrored = GeneralSolutionCoeffs(coeffs.c1, -coeffs.c2)
-    return general_solution_right_half(mu, mirrored, lambda s: y(-s), -t, mesh)
+    return general_solution_right_half(mu, c1, -c2, lambda s: y(-s), mesh)[::-1]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    nodes: np.ndarray
-    values: np.ndarray
+def residual_linear(mu, x, y, mesh: Mesh, half: str = "right") -> np.ndarray:
+    """Pointwise residual (2 - mu) cf_left(x'' - lam^2 x) + y of the linear
+    equation, at the breakpoints of one half-interval.
 
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def residual_linear(mu, x, y, mesh: Mesh, half: str = "right") -> ResidualReport:
-    """Pointwise residual of the linear equation on one half-interval.
-
-    x and y are callables on the half.  x is sampled at the mesh
-    breakpoints and its second derivative comes from the local quartic
-    through them, so tolerances on smooth inputs are interpolation-limited
-    (1e-9 scale at a few hundred cells, O(h^3)) rather than
-    quadrature-limited.  The mesh must be uniform (equal cell widths to
-    within rounding; ValueError otherwise): x'' divides by h^2, so on a
-    graded mesh the roundoff of its finest cells swamps the defect.  The
-    left half is the right-half residual of s -> x(-s) and s -> y(-s),
-    read back at the nodes -t.
+    x and y are callables on the half.  x is sampled at the mesh breakpoints and its second derivative
+    comes from the local quartic through them, so tolerances on smooth
+    inputs are interpolation-limited (1e-9 scale at a few hundred cells,
+    O(h^3)) rather than quadrature-limited.  The mesh must be uniform
+    (equal cell widths to within rounding; ValueError otherwise): x''
+    divides by h^2, so on a graded mesh the roundoff of its finest cells
+    swamps the defect.  The left half is the right-half residual of
+    s -> x(-s) and s -> y(-s), read back on ``-mesh.breakpoints[::-1]``.
     """
     lam = rate_of(mu)
     if half not in ("right", "left"):
         raise ValueError(f"half must be 'right' or 'left', got {half!r}")
+    check_unit_mesh(mesh)
     if half == "left":
-        rep = residual_linear(mu, lambda s: x(-s), lambda s: y(-s), mesh)
-        return ResidualReport(nodes=-rep.nodes[::-1], values=rep.values[::-1])
+        return residual_linear(mu, lambda s: x(-s), lambda s: y(-s), mesh)[::-1]
     bps = mesh.breakpoints
-    if mesh.a != 0.0 or mesh.b != 1.0:
-        raise ValueError("mesh must cover [0, 1]; the half flag selects the sign")
     if np.ptp(np.diff(bps)) > 4.0 * np.finfo(float).eps:
         raise ValueError("mesh must be uniform: the cell widths differ beyond rounding")
     if len(bps) < 9:
         raise ValueError("grid too coarse for differentiating the interpolant (<9 nodes)")
-    xv = np.array([float(x(s)) for s in bps])
-    yv = np.array([float(y(s)) for s in bps])
-    interp = LocalQuartic(bps, xv)
-    # integrate on the interpolant's cells, so that each polynomial piece
-    # meets the Gauss rule whole; the integral up to the i-th breakpoint
-    # runs over the cells before it
-    s, w = mesh.nodes, mesh.weights
-    xpp, xs = interp.second_derivative(s), interp(s)
-    res = yv.copy()  # at t = 0 both integrals are empty
-    for i in range(1, len(bps)):
-        kern = np.exp(-lam * (bps[i] - s[:i])).reshape(-1)
-        wc = w[:i].reshape(-1)
-        # (2-mu) * fractional term
-        cfd_part = float(np.dot(wc, kern * xpp[:i].reshape(-1)))
-        memory = lam * lam * float(np.dot(wc, kern * xs[:i].reshape(-1)))
-        res[i] = cfd_part + yv[i] - memory
-    return ResidualReport(nodes=bps, values=res)
+    interp = LocalQuartic(bps, np.broadcast_to(np.asarray(x(bps), dtype=float), bps.shape))
+    # x'' - lam^2 x at the Gauss nodes, so that each polynomial piece of the
+    # interpolant meets the Gauss rule whole
+    cfd = cf_left(lambda s: interp.second_derivative(s) - lam * lam * interp(s), mu, mesh)
+    return (2.0 - mu) * cfd + y(bps)

@@ -76,14 +76,6 @@ class Mesh:
     def flat_nodes(self) -> np.ndarray:
         return self.nodes.reshape(-1)
 
-    def rescaled(self, a: float, b: float) -> "Mesh":
-        """Affine image of this mesh on [a, b] (same relative grading)."""
-        if not b > a:
-            raise MeshError(f"invalid interval [{a}, {b}]: need a < b")
-        scale = (b - a) / (self.b - self.a)
-        bps = a + (self.breakpoints - self.a) * scale
-        return mesh_from_breakpoints(bps, self.nodes_per_cell)
-
 
 def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
     bps = np.asarray(breakpoints, dtype=float)

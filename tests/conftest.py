@@ -35,6 +35,16 @@ def quad_green():
     return _quad_green
 
 
+def _slope_at_zero(x0, xh, x2h, h):
+    """(-3 x(0) + 4 x(h) - x(2h)) / 2h: x'(0+) to O(h^2)."""
+    return (-3.0 * x0 + 4.0 * xh - x2h) / (2.0 * h)
+
+
+@pytest.fixture(scope="session")
+def slope_at_zero():
+    return _slope_at_zero
+
+
 class _FamilyNystrom:
     """The worked family f = |t| (1 - t^2)^-a x^-b, with q = s (1 - s^2)^-a,
     u = x^-b and psi = q R^-b, on a Nystrom discretization of its own:

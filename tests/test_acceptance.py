@@ -16,8 +16,7 @@ from cfbvp.cf_derivative import cf_left, cf_right, rate_of
 from cfbvp.cli import main as cli_main
 from cfbvp.green import apply_green, green_diagonal_jump, green_eval, green_sup
 from cfbvp.hypotheses import check_A1, check_A2
-from cfbvp.linear import (GeneralSolutionCoeffs, LocalQuartic, general_solution_right_half,
-                          residual_linear)
+from cfbvp.linear import LocalQuartic, general_solution_right_half, residual_linear
 from cfbvp.problem_io import load_problem
 from cfbvp.quadrature import build_mesh
 from cfbvp.solver import solve
@@ -33,11 +32,6 @@ def _report(num: int, label: str, passed: bool, detail: str = "") -> None:
     assert passed, f"criterion {num} failed: {label}{suffix}"
 
 
-def _slope_at_zero(x0, xh, x2h, h):
-    """(-3 x(0) + 4 x(h) - x(2h)) / 2h: x'(0+) to O(h^2)."""
-    return (-3.0 * x0 + 4.0 * xh - x2h) / (2.0 * h)
-
-
 @pytest.fixture(scope="module")
 def spec():
     return load_problem(PROBLEM_FILE)
@@ -49,30 +43,25 @@ def solve_report(spec):
 
 
 def test_criterion_01_kernel_symmetry():
-    grid = np.linspace(0.0, 1.0, 201)
-    worst = 0.0
-    for mu in MUS:
-        for t in grid:
-            for tau in grid:
-                worst = max(worst, abs(green_eval(mu, t, tau)
-                                       - green_eval(mu, -t, -tau)))
+    t, tau = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 201),
+                         indexing="ij")
+    worst = max(float(np.max(np.abs(green_eval(mu, t, tau) - green_eval(mu, -t, -tau))))
+                for mu in MUS)
     _report(1, "kernel reflection symmetry is exact on both half squares",
             worst == 0.0, f"max |G(t,tau) - G(-t,-tau)| = {worst:g}")
 
 
 def test_criterion_02_boundary_zeros():
     taus = np.linspace(0.0, 1.0, 201)
-    worst = max(max(abs(green_eval(mu, 1.0, tau)) for tau in taus)
-                for mu in MUS)
-    worst = max(worst, max(max(abs(green_eval(mu, -1.0, -tau)) for tau in taus)
-                           for mu in MUS))
+    worst = max(float(np.max(np.abs(green_eval(mu, t, t * taus))))
+                for mu in MUS for t in (1.0, -1.0))
     _report(2, "kernel vanishes at t = +-1", worst <= 1e-14,
             f"max |G(+-1, tau)| = {worst:g}")
 
 
 def test_criterion_03_diagonal_jump():
-    worst = max(abs(green_diagonal_jump(mu, t) - 1.0)
-                for mu in MUS for t in np.linspace(-1.0, 1.0, 101))
+    ts = np.linspace(-1.0, 1.0, 101)
+    worst = max(float(np.max(np.abs(green_diagonal_jump(mu, ts) - 1.0))) for mu in MUS)
     _report(3, "diagonal jump equals 1 (kernel is not continuous there)",
             worst <= 1e-12, f"max |jump - 1| = {worst:g}")
 
@@ -96,17 +85,16 @@ def test_criterion_05_cf_derivative_oracle():
     worst_affine = 0.0
     xpp = lambda s: 2.0 + 0.0 * np.asarray(s)
     zero = lambda s: 0.0 * np.asarray(s)
+    at = [64, 128, 256]  # the breakpoints t = 0.25, 0.5, 1
+    t = mesh.breakpoints[at]
     for mu in MUS:
         lam = rate_of(mu)
-        for t in (0.25, 0.5, 1.0):
-            want = 2.0 * (1.0 - math.exp(-lam * t)) / (mu - 1.0)
-            got_l = cf_left(xpp, mu, t, mesh)
-            got_r = cf_right(xpp, mu, -t, mesh)
-            worst_rel = max(worst_rel, abs(got_l - want) / want,
-                            abs(got_r - want) / want)
-        for t in (0.3, -0.8):
-            op = cf_left if t >= 0 else cf_right
-            worst_affine = max(worst_affine, abs(op(zero, mu, t, mesh)))
+        want = 2.0 * (1.0 - np.exp(-lam * t)) / (mu - 1.0)
+        # cf_right reads the left half in ascending order: -t is at -1 - i
+        for got in (cf_left(xpp, mu, mesh)[at], cf_right(xpp, mu, mesh)[[-1 - i for i in at]]):
+            worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / want)))
+        for op in (cf_left, cf_right):
+            worst_affine = max(worst_affine, float(np.max(np.abs(op(zero, mu, mesh)))))
     _report(5, "left/right derivatives of t^2 match the closed form; "
                "affine inputs are annihilated",
             worst_rel <= 1e-10 and worst_affine <= 1e-13,
@@ -122,14 +110,14 @@ def test_criterion_06_homogeneous_residuals():
     worst = 0.0
     for half in ("right", "left"):
         for fn in fns:
-            rep = residual_linear(1.5, fn, zero, mesh, half=half)
-            worst = max(worst, rep.sup)
+            worst = max(worst, float(np.max(np.abs(residual_linear(1.5, fn, zero, mesh,
+                                                                   half=half)))))
     # decay under doubling: limited by the local quartic's second derivative
     # (O(h^3)), not the Gauss-rule order
     sups = []
     for cells in (128, 256, 512):
         mesh = build_mesh(0.0, 1.0, cells)
-        sups.append(residual_linear(1.5, fns[0], zero, mesh, half="right").sup)
+        sups.append(np.max(np.abs(residual_linear(1.5, fns[0], zero, mesh, half="right"))))
     factors = [a / b for a, b in zip(sups, sups[1:])]
     _report(6, "homogeneous solutions have tiny defect and the defect "
                "decreases under mesh doubling",
@@ -138,7 +126,7 @@ def test_criterion_06_homogeneous_residuals():
             + ", ".join(f"{f:.1f}" for f in factors))
 
 
-def test_criterion_07_linear_bvp(quad_green):
+def test_criterion_07_linear_bvp(quad_green, slope_at_zero):
     mu = 1.5
     mesh = build_mesh(0.0, 1.0, 256)
     y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
@@ -151,7 +139,7 @@ def test_criterion_07_linear_bvp(quad_green):
     # |x| < 2/3): |slope| <= h^2 (2 + 6h)
     h = float(mesh.breakpoints[1])
     flat = h * h * (2.0 + 6.0 * h)
-    slope = _slope_at_zero(*values[:3], h)
+    slope = slope_at_zero(*values[:3], h)
     # independent oracle: adaptive quadrature of the kernel against s^2
     discrepancy = float(np.max(np.abs(
         values - quad_green(mu, lambda s: s * s, mesh.breakpoints))))
@@ -162,9 +150,7 @@ def test_criterion_07_linear_bvp(quad_green):
     # which the flatness check above rejects
     lam = rate_of(mu)
     b1 = (math.exp(lam) - 1.0) / (lam * math.cosh(lam))
-    coeffs = GeneralSolutionCoeffs(b1, 0.0)
-    deriv = _slope_at_zero(*[general_solution_right_half(mu, coeffs, lambda s: 1.0, t, mesh)
-                             for t in (0.0, h, 2.0 * h)], h)
+    deriv = slope_at_zero(*general_solution_right_half(mu, b1, 0.0, lambda s: 1.0, mesh)[:3], h)
     ok_counter = abs(deriv - (-1.0)) <= 1e-3 and abs(deriv) > flat
     _report(7, "quadratic forcing gives a flat-at-zero solution; constant "
                "forcing produces the corner slope -1",
@@ -199,7 +185,7 @@ def test_criterion_08_hypothesis_checker(spec):
             f"eps_max = {a2.eps_max:.4f}, |I_qu - oracle| = {abs(a2.I_qu - I_qu_oracle):.2e}")
 
 
-def test_criterion_09_nonlinear_solve(spec, solve_report):
+def test_criterion_09_nonlinear_solve(spec, solve_report, slope_at_zero):
     rep = solve_report
     grid = rep.hypothesis.operator.grid
     n = len(grid)
@@ -215,8 +201,8 @@ def test_criterion_09_nonlinear_solve(spec, solve_report):
     at = np.array([0.0, h, 2.0 * h])
     # forcing f + 1 breaks f(0, x) = 0: slope -1 at 0+, which the check rejects
     corner = rep.x[:n] + rep.hypothesis.operator.apply(1.0)[:n]
-    symmetric = (abs(_slope_at_zero(*LocalQuartic(grid, rep.x[:n])(at), h)) <= flat
-                 and abs(_slope_at_zero(*LocalQuartic(grid, corner)(at), h)) > flat)
+    symmetric = (abs(slope_at_zero(*LocalQuartic(grid, rep.x[:n])(at), h)) <= flat
+                 and abs(slope_at_zero(*LocalQuartic(grid, corner)(at), h)) > flat)
     positive = bool(np.all(rep.x[:n - 1] > 0.0))
     devs = rep.inter_m_deviations
     monotone = all(b < a for a, b in zip(devs, devs[1:]))

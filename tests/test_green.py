@@ -205,13 +205,7 @@ def test_apply_green_zero():
     assert np.all(x == 0.0)
 
 
-def _slope_at_zero(x, h):
-    """(-3 x(0) + 4 x(h) - x(2h)) / 2h: x'(0+) to O(h^2)."""
-    x0, xh, x2h = x(np.array([0.0, h, 2.0 * h]))
-    return (-3.0 * x0 + 4.0 * xh - x2h) / (2.0 * h)
-
-
-def test_apply_green_boundary_conditions():
+def test_apply_green_boundary_conditions(slope_at_zero):
     y = LocalQuartic(MESH.breakpoints, MESH.breakpoints ** 2)
     values = apply_green(1.5, y, MESH)
     assert values[-1] == 0.0  # x(1) = 0 exactly
@@ -223,10 +217,11 @@ def test_apply_green_boundary_conditions():
     # below that
     h = 1e-2
     flat = h * h * (2.0 + 6.0 * h)
-    assert abs(_slope_at_zero(LocalQuartic(MESH.breakpoints, values), h)) <= flat
+    at = np.array([0.0, h, 2.0 * h])
+    assert abs(slope_at_zero(*LocalQuartic(MESH.breakpoints, values)(at), h)) <= flat
     # forcing 1 breaks y(0) = 0: slope -1 at 0+, which the same check rejects
     corner = GreenOperator(1.5, MESH).apply(1.0)[:len(MESH.breakpoints)]
-    assert abs(_slope_at_zero(LocalQuartic(MESH.breakpoints, corner), h)) > flat
+    assert abs(slope_at_zero(*LocalQuartic(MESH.breakpoints, corner)(at), h)) > flat
 
 
 def test_apply_green_requires_zero_at_origin():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cfbvp.cf_derivative import rate_of
+from cfbvp.cf_derivative import cf_left, cf_right, rate_of
 from cfbvp.green import apply_green
-from cfbvp.linear import (GeneralSolutionCoeffs, LocalQuartic, general_solution_left_half,
-                          general_solution_right_half, residual_linear)
+from cfbvp.linear import (LocalQuartic, general_solution_left_half, general_solution_right_half,
+                          residual_linear)
 from cfbvp.quadrature import build_mesh
 
 MU = 1.5
@@ -19,36 +19,30 @@ INT_EXP_SQUARE = 2.0 * math.e - 5.0
 
 
 def test_homogeneous_cosh():
-    c = GeneralSolutionCoeffs(1.0, 0.0)
-    for t in (0.0, 0.3, 1.0):
-        got = general_solution_right_half(MU, c, lambda s: 0.0, t, MESH)
-        assert abs(got - math.cosh(LAM * t)) <= 1e-14
-    for t in (-0.4, -1.0):
-        got = general_solution_left_half(MU, c, lambda s: 0.0, t, MESH)
-        assert abs(got - math.cosh(LAM * t)) <= 1e-14
+    t = MESH.breakpoints
+    got = general_solution_right_half(MU, 1.0, 0.0, lambda s: 0.0, MESH)
+    assert np.max(np.abs(got - np.cosh(LAM * t))) <= 1e-14
+    got = general_solution_left_half(MU, 1.0, 0.0, lambda s: 0.0, MESH)
+    assert np.max(np.abs(got - np.cosh(LAM * -t[::-1]))) <= 1e-14
 
 
 def test_sinh_vanishes_at_origin():
-    c = GeneralSolutionCoeffs(0.0, 1.0)
-    assert general_solution_right_half(MU, c, lambda s: 0.0, 0.0, MESH) == 0.0
+    assert general_solution_right_half(MU, 0.0, 1.0, lambda s: 0.0, MESH)[0] == 0.0
 
 
 def test_particular_term_oracle():
-    c = GeneralSolutionCoeffs(0.0, 0.0)
-    got = general_solution_right_half(MU, c, lambda s: s * s, 1.0, MESH)
+    got = general_solution_right_half(MU, 0.0, 0.0, lambda s: s * s, MESH)[-1]
     assert abs(got + INT_EXP_SQUARE) <= 1e-12
 
 
 def test_empty_integral_at_origin():
-    c = GeneralSolutionCoeffs(0.0, 0.0)
-    assert general_solution_left_half(MU, c, lambda s: s * s, 0.0, MESH) == 0.0
+    assert general_solution_left_half(MU, 0.0, 0.0, lambda s: s * s, MESH)[-1] == 0.0
 
 
 def test_left_half_odd_forcing_oracle():
     # -int_{-1}^0 e^{1+s} s^3 ds = -[e^{1+s}(s^3 - 3s^2 + 6s - 6)]_{-1}^0 = 6e - 16;
     # an even forcing could not tell y(s) from y(-s)
-    c = GeneralSolutionCoeffs(0.0, 0.0)
-    got = general_solution_left_half(MU, c, lambda s: s ** 3, -1.0, MESH)
+    got = general_solution_left_half(MU, 0.0, 0.0, lambda s: s ** 3, MESH)[0]
     assert abs(got - (6.0 * math.e - 16.0)) <= 1e-14
 
 
@@ -56,20 +50,23 @@ def test_mirror_between_halves():
     # for even y, the left-half value at -t matches the right-half value at t
     # when a1 = b1 and a2 = -b2
     y = lambda s: s * s
-    b = GeneralSolutionCoeffs(0.7, 0.3)
-    a = GeneralSolutionCoeffs(0.7, -0.3)
-    for t in (0.2, 0.55, 0.9):
-        right = general_solution_right_half(MU, b, y, t, MESH)
-        left = general_solution_left_half(MU, a, y, -t, MESH)
-        assert abs(right - left) <= 1e-13
+    right = general_solution_right_half(MU, 0.7, 0.3, y, MESH)
+    left = general_solution_left_half(MU, 0.7, -0.3, y, MESH)
+    assert np.max(np.abs(right - left[::-1])) <= 1e-13
 
 
-def test_out_of_range_t():
-    c = GeneralSolutionCoeffs(0.0, 0.0)
-    with pytest.raises(ValueError):
-        general_solution_right_half(MU, c, lambda s: 0.0, -0.1, MESH)
-    with pytest.raises(ValueError):
-        general_solution_left_half(MU, c, lambda s: 0.0, 0.1, MESH)
+@pytest.mark.parametrize("fn", [
+    lambda mesh: cf_left(lambda s: 0.0, MU, mesh),
+    lambda mesh: cf_right(lambda s: 0.0, MU, mesh),
+    lambda mesh: general_solution_right_half(MU, 1.0, 0.0, lambda s: 0.0, mesh),
+    lambda mesh: general_solution_left_half(MU, 1.0, 0.0, lambda s: 0.0, mesh),
+    lambda mesh: residual_linear(MU, np.cosh, lambda s: 0.0, mesh),
+    lambda mesh: residual_linear(MU, np.cosh, lambda s: 0.0, mesh, half="left"),
+], ids=["cf_left", "cf_right", "right_half", "left_half", "residual_right", "residual_left"])
+@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (0.0, 2.0), (0.5, 1.0)])
+def test_mesh_off_the_unit_interval_rejected(fn, a, b):
+    with pytest.raises(ValueError, match=r"mesh must cover \[0, 1\], got "):
+        fn(build_mesh(a, b, 64))
 
 
 def test_bvp_square_forcing(quad_green):
@@ -105,7 +102,7 @@ def test_bvp_cross_check_random_smooth(quad_green):
 @pytest.mark.parametrize("fn", [np.cosh, np.sinh])
 def test_homogeneous_residual(half, fn):
     res = residual_linear(MU, lambda t: fn(LAM * t), lambda t: 0.0, UNIFORM, half=half)
-    assert res.sup <= 1e-8
+    assert np.max(np.abs(res)) <= 1e-8
 
 
 def test_left_half_residual_of_odd_forcing():
@@ -119,16 +116,15 @@ def test_left_half_residual_of_odd_forcing():
     memory = lambda t: -(r(t) ** 3 - 3.0 * r(t) ** 2 + 6.0 * r(t) - 6.0 + 6.0 * np.exp(-r(t)))
     y = lambda t: memory(t) - cfd(t)
     res = residual_linear(MU, lambda t: t ** 3, y, build_mesh(0.0, 1.0, 256), half="left")
-    assert res.nodes[0] == -1.0 and res.nodes[-1] == 0.0
-    assert res.sup <= 1e-12
+    assert np.max(np.abs(res)) <= 1e-12
 
 
 def test_residual_decreases_under_doubling():
     sups = []
     for cells in (128, 256, 512):
         mesh = build_mesh(0.0, 1.0, cells)
-        sups.append(residual_linear(MU, lambda t: np.cosh(LAM * t),
-                                    lambda t: 0.0, mesh).sup)
+        sups.append(np.max(np.abs(residual_linear(MU, lambda t: np.cosh(LAM * t),
+                                                  lambda t: 0.0, mesh))))
     # interpolation-limited: x'' of the local quartic is O(h^3), a factor 8
     assert sups[0] / sups[1] >= 4.0
     assert sups[1] / sups[2] >= 4.0
@@ -140,7 +136,7 @@ def test_residual_of_bvp_solution_refines():
         mesh = build_mesh(0.0, 1.0, cells)
         y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
         x = LocalQuartic(mesh.breakpoints, apply_green(MU, y, mesh))
-        sups.append(residual_linear(MU, x, y, mesh).sup)
+        sups.append(np.max(np.abs(residual_linear(MU, x, y, mesh))))
     assert sups[1] < sups[0]
     assert sups[1] <= 1e-5
 
@@ -149,18 +145,15 @@ def test_residual_diagnostic_not_validator():
     # x(t) = t violates symmetry and the boundary conditions; the residual
     # is large but no error is raised
     res = residual_linear(MU, lambda t: t, lambda t: 0.0, UNIFORM)
-    assert res.sup > 0.1
+    assert np.max(np.abs(res)) > 0.1
 
 
-def test_zero_forcing_compatibility_is_sharp():
+def test_zero_forcing_compatibility_is_sharp(slope_at_zero):
     # with y = 1 (violating y(0) = 0) the one-sided derivative at 0+ of the
     # boundary-value profile tends to -y(0) = -1
     b1 = (math.e - 1.0) / math.cosh(LAM)  # fits x(1) = 0 for lam = 1
-    c = GeneralSolutionCoeffs(b1, 0.0)
-    h = 1e-3
-    x = [general_solution_right_half(MU, c, lambda s: 1.0, t, MESH)
-         for t in (0.0, h, 2 * h)]
-    deriv = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
+    x = general_solution_right_half(MU, b1, 0.0, lambda s: 1.0, UNIFORM)
+    deriv = slope_at_zero(*x[:3], float(UNIFORM.breakpoints[1]))
     assert abs(deriv + 1.0) <= 1e-3
 
 

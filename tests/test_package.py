@@ -4,7 +4,8 @@ names removed from it stay removed."""
 import pytest
 
 import cfbvp
-from cfbvp import cf_derivative, hypotheses
+from cfbvp import cf_derivative, hypotheses, linear
+from cfbvp.quadrature import Mesh
 
 
 @pytest.mark.parametrize("name", cfbvp.__all__)
@@ -15,8 +16,9 @@ def test_exported_name_resolves(name):
 @pytest.mark.parametrize("module, name", [
     (cfbvp, "FracOrder"), (cfbvp, "as_order"), (cfbvp, "epsilon_max"),
     (cf_derivative, "FracOrder"), (cf_derivative, "as_order"),
-    (hypotheses, "epsilon_max"),
+    (hypotheses, "epsilon_max"), (cfbvp, "GeneralSolutionCoeffs"),
+    (linear, "GeneralSolutionCoeffs"), (linear, "ResidualReport"), (Mesh, "rescaled"),
 ])
 def test_removed_name_is_gone(module, name):
-    assert name not in getattr(module, "__all__")
+    assert name not in getattr(module, "__all__", ())  # a class has no __all__
     assert not hasattr(module, name)

@@ -130,12 +130,6 @@ def test_mesh_from_breakpoints_validates():
         mesh_from_breakpoints([0.0, 1.0], nodes_per_cell=1)
 
 
-def test_rescaled_preserves_relative_layout():
-    m = build_mesh(0.0, 1.0, 4, 2.0)
-    r = m.rescaled(0.0, 0.5)
-    assert np.allclose(r.breakpoints, 0.5 * m.breakpoints, atol=1e-16)
-
-
 def _loop_sum(values) -> float:
     total = 0.0
     for v in values:
