@@ -51,7 +51,7 @@ def linear_table() -> bool:
         sups = []
         for cells in (64, 128, 256, 512, 1024):
             res = residual_linear(1.5, lambda s: fn(lam * np.asarray(s)), zero,
-                                  build_mesh(0.0, 1.0, cells), half=half)
+                                  build_mesh(cells), half=half)
             sups.append(np.max(np.abs(res)))
             factor = f"{sups[-2] / sups[-1]:8.2f}" if len(sups) > 1 else " " * 8
             print(f"{cells:>6} {sups[-1]:>12.3e} {factor}")

@@ -27,12 +27,6 @@ def rate_of(mu) -> float:
     return (mu - 1.0) / (2.0 - mu)
 
 
-def check_unit_mesh(mesh: Mesh) -> None:
-    """The one check of a mesh: the problem lives on [0, 1] (ValueError otherwise)."""
-    if mesh.a != 0.0 or mesh.b != 1.0:
-        raise ValueError(f"mesh must cover [0, 1], got [{mesh.a}, {mesh.b}]")
-
-
 def exp_convolution(values, rate: float, mesh: Mesh) -> np.ndarray:
     """P[i] = int_{t_0}^{t_i} exp(-rate (t_i - s)) g(s) ds at every breakpoint t_i.
 
@@ -58,7 +52,6 @@ def cf_left(xpp, mu, mesh: Mesh) -> np.ndarray:
     callable evaluated at the mesh's Gauss nodes.
     """
     rate = rate_of(mu)
-    check_unit_mesh(mesh)
     return exp_convolution(xpp(mesh.flat_nodes), rate, mesh) / (2.0 - mu)
 
 

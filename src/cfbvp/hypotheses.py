@@ -114,8 +114,7 @@ class ProblemSpec:
 
     def default_mesh(self) -> Mesh:
         n = self.numerics
-        return build_mesh(0.0, 1.0, n.mesh_cells, gamma=n.gamma,
-                          nodes_per_cell=n.nodes_per_cell)
+        return build_mesh(n.mesh_cells, gamma=n.gamma, nodes_per_cell=n.nodes_per_cell)
 
     def f_at(self, t, x):
         return ex.evaluate(self.f, {"t": t, "x": x})
@@ -390,8 +389,7 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     # mesh.cells.  A steeper grading keeps the Gauss rule past the 1e-8 test.
     # One mesh is built and integrated at a time.
     (q_coarse, qu_coarse), (q_fine, qu_fine) = (
-        _size_integrals(spec, build_mesh(0.0, 1.0, c * REFINE_BASE_CELLS,
-                                         gamma=max(n.gamma, 6.0),
+        _size_integrals(spec, build_mesh(c * REFINE_BASE_CELLS, gamma=max(n.gamma, 6.0),
                                          nodes_per_cell=n.nodes_per_cell))
         for c in (4, 8))
     I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_coarse, q_fine)

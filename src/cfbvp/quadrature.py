@@ -1,8 +1,9 @@
-"""Graded meshes and composite Gauss-Legendre quadrature.
+"""Graded meshes on [0, 1] and composite Gauss-Legendre quadrature.
 
-Integrands may have an integrable singularity at the right endpoint; the
-mesh is then graded polynomially toward it and quadrature nodes stay
-strictly interior to every cell.
+Every mesh covers the problem's right half [0, 1]; mesh_from_breakpoints
+is the one check of that domain.  Integrands may have an integrable
+singularity at t = 1; the mesh is then graded polynomially toward it and
+quadrature nodes stay strictly interior to every cell.
 """
 
 from __future__ import annotations
@@ -55,14 +56,12 @@ def gauss_integration_matrix(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Partition of [a, b] with per-cell Gauss-Legendre nodes.
+    """Partition of [0, 1] with per-cell Gauss-Legendre nodes.
 
     ``nodes`` and ``weights`` have shape (cells, nodes_per_cell); cells are
     ordered left to right and nodes ascend within each cell.
     """
 
-    a: float
-    b: float
     breakpoints: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
@@ -78,9 +77,12 @@ class Mesh:
 
 
 def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
+    """Mesh on the given breakpoints, which must run from 0 to 1 (MeshError otherwise)."""
     bps = np.asarray(breakpoints, dtype=float)
     if bps.ndim != 1 or len(bps) < 2:
         raise MeshError("need at least two breakpoints")
+    if bps[0] != 0.0 or bps[-1] != 1.0:
+        raise MeshError(f"mesh must cover [0, 1], got [{bps[0]}, {bps[-1]}]")
     if not np.all(np.diff(bps) > 0):
         raise MeshError("breakpoints must strictly increase")
     if nodes_per_cell < 2:
@@ -94,33 +96,28 @@ def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     bps.setflags(write=False)
-    return Mesh(a=float(bps[0]), b=float(bps[-1]), breakpoints=bps,
-                nodes=nodes, weights=weights, nodes_per_cell=nodes_per_cell)
+    return Mesh(breakpoints=bps, nodes=nodes, weights=weights,
+                nodes_per_cell=nodes_per_cell)
 
 
-def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
-               nodes_per_cell: int = 8) -> Mesh:
-    """Mesh on [a, b], uniform for gamma = 1, else graded with exponent gamma toward b.
+def build_mesh(cells: int, gamma: float = 1.0, nodes_per_cell: int = 8) -> Mesh:
+    """Mesh on [0, 1], uniform for gamma = 1, else graded with exponent gamma toward 1.
 
-    The graded breakpoints are ``b - (b - a) * (1 - j/N)**gamma``.
+    The graded breakpoints are ``1 - (1 - j/N)**gamma``.
     """
-    if not b > a:
-        raise MeshError(f"invalid interval [{a}, {b}]: need a < b")
     if cells < 1:
         raise MeshError("cell count must be positive")
     if not 1.0 <= gamma < np.inf:
         raise MeshError(f"grading exponent must be finite and >= 1, got {gamma}")
-    a, b = float(a), float(b)
     j = np.arange(cells + 1, dtype=float)
     if gamma == 1.0:
-        bps = a + (b - a) * j / cells
+        bps = j / cells
     else:
-        bps = b - (b - a) * (1.0 - j / cells) ** float(gamma)
-    bps[0], bps[-1] = a, b
+        bps = 1.0 - (1.0 - j / cells) ** float(gamma)
     # steep gradings can push cell widths below double-precision spacing
     # near the singular endpoint; merge cells narrower than a few ulps so
     # quadrature nodes cannot round onto the singular endpoint itself
-    tol = 16.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
+    tol = 16.0 * np.finfo(float).eps
     narrow = np.flatnonzero(np.diff(bps) <= tol)
     if narrow.size:  # the breakpoints before the first narrow gap stay as they are
         head = bps[:narrow[0]]
@@ -128,11 +125,11 @@ def build_mesh(a: float, b: float, cells: int, gamma: float = 1.0,
         for v in bps[narrow[0] + 1:].tolist():
             if v - kept[-1] > tol:
                 kept.append(v)
-        if kept[-1] != b:
-            if b - kept[-1] > tol:
-                kept.append(b)
+        if kept[-1] != 1.0:
+            if 1.0 - kept[-1] > tol:
+                kept.append(1.0)
             else:
-                kept[-1] = b  # widening the last cell keeps gaps > tol
+                kept[-1] = 1.0  # widening the last cell keeps gaps > tol
         bps = np.concatenate((head, kept))
     return mesh_from_breakpoints(bps, nodes_per_cell)
 

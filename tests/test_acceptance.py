@@ -80,7 +80,7 @@ def test_criterion_04_sup_audit():
 
 
 def test_criterion_05_cf_derivative_oracle():
-    mesh = build_mesh(0.0, 1.0, 256)
+    mesh = build_mesh(256)
     worst_rel = 0.0
     worst_affine = 0.0
     xpp = lambda s: 2.0 + 0.0 * np.asarray(s)
@@ -106,7 +106,7 @@ def test_criterion_06_homogeneous_residuals():
     fns = (lambda s: np.cosh(lam * np.asarray(s)),
            lambda s: np.sinh(lam * np.asarray(s)))
     zero = lambda s: 0.0 * np.asarray(s)
-    mesh = build_mesh(0.0, 1.0, 512)
+    mesh = build_mesh(512)
     worst = 0.0
     for half in ("right", "left"):
         for fn in fns:
@@ -116,7 +116,7 @@ def test_criterion_06_homogeneous_residuals():
     # (O(h^3)), not the Gauss-rule order
     sups = []
     for cells in (128, 256, 512):
-        mesh = build_mesh(0.0, 1.0, cells)
+        mesh = build_mesh(cells)
         sups.append(np.max(np.abs(residual_linear(1.5, fns[0], zero, mesh, half="right"))))
     factors = [a / b for a, b in zip(sups, sups[1:])]
     _report(6, "homogeneous solutions have tiny defect and the defect "
@@ -128,7 +128,7 @@ def test_criterion_06_homogeneous_residuals():
 
 def test_criterion_07_linear_bvp(quad_green, slope_at_zero):
     mu = 1.5
-    mesh = build_mesh(0.0, 1.0, 256)
+    mesh = build_mesh(256)
     y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
     values = apply_green(mu, y, mesh)
     bnd = abs(values[-1])

@@ -7,7 +7,7 @@ import pytest
 from cfbvp.cf_derivative import cf_left, cf_right, exp_convolution, rate_of
 from cfbvp.quadrature import build_mesh
 
-MESH = build_mesh(0.0, 1.0, 256)
+MESH = build_mesh(256)
 
 
 def test_rate_values():
@@ -98,7 +98,7 @@ def test_square_oracle_past_the_overflow_order():
 
 def test_constant_is_filled():
     # a scalar g gives the same bits as the same constant filled at the nodes
-    mesh = build_mesh(0.0, 1.0, 128, 3.0)
+    mesh = build_mesh(128, 3.0)
     for rate in (1.0, -1.0):
         assert np.array_equal(exp_convolution(0.3, rate, mesh),
                               exp_convolution(np.full(mesh.flat_nodes.shape, 0.3), rate, mesh))

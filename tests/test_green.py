@@ -11,9 +11,9 @@ from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
                          green_eval, green_sup, kernel_bound, lower_branch,
                          upper_branch)
 from cfbvp.linear import LocalQuartic
-from cfbvp.quadrature import build_mesh, integrate, mesh_from_breakpoints
+from cfbvp.quadrature import build_mesh, integrate
 
-MESH = build_mesh(0.0, 1.0, 128, 3.0)
+MESH = build_mesh(128, 3.0)
 
 
 def test_boundary_zero():
@@ -232,15 +232,16 @@ def test_apply_green_requires_zero_at_origin():
 
 def test_both_half_forms_agree_at_origin(quad_green):
     # for even y, int_0^1 e^{lam(1-s)} y = int_{-1}^0 e^{lam(1+s)} y, so the
-    # value at t = 0 agrees between the two half-interval formulas
+    # value at t = 0 agrees between the two half-interval formulas; the
+    # left one for y = s^2 in closed form,
+    # [e^{lam(1+s)} (s^2/lam - 2s/lam^2 + 2/lam^3)]_{-1}^0
     mu = 1.5
     lam = rate_of(mu)
     y = lambda s: s * s
     s = MESH.flat_nodes
     right = integrate(np.exp(lam * (1.0 - s)) * y(s), MESH) / np.cosh(lam)
-    left_mesh = mesh_from_breakpoints(-MESH.breakpoints[::-1])
-    s = left_mesh.flat_nodes
-    left = integrate(np.exp(lam * (1.0 + s)) * y(s), left_mesh) / np.cosh(lam)
+    left = (2.0 * np.exp(lam) / lam ** 3 - (1.0 / lam + 2.0 / lam ** 2 + 2.0 / lam ** 3)) \
+        / np.cosh(lam)
     assert abs(right - left) <= 1e-12
     assert abs(quad_green(mu, y, [0.0])[0] - right) <= 1e-12
     x0 = GreenOperator(mu, MESH).apply(y(MESH.flat_nodes))[0]
@@ -262,6 +263,33 @@ def test_operator_nodes_match_quad_oracle(mu, quad_green):
     assert np.max(np.abs(direct - got)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
 
+# The exact oracle of the operator, written from the kernel, not from
+# green.py: on 0 <= t <= 1, cosh(lam) G(t, tau) = sinh(lam (1 - t)) e^{-lam tau}
+# for tau <= t and cosh(lam t) e^{lam (1 - tau)} for tau > t.
+def _exact_exponential_image(lam, c, t):
+    """int_0^1 G(t, tau) e^{c tau} dtau, both branches integrated in closed
+    form (c != lam); expm1 keeps each difference of exponentials exact."""
+    below = np.expm1((c - lam) * t) / (c - lam)  # int_0^t e^{(c - lam) tau}
+    # int_t^1 e^{lam (1 - tau) + c tau}
+    above = np.exp(c) * np.expm1((lam - c) * (1.0 - t)) / (lam - c)
+    return (np.sinh(lam * (1.0 - t)) * below + np.cosh(lam * t) * above) / np.cosh(lam)
+
+
+@pytest.mark.parametrize("mu", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("cells", [128, 512])
+def test_operator_exact_oracle(mu, cells):
+    # x* = 1 - t^2 meets x(1) = x'(0) = 0 and solves the linear problem with
+    # y = F(tau) = lam (1 - tau^2 - e^{-lam tau}) + 2 tau; and e^{2 tau}
+    # reaches both branches with a closed-form image; at every point
+    lam = rate_of(mu)
+    op = GreenOperator(mu, build_mesh(cells, 3.0))
+    tau, t = op.tau, op.points
+    F = lam * (1.0 - tau ** 2 - np.exp(-lam * tau)) + 2.0 * tau
+    assert np.max(np.abs(op.apply(F) - (1.0 - t ** 2))) <= 2e-14
+    want = _exact_exponential_image(lam, 2.0, t)
+    assert np.max(np.abs(op.apply(np.exp(2.0 * tau)) - want)) <= 2e-14 * np.max(np.abs(want))
+
+
 # Property tests of the Nystrom output of apply(y): the breakpoints
 # and the Gauss nodes.  The node values integrate the interpolant of
 # e^{-lam tau} y in each cell, which can dip below zero between nonnegative
@@ -269,7 +297,7 @@ def test_operator_nodes_match_quad_oracle(mu, quad_green):
 # as arbitrary nonnegative node values.  Its error grows like e^{lam h} in
 # a cell of width h (y = 1 on one cell at mu = 1.9375 gives x = -104 at a
 # node), so it is drawn on meshes of 32 and more cells up to mu = 1.95.
-PROPERTY_MESH = build_mesh(0.0, 1.0, 4, 3.0)
+PROPERTY_MESH = build_mesh(4, 3.0)
 ORDERS = st.floats(1.01, 1.99)
 NODE_VALUES = st.lists(st.floats(-1e3, 1e3), min_size=PROPERTY_MESH.flat_nodes.size,
                        max_size=PROPERTY_MESH.flat_nodes.size).map(np.array)
@@ -317,7 +345,7 @@ def test_node_output_is_linear_past_the_rounding_limit():
 @settings(max_examples=100, deadline=None)
 def test_node_output_keeps_sign(mu, cells, coef, rate):
     # y(tau) = e^{rate tau} sum_i coef_i tau^i >= 0 on [0, 1]
-    op = GreenOperator(mu, build_mesh(0.0, 1.0, cells, 3.0))
+    op = GreenOperator(mu, build_mesh(cells, 3.0))
     y = np.exp(rate * op.tau) * np.polynomial.polynomial.polyval(op.tau, coef)
     assert np.all(op.apply(y) >= 0.0)
 
@@ -353,7 +381,7 @@ def _apply_concatenate_form(op, values, nodes):
 @pytest.mark.parametrize("cells", [1, 4, 128, 512])
 @pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0])
 def test_apply_is_the_concatenate_form_bit_for_bit(mu, cells, gamma):
-    op = GreenOperator(mu, build_mesh(0.0, 1.0, cells, gamma))
+    op = GreenOperator(mu, build_mesh(cells, gamma))
     rng = np.random.default_rng(cells)
     noise = rng.uniform(-1.0, 1.0, op.tau.shape)
     integrands = (op.tau ** 2 * np.cos(3.0 * op.tau) + noise,  # full array

@@ -33,7 +33,7 @@ def barrier_like(t):
 @pytest.mark.parametrize("cells", [16, 64, 512, 2048])
 @pytest.mark.parametrize("grading", ["uniform", "graded", "left"])
 def test_quartics_are_reproduced(grading, cells):
-    mesh = build_mesh(0.0, 1.0, cells, gamma=1.0 if grading == "uniform" else 3.0)
+    mesh = build_mesh(cells, gamma=1.0 if grading == "uniform" else 3.0)
     grid, p = mesh.breakpoints, mesh.flat_nodes
     if grading == "left":  # the mirrored grid, on [-1, 0]
         grid, p = -grid[::-1], -p
@@ -49,7 +49,7 @@ def test_quartics_are_reproduced(grading, cells):
 def test_value_error_falls_like_h5():
     errs = []
     for cells in (16, 32, 64, 128, 256):
-        mesh = build_mesh(0.0, 1.0, cells)
+        mesh = build_mesh(cells)
         g = LocalQuartic(mesh.breakpoints, np.cos(3.0 * mesh.breakpoints))
         errs.append(np.max(np.abs(g(mesh.flat_nodes) - np.cos(3.0 * mesh.flat_nodes))))
     factors = np.array(errs[:-1]) / np.array(errs[1:])
@@ -57,7 +57,7 @@ def test_value_error_falls_like_h5():
 
 
 def test_interpolant_evaluation_and_reuse():
-    mesh = build_mesh(0.0, 1.0, 128, gamma=3.0)
+    mesh = build_mesh(128, gamma=3.0)
     bps, tau = mesh.breakpoints, mesh.flat_nodes
     values = {"g": barrier_like(bps), "h": 2.0 * barrier_like(bps) - bps}
     fits = {name: LocalQuartic(bps, v) for name, v in values.items()}

@@ -79,7 +79,7 @@ def test_sigma_refinement_order(mu):
     # mesh); with psi ~ (1 - s)^(-1/4) the barrier converges at order
     # gamma (1 - 1/4) = 2.25, a factor 4.76 per doubling
     spec = make_spec(mu=mu)
-    ops = [GreenOperator(mu, build_mesh(0.0, 1.0, cells, 3.0))
+    ops = [GreenOperator(mu, build_mesh(cells, 3.0))
            for cells in (64, 128, 256, 512)]
     sigmas = [sigma_R(spec, op)[:len(op.grid)] for op in ops]
     diffs = []

@@ -1,30 +1,31 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfbvp.quadrature import (MeshError, NonFiniteIntegrandError, _sum_left_to_right,
+from cfbvp.quadrature import (Mesh, MeshError, NonFiniteIntegrandError, _sum_left_to_right,
                               build_mesh, gauss_integration_matrix, integrate,
                               mesh_from_breakpoints)
 
 
 def test_uniform_breakpoints():
-    m = build_mesh(0.0, 1.0, 4, 1.0)
+    m = build_mesh(4, 1.0)
     assert np.allclose(m.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
 
 
 def test_right_graded_breakpoints():
-    m = build_mesh(0.0, 1.0, 4, 2.0)
+    m = build_mesh(4, 2.0)
     assert np.allclose(m.breakpoints, [0.0, 0.4375, 0.75, 0.9375, 1.0], atol=1e-15)
 
 
-def _merged_by_loop(a, b, cells, gamma):
+def _merged_by_loop(cells, gamma):
     # build_mesh's breakpoints, narrow gaps merged by the loop over all of them
     j = np.arange(cells + 1, dtype=float)
-    bps = a + (b - a) * j / cells if gamma == 1.0 else b - (b - a) * (1.0 - j / cells) ** gamma
-    bps[0], bps[-1] = a, b
-    tol = 16.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
+    bps = j / cells if gamma == 1.0 else 1.0 - (1.0 - j / cells) ** gamma
+    bps[0], bps[-1] = 0.0, 1.0
+    tol = 16.0 * np.finfo(float).eps
     kept = [bps[0]]
     for v in bps[1:]:
         if v - kept[-1] > tol:
@@ -44,59 +45,60 @@ def test_merged_breakpoints_are_the_loop_bit_for_bit(gamma, cells):
     # stays an array; every breakpoint and its bits are the full loop's
     # (gamma 6 merges cells from 512 on, A2's refinement meshes among them,
     # and gamma 20 from 128 on)
-    got = build_mesh(0.0, 1.0, cells, gamma).breakpoints
-    want = _merged_by_loop(0.0, 1.0, cells, gamma)
+    got = build_mesh(cells, gamma).breakpoints
+    want = _merged_by_loop(cells, gamma)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_invalid_interval():
-    with pytest.raises(MeshError):
-        build_mesh(1.0, 0.0, 4)
+    # a reversed interval is no mesh: the breakpoints must run from 0 to 1
+    with pytest.raises(MeshError, match=r"got \[1.0, 0.0\]"):
+        mesh_from_breakpoints(np.linspace(1.0, 0.0, 5))
 
 
 def test_nonpositive_cells():
     with pytest.raises(MeshError):
-        build_mesh(0.0, 1.0, 0)
+        build_mesh(0)
 
 
 def test_gamma_below_one_rejected():
     with pytest.raises(MeshError):
-        build_mesh(0.0, 1.0, 4, 0.5)
+        build_mesh(4, 0.5)
 
 
 def test_weights_positive_and_breakpoints_increase():
-    m = build_mesh(-1.0, 1.0, 10, 3.0)
+    m = build_mesh(10, 3.0)
     assert np.all(np.diff(m.breakpoints) > 0)
     assert np.all(m.weights > 0)
 
 
 def test_constant_exact():
-    for m in (build_mesh(0.0, 1.0, 1), build_mesh(0.0, 1.0, 17, 3.0)):
+    for m in (build_mesh(1), build_mesh(17, 3.0)):
         assert abs(integrate(1.0, m) - 1.0) <= 1e-14
 
 
 def test_cubic_exact():
-    m = build_mesh(0.0, 1.0, 4, nodes_per_cell=2)
+    m = build_mesh(4, nodes_per_cell=2)
     assert abs(integrate(m.flat_nodes ** 3, m) - 0.25) <= 1e-12
 
 
 def test_endpoint_singularity_oracle():
     # oracle: closed-form antiderivative 2(1 - (1-x)^{1/2}) gives exactly 2
-    m = build_mesh(0.0, 1.0, 4096, 3.0)
+    m = build_mesh(4096, 3.0)
     assert abs(integrate((1.0 - m.flat_nodes) ** -0.5, m) - 2.0) <= 1e-6
 
 
 def test_refinement_convergence_monotone():
     errs = []
     for cells in (64, 128, 256, 512):
-        m = build_mesh(0.0, 1.0, cells, 3.0)
+        m = build_mesh(cells, 3.0)
         errs.append(abs(integrate((1.0 - m.flat_nodes) ** -0.5, m) - 2.0))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_nonfinite_integrand_reported():
-    m = build_mesh(0.0, 1.0, 4)
+    m = build_mesh(4)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteIntegrandError):
             integrate(1.0 / (m.flat_nodes - m.flat_nodes), m)
@@ -108,7 +110,7 @@ def test_nonfinite_integrand_reported():
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(alpha, beta):
-    m = build_mesh(0.0, 1.0, 16)
+    m = build_mesh(16)
     f = np.sin(3 * m.flat_nodes)
     g = np.exp(m.flat_nodes)
     lhs = integrate(alpha * f + beta * g, m)
@@ -117,7 +119,7 @@ def test_linearity(alpha, beta):
 
 
 def test_determinism():
-    m = build_mesh(0.0, 1.0, 64, 3.0)
+    m = build_mesh(64, 3.0)
     v1 = integrate((1.0 - m.flat_nodes) ** -0.25, m)
     v2 = integrate((1.0 - m.flat_nodes) ** -0.25, m)
     assert v1 == v2
@@ -128,6 +130,18 @@ def test_mesh_from_breakpoints_validates():
         mesh_from_breakpoints([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(MeshError):
         mesh_from_breakpoints([0.0, 1.0], nodes_per_cell=1)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (0.0, 2.0), (0.5, 1.0)])
+def test_mesh_off_the_unit_interval_rejected(a, b):
+    # every mesh covers the right half [0, 1], and this is the one check of it
+    with pytest.raises(MeshError, match=rf"mesh must cover \[0, 1\], got \[{a}, {b}\]"):
+        mesh_from_breakpoints(np.linspace(a, b, 65))
+
+
+def test_mesh_fields():
+    assert [f.name for f in dataclasses.fields(Mesh)] == \
+        ["breakpoints", "nodes", "weights", "nodes_per_cell"]
 
 
 def _loop_sum(values) -> float:
@@ -161,7 +175,7 @@ def test_sum_left_to_right_is_the_loop_bit_for_bit():
 def test_integrate_sums_cells_left_to_right():
     rng = np.random.default_rng(5)
     for cells, k in itertools.product((1, 2, 7, 128, 4096), (2, 8)):
-        m = build_mesh(0.0, 1.0, cells, 3.0, nodes_per_cell=k)
+        m = build_mesh(cells, 3.0, nodes_per_cell=k)
         v = rng.standard_normal(m.flat_nodes.shape) * 10.0 ** rng.uniform(-8, 8)
         v[: len(v) // 3] = 0.0
         cell_sums = np.einsum("ij,ij->i", m.weights, v.reshape(m.nodes.shape))

@@ -194,7 +194,7 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch):
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
     # build_mesh merges the sub-ulp cells of the grading-6 meshes near t = 1
-    refined = [build_mesh(0.0, 1.0, c, gamma=6.0).cells
+    refined = [build_mesh(c, gamma=6.0).cells
                for c in (512, 1024)]
     for s in (spec, make_spec(NumericsConfig(mesh_cells=64)),
               make_spec(NumericsConfig(mesh_cells=512))):
