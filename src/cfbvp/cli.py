@@ -6,7 +6,8 @@ table).  Exit codes are a stable contract: 0 ok, 1 usage/IO error,
 2 hypothesis failure, 3 solver failure.
 
 All output files are deterministic functions of the inputs; floats are
-rendered with 17 significant digits so doubles round-trip losslessly.
+rendered with 17 significant digits so doubles round-trip losslessly (the
+CSV tables through ``csvfmt.render``, byte for byte Python's ``'%.17g'``).
 """
 
 from __future__ import annotations
@@ -95,26 +96,25 @@ def cmd_check(args) -> int:
 
 
 def _sigma_csv(a2) -> str:
-    # the right-half breakpoints, formatted in one pass; the breakpoint
-    # values lead a2.sigma
+    # the renderer is imported where a CSV is written: importing the CLI
+    # (and check without --out, and audit) need not compile it and build
+    # its tables
+    from .csvfmt import render
+    # the right-half breakpoints; their values lead a2.sigma
     grid = a2.operator.grid
-    n = len(grid)
-    columns = np.column_stack((grid, a2.sigma[:n]))
-    return "t,sigma_R\n" + ("%.17g,%.17g\n" * n) % tuple(columns.ravel().tolist())
+    return "t,sigma_R\n" + render(np.column_stack((grid, a2.sigma[:len(grid)])))
 
 
 def _solution_csv(report) -> str:
-    # full symmetric grid: mirrored left half then the right half; the
-    # right-half rows are formatted in one pass and serve both halves
-    # (formatting is sign-symmetric, and t > 0 on the mirrored rows); the
-    # breakpoint values lead the arrays on the operator's points
+    # full symmetric grid: the right-half rows, mirrored (t > 0 on the
+    # mirrored rows), then the right half; the breakpoint values lead the
+    # arrays on the operator's points
+    from .csvfmt import render
     grid = report.hypothesis.operator.grid
     n = len(grid)
     columns = np.column_stack((grid, report.x[:n], report.hypothesis.sigma[:n],
                                report.residual))
-    right = (("%.17g,%.17g,%.17g,%.17g\n" * n) % tuple(columns.ravel().tolist())
-             ).splitlines(keepends=True)
-    return "".join(["t,x,sigma_R,residual\n", *("-" + row for row in right[:0:-1]), *right])
+    return "t,x,sigma_R,residual\n" + render(columns, mirrored=True)
 
 
 def _solve_text(report) -> str:
@@ -165,25 +165,30 @@ def cmd_solve(args) -> int:
 
 def _green_table(mu, n: int) -> str:
     """The ``green`` CSV; its pieces are freed before the caller writes it."""
+    from .csvfmt import render
     grid = np.linspace(0.0, 1.0, n)
-    t, tau = grid[:, None], grid[None, :]
-    # one row is four fields, "t," "tau," "branch," "value\n"; every value is
-    # formatted once, in one pass, and G(-t, -tau) = G(t, tau) lets the
-    # mirrored left-half square reuse the branch and value strings row for row
-    rows = n * n
-    values = ("%.17g\n" * rows) % tuple(green_eval(mu, t, tau).ravel().tolist())
-    fields = [""] * (4 * rows)
-    fields[2::4] = [("upper,", "lower,")[low] for low in (tau <= t).ravel().tolist()]
-    fields[3::4] = values.splitlines(keepends=True)
+    # the values and the grid are rendered in one call.  The n lines at t_i
+    # interleave "t_i," with "tau_j,lower," up to the diagonal and
+    # "tau_j,upper," past it (the grid increases) and with the value lines,
+    # joined per t_i; G(-t, -tau) = G(t, tau) lets the mirrored left-half
+    # square reuse the value lines
+    lines = render(np.concatenate((green_eval(mu, grid[:, None], grid[None, :]).ravel(),
+                                   grid))[:, None]).splitlines(keepends=True)
+    values, coords = lines[:n * n], [line[:-1] + "," for line in lines[n * n:]]
+    del lines
+    rows = ["t,tau,branch,value\n"]
+    fields = [""] * (3 * n)
+    for sign in ("", "-"):
+        signed = [sign + c for c in coords]
+        lower = [c + "lower," for c in signed]
+        upper = [c + "upper," for c in signed]
+        for i, t in enumerate(signed):
+            fields[0::3] = [t] * n
+            fields[1::3] = lower[:i + 1] + upper[i + 1:]
+            fields[2::3] = values[i * n:(i + 1) * n]
+            rows.append("".join(fields))
     del values
-    halves = []
-    for sign in (1.0, -1.0):
-        coords = [_fmt(sign * g) + "," for g in grid.tolist()]
-        fields[0::4] = [c for c in coords for _ in range(n)]
-        fields[1::4] = coords * n
-        halves.append("".join(fields))
-    del fields
-    return "".join(["t,tau,branch,value\n", *halves])
+    return "".join(rows)
 
 
 def cmd_green(args) -> int:

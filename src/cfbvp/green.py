@@ -42,8 +42,12 @@ def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
 
     On the diagonal tau == t the two branches disagree by a unit jump;
     ``side`` selects which one ("lower", the default convention, or
-    "upper", the other one-sided value).  For lam > 709 the upper
-    branch overflows to nan, without a numpy warning.
+    "upper", the other one-sided value).  For lam > 709 cosh(lam)
+    overflows, without a numpy warning: the upper branch is 0 where
+    cosh(lam t) and e^{lam (1 - tau)} are still finite, although its value
+    e^{-lam (tau - t)} (1 + e^{-2 lam t}) may be a normal double (about
+    3e-167 at mu = 1.9987, t = 0, tau = 0.5), and nan where either
+    overflows too.
     """
     lam = rate_of(mu)
     if side not in ("lower", "upper"):
@@ -58,7 +62,7 @@ def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
             raise ValueError(message.format(t.flat[i], tau.flat[i]))
     t, tau = np.abs(t), np.abs(tau)  # G(-t, -tau) = G(t, tau)
     lower = (tau < t) | ((tau == t) & (side != "upper"))
-    with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: nan
+    with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: 0 or nan, as above
         return np.where(lower, lower_branch(lam, t, tau), upper_branch(lam, t, tau))
 
 

@@ -471,9 +471,10 @@ def test_sigma_csv_is_the_per_row_rendering(tmp_path, capsys, cells):
 
 @pytest.mark.parametrize("mu,grid", [(1.93, 201), (1.3, 37), (1.9987, 9)])
 def test_green_table_is_the_per_row_rendering(tmp_path, mu, grid):
-    # the dump formats every value once, in one pass, and the mirrored half
-    # reuses its strings; it must be the bytes of formatting each row on its
-    # own (at mu = 1.9987 the upper-branch values are nan)
+    # the dump renders every value once, in one call, and the mirrored half
+    # reuses its lines; it must be the bytes of formatting each row on its
+    # own (at mu = 1.9987 the upper-branch values are 0 on this 9-point
+    # grid: cosh(lam) overflows while cosh(lam t) and e^{lam (1 - tau)} do not)
     nodes = np.linspace(0.0, 1.0, grid)
     right = []
     for t in nodes:
