@@ -22,7 +22,7 @@ import numpy as np
 from .cf_derivative import rate_of
 from .green import green_diagonal_jump, green_eval, green_sup
 from .hypotheses import check_A1, check_A2
-from .problem_io import ProblemFileError, load_problem
+from .problem_io import load_problem
 from .solver import HypothesisError, SolverError, solve
 
 EXIT_OK = 0
@@ -77,11 +77,7 @@ def _hypothesis_text(spec, a1, a2) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        spec = load_problem(args.problem, _numeric_overrides(args))
-    except ProblemFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = load_problem(args.problem, _numeric_overrides(args))
     a1 = check_A1(spec)
     a2 = check_A2(spec)
     text = _hypothesis_text(spec, a1, a2)
@@ -137,11 +133,7 @@ def _solve_text(report) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = load_problem(args.problem, _numeric_overrides(args))
-    except ProblemFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = load_problem(args.problem, _numeric_overrides(args))
     try:
         report = solve(spec)
     except HypothesisError as err:

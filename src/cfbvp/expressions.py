@@ -215,9 +215,10 @@ def bind(e: Expr, fixed: dict):
     """env -> evaluate(e, env | fixed), for env binding the other variables.
 
     Every maximal subexpression that reads only the ``fixed`` variables (or
-    no variable) is evaluated once, here.  Its failure is kept and raised
-    when an evaluation reaches it, so errors come in evaluate's order and
-    text.  The fixed values must not change while the result is in use.
+    no variable) is evaluated once, here, and its value stored.  One that
+    fails is not stored: an evaluation that reaches it evaluates it and
+    raises, in evaluate's order and text.  The fixed values must not change
+    while the result is in use.
     """
     memo: dict = {}
     if _fold(e, fixed, memo):
@@ -250,8 +251,8 @@ def _store(e: Expr, fixed: dict, memo: dict) -> None:
         return
     try:
         memo[id(e)] = _eval(e, fixed, {})
-    except Exception as err:  # kept, not handled: _eval raises it on reaching e
-        memo[id(e)] = err
+    except Exception:  # left to the evaluations that reach e
+        pass
 
 
 _MISSING = object()
@@ -260,13 +261,11 @@ _ZERO_BASE = "zero base with negative exponent"
 
 
 def _eval(e: Expr, env: dict, memo: dict):
-    """e's value; ``memo`` maps id(node) to a value or an error computed
-    beforehand for that node."""
+    """e's value; ``memo`` maps id(node) to a value computed beforehand
+    for that node."""
     if memo:
         done = memo.get(id(e), _MISSING)
         if done is not _MISSING:
-            if isinstance(done, Exception):
-                raise done.with_traceback(None)
             return done
     if e.kind == "const":
         return e.value

@@ -97,6 +97,9 @@ class ProblemSpec:
         rate_of(self.mu)
         if not 0.0 < self.R < np.inf:
             raise ValueError(f"truncation level R must be positive and finite, got {self.R}")
+        if not 10.0 * self.R < np.inf:
+            raise ValueError("truncation level R must keep 10 R finite (the A1 lattice "
+                             f"reaches x = 10 R), got {self.R}")
         for name, expr, allowed in (("f", self.f, {"t", "x"}),
                                     ("q", self.q, {"s"}),
                                     ("u", self.u, {"x"}),
@@ -206,22 +209,24 @@ _EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
 REFINE_BASE_CELLS = 128
 
 
-def _on_lattice(fn, *axes) -> tuple[np.ndarray, dict]:
+def _on_lattice(fn, *axes) -> tuple[np.ndarray, np.ndarray]:
     """fn(*axes) over the broadcast lattice, with the expression errors on it.
 
     fn is evaluated once on the whole arrays.  Only if that raises is it
     re-evaluated point by point, to find which points fail and why: the
-    values are NaN there, and ``errors`` maps each such index to its message.
+    values are NaN there, and ``errors``, in the values' shape, holds each
+    such point's message ("" at the others, a broadcast "" if none failed).
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
     with np.errstate(all="ignore"):
         try:
-            return np.broadcast_to(np.asarray(fn(*axes), dtype=float), shape), {}
+            return (np.broadcast_to(np.asarray(fn(*axes), dtype=float), shape),
+                    np.broadcast_to(np.array("", dtype=object), shape))
         except _EXPR_ERRORS:
             pass
         points = np.broadcast_arrays(*axes)
         values = np.full(shape, np.nan)
-        errors = {}
+        errors = np.full(shape, "", dtype=object)
         for idx in np.ndindex(shape):
             try:
                 values[idx] = fn(*(p[idx] for p in points))
@@ -230,16 +235,9 @@ def _on_lattice(fn, *axes) -> tuple[np.ndarray, dict]:
     return values, errors
 
 
-def _unusable(failures: list, check: str, witness: dict, value, error) -> bool:
-    """Record an expression error or a non-finite value; True if one was recorded."""
-    if error is not None:
-        detail = f"expression error: {error}"
-    elif not np.isfinite(value):
-        detail = f"non-finite value {float(value)}"
-    else:
-        return False
-    failures.append(CheckFailure(check, witness, detail))
-    return True
+def _unusable(value, error: str) -> str:
+    """Why a non-finite lattice value is unusable: its expression error, if any."""
+    return f"expression error: {error}" if error else f"non-finite value {float(value)}"
 
 
 def check_A1(spec: ProblemSpec) -> A1Report:
@@ -248,6 +246,7 @@ def check_A1(spec: ProblemSpec) -> A1Report:
     Checks, on a (t, x) lattice: f(0, x) = 0, f(t, x) = f(-t, x),
     |f(t, x)| <= q(|t|) (u(x) + v(x)), u decreasing and v increasing.
     An expression error or a non-finite value is a failure at its point.
+    Each condition is one boolean array; the loops only format its failures.
     """
     density = spec.numerics.lattice_density
     ts = _t_lattice(density)
@@ -257,41 +256,46 @@ def check_A1(spec: ProblemSpec) -> A1Report:
     q, q_err = _on_lattice(spec.q_at, ts[mid + 1:])
     u, u_err = _on_lattice(spec.u_at, xs)
     v, v_err = _on_lattice(spec.v_at, xs)
-    fw, fm = f[mid + 1:], f[mid - 1::-1]
+    # the t > 0 half, and the t < 0 half mirrored onto it
+    fw, w_err, fm, m_err = f[mid + 1:], f_err[mid + 1:], f[mid - 1::-1], f_err[mid - 1::-1]
     with np.errstate(all="ignore"):
         bound = q[:, None] * (u + v)
-        origin = ~np.isfinite(f[mid]) | (np.abs(f[mid]) > 1e-12)
-        suspect = (~np.isfinite(fw) | ~np.isfinite(fm) | ~np.isfinite(bound)
-                   | (np.abs(fw - fm) > 1e-12 * np.maximum(1.0, np.abs(fw)))
-                   | (np.abs(fw) > bound * (1.0 + 1e-12) + 1e-12))
+        f_ok, b_ok, u_ok, v_ok = (np.isfinite(a) for a in (f, bound, u, v))
+        w_ok, m_ok = f_ok[mid + 1:], f_ok[mid - 1::-1]
+        origin = ~f_ok[mid] | (np.abs(f[mid]) > 1e-12)
+        uneven = np.abs(fw - fm) > 1e-12 * np.maximum(1.0, np.abs(fw))
+        # an unusable bound fails the majorant
+        over = ~b_ok | (np.abs(fw) > bound * (1.0 + 1e-12) + 1e-12)
+        # a monotonicity pair counts only where both values are finite
+        u_up = u_ok[:-1] & u_ok[1:] & (u[1:] > u[:-1] * (1.0 + 1e-12))
+        v_down = v_ok[:-1] & v_ok[1:] & (v[1:] < v[:-1] * (1.0 - 1e-12))
+    usable = w_ok & m_ok
     failures: list[CheckFailure] = []
     for j in np.flatnonzero(origin):
-        at = {"t": 0.0, "x": xs[j]}
-        if not _unusable(failures, "A1.f(0,x)=0", at, f[mid, j], f_err.get((mid, j))):
-            failures.append(CheckFailure("A1.f(0,x)=0", at, f"f(0, x) = {f[mid, j]:.6g} != 0"))
-    for i, j in zip(*np.nonzero(suspect)):
+        detail = (f"f(0, x) = {f[mid, j]:.6g} != 0" if f_ok[mid, j]
+                  else _unusable(f[mid, j], f_err[mid, j]))
+        failures.append(CheckFailure("A1.f(0,x)=0", {"t": 0.0, "x": xs[j]}, detail))
+    for i, j in zip(*np.nonzero(~usable | uneven | over)):
         t, x = ts[mid + 1 + i], xs[j]
-        bad_w = _unusable(failures, "A1.even", {"t": t, "x": x}, fw[i, j],
-                          f_err.get((mid + 1 + i, j)))
-        bad_m = _unusable(failures, "A1.even", {"t": -t, "x": x}, fm[i, j],
-                          f_err.get((mid - 1 - i, j)))
-        if bad_w or bad_m:
+        if not usable[i, j]:
+            for side, ok, vals, errs in ((t, w_ok, fw, w_err), (-t, m_ok, fm, m_err)):
+                if not ok[i, j]:
+                    failures.append(CheckFailure("A1.even", {"t": side, "x": x},
+                                                 _unusable(vals[i, j], errs[i, j])))
             continue
-        w, m, b = float(fw[i, j]), float(fm[i, j]), float(bound[i, j])
-        if abs(w - m) > 1e-12 * max(1.0, abs(w)):
+        w, b = fw[i, j], bound[i, j]
+        if uneven[i, j]:
             failures.append(CheckFailure("A1.even", {"t": t, "x": x},
-                                         f"f(t,x) = {w:.6g} but f(-t,x) = {m:.6g}"))
-        error = q_err.get((i,)) or u_err.get((j,)) or v_err.get((j,))
-        if not _unusable(failures, "A1.majorant", {"t": t, "x": x}, b, error) \
-                and abs(w) > b * (1.0 + 1e-12) + 1e-12:
-            failures.append(CheckFailure("A1.majorant", {"t": t, "x": x},
-                                         f"|f| = {abs(w):.6g} exceeds bound {b:.6g}"))
-    u_ok, v_ok = np.isfinite(u), np.isfinite(v)
+                                         f"f(t,x) = {w:.6g} but f(-t,x) = {fm[i, j]:.6g}"))
+        if over[i, j]:
+            detail = (f"|f| = {abs(w):.6g} exceeds bound {b:.6g}" if b_ok[i, j]
+                      else _unusable(b, q_err[i] or u_err[j] or v_err[j]))
+            failures.append(CheckFailure("A1.majorant", {"t": t, "x": x}, detail))
     for j in np.flatnonzero(~u_ok | ~v_ok):
-        _unusable(failures, "A1.monotone", {"x": xs[j]}, u[j], u_err.get((j,)))
-        _unusable(failures, "A1.monotone", {"x": xs[j]}, v[j], v_err.get((j,)))
-    u_up = u_ok[:-1] & u_ok[1:] & (u[1:] > u[:-1] * (1.0 + 1e-12))
-    v_down = v_ok[:-1] & v_ok[1:] & (v[1:] < v[:-1] * (1.0 - 1e-12))
+        for ok, vals, errs in ((u_ok, u, u_err), (v_ok, v, v_err)):
+            if not ok[j]:
+                failures.append(CheckFailure("A1.monotone", {"x": xs[j]},
+                                             _unusable(vals[j], errs[j])))
     for k in np.flatnonzero(u_up | v_down):
         x0, x1 = xs[k], xs[k + 1]
         if u_up[k]:
@@ -403,21 +407,21 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     psi, psi_err = _on_lattice(spec.psi_at, np.abs(ts))
     f, f_err = _on_lattice(spec.f_at, ts[:, None], xs)
     with np.errstate(all="ignore"):
-        floor = psi - 1e-12 * np.maximum(1.0, np.abs(psi))
-        suspect = ~np.isfinite(f) | (f < floor[:, None])
-    rows = ~np.isfinite(psi) | (psi < -1e-12) | suspect.any(axis=1)
-    for i in np.flatnonzero(rows):
+        psi_ok, f_ok = np.isfinite(psi), np.isfinite(f)
+        negative = psi < -1e-12
+        below = f < (psi - 1e-12 * np.maximum(1.0, np.abs(psi)))[:, None]
+    suspect = ~f_ok | below
+    for i in np.flatnonzero(~psi_ok | negative | suspect.any(axis=1)):
         t, p = ts[i], float(psi[i])
-        if _unusable(failures, "A2.minorant", {"t": t}, p, psi_err.get((i,))):
+        if not psi_ok[i]:
+            failures.append(CheckFailure("A2.minorant", {"t": t}, _unusable(p, psi_err[i])))
             continue
-        if p < -1e-12:
+        if negative[i]:
             failures.append(CheckFailure("A2.psi_nonneg", {"t": t}, f"psi(|t|) = {p:.6g} < 0"))
         for j in np.flatnonzero(suspect[i]):
-            x, fv = xs[j], float(f[i, j])
-            if not _unusable(failures, "A2.minorant", {"t": t, "x": x}, fv, f_err.get((i, j))) \
-                    and fv < p - 1e-12 * max(1.0, abs(p)):
-                failures.append(CheckFailure("A2.minorant", {"t": t, "x": x},
-                                             f"f = {fv:.6g} < psi = {p:.6g}"))
+            detail = (f"f = {f[i, j]:.6g} < psi = {p:.6g}" if f_ok[i, j]
+                      else _unusable(f[i, j], f_err[i, j]))
+            failures.append(CheckFailure("A2.minorant", {"t": t, "x": xs[j]}, detail))
 
     c_kernel = 1.0 if n.strict_unit_bound else kernel_bound(spec.mu)
     try:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .expressions import ExprSyntaxError
 from .hypotheses import NumericsConfig, ProblemSpec
 
 __all__ = ["ProblemFileError", "load_problem", "parse_problem_text"]
@@ -102,7 +101,7 @@ def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
         raise ProblemFileError(f"unknown key(s): {', '.join(sorted(pairs))}")
     try:
         return ProblemSpec.from_strings(mu=mu, R=R, numerics=numerics, **exprs)
-    except (ExprSyntaxError, ValueError) as err:
+    except ValueError as err:  # ExprSyntaxError is one
         raise ProblemFileError(str(err)) from err
 
 

@@ -73,27 +73,19 @@ class SolveReport:
         return float(np.max(np.abs(self.residual)))
 
 
-def _integrand(spec: ProblemSpec, x: np.ndarray, m: int | None,
-               op: GreenOperator) -> np.ndarray:
-    """f(tau, x(tau)) at the nodes ``op.tau``, the argument clamped at level m.
-
-    f is bound to the nodes once per operator (``ProblemSpec.f_given_t``):
-    its x-free part is not evaluated again on every apply.
-    """
-    xv = x[len(op.grid):]
-    arg = clamp_m(xv, m, spec.R) if m is not None else xv
-    return spec.f_given_t(op.tau)(arg)
-
-
-def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int, op: GreenOperator) -> np.ndarray:
+def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int | None,
+             op: GreenOperator) -> np.ndarray:
     """One application of the regularized operator, on the Nystrom points.
 
     x and the result hold values at ``op.points`` (the mesh breakpoints,
-    then the Gauss nodes); f reads x at the nodes only.  f is only
+    then the Gauss nodes); f reads x at the nodes only, bound to the nodes
+    once per operator (``ProblemSpec.f_given_t``).  At level m, f is only
     evaluated at clamped arguments in [1/m, R], so the x = 0 singularity is
-    never touched; the output is symmetric by construction.
+    never touched; m = None is the limit map, where f reads x itself.  The
+    output is symmetric by construction.
     """
-    return op.apply(_integrand(spec, x, m, op))
+    xv = x[len(op.grid):]
+    return op.apply(spec.f_given_t(op.tau)(xv if m is None else clamp_m(xv, m, spec.R)))
 
 
 def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
@@ -152,7 +144,7 @@ def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
     n = len(op.grid)
     if m is None and np.any(x[n:] <= 0.0):
         raise ValueError("limit-equation residual needs x > 0 at the nodes")
-    return x[:n] - op.apply(_integrand(spec, x, m, op))[:n]
+    return x[:n] - apply_Tm(spec, x, m, op)[:n]
 
 
 def solve(spec: ProblemSpec) -> SolveReport:

@@ -83,6 +83,8 @@ def _schedule(text, schedule):
     (lambda t: t + "solver.inner_tol = -1\n", "key 'solver.inner_tol'"),
     (lambda t: t + "solver.max_inner = 0\n", "key 'solver.max_inner': must be at least 1"),
     (lambda t: t.replace("R = 100", "R = inf"), "R must be positive and finite"),
+    # the A1 lattice samples x up to 10 R
+    (lambda t: t.replace("R = 100", "R = 1e308"), "R must keep 10 R finite"),
     # check and solve read one validated config: solve no longer has its own
     (lambda t: t + "solver.omega = nan\n", "key 'solver.omega': must be in (0, 1], got nan"),
     (lambda t: t + "solver.omega = 0\n", "key 'solver.omega': must be in (0, 1]"),

@@ -153,7 +153,7 @@ def test_bind_is_evaluate_on_any_tree(tree):
                                            ("sqrt(t-2)*x^(-1)", "sqrt(t - 2.0)")])
 def test_bind_keeps_the_error_order(text, failing):
     # both factors fail; the one evaluation reaches first names the error,
-    # though the t-only factor's error was found when binding
+    # though binding met the t-only factor's error first
     e = ex.parse(text)
     with pytest.raises(ex.ExprDomainError) as want:
         ex.evaluate(e, {"t": T, "x": X})

@@ -128,6 +128,19 @@ def test_a1_monotonicity_checks():
     assert any(f.check == "A1.u_decreasing" for f in report.failures)
 
 
+def test_a1_monotone_pair_needs_both_values_finite():
+    # The A1 lattice is x_k = 10^(-3 + 0.15 k), k = 0..40 (up to 10 R = 1000).
+    # This u is x^(-0.25) up to x_39 = 10^2.85, where exp(x - 290) - 1e300 < 0,
+    # and inf at x_40 = 1000, where exp(710) overflows.  The step to inf is a
+    # non-finite u, not u increasing; the bound q (u + v) is inf at x = 1000
+    # for each of the 40 lattice points t = k/41 > 0.
+    s = make_spec(u="max(x^(-0.25), exp(x - 290) - 1e300)")
+    want = [f"[A1.majorant] non-finite value inf (at t={k / 41:.6g}, x=1000)"
+            for k in range(1, 41)]
+    want.append("[A1.monotone] non-finite value inf (at x=1000)")
+    assert [str(f) for f in check_A1(s).failures] == want
+
+
 def test_a2_worked_family(a2_report):
     assert a2_report.passed, [str(f) for f in a2_report.failures][:5]
     assert a2_report.ratio > 1.0

@@ -4,7 +4,7 @@ names removed from it stay removed."""
 import pytest
 
 import cfbvp
-from cfbvp import cf_derivative, hypotheses, linear
+from cfbvp import cf_derivative, hypotheses, linear, solver
 from cfbvp.quadrature import Mesh
 
 
@@ -18,7 +18,7 @@ def test_exported_name_resolves(name):
     (cf_derivative, "FracOrder"), (cf_derivative, "as_order"),
     (hypotheses, "epsilon_max"), (cfbvp, "GeneralSolutionCoeffs"),
     (linear, "GeneralSolutionCoeffs"), (linear, "ResidualReport"), (Mesh, "rescaled"),
-    (cf_derivative, "check_unit_mesh"), (Mesh, "a"), (Mesh, "b"),
+    (cf_derivative, "check_unit_mesh"), (Mesh, "a"), (Mesh, "b"), (solver, "_integrand"),
 ])
 def test_removed_name_is_gone(module, name):
     assert name not in getattr(module, "__all__", ())  # a class has no __all__

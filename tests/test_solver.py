@@ -113,6 +113,21 @@ def test_solve_fixed_m_names_non_finite_node(op):
         solve_fixed_m(s, 16, op, x0)
 
 
+def test_limit_map_reads_x_itself(spec, op):
+    # m = None is the limit map: no clamp, below 1/m and above R alike
+    n = len(op.grid)
+    x = np.geomspace(1e-3, 2.0 * spec.R, op.points.size)
+    assert apply_Tm(spec, x, None, op).tobytes() == op.apply(spec.f_at(op.tau, x[n:])).tobytes()
+
+
+@pytest.mark.parametrize("m", [None, 128])
+def test_residual_is_x_minus_apply_Tm(spec, op, m):
+    n = len(op.grid)
+    x = np.geomspace(1e-3, 2.0 * spec.R, op.points.size)
+    want = x[:n] - apply_Tm(spec, x, m, op)[:n]
+    assert residual_nonlinear(spec, x, op, m).tobytes() == want.tobytes()
+
+
 def test_apply_Tm_order_interval(spec, op):
     # any iterate starting from the barrier stays in [sigma, R], at the
     # breakpoints and at the nodes
