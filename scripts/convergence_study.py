@@ -38,8 +38,10 @@ MIN_FACTOR = 4.0  # the decay the acceptance tests require per doubling
 def linear_table() -> bool:
     """Print the defect tables; True if every doubling factor is at least MIN_FACTOR.
 
-    The left half is reached by reflecting x and y, so its table reads an
-    odd function, on which a missing reflection would show.
+    The left half is reached by reflecting x and y.  The table only gates
+    the order: with y = 0 the defect is linear in x, so an odd x reads the
+    same magnitudes with the reflection of x or without it (the odd-forcing
+    test in tests/test_linear.py is the one that catches a missing one).
     """
     lam = rate_of(1.5)
     zero = lambda s: 0.0 * np.asarray(s)

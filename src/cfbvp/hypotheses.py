@@ -25,8 +25,34 @@ from .cf_derivative import rate_of
 from .green import GreenOperator, kernel_bound
 from .quadrature import Mesh, build_mesh, integrate
 
-__all__ = ["NumericsConfig", "ProblemSpec", "HypothesisReport", "CheckFailure",
-           "sigma_R", "check_A1", "check_A2"]
+__all__ = ["NUMERIC_KEYS", "NumericsConfig", "ProblemSpec", "HypothesisReport",
+           "CheckFailure", "sigma_R", "check_A1", "check_A2"]
+
+
+def _schedule(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(","))
+
+
+# optional problem-file key -> (NumericsConfig field, parser of its value,
+# test of its range, the range in words).  NaN fails every comparison, so each
+# test is written as what must hold.
+NUMERIC_KEYS = {
+    "mesh.cells": ("mesh_cells", int, lambda n: n >= 1, "at least 1"),
+    "mesh.gamma": ("gamma", float, lambda g: 1.0 <= g < np.inf, "finite and at least 1"),
+    "mesh.nodes_per_cell": ("nodes_per_cell", int, lambda n: n >= 2, "at least 2"),
+    # a lattice of one point samples t = 0 alone
+    "checks.lattice_density": ("lattice_density", int, lambda n: n >= 2, "at least 2"),
+    "solver.m_schedule": ("m_schedule", _schedule,
+                          lambda s: len(s) >= 1 and s[0] >= 1
+                          and all(a < b for a, b in zip(s, s[1:])),
+                          "non-empty, positive and strictly increasing"),
+    "solver.omega": ("omega", float, lambda w: 0.0 < w <= 1.0, "in (0, 1]"),
+    "solver.inner_tol": ("inner_tol", float, lambda e: 0.0 < e < np.inf,
+                         "positive and finite"),
+    "solver.max_inner": ("max_inner", int, lambda n: n >= 1, "at least 1"),
+    "solver.inter_m_tol": ("inter_m_tol", float, lambda e: 0.0 < e < np.inf,
+                           "positive and finite"),
+}
 
 
 @dataclass(frozen=True)
@@ -49,28 +75,11 @@ class NumericsConfig:
     strict_unit_bound: bool = False
 
     def __post_init__(self):
-        s = tuple(self.m_schedule)
-        # NaN fails every comparison, so each range is written as what must hold
-        for key, value, ok, want in (
-                ("mesh.cells", self.mesh_cells, self.mesh_cells >= 1, "at least 1"),
-                ("mesh.gamma", self.gamma, 1.0 <= self.gamma < np.inf,
-                 "finite and at least 1"),
-                ("mesh.nodes_per_cell", self.nodes_per_cell, self.nodes_per_cell >= 2,
-                 "at least 2"),
-                # a lattice of one point samples t = 0 alone
-                ("checks.lattice_density", self.lattice_density, self.lattice_density >= 2,
-                 "at least 2"),
-                ("solver.m_schedule", ",".join(map(str, s)),
-                 len(s) >= 1 and s[0] >= 1 and all(a < b for a, b in zip(s, s[1:])),
-                 "non-empty, positive and strictly increasing"),
-                ("solver.omega", self.omega, 0.0 < self.omega <= 1.0, "in (0, 1]"),
-                ("solver.inner_tol", self.inner_tol, 0.0 < self.inner_tol < np.inf,
-                 "positive and finite"),
-                ("solver.max_inner", self.max_inner, self.max_inner >= 1, "at least 1"),
-                ("solver.inter_m_tol", self.inter_m_tol, 0.0 < self.inter_m_tol < np.inf,
-                 "positive and finite")):
-            if not ok:
-                raise ValueError(f"key {key!r}: must be {want}, got {value}")
+        for key, (name, _, ok, want) in NUMERIC_KEYS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                shown = ",".join(map(str, value)) if isinstance(value, (tuple, list)) else value
+                raise ValueError(f"key {key!r}: must be {want}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +216,8 @@ _EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
 
 # the A2 refinement meshes have 4 and 8 times this many cells, whatever mesh.cells
 REFINE_BASE_CELLS = 128
+# an improper integral is finite when the two meshes agree to this relative change
+REFINE_REL_TOL = 1e-8
 
 
 def _on_lattice(fn, *axes) -> tuple[np.ndarray, np.ndarray]:
@@ -333,20 +344,19 @@ def _size_integrals(spec: ProblemSpec, mesh: Mesh) -> tuple:
     return I_q, I_qu
 
 
-def _improper_integral(failures: list, check: str, name: str, coarse, fine,
-                       rel_tol: float = 1e-8) -> float:
+def _improper_integral(failures: list, check: str, name: str, coarse, fine) -> float:
     """The integral on the finer of two refining meshes, from _size_integrals.
 
     A divergent (non-finite) improper integral shows up as refinement that
-    does not stabilize to rel_tol; that, or a failed integration (nan, with
-    the coarse mesh's error first), is recorded as a failure of ``check``.
+    does not stabilize to REFINE_REL_TOL; that, or a failed integration (nan,
+    with the coarse mesh's error first), is recorded as a failure of ``check``.
     """
     for value in (coarse, fine):
         if isinstance(value, ValueError):
             failures.append(CheckFailure(check, {}, f"integration failed: {value}"))
             return float("nan")
     change = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if not change < rel_tol:
+    if not change < REFINE_REL_TOL:
         failures.append(CheckFailure(check, {"rel_change": change},
                                      f"{name} did not stabilize under refinement"))
     return fine

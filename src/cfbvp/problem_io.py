@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .hypotheses import NumericsConfig, ProblemSpec
+from .hypotheses import NUMERIC_KEYS, NumericsConfig, ProblemSpec
 
 __all__ = ["ProblemFileError", "load_problem", "parse_problem_text"]
 
@@ -61,24 +61,6 @@ def _take(pairs: dict, key: str, convert):
         raise ProblemFileError(f"key {key!r}: {err}") from err
 
 
-def _schedule(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
-
-
-# optional problem-file key -> (NumericsConfig field, parser of its value)
-NUMERIC_KEYS = {
-    "mesh.cells": ("mesh_cells", int),
-    "mesh.gamma": ("gamma", float),
-    "mesh.nodes_per_cell": ("nodes_per_cell", int),
-    "checks.lattice_density": ("lattice_density", int),
-    "solver.m_schedule": ("m_schedule", _schedule),
-    "solver.omega": ("omega", float),
-    "solver.inner_tol": ("inner_tol", float),
-    "solver.max_inner": ("max_inner", int),
-    "solver.inter_m_tol": ("inter_m_tol", float),
-}
-
-
 def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
     pairs = _parse_pairs(text)
     missing = [k for k in REQUIRED_KEYS if k not in pairs]
@@ -86,7 +68,7 @@ def parse_problem_text(text: str, overrides: dict | None = None) -> ProblemSpec:
         raise ProblemFileError(f"missing required key(s): {', '.join(missing)}")
 
     values = {name: _take(pairs, key, convert)
-              for key, (name, convert) in NUMERIC_KEYS.items() if key in pairs}
+              for key, (name, convert, _, _) in NUMERIC_KEYS.items() if key in pairs}
     # validated after the overrides, so that a flag can replace a bad file value
     values.update(overrides or {})
     try:

@@ -169,9 +169,9 @@ def solve(spec: ProblemSpec) -> SolveReport:
 
     # a passed report has ratio > 1, so its slack eps_max is positive
     eps = 0.5 * report.eps_max  # strictly inside the admissible slack
-    for m in config.m_schedule:
-        if not 1.0 / m < eps:
-            raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
+    m = config.m_schedule[0]  # the schedule increases: its first 1/m is the largest
+    if not 1.0 / m < eps:
+        raise SolverError(f"schedule entry m = {m} violates 1/m < eps = {eps:.3g}")
 
     op = report.operator
     n = len(op.grid)

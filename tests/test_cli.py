@@ -2,15 +2,17 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cfbvp import problem_io
 from cfbvp.cli import (EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                        _solution_csv, main)
 from cfbvp.green import green_eval
-from cfbvp.hypotheses import check_A2
+from cfbvp.hypotheses import NUMERIC_KEYS, NumericsConfig, check_A2
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
 from cfbvp.solver import solve
@@ -102,6 +104,20 @@ def test_parse_rejections(mutation, fragment):
     with pytest.raises(ProblemFileError) as exc:
         parse_problem_text(mutation(WORKED_TEXT))
     assert fragment in str(exc.value)
+
+
+def test_numeric_keys_are_one_table():
+    # one key per NumericsConfig field that a problem file can set, read by
+    # problem_io from the table that NumericsConfig checks the ranges with
+    assert problem_io.NUMERIC_KEYS is NUMERIC_KEYS
+    names = [name for name, *_ in NUMERIC_KEYS.values()]
+    settable = [f.name for f in fields(NumericsConfig) if f.name != "strict_unit_bound"]
+    assert sorted(names) == sorted(settable)
+    default = NumericsConfig()
+    for key, (name, parse, _, _) in NUMERIC_KEYS.items():
+        value = getattr(default, name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        assert parse(text) == value, key
 
 
 @pytest.mark.parametrize("key,value", [("solver.omega", "nan"), ("solver.m_schedule", "-5")])
