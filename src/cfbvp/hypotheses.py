@@ -435,9 +435,10 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
 
     c_kernel = 1.0 if n.strict_unit_bound else kernel_bound(spec.mu)
     try:
-        uR, vR = spec.u_at(spec.R), spec.v_at(spec.R)
-        denom = c_kernel * (1.0 + vR / uR) * I_qu
-        ratio = float("inf") if denom <= 0 else spec.R / denom  # nan stays nan
+        with np.errstate(all="ignore"):  # a non-finite u(R) or v(R) is a nan ratio
+            uR, vR = spec.u_at(spec.R), spec.v_at(spec.R)
+            denom = c_kernel * (1.0 + vR / uR) * I_qu
+            ratio = float("inf") if denom <= 0 else spec.R / denom  # nan stays nan
     except (ex.ExprDomainError, ZeroDivisionError) as err:
         denom = ratio = float("nan")
         failures.append(CheckFailure("A2.ratio", {}, f"ratio undefined: {err}"))

@@ -96,7 +96,8 @@ def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
     and the iteration budget come from ``spec.numerics``.  Stops when the
     sup-norm step drops below the inner tolerance; ten consecutive
     step growths abort with a divergence diagnostic, and a non-finite value
-    of T_m x aborts naming its first point.
+    of T_m x aborts naming the first node where f is not finite (else the
+    first point where T_m x is not).
     """
     config = spec.numerics
     omega = config.omega
@@ -106,10 +107,12 @@ def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
     for it in range(1, config.max_inner + 1):
         tx = apply_Tm(spec, x, m, op)  # a new array: the steps below reuse it
         if not np.isfinite(tx).all():
-            bad = np.flatnonzero(~np.isfinite(tx))
-            raise SolverError(
-                f"T_m x is not finite at t = {op.points[bad[0]]:.6g} "
-                f"(m = {m}, iteration {it})")
+            # a nan of f at one node spreads through the integrals: name that node
+            f = spec.f_given_t(op.tau)(clamp_m(x[len(op.grid):], m, spec.R))
+            bad = np.flatnonzero(~np.isfinite(f))
+            at = op.tau[bad[0]] if bad.size else op.points[np.flatnonzero(~np.isfinite(tx))[0]]
+            raise SolverError(f"T_m x is not finite at t = {at:.6g} "
+                              f"(m = {m}, iteration {it})")
         new = (1.0 - omega) * x
         tx *= omega
         new += tx
@@ -179,20 +182,22 @@ def solve(spec: ProblemSpec) -> SolveReport:
     inner: list[InnerStats] = []
     deviations: list[float] = []
     prev = None
-    try:
-        for m in config.m_schedule:
-            x, stats = solve_fixed_m(spec, m, op, x)
-            inner.append(stats)
-            if prev is not None:
-                deviations.append(float(np.max(np.abs(x[:n] - prev[:n]))))
-            prev = x
-        res = residual_nonlinear(spec, x, op, m=config.m_schedule[-1])
-    except ex.ExprDomainError as err:
-        raise SolverError(f"expression error at m = {m}: {err}") from err
-    try:
-        res_limit = float(np.max(np.abs(residual_nonlinear(spec, x, op))))
-    except (ValueError, ArithmeticError):
-        res_limit = float("nan")
+    # a non-finite f is a SolverError or a nan in the report, not a numpy warning
+    with np.errstate(all="ignore"):
+        try:
+            for m in config.m_schedule:
+                x, stats = solve_fixed_m(spec, m, op, x)
+                inner.append(stats)
+                if prev is not None:
+                    deviations.append(float(np.max(np.abs(x[:n] - prev[:n]))))
+                prev = x
+            res = residual_nonlinear(spec, x, op, m=config.m_schedule[-1])
+        except ex.ExprDomainError as err:
+            raise SolverError(f"expression error at m = {m}: {err}") from err
+        try:
+            res_limit = float(np.max(np.abs(residual_nonlinear(spec, x, op))))
+        except (ValueError, ArithmeticError):
+            res_limit = float("nan")
 
     # sigma_R(1) = x(1) = 0 exactly: the margin is taken where it can be nonzero
     lower_margin = float(np.min(x[:n - 1] - report.sigma[:n - 1]))

@@ -1,9 +1,34 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 from cfbvp.cf_derivative import rate_of
 from cfbvp.green import lower_branch, upper_branch
+from cfbvp.hypotheses import ProblemSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the worked singular family of problems/worked_family.prob
+WORKED = dict(
+    mu=1.5,
+    R=100.0,
+    f="abs(t)*(1-t^2)^(-0.25)*x^(-0.25)",
+    q="s*(1-s^2)^(-0.25)",
+    u="x^(-0.25)",
+    v="x^(0.25)",
+    psi="s*(1-s^2)^(-0.25)*R^(-0.25)",
+)
+
+
+@pytest.fixture(scope="session")
+def make_spec():
+    """The worked family's ProblemSpec, with any field or the numerics replaced."""
+    def make(numerics=None, **overrides):
+        return ProblemSpec.from_strings(numerics=numerics, **(WORKED | overrides))
+    return make
 
 
 def _quad_green(mu, yfn, ts, knots=()):
@@ -45,65 +70,11 @@ def slope_at_zero():
     return _slope_at_zero
 
 
-class _FamilyNystrom:
-    """The worked family f = |t| (1 - t^2)^-a x^-b, with q = s (1 - s^2)^-a,
-    u = x^-b and psi = q R^-b, on a Nystrom discretization of its own:
-    numpy only, sharing no code with cfbvp.
-
-    On 0 <= t <= 1, cosh(lam) G(t, tau) = sinh(lam (1 - t)) e^{-lam tau}
-    for tau <= t and cosh(lam t) e^{lam (1 - tau)} for tau > t.  x is kept
-    at the Gauss nodes of a mesh graded toward t = 1, and the integral
-    from a cell's start to each of its nodes is the spectral integration
-    matrix of the Gauss rule (Nystrom).  Distances to t = 1 are kept exact.
-    """
-
-    def __init__(self, mu, R, a, b, cells=256, gamma=6.0, k=12):
-        self.lam = (mu - 1.0) / (2.0 - mu)
-        self.R, self.b = R, b
-        leg = np.polynomial.legendre
-        g, w = leg.leggauss(k)
-        # int_{-1}^{g_i} of the Lagrange basis: Legendre antiderivatives times
-        # the inverse Vandermonde matrix
-        anti = np.stack([leg.legval(g, leg.legint(np.eye(k)[n], lbnd=-1))
-                         for n in range(k)], 1)
-        spectral = anti @ np.linalg.inv(leg.legvander(g, k - 1))
-        edge = (1.0 - np.arange(cells + 1) / cells) ** gamma  # 1 - breakpoint
-        h = (edge[:-1] - edge[1:])[:, None]
-        self.dist = edge[:-1, None] - 0.5 * h * (g + 1.0)  # 1 - node
-        self.tau = 1.0 - self.dist
-        self.weight = 0.5 * h * w
-        self.partial = 0.5 * h[:, :, None] * spectral
-        self.q = self.tau * (self.dist * (2.0 - self.dist)) ** (-a)  # also f's t factor
-        self.sigma, self.sigma0 = self.green(self.q * R ** (-b))
-
-    def green(self, y):
-        """(x at the nodes, x(0)) for x = int G y, y at the nodes."""
-        lam, dist, tau, partial = self.lam, self.dist, self.tau, self.partial
-        low = np.exp(-lam * tau) * y
-        up = np.exp(lam * dist) * y
-        low_cell, up_cell = (self.weight * low).sum(1), (self.weight * up).sum(1)
-        before = np.concatenate([[0.0], np.cumsum(low_cell)[:-1]])[:, None]
-        after = np.cumsum(up_cell[::-1])[::-1][:, None]
-        x = (np.sinh(lam * dist) * (before + np.einsum("cij,cj->ci", partial, low))
-             + np.cosh(lam * tau) * (after - np.einsum("cij,cj->ci", partial, up)))
-        return x / np.cosh(lam), up_cell.sum() / np.cosh(lam)
-
-    def I_qu(self):
-        """int_0^1 q u(sigma_R), on the nodes."""
-        return float(np.sum(self.weight * self.q * self.sigma ** (-self.b)))
-
-    def x0(self, m):
-        """x(0) of the fixed point of x = int G f(., clamp_m(x)), from sigma_R."""
-        x, R = self.sigma, self.R
-        for _ in range(500):
-            z = np.minimum(np.maximum(x + 1.0 / m, 1.0 / m), R)
-            new, x0 = self.green(self.q * z ** (-self.b))
-            step, x = np.max(np.abs(new - x)), new
-            if step < 1e-15:
-                return x0
-        raise RuntimeError("reference Picard iteration did not converge")
-
-
 @pytest.fixture(scope="session")
-def family_nystrom():
-    return _FamilyNystrom
+def reference():
+    """perfbench/reference.py, the benchmark's Nystrom oracle for the worked
+    family: numpy only, sharing no code with cfbvp."""
+    spec = importlib.util.spec_from_file_location("reference", ROOT / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -295,11 +295,15 @@ def _worked_variant(tmp_path, f_extra, schedule="16,32,64"):
     (" + 0*exp(1000*x)", "16,32,64"),          # overflows to nan inside (0, R]
 ])
 def test_check_covers_what_solve_evaluates(tmp_path, capsys, f_extra, schedule):
+    # an undefined or overflowing f is a reported failure, not a numpy
+    # warning leaking from inside the evaluation
     p = _worked_variant(tmp_path, f_extra, schedule)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["check", str(p)]) == EXIT_HYPOTHESIS
         assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
-    assert "A1 failure" in capsys.readouterr().out
+    detail = "non-finite value nan" if "exp" in f_extra else "expression error: square root"
+    assert f"A1 failure: [A1.f(0,x)=0] {detail}" in capsys.readouterr().out
 
 
 def test_solve_expression_error_exit(tmp_path, capsys):
@@ -324,26 +328,52 @@ def test_solve_t_only_expression_error_exit(tmp_path, capsys):
                    "value in subexpression 'sqrt((t - 0.305)^2.0 - 0.0001)'\n")
 
 
-def test_check_emits_no_runtime_warning(tmp_path, capsys):
-    # f overflows to nan on part of the lattice; that is a reported failure,
-    # not a numpy warning leaking from inside the evaluation
-    p = _worked_variant(tmp_path, " + 0*exp(1000*x)")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["check", str(p)]) == EXIT_HYPOTHESIS
-    assert "non-finite value nan" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_high_order_emits_no_runtime_warning(tmp_path, capsys, command):
     # lam = 768 > 709: the barrier and the kernel bound overflow to nan, which
-    # check_A2 reports (A2.sigma_finite, c = nan); no numpy warning leaks
+    # check_A2 reports (A2.sigma_finite, c = nan, exit 2); no numpy warning leaks
     p = tmp_path / "overflow.prob"
     p.write_text(WORKED_TEXT.replace("mu = 1.5", "mu = 1.9987"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([command, str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
-    assert "A2.sigma_finite" in "".join(capsys.readouterr())
+    out, err = capsys.readouterr()
+    line = "[A2.sigma_finite] barrier takes a non-finite value (at t=0)"
+    if command == "check":
+        assert f"A2 failure: {line}" in out.splitlines()
+    else:
+        assert f"  {line}" in err.splitlines()
+
+
+def test_undefined_size_ratio_emits_no_runtime_warning(tmp_path, capsys):
+    # u(R) overflows to nan, and u = x^(-0.25) everywhere else: the size
+    # ratio is nan, an A2 failure, and no numpy warning leaks from u(R)
+    p = tmp_path / "ratio.prob"
+    p.write_text(WORKED_TEXT.replace(
+        "u = x^(-0.25)\n", "u = x^(-0.25) + 0*exp(1000000*max(0, 1 - abs(x - 100)))\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    out, err = capsys.readouterr()
+    line = "[A2.ratio] size condition requires ratio > 1 (at ratio=nan)"
+    assert f"A2 failure: {line}" in out.splitlines()
+    assert f"  {line}" in err.splitlines()
+
+
+def test_solve_names_the_node_where_f_is_not_finite(tmp_path, capsys):
+    # f overflows to nan only for t > 0.99, past the A1 lattice's last
+    # t = 40/41, so check passes; solve names a Gauss node past 0.99, not
+    # t = 0 where the nan spread to, and no numpy warning leaks
+    p = _worked_variant(tmp_path, " + 0*exp(1000000*max(0, t - 0.99))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(p)]) == EXIT_OK
+        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: T_m x is not finite at t = ")
+    assert err.endswith(" (m = 16, iteration 1)\n")
+    assert float(err.split(" at t = ")[1].split(" ")[0]) > 0.99
 
 
 @pytest.mark.parametrize("mu", ["1.975", "1.998"])
@@ -353,18 +383,6 @@ def test_check_passes_at_high_order(tmp_path, capsys, mu):
     p.write_text(WORKED_TEXT.replace("mu = 1.5", f"mu = {mu}"))
     assert main(["check", str(p)]) == EXIT_OK
     assert "kernel bound c = 2 (audited sup)" in capsys.readouterr().out
-
-
-def test_non_finite_barrier_exit(tmp_path, capsys):
-    # lam = 768 > 709: the barrier overflows, which is an A2 failure (exit 2)
-    p = tmp_path / "overflow.prob"
-    p.write_text(WORKED_TEXT.replace("mu = 1.5", "mu = 1.9987"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["check", str(p)]) == EXIT_HYPOTHESIS
-        assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
-    captured = capsys.readouterr()
-    assert "A2 failure: [A2.sigma_finite] barrier takes a non-finite value" in captured.out
-    assert "A2.sigma_finite" in captured.err
 
 
 def test_green_dump(tmp_path):
@@ -426,30 +444,33 @@ def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
     assert out.read_bytes() == (KERNEL_TABLES / golden).read_bytes()
 
 
-def test_audit_does_not_hide_overflow(capsys):
-    # lam = 768 > 709: the upper branch is inf/inf; the audited sup is nan,
-    # not the 1 that a NaN-dropping max once reported
-    assert main(["audit", "1.9987", "--grid", "41"]) == EXIT_OK
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert row[5] == "nan"
-    assert row[7] == "nan"  # not False: a NaN sup is not known to stay below 1
-
-
 @pytest.mark.parametrize("argv", [["audit", "1.9987", "--grid", "41"],
-                                  ["green", "1.9987", "--grid", "5", "--out", "g.csv"]])
+                                  ["green", "1.9987", "--grid", "5", "--out", "g.csv"],
+                                  ["check", "overflow.prob"]])
 def test_kernel_tables_overflow_without_warning(tmp_path, argv):
     # lam = 768 > 709: the upper branch overflows (a nan sup in the audit;
-    # unused on the green grid); no numpy warning reaches stderr or, as an
-    # error, turns into exit 1
+    # unused on the green grid; a nan kernel bound and barrier in the check of
+    # the shipped problem, an A2 failure); no numpy warning reaches stderr or,
+    # as an error, turns into exit 1
+    shipped = (ROOT / "problems" / "worked_family.prob").read_text()
+    overflow = shipped.replace("\nmu = 1.5\n", "\nmu = 1.9987\n")
+    assert overflow != shipped
+    (tmp_path / "overflow.prob").write_text(overflow)
     run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cfbvp.cli",
                           *argv], capture_output=True, text=True, cwd=tmp_path, timeout=120,
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                              filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
-    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    code = EXIT_HYPOTHESIS if argv[0] == "check" else EXIT_OK
+    assert (run.returncode, run.stderr) == (code, "")
     if argv[0] == "audit":
-        assert run.stdout.splitlines()[1].split(",")[5] == "nan"
-    else:
+        # not the 1 that a NaN-dropping max once reported
+        row = run.stdout.splitlines()[1].split(",")
+        assert row[5] == "nan"
+        assert row[7] == "nan"  # not False: a NaN sup is not known to stay below 1
+    elif argv[0] == "green":
         assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 2 * 5 * 5
+    else:
+        assert "A2.sigma_finite" in run.stdout
 
 
 def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):

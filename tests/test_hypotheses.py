@@ -8,23 +8,9 @@ from cfbvp.green import GreenOperator, green_sup
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
 from cfbvp.quadrature import build_mesh
 
-WORKED = dict(
-    f="abs(t)*(1-t^2)^(-0.25)*x^(-0.25)",
-    q="s*(1-s^2)^(-0.25)",
-    u="x^(-0.25)",
-    v="x^(0.25)",
-    psi="s*(1-s^2)^(-0.25)*R^(-0.25)",
-)
-
-
-def make_spec(mu=1.5, R=100.0, numerics=None, **overrides):
-    kw = dict(WORKED)
-    kw.update(overrides)
-    return ProblemSpec.from_strings(mu=mu, R=R, numerics=numerics, **kw)
-
 
 @pytest.fixture(scope="module")
-def spec():
+def spec(make_spec):
     return make_spec()
 
 
@@ -33,7 +19,7 @@ def a2_report(spec):
     return check_A2(spec)
 
 
-def test_spec_validation():
+def test_spec_validation(make_spec):
     with pytest.raises(ValueError):
         make_spec(R=-1.0)
     with pytest.raises(ValueError):
@@ -42,7 +28,7 @@ def test_spec_validation():
         make_spec(f="x + s")  # s not allowed in f
 
 
-def test_sigma_constant_profile_oracle():
+def test_sigma_constant_profile_oracle(make_spec):
     # psi = 1: sigma(0) = int_0^1 e^{lam(1-s)} / cosh(lam) ds
     #        = (e^lam - 1) / (lam cosh(lam))
     s = make_spec(psi="1")
@@ -52,7 +38,7 @@ def test_sigma_constant_profile_oracle():
     assert abs(sig[0] - want) <= 1e-10  # the breakpoint t = 0 comes first
 
 
-def test_sigma_zero_profile():
+def test_sigma_zero_profile(make_spec):
     s = make_spec(psi="0*s")
     sig = sigma_R(s, GreenOperator(s.mu, s.default_mesh()))
     assert np.all(sig == 0.0)
@@ -66,7 +52,7 @@ def test_sigma_vanishes_at_one(spec):
     assert np.all(sig >= 0.0)
 
 
-def test_sigma_monotone_in_profile():
+def test_sigma_monotone_in_profile(make_spec):
     op = GreenOperator(1.5, make_spec().default_mesh())
     lo = sigma_R(make_spec(psi="s"), op)
     hi = sigma_R(make_spec(psi="s + 0.5"), op)
@@ -74,7 +60,7 @@ def test_sigma_monotone_in_profile():
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
-def test_sigma_refinement_order(mu):
+def test_sigma_refinement_order(mu, make_spec):
     # the graded breakpoints nest (1 - (1 - j/N)^3 is node 2j of the 2N
     # mesh); with psi ~ (1 - s)^(-1/4) the barrier converges at order
     # gamma (1 - 1/4) = 2.25, a factor 4.76 per doubling
@@ -91,7 +77,7 @@ def test_sigma_refinement_order(mu):
 
 
 @pytest.mark.parametrize("mu", [1.2, 1.5, 1.9, 1.975])
-def test_a2_kernel_bound_is_the_audited_sup(mu):
+def test_a2_kernel_bound_is_the_audited_sup(mu, make_spec):
     assert check_A2(make_spec(mu=mu)).c_kernel == green_sup(mu, 401)
 
 
@@ -100,13 +86,13 @@ def test_a1_worked_family_passes(spec):
     assert report.passed, [str(f) for f in report.failures][:5]
 
 
-def test_a1_majorant_example():
+def test_a1_majorant_example(make_spec):
     # |t * x| <= |t| (1/x + x) for x > 0
     s = make_spec(f="abs(t)*x", q="s", u="1/x", v="x", psi="0*s")
     assert check_A1(s).passed
 
 
-def test_a1_odd_nonlinearity_fails():
+def test_a1_odd_nonlinearity_fails(make_spec):
     s = make_spec(f="t*x")
     report = check_A1(s)
     assert not report.passed
@@ -115,20 +101,20 @@ def test_a1_odd_nonlinearity_fails():
     assert "t" in witness.witness
 
 
-def test_a1_nonzero_at_origin_fails():
+def test_a1_nonzero_at_origin_fails(make_spec):
     s = make_spec(f="1 + abs(t)")
     report = check_A1(s)
     assert not report.passed
     assert any(f.check == "A1.f(0,x)=0" for f in report.failures)
 
 
-def test_a1_monotonicity_checks():
+def test_a1_monotonicity_checks(make_spec):
     s = make_spec(u="x", v="x")  # u increasing: violates the assumption
     report = check_A1(s)
     assert any(f.check == "A1.u_decreasing" for f in report.failures)
 
 
-def test_a1_monotone_pair_needs_both_values_finite():
+def test_a1_monotone_pair_needs_both_values_finite(make_spec):
     # The A1 lattice is x_k = 10^(-3 + 0.15 k), k = 0..40 (up to 10 R = 1000).
     # This u is x^(-0.25) up to x_39 = 10^2.85, where exp(x - 290) - 1e300 < 0,
     # and inf at x_40 = 1000, where exp(710) overflows.  The step to inf is a
@@ -152,17 +138,17 @@ def test_a2_worked_family(a2_report):
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
-def test_I_qu_matches_independent_nystrom(mu, family_nystrom):
-    # I_qu = int q u(sigma_R) at the default 128 cells against the test
-    # suite's own Nystrom barrier (256 cells, grading 6, 12 nodes per cell;
+def test_I_qu_matches_independent_nystrom(mu, reference, make_spec):
+    # I_qu = int q u(sigma_R) at the default 128 cells against the
+    # benchmark's Nystrom barrier (256 cells, grading 6, 12 nodes per cell;
     # converged to ~1e-10); reading sigma_R through a spline of its
     # breakpoint values left 3.8e-5 (mu = 1.5) and 3.0e-5 (mu = 1.9)
-    want = family_nystrom(mu, 100.0, 0.25, 0.25).I_qu()
+    want = reference.family_size_terms(mu, 100.0, 0.25, 0.25)["I_qu"]
     got = check_A2(make_spec(mu=mu)).I_qu
     assert abs(got - want) <= 1e-8 * want
 
 
-def test_a2_zero_profile_diverges():
+def test_a2_zero_profile_diverges(make_spec):
     # psi = 0 makes sigma = 0, so u(sigma) = sigma^{-1/4} is evaluated at 0
     s = make_spec(psi="0*s")
     report = check_A2(s)
@@ -170,7 +156,7 @@ def test_a2_zero_profile_diverges():
     assert any(f.check == "A2.I_qu_finite" for f in report.failures)
 
 
-def test_a2_small_R_fails_on_barrier():
+def test_a2_small_R_fails_on_barrier(make_spec):
     # choose R below sigma_R(0); with psi independent of R the barrier at 0
     # stays put while R shrinks under it
     s = make_spec(R=0.05, psi="0.4*s*(1-s^2)^(-0.25)")
@@ -179,7 +165,7 @@ def test_a2_small_R_fails_on_barrier():
     assert any(f.check == "A2.R>=sigma(0)" for f in report.failures)
 
 
-def test_a2_minorant_violation_detected():
+def test_a2_minorant_violation_detected(make_spec):
     s = make_spec(psi="10 + 0*s")  # f cannot dominate the constant 10 near t=0
     report = check_A2(s)
     assert not report.passed
@@ -204,7 +190,7 @@ def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
-def test_size_terms_do_not_depend_on_the_mesh(mu):
+def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
     # the refinement meshes of I_q and I_qu have 4 and 8 times
     # REFINE_BASE_CELLS cells whatever mesh.cells, so the size terms of a
     # refined solver mesh are the default mesh's, bit for bit
@@ -218,7 +204,7 @@ def test_size_terms_do_not_depend_on_the_mesh(mu):
     assert terms(2048) == want
 
 
-def test_q_failure_names_one_subexpression():
+def test_q_failure_names_one_subexpression(make_spec):
     # q fails at two subexpressions; the vector evaluation of q meets
     # sqrt(0.5 - s) first, and both integrals report that one error
     report = check_A2(make_spec(q="sqrt(0.5 - s) + sqrt(s - 0.001) + s*(1-s^2)^(-0.25)"))
@@ -228,7 +214,7 @@ def test_q_failure_names_one_subexpression():
         "'sqrt(0.5 - s)'")
 
 
-def test_strict_mode_uses_unit_bound():
+def test_strict_mode_uses_unit_bound(make_spec):
     s = make_spec(numerics=NumericsConfig(strict_unit_bound=True))
     report = check_A2(s)
     assert report.c_kernel == 1.0

@@ -6,32 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbvp import expressions as ex
-from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A2
+from cfbvp.hypotheses import NumericsConfig, check_A2
 from cfbvp.linear import LocalQuartic
 from cfbvp.problem_io import load_problem
 from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
                           clamp_m, residual_nonlinear, solve, solve_fixed_m)
 
-WORKED = dict(
-    mu=1.5,
-    R=100.0,
-    f="abs(t)*(1-t^2)^(-0.25)*x^(-0.25)",
-    q="s*(1-s^2)^(-0.25)",
-    u="x^(-0.25)",
-    v="x^(0.25)",
-    psi="s*(1-s^2)^(-0.25)*R^(-0.25)",
-)
-
-
-def make_spec(numerics=None, **overrides):
-    kw = dict(WORKED)
-    kw.update(overrides)
-    return ProblemSpec.from_strings(numerics=numerics, **kw)
-
 
 @pytest.fixture(scope="module")
-def spec():
+def spec(make_spec):
     return make_spec()
 
 
@@ -85,7 +69,7 @@ def test_operator_matches_quad_oracle(spec, mesh, op, quad_green):
     assert np.max(np.abs(direct - via_op)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
 
-def test_apply_Tm_zero_nonlinearity(op):
+def test_apply_Tm_zero_nonlinearity(op, make_spec):
     # f = 0 maps everything to the zero function
     s = make_spec(f="0*t*x", psi="0*s")
     x0 = np.ones(op.points.shape)
@@ -103,10 +87,10 @@ def test_apply_Tm_deep_clamp(spec, op):
     assert np.max(np.abs(tx - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_solve_fixed_m_names_non_finite_node(op):
+def test_solve_fixed_m_names_non_finite_node(op, make_spec):
     # f overflows at x = 1 + 1/m; the first non-finite value of T_m x stops
     # the iteration instead of entering the next step
-    s = make_spec(f=WORKED["f"] + " + 0*exp(1000*x)")
+    s = make_spec(f="abs(t)*(1-t^2)^(-0.25)*x^(-0.25) + 0*exp(1000*x)")
     x0 = np.ones(op.points.shape)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SolverError, match=r"not finite at t = .*m = 16"):
@@ -167,12 +151,12 @@ def test_x0_refinement_order():
     assert np.all(steps[:-1] / steps[1:] >= 4.0), steps
 
 
-def test_x0_matches_independent_nystrom_reference(family_nystrom):
-    # the mu = 1.9 member at the default 128 cells and grading 3 against an
-    # m = 128 reference on 256 cells at grading 6 with 12 nodes per cell
-    # (limit of refinement to ~1e-13); reading the iterate through a cubic
-    # spline instead of at the quadrature nodes left a 1.9e-8 relative error
-    want = family_nystrom(1.9, 100.0, 0.25, 0.25).x0(m=128)
+def test_x0_matches_independent_nystrom_reference(reference, make_spec):
+    # the mu = 1.9 member at the default 128 cells and grading 3 against the
+    # benchmark's m = 128 reference on 256 cells at grading 6 with 12 nodes
+    # per cell (limit of refinement to ~1e-13); reading the iterate through a
+    # cubic spline instead of at the quadrature nodes left a 1.9e-8 relative error
+    want = reference.family_x0(1.9, 100.0, 0.25, 0.25, m=128, cells=256)
     rep = solve(make_spec(mu=1.9))
     assert rep.status == "converged" and rep.inner[-1].m == 128
     assert abs(rep.x[0] - want) <= 1e-9 * want
@@ -196,7 +180,7 @@ def test_solve_reads_no_spline(spec, monkeypatch):
     assert fits == []
 
 
-def test_solve_reuses_the_reports_operator(spec, monkeypatch):
+def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
     # the solve builds the 3 operators of its A2 check (the solver mesh,
     # then the 512- and 1024-cell meshes of the improper integrals, whatever
     # the solver mesh) and none of its own
@@ -243,7 +227,7 @@ def test_solve_binds_f_once(spec, monkeypatch):
     assert e is spec.f and fixed["t"] is rep.hypothesis.operator.tau
 
 
-def test_solve_takes_no_hypothesis_report():
+def test_solve_takes_no_hypothesis_report(make_spec):
     # the solve computes its own A2 report from the spec: a report of
     # another problem cannot stand in for it
     with pytest.raises(TypeError):
@@ -316,35 +300,35 @@ def test_fixed_point_is_stationary(spec, op, report):
     assert np.max(np.abs(report.x - tx)) <= 10.0 * spec.numerics.inner_tol
 
 
-def test_damping_reaches_same_fixed_point(report):
+def test_damping_reaches_same_fixed_point(report, make_spec):
     damped = make_spec(numerics=NumericsConfig(omega=0.5))
     rep2 = solve(damped)
     assert rep2.status == "converged"
     assert np.max(np.abs(report.x - rep2.x)) <= 1e-8
 
 
-def test_solver_refuses_failing_hypotheses():
+def test_solver_refuses_failing_hypotheses(make_spec):
     bad = make_spec(f="t*x")  # odd in t
     with pytest.raises(HypothesisError) as exc:
         solve(bad)
     assert exc.value.failures
 
 
-def test_small_R_rejected():
+def test_small_R_rejected(make_spec):
     # R = 1 leaves ratio <= 1: the size condition refuses the solve
     with pytest.raises(HypothesisError) as exc:
         solve(make_spec(R=1.0))
     assert any(f.check == "A2.ratio" for f in exc.value.failures)
 
 
-def test_inner_budget_exhaustion(report):
+def test_inner_budget_exhaustion(report, make_spec):
     tight = make_spec(numerics=NumericsConfig(m_schedule=(16,), max_inner=2))
     rep = solve(tight)
     assert rep.status == "inner_failed"
     assert not rep.inner[0].converged
 
 
-def test_schedule_vs_eps_guard(report, monkeypatch):
+def test_schedule_vs_eps_guard(report, monkeypatch, make_spec):
     # eps_max ~ 75 so eps ~ 37; a schedule with 1/m >= eps is impossible to
     # build with integer m here, so synthesize via a doctored report
     from dataclasses import replace
