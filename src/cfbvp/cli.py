@@ -13,6 +13,7 @@ CSV tables through ``csvfmt.render``, byte for byte Python's ``'%.17g'``).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -214,6 +215,7 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args returns a new namespace on each call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cfbvp",
                                 description="check and solve the symmetric singular "

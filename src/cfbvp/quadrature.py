@@ -100,10 +100,15 @@ def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
                 nodes_per_cell=nodes_per_cell)
 
 
+# check and solve each build three meshes, which depend on these three numbers
+# alone.  Typed, so that build_mesh(128, 3.0, 8.0) raises as ever and does
+# not return the cached mesh of build_mesh(128, 3.0, 8)
+@lru_cache(maxsize=8, typed=True)
 def build_mesh(cells: int, gamma: float = 1.0, nodes_per_cell: int = 8) -> Mesh:
     """Mesh on [0, 1], uniform for gamma = 1, else graded with exponent gamma toward 1.
 
-    The graded breakpoints are ``1 - (1 - j/N)**gamma``.
+    The graded breakpoints are ``1 - (1 - j/N)**gamma``.  Equal arguments
+    return the same Mesh, whose arrays are read-only.
     """
     if cells < 1:
         raise MeshError("cell count must be positive")

@@ -444,6 +444,14 @@ def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
     assert out.read_bytes() == (KERNEL_TABLES / golden).read_bytes()
 
 
+def _fresh_cli(argv, cwd):
+    """``python -m cfbvp.cli ARGV`` in a new interpreter, RuntimeWarning an error."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cfbvp.cli",
+                           *argv], capture_output=True, text=True, cwd=cwd, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
+
+
 @pytest.mark.parametrize("argv", [["audit", "1.9987", "--grid", "41"],
                                   ["green", "1.9987", "--grid", "5", "--out", "g.csv"],
                                   ["check", "overflow.prob"]])
@@ -456,10 +464,7 @@ def test_kernel_tables_overflow_without_warning(tmp_path, argv):
     overflow = shipped.replace("\nmu = 1.5\n", "\nmu = 1.9987\n")
     assert overflow != shipped
     (tmp_path / "overflow.prob").write_text(overflow)
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cfbvp.cli",
-                          *argv], capture_output=True, text=True, cwd=tmp_path, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
+    run = _fresh_cli(argv, tmp_path)
     code = EXIT_HYPOTHESIS if argv[0] == "check" else EXIT_OK
     assert (run.returncode, run.stderr) == (code, "")
     if argv[0] == "audit":
@@ -471,6 +476,38 @@ def test_kernel_tables_overflow_without_warning(tmp_path, argv):
         assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 2 * 5 * 5
     else:
         assert "A2.sigma_finite" in run.stdout
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # the parser and the meshes are built once per process: a sequence of
+    # commands in one process, a flag and then its default among them, gives
+    # the exit codes, messages and files of each command in a fresh process
+    prob = str(ROOT / "problems" / "worked_family.prob")
+    commands = [["check", prob, "--strict-unit-bound", "--out", "check_strict"],
+                ["check", prob, "--out", "check"],
+                ["solve", prob, "--mesh-cells", "64", "--out", "solve_64"],
+                ["solve", prob, "--out", "solve"],
+                ["solve"],
+                ["audit", "1.5,1.9", "--grid", "9", "--out", "audit.csv"],
+                ["green", "1.93", "--grid", "7", "--out", "green.csv"]]
+    fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
+    fresh.mkdir()
+    inproc.mkdir()
+    monkeypatch.chdir(inproc)
+    # argparse wraps its usage lines to the terminal, here and in the fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = []
+    for argv in commands:
+        want = _fresh_cli(argv, fresh)
+        codes.append(main(argv))
+        got = capsys.readouterr()
+        assert (codes[-1], got.out, got.err) == (want.returncode, want.stdout, want.stderr), argv
+    assert codes == [EXIT_OK] * 4 + [EXIT_USAGE] + [EXIT_OK] * 2
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    assert tree(inproc) == tree(fresh)
+    assert len(tree(fresh)) == 2 + 2 + 2 + 2 + 1 + 1
 
 
 def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):

@@ -58,13 +58,30 @@ def test_invalid_interval():
 
 
 def test_nonpositive_cells():
-    with pytest.raises(MeshError):
-        build_mesh(0)
+    for _ in range(2):  # an error is not cached: every call raises
+        with pytest.raises(MeshError):
+            build_mesh(0)
 
 
 def test_gamma_below_one_rejected():
-    with pytest.raises(MeshError):
-        build_mesh(4, 0.5)
+    for _ in range(2):
+        with pytest.raises(MeshError):
+            build_mesh(4, 0.5)
+
+
+def test_equal_arguments_share_one_read_only_mesh():
+    mesh = build_mesh(128, 3.0, 8)
+    assert build_mesh(128, 3.0, 8) is mesh
+    assert build_mesh(128, 3.0, 4) is not mesh
+    for values in (mesh.breakpoints, mesh.nodes, mesh.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.5
+    # the cache is typed: an integral float is not the cached int, and the
+    # Gauss rule rejects it as it did before the cache
+    with pytest.raises(TypeError, match="deg must be an integer"):
+        build_mesh(128, 3.0, 8.0)
+    # bounded: a check or a solve builds three meshes
+    assert 3 <= build_mesh.cache_info().maxsize <= 16
 
 
 def test_weights_positive_and_breakpoints_increase():
