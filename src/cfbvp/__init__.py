@@ -2,26 +2,22 @@
 for a singular integro-differential two-point boundary value problem with
 exponential-kernel fractional derivatives."""
 
-from .cf_derivative import cf_left, cf_right, rate_of
 from .expressions import Expr, evaluate, parse, unparse
-from .green import (GreenOperator, apply_green, green_diagonal_jump, green_eval,
-                    green_sup)
+from .green import (GreenOperator, green_diagonal_jump, green_eval, green_sup,
+                    rate_of)
 from .hypotheses import (HypothesisReport, NumericsConfig, ProblemSpec,
                          check_A1, check_A2, sigma_R)
-from .linear import (general_solution_left_half, general_solution_right_half,
-                     residual_linear)
 from .problem_io import load_problem, parse_problem_text
 from .quadrature import Mesh, build_mesh, integrate
 from .solver import (SolveReport, apply_Tm, clamp_m, residual_nonlinear, solve,
                      solve_fixed_m)
 
 __all__ = [
-    "cf_left", "cf_right", "rate_of",
+    "rate_of",
     "Expr", "evaluate", "parse", "unparse",
-    "GreenOperator", "apply_green", "green_diagonal_jump", "green_eval", "green_sup",
+    "GreenOperator", "green_diagonal_jump", "green_eval", "green_sup",
     "HypothesisReport", "NumericsConfig", "ProblemSpec",
     "check_A1", "check_A2", "sigma_R",
-    "general_solution_left_half", "general_solution_right_half", "residual_linear",
     "load_problem", "parse_problem_text",
     "Mesh", "build_mesh", "integrate",
     "SolveReport", "apply_Tm", "clamp_m",

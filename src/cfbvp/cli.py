@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cf_derivative import rate_of
-from .green import green_diagonal_jump, green_eval, green_sup
+from .green import green_diagonal_jump, green_eval, green_sup, rate_of
 from .hypotheses import check_A1, check_A2
 from .problem_io import load_problem
 from .solver import HypothesisError, SolverError, solve

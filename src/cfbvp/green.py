@@ -8,18 +8,30 @@ symmetry a structural guarantee instead of a numerical one.
 
 Mixed-sign (t, tau) pairs are undefined and rejected: the integral
 representation only ever integrates over the half-interval containing t.
-GreenOperator is the one implementation of that integral.
+GreenOperator is the one implementation of that integral, and rate_of the
+one check of an order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cf_derivative import rate_of
 from .quadrature import Mesh, gauss_integration_matrix
 
-__all__ = ["green_eval", "green_diagonal_jump", "green_sup", "kernel_bound",
-           "GreenOperator", "apply_green"]
+__all__ = ["rate_of", "green_eval", "green_diagonal_jump", "green_sup", "kernel_bound",
+           "GreenOperator"]
+
+
+def rate_of(mu) -> float:
+    """The kernel decay rate (mu - 1) / (2 - mu) > 0 for mu in (1, 2).
+
+    The one check of an order: a mu outside the working range (1, 2) is a
+    ValueError.
+    """
+    mu = float(mu)
+    if not 1.0 < mu < 2.0:
+        raise ValueError(f"order must lie in (1, 2), got {mu}")
+    return (mu - 1.0) / (2.0 - mu)
 
 
 def lower_branch(lam: float, t, tau):
@@ -178,15 +190,3 @@ class GreenOperator:
         inside += part
         return out
 
-
-def apply_green(mu, y, mesh: Mesh) -> np.ndarray:
-    """Solve the linear problem: x(t) = int_0^1 G(t, tau) y(tau) dtau.
-
-    Requires y(0) = 0 (the linear problem's compatibility condition); the
-    callable y is evaluated at the Gauss nodes, and x is returned at the
-    mesh breakpoints (x(-t) = x(t) by the kernel's symmetry).
-    """
-    if abs(float(y(0.0))) > 1e-12:
-        raise ValueError(f"y(0) = {float(y(0.0))!r} violates the y(0) = 0 requirement")
-    op = GreenOperator(mu, mesh)
-    return op.apply(y(mesh.flat_nodes))[:len(op.grid)]

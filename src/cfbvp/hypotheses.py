@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .cf_derivative import rate_of
-from .green import GreenOperator, kernel_bound
+from .green import GreenOperator, kernel_bound, rate_of
 from .quadrature import Mesh, build_mesh, integrate
 
 __all__ = ["NUMERIC_KEYS", "NumericsConfig", "ProblemSpec", "HypothesisReport",

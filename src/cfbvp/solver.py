@@ -49,7 +49,7 @@ def clamp_m(x, m: int, R: float):
 
 @dataclass(frozen=True)
 class InnerStats:
-    m: int
+    m: int | None
     iterations: int
     final_step: float
     converged: bool
@@ -84,13 +84,21 @@ def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int | None,
     never touched; m = None is the limit map, where f reads x itself.  The
     output is symmetric by construction.
     """
+    return op.apply(_f_at_nodes(spec, x, m, op))
+
+
+def _f_at_nodes(spec: ProblemSpec, x: np.ndarray, m: int | None,
+                op: GreenOperator) -> np.ndarray:
+    """f at the nodes ``op.tau``, of clamp_m(x) at level m and of x itself
+    for m = None."""
     xv = x[len(op.grid):]
-    return op.apply(spec.f_given_t(op.tau)(xv if m is None else clamp_m(xv, m, spec.R)))
+    return spec.f_given_t(op.tau)(xv if m is None else clamp_m(xv, m, spec.R))
 
 
-def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
+def solve_fixed_m(spec: ProblemSpec, m: int | None, op: GreenOperator,
                   x0: np.ndarray) -> tuple[np.ndarray, InnerStats]:
-    """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m.
+    """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m (m = None:
+    the limit map, as in apply_Tm).
 
     x holds values at ``op.points``; the damping w, the inner tolerance
     and the iteration budget come from ``spec.numerics``.  Stops when the
@@ -108,7 +116,7 @@ def solve_fixed_m(spec: ProblemSpec, m: int, op: GreenOperator,
         tx = apply_Tm(spec, x, m, op)  # a new array: the steps below reuse it
         if not np.isfinite(tx).all():
             # a nan of f at one node spreads through the integrals: name that node
-            f = spec.f_given_t(op.tau)(clamp_m(x[len(op.grid):], m, spec.R))
+            f = _f_at_nodes(spec, x, m, op)
             bad = np.flatnonzero(~np.isfinite(f))
             at = op.tau[bad[0]] if bad.size else op.points[np.flatnonzero(~np.isfinite(tx))[0]]
             raise SolverError(f"T_m x is not finite at t = {at:.6g} "

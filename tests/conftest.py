@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cfbvp.cf_derivative import rate_of
-from cfbvp.green import lower_branch, upper_branch
+from cfbvp.green import lower_branch, rate_of, upper_branch
 from cfbvp.hypotheses import ProblemSpec
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,23 +1,62 @@
-"""General solutions of the linear integro-differential equation and the
-residual diagnostic of its solutions, on the right half [0, 1].
+"""The paper's exponential-kernel (Caputo-Fabrizio) derivatives and the
+general solutions of its linear equation, on the right half [0, 1]: the
+oracles the tests check the Green kernel and operator against.
 
-On each half-interval the homogeneous solutions are cosh(lam t) and
-sinh(lam t); a particular solution is a one-sided exponential convolution
-of the forcing.  The reflection t -> -t maps the left-half equation onto
-the right-half one, so the left-half functions reflect their inputs and
-call the right-half ones.  The boundary value solve itself is
-green.apply_green.
+The left/right derivatives of order mu in (1, 2) act on the second
+classical derivative of the target function through the kernel
+exp(-rate |t - tau|), rate = (mu - 1) / (2 - mu); both are one exponential
+convolution, exp_convolution, returned at every mesh breakpoint.  On each
+half-interval the homogeneous solutions of the linear equation are
+cosh(lam t) and sinh(lam t), and a particular solution is a one-sided
+exponential convolution of the forcing.  The reflection t -> -t maps the
+left half onto the right one, so the left-half functions reflect their
+inputs and call the right-half ones.  The boundary value solve itself is
+green.GreenOperator, which check and solve run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cf_derivative import cf_left, exp_convolution, rate_of
-from .quadrature import Mesh
+from cfbvp.green import rate_of
+from cfbvp.quadrature import Mesh
 
-__all__ = ["general_solution_right_half", "general_solution_left_half",
-           "residual_linear", "LocalQuartic"]
+
+def exp_convolution(values, rate: float, mesh: Mesh) -> np.ndarray:
+    """P[i] = int_{t_0}^{t_i} exp(-rate (t_i - s)) g(s) ds at every breakpoint t_i.
+
+    values holds g at ``mesh.flat_nodes``; a scalar is a constant g.  With
+    c_i cell i's Gauss sum, its kernel measured from the cell's right end,
+    P[i + 1] = exp(-rate h_i) P[i] + c_i from P[0] = 0: for rate > 0 every
+    factor is at most 1, so nothing overflows.
+    """
+    g = np.broadcast_to(np.asarray(values, dtype=float), mesh.flat_nodes.shape)
+    kernel = np.exp(-rate * (mesh.breakpoints[1:, None] - mesh.nodes))
+    cells = (mesh.weights * kernel * g.reshape(mesh.nodes.shape)).sum(axis=1)
+    decay = np.exp(-rate * np.diff(mesh.breakpoints))
+    out = [0.0]
+    for d, c in zip(decay.tolist(), cells.tolist()):
+        out.append(d * out[-1] + c)
+    return np.array(out)
+
+
+def cf_left(xpp, mu, mesh: Mesh) -> np.ndarray:
+    """Left derivative (1/(2-mu)) int_0^t exp(-rate (t-s)) xpp(s) ds at ``mesh.breakpoints``.
+
+    xpp is the second classical derivative of the target function, a
+    callable evaluated at the mesh's Gauss nodes.
+    """
+    rate = rate_of(mu)
+    return exp_convolution(xpp(mesh.flat_nodes), rate, mesh) / (2.0 - mu)
+
+
+def cf_right(xpp, mu, mesh: Mesh) -> np.ndarray:
+    """Right derivative (1/(2-mu)) int_t^0 exp(-rate (s-t)) xpp(s) ds at
+    ``-mesh.breakpoints[::-1]``, the left half in ascending order.
+
+    The reflection s -> -s makes it the left derivative of s -> xpp(-s).
+    """
+    return cf_left(lambda s: xpp(-s), mu, mesh)[::-1]
 
 
 class LocalQuartic:

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cfbvp.cf_derivative import cf_left, cf_right, exp_convolution, rate_of
+from cfbvp.green import rate_of
 from cfbvp.quadrature import build_mesh
+from linear_oracles import cf_left, cf_right, exp_convolution
 
 MESH = build_mesh(256)
 

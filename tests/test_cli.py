@@ -444,12 +444,17 @@ def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
     assert out.read_bytes() == (KERNEL_TABLES / golden).read_bytes()
 
 
-def _fresh_cli(argv, cwd):
-    """``python -m cfbvp.cli ARGV`` in a new interpreter, RuntimeWarning an error."""
-    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cfbvp.cli",
-                           *argv], capture_output=True, text=True, cwd=cwd, timeout=120,
+def _python(args, cwd=None):
+    """``python ARGS`` in a new interpreter on ``src``, RuntimeWarning an error."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          capture_output=True, text=True, cwd=cwd, timeout=120,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                               filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))))
+
+
+def _fresh_cli(argv, cwd):
+    """``python -m cfbvp.cli ARGV`` in a new interpreter, RuntimeWarning an error."""
+    return _python(["-m", "cfbvp.cli", *argv], cwd)
 
 
 @pytest.mark.parametrize("argv", [["audit", "1.9987", "--grid", "41"],
@@ -508,6 +513,32 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
         return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
     assert tree(inproc) == tree(fresh)
     assert len(tree(fresh)) == 2 + 2 + 2 + 2 + 1 + 1
+
+
+def test_cli_imports_no_scipy():
+    run = _python(["-c", "import sys, cfbvp.cli\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_check_and_solve_without_scipy_write_the_same_bytes(tmp_path):
+    # scipy is a test dependency only: the package imports and runs without it
+    worked = ROOT / "problems" / "worked_family.prob"
+    blocked, here = tmp_path / "blocked", tmp_path / "here"
+    run = _python(["-c", "import sys\n"
+                   "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+                   "from cfbvp.cli import main\n"
+                   f"p, d = {str(worked)!r}, {str(blocked)!r}\n"
+                   "sys.exit(main(['check', p, '--out', d]) or main(['solve', p, '--out', d]))"])
+    assert run.returncode == 0, run.stderr
+    assert main(["check", str(worked), "--out", str(here)]) == 0
+    assert main(["solve", str(worked), "--out", str(here)]) == 0
+    names = sorted(f.name for f in here.iterdir())
+    assert names == ["hypothesis_report.txt", "sigma_R.csv", "solution.csv", "solve_report.txt"]
+    assert sorted(f.name for f in blocked.iterdir()) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (here / name).read_bytes(), name
 
 
 def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):

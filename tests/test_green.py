@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbvp.cf_derivative import rate_of
-from cfbvp.green import (GreenOperator, apply_green, green_diagonal_jump,
-                         green_eval, green_sup, kernel_bound, lower_branch,
-                         upper_branch)
-from cfbvp.linear import LocalQuartic
+from cfbvp.green import (GreenOperator, green_diagonal_jump, green_eval, green_sup,
+                         kernel_bound, lower_branch, rate_of, upper_branch)
 from cfbvp.quadrature import build_mesh, integrate
+from linear_oracles import LocalQuartic
 
 MESH = build_mesh(128, 3.0)
 
@@ -201,13 +199,14 @@ def test_branch_continuity_under_refinement():
 
 def test_apply_green_zero():
     y = LocalQuartic(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
-    x = apply_green(1.5, y, MESH)
-    assert np.all(x == 0.0)
+    op = GreenOperator(1.5, MESH)
+    assert np.all(op.apply(y(op.tau)) == 0.0)
 
 
 def test_apply_green_boundary_conditions(slope_at_zero):
     y = LocalQuartic(MESH.breakpoints, MESH.breakpoints ** 2)
-    values = apply_green(1.5, y, MESH)
+    op = GreenOperator(1.5, MESH)
+    values = op.apply(y(op.tau))[:len(op.grid)]
     assert values[-1] == 0.0  # x(1) = 0 exactly
     # x is even, so flat at zero: x'(0+) = -y(0) = 0.  The one-sided
     # difference D differs from x'(0) by at most h^2 max |x'''| on [0, 2h]
@@ -220,14 +219,8 @@ def test_apply_green_boundary_conditions(slope_at_zero):
     at = np.array([0.0, h, 2.0 * h])
     assert abs(slope_at_zero(*LocalQuartic(MESH.breakpoints, values)(at), h)) <= flat
     # forcing 1 breaks y(0) = 0: slope -1 at 0+, which the same check rejects
-    corner = GreenOperator(1.5, MESH).apply(1.0)[:len(MESH.breakpoints)]
+    corner = op.apply(1.0)[:len(op.grid)]
     assert abs(slope_at_zero(*LocalQuartic(MESH.breakpoints, corner)(at), h)) > flat
-
-
-def test_apply_green_requires_zero_at_origin():
-    y = LocalQuartic(MESH.breakpoints, 1.0 + MESH.breakpoints)
-    with pytest.raises(ValueError):
-        apply_green(1.5, y, MESH)
 
 
 def test_both_half_forms_agree_at_origin(quad_green):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfbvp.cf_derivative import rate_of
-from cfbvp.green import GreenOperator, green_sup
+from cfbvp.green import GreenOperator, green_sup, rate_of
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
 from cfbvp.quadrature import build_mesh
 

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from cfbvp.cf_derivative import cf_left, cf_right, rate_of
-from cfbvp.green import apply_green
-from cfbvp.linear import (LocalQuartic, general_solution_left_half, general_solution_right_half,
-                          residual_linear)
+from cfbvp.green import GreenOperator, rate_of
 from cfbvp.quadrature import MeshError, build_mesh, mesh_from_breakpoints
+from linear_oracles import (LocalQuartic, cf_left, cf_right, general_solution_left_half,
+                            general_solution_right_half, residual_linear)
 
 MU = 1.5
 LAM = rate_of(MU)
@@ -66,7 +65,7 @@ def test_mirror_between_halves():
 ], ids=["cf_left", "cf_right", "right_half", "left_half", "residual_right", "residual_left"])
 @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (0.0, 2.0), (0.5, 1.0)])
 def test_mesh_off_the_unit_interval_rejected(fn, a, b):
-    # the linear layer has no domain check of its own: a mesh off [0, 1] is
+    # the oracles have no domain check of their own: a mesh off [0, 1] is
     # refused where it is built, so none can reach these functions
     with pytest.raises(MeshError, match=r"mesh must cover \[0, 1\], got "):
         fn(mesh_from_breakpoints(np.linspace(a, b, 65)))
@@ -74,7 +73,8 @@ def test_mesh_off_the_unit_interval_rejected(fn, a, b):
 
 def test_bvp_square_forcing(quad_green):
     y = LocalQuartic(MESH.breakpoints, MESH.breakpoints ** 2)
-    x = apply_green(MU, y, MESH)
+    op = GreenOperator(MU, MESH)
+    x = op.apply(y(op.tau))[:len(op.grid)]
     assert abs(x[-1]) <= 1e-12
     assert abs(x[0] - INT_EXP_SQUARE / math.cosh(1.0)) <= 1e-12
     # the interpolant of s^2 is s^2 (the local quartic reproduces quartics)
@@ -84,7 +84,8 @@ def test_bvp_square_forcing(quad_green):
 
 def test_bvp_zero_forcing():
     y = LocalQuartic(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
-    x = apply_green(MU, y, MESH)
+    op = GreenOperator(MU, MESH)
+    x = op.apply(y(op.tau))[:len(op.grid)]
     assert np.all(x == 0.0)
 
 
@@ -106,10 +107,11 @@ def _scalar_quartic(interp):
 def test_bvp_cross_check_random_smooth(quad_green):
     rng = np.random.default_rng(11)
     nodes = MESH.breakpoints
+    op = GreenOperator(MU, MESH)
     for _ in range(3):
         a, b = rng.uniform(-2.0, 2.0, 2)
         y = LocalQuartic(nodes, a * nodes * nodes + b * np.sin(nodes) * nodes)
-        x = apply_green(MU, y, MESH)
+        x = op.apply(y(op.tau))[:len(op.grid)]
         # the oracle integrates the same interpolant piece by piece, at every
         # 32nd node to keep the scalar quadrature cheap
         want = quad_green(MU, _scalar_quartic(y), nodes[::32], knots=nodes)
@@ -140,7 +142,6 @@ def test_left_half_residual_of_odd_forcing():
 @pytest.mark.parametrize("fn,half", [(np.cosh, "right"), (np.sinh, "left")],
                          ids=["right", "left"])
 def test_residual_decreases_under_doubling(fn, half):
-    # the gate of scripts/convergence_study.py, at its meshes
     sups = [np.max(np.abs(residual_linear(MU, lambda t: fn(LAM * t), lambda t: 0.0,
                                           build_mesh(n), half=half)))
             for n in (64, 128, 256, 512, 1024)]
@@ -154,7 +155,8 @@ def test_residual_of_bvp_solution_refines():
     for cells in (64, 128):
         mesh = build_mesh(cells)
         y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
-        x = LocalQuartic(mesh.breakpoints, apply_green(MU, y, mesh))
+        op = GreenOperator(MU, mesh)
+        x = LocalQuartic(mesh.breakpoints, op.apply(y(op.tau))[:len(op.grid)])
         sups.append(np.max(np.abs(residual_linear(MU, x, y, mesh))))
     assert sups[1] < sups[0]
     assert sups[1] <= 1e-5
@@ -188,3 +190,76 @@ def test_grid_too_coarse_rejected():
     mesh = build_mesh(4)
     with pytest.raises(ValueError):
         residual_linear(MU, lambda t: t, lambda t: 0.0, mesh)
+
+
+# the local quartic: exact on quartics, its value error on smooth data falls like h^5
+
+QUARTIC = np.polynomial.Polynomial([0.3, -1.2, 2.5, -0.7, 1.1])
+
+
+def barrier_like(t):
+    # the shape of sigma_R and of the iterates: flat at 0, steep at t = 1
+    return np.sqrt(1.0 - t * t) * (1.0 + np.cos(3.0 * t))
+
+
+@pytest.mark.parametrize("cells", [16, 64, 512, 2048])
+@pytest.mark.parametrize("grading", ["uniform", "graded", "left"])
+def test_quartics_are_reproduced(grading, cells):
+    mesh = build_mesh(cells, gamma=1.0 if grading == "uniform" else 3.0)
+    grid, p = mesh.breakpoints, mesh.flat_nodes
+    if grading == "left":  # the mirrored grid, on [-1, 0]
+        grid, p = -grid[::-1], -p
+    fit = LocalQuartic(grid, QUARTIC(grid))
+    assert np.max(np.abs(fit(p) - QUARTIC(p))) <= 1e-13
+    if grading == "uniform" and cells <= 64:
+        # the second derivative divides by h^2, which amplifies roundoff
+        h = 1.0 / cells
+        err = np.max(np.abs(fit.second_derivative(p) - QUARTIC.deriv(2)(p)))
+        assert err <= 1e-13 / h**2
+
+
+def test_value_error_falls_like_h5():
+    errs = []
+    for cells in (16, 32, 64, 128, 256):
+        mesh = build_mesh(cells)
+        g = LocalQuartic(mesh.breakpoints, np.cos(3.0 * mesh.breakpoints))
+        errs.append(np.max(np.abs(g(mesh.flat_nodes) - np.cos(3.0 * mesh.flat_nodes))))
+    factors = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all(factors >= 16.0), factors  # 2^5 = 32 measured
+
+
+def test_interpolant_evaluation_and_reuse():
+    mesh = build_mesh(128, gamma=3.0)
+    bps, tau = mesh.breakpoints, mesh.flat_nodes
+    values = {"g": barrier_like(bps), "h": 2.0 * barrier_like(bps) - bps}
+    fits = {name: LocalQuartic(bps, v) for name, v in values.items()}
+    for name in ("g", "h", "g", "h"):  # each keeps its own fit on the same grid
+        want = LocalQuartic(bps, values[name])(tau)
+        np.testing.assert_array_equal(fits[name](tau), want)
+    g = fits["g"]
+    assert np.max(np.abs(g(tau) - barrier_like(tau))) <= 1e-4
+    p = tau.copy()
+    g(p)
+    p[:] = p[::-1]  # the same array object, new points
+    np.testing.assert_array_equal(g(p), g(tau)[::-1])
+    scalar = g(0.0)
+    assert scalar.shape == () and float(scalar) == float(g(np.array([0.0]))[0])
+    assert g(tau.reshape(-1, 8)).shape == (len(tau) // 8, 8)
+
+
+def test_interpolant_needs_five_nodes():
+    for n in (2, 3, 4):
+        with pytest.raises(ValueError, match="at least 5 nodes"):
+            LocalQuartic(np.linspace(0.0, 1.0, n), np.ones(n))
+    assert float(LocalQuartic(np.linspace(0.0, 1.0, 5), np.ones(5))(0.3)) \
+        == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_fails_fast_naming_its_node(bad):
+    nodes = np.linspace(0.0, 1.0, 9)
+    values = np.ones(9)
+    values[3] = bad
+    values[6] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite value .* at node 0\.375$"):
+        LocalQuartic(nodes, values)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cfbvp import expressions as ex
 from cfbvp.hypotheses import NumericsConfig, check_A2
-from cfbvp.linear import LocalQuartic
 from cfbvp.problem_io import load_problem
 from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
@@ -97,6 +96,16 @@ def test_solve_fixed_m_names_non_finite_node(op, make_spec):
         solve_fixed_m(s, 16, op, x0)
 
 
+def test_limit_map_names_non_finite_node(spec, op):
+    # m = None reads x itself, in the iteration and in its diagnostic alike
+    k = 5
+    x0 = np.ones(op.points.shape)
+    x0[len(op.grid) + k] = np.nan
+    with pytest.raises(SolverError,
+                       match=rf"not finite at t = {op.tau[k]:.6g} \(m = None, iteration 1\)$"):
+        solve_fixed_m(spec, None, op, x0)
+
+
 def test_limit_map_reads_x_itself(spec, op):
     # m = None is the limit map: no clamp, below 1/m and above R alike
     n = len(op.grid)
@@ -160,24 +169,6 @@ def test_x0_matches_independent_nystrom_reference(reference, make_spec):
     rep = solve(make_spec(mu=1.9))
     assert rep.status == "converged" and rep.inner[-1].m == 128
     assert abs(rep.x[0] - want) <= 1e-9 * want
-
-
-def test_solve_reads_no_spline(spec, monkeypatch):
-    # the A2 check reads the barrier at its quadrature nodes through each
-    # mesh's operator, and the iterate lives on the breakpoints and the
-    # Gauss nodes: no interpolant is fitted in the check or the solve
-    fits = []
-    original = LocalQuartic.__init__
-
-    def counted(self, x, y):
-        fits.append(np.size(x))
-        original(self, x, y)
-
-    monkeypatch.setattr(LocalQuartic, "__init__", counted)
-    hyp = check_A2(spec)
-    rep = solve(spec)
-    assert hyp.passed and rep.status == "converged"
-    assert fits == []
 
 
 def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
