@@ -44,9 +44,16 @@ def lower_branch(lam: float, t, tau):
         / (1.0 + np.exp(-2.0 * lam))
 
 
+def upper_factors(lam: float, t, tau):
+    """The two factors of the upper branch, cosh(lam t) / cosh(lam) and
+    e^{lam (1 - tau)}; upper_branch is their rounded product."""
+    return np.cosh(lam * t) / np.cosh(lam), np.exp(lam * (1.0 - tau))
+
+
 def upper_branch(lam: float, t, tau):
     """Kernel for 0 <= t <= tau <= 1."""
-    return (np.cosh(lam * t) / np.cosh(lam)) * np.exp(lam * (1.0 - tau))
+    row, col = upper_factors(lam, t, tau)
+    return row * col
 
 
 def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
@@ -64,15 +71,18 @@ def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
     lam = rate_of(mu)
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be lower or upper, got {side!r}")
-    t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
-    for bad, message in (((np.abs(t) > 1.0) | (np.abs(tau) > 1.0),
+    t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+    pt, ptau = np.broadcast_arrays(t, tau)  # the points, for the checks and their messages
+    for bad, message in (((np.abs(pt) > 1.0) | (np.abs(ptau) > 1.0),
                           "(t, tau) = ({}, {}) outside [-1, 1]^2"),
-                         (t * tau < 0.0,
+                         (pt * ptau < 0.0,
                           "kernel undefined for mixed-sign arguments (t, tau) = ({}, {})")):
         if np.any(bad):
             i = np.argmax(bad)  # the first offending point
-            raise ValueError(message.format(t.flat[i], tau.flat[i]))
-    t, tau = np.abs(t), np.abs(tau)  # G(-t, -tau) = G(t, tau)
+            raise ValueError(message.format(pt.flat[i], ptau.flat[i]))
+    # G(-t, -tau) = G(t, tau); on the inputs' own shapes, so the upper
+    # branch's factors are computed once per coordinate, not per point
+    t, tau = np.abs(t), np.abs(tau)
     lower = (tau < t) | ((tau == t) & (side != "upper"))
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: 0 or nan, as above
         return np.where(lower, lower_branch(lam, t, tau), upper_branch(lam, t, tau))
@@ -86,26 +96,23 @@ def green_diagonal_jump(mu, t) -> np.ndarray:
 def green_sup(mu, grid_density: int) -> float:
     """Max kernel value over a tensor grid, both diagonal sides included.
 
-    By the folding symmetry the two same-sign squares carry identical values,
-    so a single right-half sweep covers both.  nan if lam > 709 (no warning).
+    The two same-sign squares carry the same values, so the right half
+    covers both.  There the upper branch at (t, tau) = (g_j, g_i), j <= i,
+    is the rounded product row[j] col[i]; rounding it is monotone in row[j],
+    so a running max of row gives the max over j <= i, in O(n) and exact
+    even where the computed cosh is not monotone.  The lower branch never sets the
+    max: e^{-x}, x >= 0, is at most 1, and subtracting a non-negative term
+    or dividing by 1 + e^{-2 lam} >= 1 cannot raise it (nor make a nan),
+    while the upper corner (0, 0) is 1 + tanh(lam) >= 1.  inf where only
+    e^lam overflows (lam in (709.78, 710.47)), nan past; no warning.
     """
     lam = rate_of(mu)
     if grid_density < 2:
         raise ValueError("grid_density must be >= 2")
     g = np.linspace(0.0, 1.0, grid_density)
-    # about 8 row blocks, each up to its last row's diagonal: the triangle
-    # is swept in temporaries that fit in cache
-    rows = -(-grid_density // 8)
-    sups = []
-    with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: nan
-        for start in range(0, grid_density, rows):
-            stop = min(start + rows, grid_density)
-            t, tau = g[start:stop, None], g[None, :stop]
-            below = tau <= t  # each branch on its own closed triangle of the square
-            sups += [np.max(lower_branch(lam, t, tau), where=below, initial=-np.inf),
-                     np.max(upper_branch(lam, tau, t), where=below, initial=-np.inf)]
-    # np.max, unlike max, keeps a NaN of either branch
-    return float(np.max(sups))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as above
+        row, col = upper_factors(lam, g, g)
+        return float(np.max(np.maximum.accumulate(row) * col))  # both keep a nan
 
 
 def kernel_bound(mu) -> float:

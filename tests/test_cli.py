@@ -436,6 +436,10 @@ KERNEL_TABLES = Path(__file__).resolve().parent / "data" / "kernel_tables"
     (["green", "1.93", "--grid", "7"], "green_1.93_grid7.csv"),
     (["green", "1.3", "--grid", "7"], "green_1.3_grid7.csv"),
     (["audit", "1.05,1.5,1.9,1.95,1.9985", "--grid", "41"], "audit_grid41.csv"),
+    # the audit's own grid, up to and past lam = 709: mu = 1.9985938 is
+    # lam = 710.14, where e^lam overflows but cosh(lam) does not (an inf sup)
+    (["audit", "1.05,1.2,1.35,1.5,1.65,1.8,1.95,1.9985,1.9985938,1.9987"],
+     "audit_grid401.csv"),
 ])
 def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
     out = tmp_path / golden

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,11 +88,9 @@ def test_one_bad_point_rejects_the_array(bad):
 
 
 def test_interior_positivity():
+    g = np.linspace(0.0, 1.0, 101)[1:-1]
     for mu in (1.2, 1.5, 1.8):
-        g = np.linspace(0.0, 1.0, 101)[1:-1]
-        for t in g:
-            for tau in g:
-                assert green_eval(mu, float(t), float(tau)) > 0.0
+        assert np.all(green_eval(mu, g[:, None], g[None, :]) > 0.0), mu
 
 
 @pytest.mark.parametrize("mu", [1.2, 1.5, 1.8])
@@ -135,7 +134,7 @@ def test_sup_propagates_overflow():
 
 def _full_square_sup(mu, n):
     # both branches over the whole n x n square, each masked to its closed
-    # triangle: the sup that green_sup sweeps in row blocks
+    # triangle: the sup that green_sup takes from the upper branch's factors
     lam = rate_of(mu)
     g = np.linspace(0.0, 1.0, n)
     t, tau = g[:, None], g[None, :]
@@ -147,15 +146,30 @@ def _full_square_sup(mu, n):
 
 @pytest.mark.parametrize("n", [2, 3, 9, 402])
 def test_sup_in_row_blocks_is_the_full_square(n):
-    # the row blocks end at their last row's diagonal and still see every
-    # point of the triangle: the same double, or nan where lam > 709
-    # (which nan, of either sign, the reductions pick depends on their shapes)
-    for mu in [*np.linspace(1.0005, 1.9999, 41).tolist(), 1.05, 1.9987]:
+    # the running max of the upper branch's t-factor, times its tau-factor,
+    # is the max over the whole triangle, and the lower branch never sets
+    # it: the same double, or nan past lam = 710.47, where cosh(lam)
+    # overflows (which nan, of either sign, the reductions pick depends on
+    # their shapes).  Past 709.78 e^lam overflows: inf at 710 and 710.3
+    high = [(1.0 + 2.0 * lam) / (1.0 + lam) for lam in (709.5, 710.0, 710.3, 711.0)]
+    for mu in [*np.linspace(1.0005, 1.9999, 41).tolist(), 1.05, 1.9987, *high]:
         got, want = green_sup(mu, n), _full_square_sup(mu, n)
         if math.isnan(want):
             assert math.isnan(got), mu
         else:
             assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), mu
+
+
+def test_sup_memory_is_linear_in_the_grid():
+    # two factors and their products on the grid; temporaries over the
+    # n x n triangle would peak near 49 MB at n = 4001
+    tracemalloc.start()
+    try:
+        green_sup(1.5, 4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("n", [2, 41, 401])
@@ -198,9 +212,10 @@ def test_branch_continuity_under_refinement():
 
 
 def test_apply_green_zero():
-    y = LocalQuartic(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
-    op = GreenOperator(1.5, MESH)
-    assert np.all(op.apply(y(op.tau)) == 0.0)
+    for mesh in (MESH, build_mesh(256, 3.0)):
+        y = LocalQuartic(mesh.breakpoints, np.zeros(len(mesh.breakpoints)))
+        op = GreenOperator(1.5, mesh)
+        assert np.all(op.apply(y(op.tau)) == 0.0), len(mesh.breakpoints)
 
 
 def test_apply_green_boundary_conditions(slope_at_zero):
