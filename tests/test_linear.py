@@ -82,6 +82,13 @@ def test_bvp_square_forcing(quad_green):
     assert np.max(np.abs(x - want)) <= 1e-12
 
 
+def test_bvp_zero_forcing():
+    y = LocalQuartic(MESH.breakpoints, np.zeros(len(MESH.breakpoints)))
+    op = GreenOperator(MU, MESH)
+    x = op.apply(y(op.tau))[:len(op.grid)]
+    assert np.all(x == 0.0)
+
+
 def _scalar_quartic(interp):
     """The pieces of a LocalQuartic evaluated one float at a time (bisect and
     Horner, the same arithmetic as its __call__): scipy's quad calls its
