@@ -23,7 +23,7 @@ ORDERS = (1.05, 1.5, 1.9, 1.95, 1.99, 1.9987)
 
 
 def mismatches(values: np.ndarray) -> int:
-    got = render(values[:, None]).split("\n")[:-1]
+    got = render(values[:, None]).decode("ascii").split("\n")[:-1]
     want = ("%.17g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
     if len(got) != len(want):
         return len(values)

@@ -35,9 +35,14 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data) -> None:
+    """Write ``data``, bytes or an iterable of byte blocks, to ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("wb") as f:
+        if isinstance(data, bytes):
+            f.write(data)
+        else:
+            f.writelines(data)
 
 
 def _numeric_overrides(args) -> dict:
@@ -84,24 +89,24 @@ def cmd_check(args) -> int:
     sys.stdout.write(text)
     if args.out:
         out = Path(args.out)
-        _write(out / "hypothesis_report.txt", text)
+        _write(out / "hypothesis_report.txt", text.encode())
         _write(out / "sigma_R.csv", _sigma_csv(a2))
     if not (a1.passed and a2.passed):
         return EXIT_HYPOTHESIS
     return EXIT_OK
 
 
-def _sigma_csv(a2) -> str:
+def _sigma_csv(a2) -> bytes:
     # the renderer is imported where a CSV is written: importing the CLI
     # (and check without --out, and audit) need not compile it and build
     # its tables
     from .csvfmt import render
     # the right-half breakpoints; their values lead a2.sigma
     grid = a2.operator.grid
-    return "t,sigma_R\n" + render(np.column_stack((grid, a2.sigma[:len(grid)])))
+    return b"t,sigma_R\n" + render(np.column_stack((grid, a2.sigma[:len(grid)])))
 
 
-def _solution_csv(report) -> str:
+def _solution_csv(report) -> bytes:
     # full symmetric grid: the right-half rows, mirrored (t > 0 on the
     # mirrored rows), then the right half; the breakpoint values lead the
     # arrays on the operator's points
@@ -110,7 +115,7 @@ def _solution_csv(report) -> str:
     n = len(grid)
     columns = np.column_stack((grid, report.x[:n], report.hypothesis.sigma[:n],
                                report.residual))
-    return "t,x,sigma_R,residual\n" + render(columns, mirrored=True)
+    return b"t,x,sigma_R,residual\n" + render(columns, mirrored=True)
 
 
 def _solve_text(report) -> str:
@@ -147,7 +152,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     text = _solve_text(report)
     _write(out / "solution.csv", _solution_csv(report))
-    _write(out / "solve_report.txt", text)
+    _write(out / "solve_report.txt", text.encode())
     sys.stdout.write(text)
     if report.status != "converged" or report.lower_margin < -1e-9 \
             or report.upper_margin < -1e-9:
@@ -155,32 +160,47 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _green_table(mu, n: int) -> str:
-    """The ``green`` CSV; its pieces are freed before the caller writes it."""
+# rows of the green dump per write (about 200 KB at 201 grid points): one
+# write per block, not per row, and never the whole table
+_ROWS_PER_WRITE = 24
+
+
+def _green_table(mu, n: int):
+    """The ``green`` CSV as byte blocks of rows.  The kernel is evaluated and
+    rendered before this returns, so whatever can raise has run before the
+    caller opens the file; the blocks are joined as the writer takes them."""
     from .csvfmt import render
     grid = np.linspace(0.0, 1.0, n)
-    # the values and the grid are rendered in one call.  The n lines at t_i
-    # interleave "t_i," with "tau_j,lower," up to the diagonal and
-    # "tau_j,upper," past it (the grid increases) and with the value lines,
-    # joined per t_i; G(-t, -tau) = G(t, tau) lets the mirrored left-half
-    # square reuse the value lines
+    # the values and the grid are rendered in one call; G(-t, -tau) =
+    # G(t, tau) lets the mirrored left-half square reuse the value lines
     lines = render(np.concatenate((green_eval(mu, grid[:, None], grid[None, :]).ravel(),
                                    grid))[:, None]).splitlines(keepends=True)
-    values, coords = lines[:n * n], [line[:-1] + "," for line in lines[n * n:]]
-    del lines
-    rows = ["t,tau,branch,value\n"]
-    fields = [""] * (3 * n)
-    for sign in ("", "-"):
+    return _green_blocks(lines, n)
+
+
+def _green_blocks(lines, n: int):
+    # lines: the n * n value lines, row by row, then the n grid lines.  The
+    # n lines at t_i interleave "t_i," with "tau_j,lower," up to the
+    # diagonal and "tau_j,upper," past it (the grid increases) and with the
+    # value lines, joined per t_i
+    coords = [line[:-1] + b"," for line in lines[n * n:]]
+    yield b"t,tau,branch,value\n"
+    fields = [b""] * (3 * n)
+    block = []
+    for sign in (b"", b"-"):
         signed = [sign + c for c in coords]
-        lower = [c + "lower," for c in signed]
-        upper = [c + "upper," for c in signed]
+        lower = [c + b"lower," for c in signed]
+        upper = [c + b"upper," for c in signed]
         for i, t in enumerate(signed):
             fields[0::3] = [t] * n
             fields[1::3] = lower[:i + 1] + upper[i + 1:]
-            fields[2::3] = values[i * n:(i + 1) * n]
-            rows.append("".join(fields))
-    del values
-    return "".join(rows)
+            fields[2::3] = lines[i * n:(i + 1) * n]
+            block.append(b"".join(fields))
+            if len(block) == _ROWS_PER_WRITE:
+                yield b"".join(block)
+                block.clear()
+    if block:
+        yield b"".join(block)
 
 
 def cmd_green(args) -> int:
@@ -210,7 +230,7 @@ def cmd_audit(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        _write(Path(args.out), text)
+        _write(Path(args.out), text.encode())
     return EXIT_OK
 
 

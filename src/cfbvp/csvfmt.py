@@ -205,9 +205,10 @@ def _slots(x):
     return words
 
 
-def render(table, mirrored: bool = False) -> str:
-    """The CSV lines of a 2-D float table: each value exactly as
-    ``'%.17g' % v`` renders it, ',' between columns, a newline per row.
+def render(table, mirrored: bool = False) -> bytes:
+    """The CSV lines of a 2-D float table, as ASCII bytes: each value
+    exactly as ``'%.17g' % v`` renders it, ',' between columns, a newline
+    per row.
 
     With ``mirrored`` the lines of rows n-1, ..., 1 come first, each with a
     '-' put before its first field: the rows at -t of a table whose first
@@ -223,4 +224,4 @@ def render(table, mirrored: bool = False) -> str:
             words = words[:0:-1] if i == 0 else words[::-1]
             words[:, 0] |= _MINUS
             left.append(words.tobytes().translate(None, b"\0"))
-    return b"".join(left[::-1] + right).decode("ascii")
+    return b"".join(left[::-1] + right)

@@ -85,7 +85,11 @@ def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
     t, tau = np.abs(t), np.abs(tau)
     lower = (tau < t) | ((tau == t) & (side != "upper"))
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: 0 or nan, as above
-        return np.where(lower, lower_branch(lam, t, tau), upper_branch(lam, t, tau))
+        out = np.asarray(upper_branch(lam, t, tau))  # a new array of the points' shape
+        # the lower branch only at its own points
+        t, tau = np.broadcast_arrays(t, tau)
+        out[lower] = lower_branch(lam, t[lower], tau[lower])
+    return out
 
 
 def green_diagonal_jump(mu, t) -> np.ndarray:

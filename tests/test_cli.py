@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from cfbvp import problem_io
-from cfbvp.cli import (EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
-                       _solution_csv, main)
+from cfbvp.cli import (_ROWS_PER_WRITE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER,
+                       EXIT_USAGE, _solution_csv, main)
 from cfbvp.green import green_eval
 from cfbvp.hypotheses import NUMERIC_KEYS, NumericsConfig, check_A2
 from cfbvp.problem_io import (ProblemFileError, load_problem,
@@ -410,6 +411,42 @@ def test_green_rejects_a_degenerate_grid(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["green", "2.5", "--grid", "9"], ["green", "1.5", "--grid", "1"]])
+def test_green_error_writes_nothing(tmp_path, capsys, argv):
+    # the kernel is evaluated and rendered before the file or its directory
+    # is made: an order outside (1, 2) or a degenerate grid leaves no trace
+    out = tmp_path / "D" / "sub" / "g.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_green_out_is_a_directory(tmp_path, capsys):
+    # the dump is made, then the file cannot be opened: exit 1, nothing
+    # written and nothing left open (CI runs this file in dev mode)
+    (tmp_path / "d").mkdir()
+    assert main(["green", "1.5", "--grid", "9", "--out", str(tmp_path / "d")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'd'}'\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+def test_green_dump_peak_is_below_its_file(tmp_path):
+    # the dump is written in blocks of rows, so it never holds the whole
+    # table (20.5 MB here), let alone a joined or an encoded copy of it
+    out = tmp_path / "green.csv"
+    # import csvfmt and build its tables outside the trace
+    assert main(["green", "1.93", "--grid", "9", "--out", str(out)]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        code = main(["green", "1.93", "--grid", "401", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < out.stat().st_size
+
+
 def test_audit_table(tmp_path, capsys):
     out = tmp_path / "audit.csv"
     assert main(["audit", "1.2,1.5,1.8", "--grid", "101",
@@ -558,11 +595,11 @@ def test_solution_csv_is_the_per_row_rendering(tmp_path, capsys):
         want.append(f"{t:.17g},{report.x[i]:.17g},{report.hypothesis.sigma[i]:.17g},"
                     f"{report.residual[i]:.17g}")
     assert len(want) == 2 * len(nodes)
-    assert _solution_csv(report) == "\n".join(want) + "\n"
+    assert _solution_csv(report) == ("\n".join(want) + "\n").encode()
     out = tmp_path / "o"
     assert main(["solve", str(ROOT / "problems" / "worked_family.prob"), "--mesh-cells", "64",
                  "--out", str(out)]) == EXIT_OK
-    assert (out / "solution.csv").read_text() == _solution_csv(report)
+    assert (out / "solution.csv").read_bytes() == _solution_csv(report)
     assert (out / "solve_report.txt").read_text() == capsys.readouterr().out
 
 
@@ -580,12 +617,16 @@ def test_sigma_csv_is_the_per_row_rendering(tmp_path, capsys, cells):
     assert (out / "sigma_R.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
-@pytest.mark.parametrize("mu,grid", [(1.93, 201), (1.3, 37), (1.9987, 9)])
+@pytest.mark.parametrize("mu,grid", [(1.93, 201), (1.3, 37), (1.9987, 9), (1.5, 2),
+                                     (1.5, _ROWS_PER_WRITE - 1), (1.5, _ROWS_PER_WRITE),
+                                     (1.5, _ROWS_PER_WRITE + 1)])
 def test_green_table_is_the_per_row_rendering(tmp_path, mu, grid):
-    # the dump renders every value once, in one call, and the mirrored half
-    # reuses its lines; it must be the bytes of formatting each row on its
-    # own (at mu = 1.9987 the upper-branch values are 0 on this 9-point
-    # grid: cosh(lam) overflows while cosh(lam t) and e^{lam (1 - tau)} do not)
+    # the dump renders every value once, in one call, the mirrored half
+    # reuses its lines, and the 2 * grid t rows are written in blocks, the
+    # last one partial or full; it must be the bytes of formatting each
+    # row on its own (at mu = 1.9987 the upper-branch values are 0 on this
+    # 9-point grid: cosh(lam) overflows while cosh(lam t) and
+    # e^{lam (1 - tau)} do not)
     nodes = np.linspace(0.0, 1.0, grid)
     right = []
     for t in nodes:

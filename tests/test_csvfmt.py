@@ -25,8 +25,9 @@ def _check(values, cols: int = 1) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out = render(table)
-    assert out.endswith("\n") or table.size == 0
-    assert out.split("\n")[:-1] == _expected(table)
+    assert isinstance(out, bytes)
+    assert out.endswith(b"\n") or table.size == 0
+    assert out.decode("ascii").split("\n")[:-1] == _expected(table)
 
 
 def _powers_of_ten() -> np.ndarray:
@@ -115,8 +116,8 @@ def test_mirrored_rows(rows):
     table[rows // 2, 2:] = (5e-324, np.nan)
     right = _expected(table)
     want = ["-" + line for line in right[:0:-1]] + right
-    assert render(table, mirrored=True).split("\n")[:-1] == want
+    assert render(table, mirrored=True).decode("ascii").split("\n")[:-1] == want
 
 
 def test_empty_table():
-    assert render(np.empty((0, 3))) == ""
+    assert render(np.empty((0, 3))) == b""

@@ -76,6 +76,22 @@ def test_array_eval_matches_pointwise(mu, side):
     assert jumps.tobytes() == np.array([green_diagonal_jump(mu, float(a)) for a in g]).tobytes()
 
 
+@pytest.mark.parametrize("mu", [1.05, 1.5, 1.93, 1.9985, 1.9987])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_outer_grid_eval_is_each_branch_on_the_whole_square(mu, side):
+    # the lower branch is evaluated only where it is kept: the bits are
+    # those of both branches evaluated at every point of the square
+    lam = rate_of(mu)
+    g = np.linspace(0.0, 1.0, 201)
+    t, tau = np.meshgrid(g, g, indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where((tau < t) | ((tau == t) & (side == "lower")),
+                        lower_branch(lam, t, tau), upper_branch(lam, t, tau))
+    for sign in (1.0, -1.0):
+        got = green_eval(mu, sign * g[:, None], sign * g[None, :], side=side)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("bad", [(0.5, -0.5), (-0.25, 0.75), (1.5, 0.5), (0.0, -1.0 - 1e-15)])
 def test_one_bad_point_rejects_the_array(bad):
     t = np.linspace(0.0, 1.0, 9)
