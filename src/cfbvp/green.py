@@ -22,19 +22,27 @@ __all__ = ["rate_of", "green_eval", "green_diagonal_jump", "green_sup", "kernel_
            "GreenOperator"]
 
 
-def rate_of(mu) -> float:
+def rate_of(mu):
     """The kernel decay rate (mu - 1) / (2 - mu) > 0 for mu in (1, 2).
 
     The one check of an order: a mu outside the working range (1, 2) is a
-    ValueError.
+    ValueError, which names the first such order of an array of orders.  A
+    scalar order gives a float, an array of orders an array of rates.
     """
+    # a scalar order makes no array, which would cost each call microseconds
+    if isinstance(mu, (list, tuple, np.ndarray)) and np.ndim(mu) > 0:
+        orders = np.asarray(mu, dtype=float)
+        good = (1.0 < orders) & (orders < 2.0)  # nan is not
+        if good.all():
+            return (orders - 1.0) / (2.0 - orders)
+        mu = orders.flat[np.argmin(good)]  # the first bad order, rejected below
     mu = float(mu)
     if not 1.0 < mu < 2.0:
         raise ValueError(f"order must lie in (1, 2), got {mu}")
     return (mu - 1.0) / (2.0 - mu)
 
 
-def lower_branch(lam: float, t, tau):
+def lower_branch(lam, t, tau):
     """Kernel for 0 <= tau <= t <= 1 (includes the Volterra correction).
 
     cosh(lam t) / cosh(lam) e^{lam (1 - tau)} - e^{lam (t - tau)}, written
@@ -44,21 +52,25 @@ def lower_branch(lam: float, t, tau):
         / (1.0 + np.exp(-2.0 * lam))
 
 
-def upper_factors(lam: float, t, tau):
+def upper_factors(lam, t, tau):
     """The two factors of the upper branch, cosh(lam t) / cosh(lam) and
     e^{lam (1 - tau)}; upper_branch is their rounded product."""
     return np.cosh(lam * t) / np.cosh(lam), np.exp(lam * (1.0 - tau))
 
 
-def upper_branch(lam: float, t, tau):
+def upper_branch(lam, t, tau):
     """Kernel for 0 <= t <= tau <= 1."""
     row, col = upper_factors(lam, t, tau)
     return row * col
 
 
 def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
-    """Kernel values at the broadcast points (t, tau); a 0-d array for scalars.
+    """Kernel values at the broadcast points (t, tau), one table per order.
 
+    ``mu`` is an order or an array of orders; the result has the shape
+    ``np.shape(mu) + np.broadcast_shapes(np.shape(t), np.shape(tau))``, the
+    order axes first (a 0-d array for a scalar order and scalar points),
+    and each order's table has the bits of a call with that order alone.
     On the diagonal tau == t the two branches disagree by a unit jump;
     ``side`` selects which one ("lower", the default convention, or
     "upper", the other one-sided value).  For lam > 709 cosh(lam)
@@ -84,16 +96,25 @@ def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
     # branch's factors are computed once per coordinate, not per point
     t, tau = np.abs(t), np.abs(tau)
     lower = (tau < t) | ((tau == t) & (side != "upper"))
+    # each order's rate over the points' axes, and over the gathered points;
+    # a mask of the output's own shape keeps numpy's boolean fast path, where
+    # out[..., lower] takes integer indices (about 10x slower on a 201 x 201
+    # grid)
+    lam_points = np.reshape(lam, np.shape(lam) + (1,) * lower.ndim)
+    lam_gathered = np.reshape(lam, np.shape(lam) + (1,))
+    mask = np.broadcast_to(lower, np.shape(lam) + lower.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: 0 or nan, as above
-        out = np.asarray(upper_branch(lam, t, tau))  # a new array of the points' shape
-        # the lower branch only at its own points
+        out = np.asarray(upper_branch(lam_points, t, tau))  # a new array of the output's shape
+        # the lower branch only at its own points, gathered on the points
+        # alone, with the order axes carried along
         t, tau = np.broadcast_arrays(t, tau)
-        out[lower] = lower_branch(lam, t[lower], tau[lower])
+        out[mask] = lower_branch(lam_gathered, t[lower], tau[lower]).ravel()
     return out
 
 
 def green_diagonal_jump(mu, t) -> np.ndarray:
-    """Upper-side minus lower-side kernel value at tau == t (analytically 1)."""
+    """Upper-side minus lower-side kernel value at tau == t (analytically 1),
+    one row per order, as green_eval."""
     return green_eval(mu, t, t, side="upper") - green_eval(mu, t, t, side="lower")
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from cfbvp import problem_io
 from cfbvp.cli import (_ROWS_PER_WRITE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER,
                        EXIT_USAGE, _solution_csv, main)
-from cfbvp.green import green_eval
+from cfbvp.green import green_diagonal_jump, green_eval, green_sup, rate_of
 from cfbvp.hypotheses import NUMERIC_KEYS, NumericsConfig, check_A2
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
@@ -394,7 +395,6 @@ def test_green_dump(tmp_path):
     assert len(lines) == 2 * 11 * 11 + 1
     # spot-check the origin row: the diagonal defaults to the lower branch,
     # whose value at (0, 0) is tanh(lambda) with lam = 1 for mu = 1.5
-    import math
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[2] == "lower"
     assert float(first[3]) == pytest.approx(math.tanh(1.0), rel=1e-13)
@@ -483,6 +483,57 @@ def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     assert out.read_bytes() == (KERNEL_TABLES / golden).read_bytes()
+
+
+def _audit_loop(mus, grid):
+    """The audit table from scalar-order calls, one order at a time."""
+    lines = ["mu,lambda,boundary_max,symmetry_max_diff,diag_jump_max_err,"
+             "sup_measured,sup_closed_form,sup_exceeds_unit_bound"]
+    taus = np.linspace(0.0, 1.0, 201)
+    t, tau = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
+    diag = np.linspace(-1.0, 1.0, 101)
+    for mu in mus:
+        lam = rate_of(mu)
+        values = [mu, lam, np.max(np.abs(green_eval(mu, 1.0, taus))),
+                  np.max(np.abs(green_eval(mu, t, tau) - green_eval(mu, -t, -tau))),
+                  np.max(np.abs(green_diagonal_jump(mu, diag) - 1.0)),
+                  green_sup(mu, grid), 2.0 / (1.0 + math.exp(-2.0 * lam))]
+        sup = values[5]
+        lines.append(",".join(f"{v:.17g}" for v in values)
+                     + f",{'nan' if math.isnan(sup) else sup > 1.0}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [2, 3, 41, 401])
+def test_audit_is_the_loop_over_orders(tmp_path, capsys, grid):
+    # the fixed tables are evaluated for all orders at once: the bytes are
+    # those of one order at a time, for random order lists, most of them
+    # with orders past lam = 709 (nan and inf)
+    rng = np.random.default_rng(grid)
+    out = tmp_path / "audit.csv"
+    for _ in range(6):
+        k = int(rng.integers(1, 11))
+        high = 2.0 - 10.0 ** rng.uniform(-5.0, -2.0, k)
+        mus = np.where(rng.random(k) < 0.4, high, rng.uniform(1.00001, 1.99999, k)).tolist()
+        mus.insert(int(rng.integers(0, k + 1)), 1.9985938)  # lam = 710.14: an inf sup
+        assert main(["audit", ",".join(map(repr, mus)), "--grid", str(grid),
+                     "--out", str(out)]) == EXIT_OK
+        want = _audit_loop(mus, grid)
+        assert capsys.readouterr().out == want
+        assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the first order, then --grid, then each later order
+    (["audit", "1.5,2.5", "--grid", "1"], "grid_density must be >= 2"),
+    (["audit", "2.5,1.5", "--grid", "1"], "order must lie in (1, 2), got 2.5"),
+    (["audit", "1.5,nan"], "order must lie in (1, 2), got nan"),
+])
+def test_audit_check_order(tmp_path, capsys, argv, message):
+    out = tmp_path / "a.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _python(args, cwd=None):

@@ -92,6 +92,45 @@ def test_outer_grid_eval_is_each_branch_on_the_whole_square(mu, side):
         assert got.tobytes() == want.tobytes()
 
 
+# orders on both sides of lam = 709: past it the tables of 1.9986 and
+# 1.9987 hold 0 and nan
+TABLE_ORDERS = np.array([1.05, 1.5, 1.93, 1.9985, 1.9986, 1.9987])
+G15 = np.linspace(0.0, 1.0, 15)
+
+
+@pytest.mark.parametrize("t,tau", [(G15[:, None], G15[None, :]), (-G15[:, None], -G15[None, :]),
+                                   (G15, G15[::-1]), (1.0, G15), (0.0, 0.0), (0.5, 0.25),
+                                   (0.25, 0.5), (-0.5, -0.5)])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_orders_axis_is_each_order_alone(t, tau, side):
+    # the order axes lead, and row k has the bits of a call with order k alone
+    for mus in (TABLE_ORDERS, TABLE_ORDERS.reshape(2, 3), TABLE_ORDERS.tolist()):
+        got = green_eval(mus, t, tau, side=side)
+        assert got.shape == np.shape(mus) + np.broadcast_shapes(np.shape(t), np.shape(tau))
+        for k in np.ndindex(np.shape(mus)):
+            alone = green_eval(float(np.asarray(mus)[k]), t, tau, side=side)
+            assert got[k].tobytes() == alone.tobytes()
+    if np.ndim(t) == 2 and side == "upper":  # past lam = 709 the outer grid holds 0 and nan
+        for table in got[-2:]:
+            assert (table == 0.0).any() and np.isnan(table).any()
+    jumps = green_diagonal_jump(TABLE_ORDERS, t)
+    assert jumps.shape == TABLE_ORDERS.shape + np.shape(t)
+    for jump, mu in zip(jumps, TABLE_ORDERS):
+        assert jump.tobytes() == green_diagonal_jump(float(mu), t).tobytes()
+
+
+def test_rate_of_names_the_first_bad_order():
+    with pytest.raises(ValueError, match=r"^order must lie in \(1, 2\), got 2\.5$"):
+        rate_of([1.5, 2.5, 0.5])
+    with pytest.raises(ValueError, match=r"^order must lie in \(1, 2\), got nan$"):
+        rate_of(np.array([1.5, np.nan]))
+    with pytest.raises(ValueError, match=r"got 2\.5$"):
+        green_eval([1.5, 2.5], 0.5, 0.5)
+    assert type(rate_of(1.5)) is float and rate_of(1.5) == 1.0
+    assert type(rate_of(np.float64(1.2))) is float
+    assert rate_of([1.2, 1.5, 1.9]).tolist() == [rate_of(1.2), rate_of(1.5), rate_of(1.9)]
+
+
 @pytest.mark.parametrize("bad", [(0.5, -0.5), (-0.25, 0.75), (1.5, 0.5), (0.0, -1.0 - 1e-15)])
 def test_one_bad_point_rejects_the_array(bad):
     t = np.linspace(0.0, 1.0, 9)
