@@ -107,15 +107,16 @@ def _sigma_csv(a2) -> bytes:
 
 
 def _solution_csv(report) -> bytes:
-    # full symmetric grid: the right-half rows, mirrored (t > 0 on the
-    # mirrored rows), then the right half; the breakpoint values lead the
-    # arrays on the operator's points
+    # full symmetric grid: the right half's lines n-1, ..., 1 with a '-'
+    # before t (t > 0 there), then the right half; the breakpoint values
+    # lead the arrays on the operator's points
     from .csvfmt import render
     grid = report.hypothesis.operator.grid
     n = len(grid)
-    columns = np.column_stack((grid, report.x[:n], report.hypothesis.sigma[:n],
-                               report.residual))
-    return b"t,x,sigma_R,residual\n" + render(columns, mirrored=True)
+    right = render(np.column_stack((grid, report.x[:n], report.hypothesis.sigma[:n],
+                                    report.residual)))
+    left = [b"-" + line for line in right.splitlines(keepends=True)[:0:-1]]
+    return b"".join([b"t,x,sigma_R,residual\n", *left, right])
 
 
 def _solve_text(report) -> str:

@@ -190,13 +190,12 @@ def _slots(x):
     words[:, 5] = _EXP_WORD.take(e)
     masks = _MASKS.take(_CLASS.take(e) + last, axis=0)
     masks[:, 0] |= np.signbit(x) * _SIGN
-    # Python renders the rest, after a '-' that only a mirrored row keeps and
-    # before the separator at its usual byte
+    # Python renders the rest, before the separator at its usual byte
     if slow.size:
         byte_words, byte_masks = words.view(np.uint8), masks.view(np.uint8)
         for i in slow.tolist():
             s = ("%.17g" % x[i]).encode()
-            byte_words[i] = np.frombuffer(b"-" + s.rjust(44, b"\0") + b",\0\0", dtype=np.uint8)
+            byte_words[i] = np.frombuffer(s.rjust(45, b"\0") + b",\0\0", dtype=np.uint8)
             byte_masks[i] = 0
             byte_masks[i, 45 - len(s):46] = 0xFF
     words &= masks
@@ -205,23 +204,11 @@ def _slots(x):
     return words
 
 
-def render(table, mirrored: bool = False) -> bytes:
+def render(table) -> bytes:
     """The CSV lines of a 2-D float table, as ASCII bytes: each value
     exactly as ``'%.17g' % v`` renders it, ',' between columns, a newline
-    per row.
-
-    With ``mirrored`` the lines of rows n-1, ..., 1 come first, each with a
-    '-' put before its first field: the rows at -t of a table whose first
-    column is a grid 0 = t_0 < t_1 < ... of the right half.
-    """
+    per row."""
     x = np.asarray(table, dtype=float)
     step = max(1, _BLOCK // x.shape[1])
-    right, left = [], []
-    for i in range(0, len(x), step):
-        words = _slots(x[i:i + step])
-        right.append(words.tobytes().translate(None, b"\0"))
-        if mirrored:
-            words = words[:0:-1] if i == 0 else words[::-1]
-            words[:, 0] |= _MINUS
-            left.append(words.tobytes().translate(None, b"\0"))
-    return b"".join(left[::-1] + right)
+    return b"".join(_slots(x[i:i + step]).tobytes().translate(None, b"\0")
+                    for i in range(0, len(x), step))

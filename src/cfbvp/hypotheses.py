@@ -343,17 +343,25 @@ def _size_integrals(spec: ProblemSpec, mesh: Mesh) -> tuple:
     return I_q, I_qu
 
 
-def _improper_integral(failures: list, check: str, name: str, coarse, fine) -> float:
+def _improper_integral(failures: list, check: str, name: str, coarse, fine,
+                       cells: tuple) -> float:
     """The integral on the finer of two refining meshes, from _size_integrals.
 
     A divergent (non-finite) improper integral shows up as refinement that
-    does not stabilize to REFINE_REL_TOL; that, or a failed integration (nan,
-    with the coarse mesh's error first), is recorded as a failure of ``check``.
+    does not stabilize to REFINE_REL_TOL; that, a failed integration (nan,
+    with the coarse mesh's error first), or a fine mesh of no more cells than
+    the coarse one (``cells``, where a steep grading merged their sub-ulp
+    cells), is recorded as a failure of ``check``.
     """
     for value in (coarse, fine):
         if isinstance(value, ValueError):
             failures.append(CheckFailure(check, {}, f"integration failed: {value}"))
             return float("nan")
+    if cells[1] <= cells[0]:  # the change would compare a mesh with itself
+        failures.append(CheckFailure(check, {"coarse_cells": cells[0], "fine_cells": cells[1]},
+                                     f"{name} cannot be refined: the fine mesh has no "
+                                     f"more cells than the coarse one"))
+        return fine
     change = abs(fine - coarse) / max(abs(fine), 1e-300)
     if not change < REFINE_REL_TOL:
         failures.append(CheckFailure(check, {"rel_change": change},
@@ -400,14 +408,14 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     # REFINE_BASE_CELLS cells, shared by both integrals; I_q and I_qu belong
     # to the problem, not to the solver mesh, so these meshes do not follow
     # mesh.cells.  A steeper grading keeps the Gauss rule past the 1e-8 test.
-    # One mesh is built and integrated at a time.
-    (q_coarse, qu_coarse), (q_fine, qu_fine) = (
-        _size_integrals(spec, build_mesh(c * REFINE_BASE_CELLS, gamma=max(n.gamma, 6.0),
-                                         nodes_per_cell=n.nodes_per_cell))
-        for c in (4, 8))
-    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_coarse, q_fine)
+    # One mesh is integrated at a time.
+    meshes = [build_mesh(c * REFINE_BASE_CELLS, gamma=max(n.gamma, 6.0),
+                         nodes_per_cell=n.nodes_per_cell) for c in (4, 8)]
+    cells = tuple(mesh.cells for mesh in meshes)
+    (q_coarse, qu_coarse), (q_fine, qu_fine) = (_size_integrals(spec, mesh) for mesh in meshes)
+    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_coarse, q_fine, cells)
     I_qu = float("nan") if nonfinite.size else _improper_integral(  # I_qu needs sigma_R
-        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_coarse, qu_fine)
+        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_coarse, qu_fine, cells)
 
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
     density = n.lattice_density

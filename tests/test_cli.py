@@ -122,9 +122,10 @@ def test_numeric_keys_are_one_table():
         assert parse(text) == value, key
 
 
-@pytest.mark.parametrize("key,value", [("solver.omega", "nan"), ("solver.m_schedule", "-5")])
+@pytest.mark.parametrize("key,value", [("solver.omega", "nan"), ("solver.m_schedule", "-5"),
+                                       ("mesh.cells", "0")])
 def test_check_and_solve_reject_the_same_numerics(tmp_path, capsys, key, value):
-    # both commands validate the one config; check once took these values
+    # both commands validate the one config; check once took the first two
     # (exit 0, and exit 2 with an A1 report of x = nan failures)
     lines = [ln for ln in WORKED_TEXT.splitlines() if not ln.startswith(key)]
     p = tmp_path / "bad.prob"
@@ -528,12 +529,14 @@ def test_audit_is_the_loop_over_orders(tmp_path, capsys, grid):
     (["audit", "1.5,2.5", "--grid", "1"], "grid_density must be >= 2"),
     (["audit", "2.5,1.5", "--grid", "1"], "order must lie in (1, 2), got 2.5"),
     (["audit", "1.5,nan"], "order must lie in (1, 2), got nan"),
+    (["audit", "1.5,2.5"], "order must lie in (1, 2), got 2.5"),
 ])
 def test_audit_check_order(tmp_path, capsys, argv, message):
-    out = tmp_path / "a.csv"
+    # every order is checked before the --out file or its directory is made
+    out = tmp_path / "sub" / "a.csv"
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _python(args, cwd=None):

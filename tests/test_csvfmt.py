@@ -106,18 +106,5 @@ def test_kernel_grid(mu):
     _check(green_eval(mu, grid[:, None], grid[None, :]).ravel())
 
 
-@pytest.mark.parametrize("rows", [1, 2, 5_000])
-def test_mirrored_rows(rows):
-    # the mirrored rows are rows n-1 ... 1 with a '-' before the first field,
-    # across block boundaries, and for rows the fallback renders
-    rng = np.random.default_rng(rows)
-    table = rng.uniform(0.0, 2.0, (rows, 4))
-    table[:, 0] = np.linspace(0.0, 1.0, rows)
-    table[rows // 2, 2:] = (5e-324, np.nan)
-    right = _expected(table)
-    want = ["-" + line for line in right[:0:-1]] + right
-    assert render(table, mirrored=True).decode("ascii").split("\n")[:-1] == want
-
-
 def test_empty_table():
     assert render(np.empty((0, 3))) == b""

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cfbvp.green import GreenOperator, green_sup, rate_of
-from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
+from cfbvp.hypotheses import (REFINE_BASE_CELLS, NumericsConfig, ProblemSpec, check_A1,
+                              check_A2, sigma_R)
 from cfbvp.quadrature import build_mesh
 
 
@@ -138,13 +139,17 @@ def test_a2_worked_family(a2_report):
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
 def test_I_qu_matches_independent_nystrom(mu, reference, make_spec):
-    # I_qu = int q u(sigma_R) at the default 128 cells against the
+    # the size terms I_q, I_qu = int q u(sigma_R) and the ratio, at the
+    # default 128 cells and on a refined solver mesh, against the
     # benchmark's Nystrom barrier (256 cells, grading 6, 12 nodes per cell;
     # converged to ~1e-10); reading sigma_R through a spline of its
-    # breakpoint values left 3.8e-5 (mu = 1.5) and 3.0e-5 (mu = 1.9)
-    want = reference.family_size_terms(mu, 100.0, 0.25, 0.25)["I_qu"]
-    got = check_A2(make_spec(mu=mu)).I_qu
-    assert abs(got - want) <= 1e-8 * want
+    # breakpoint values left 3.8e-5 (mu = 1.5) and 3.0e-5 (mu = 1.9) in I_qu
+    want = reference.family_size_terms(mu, 100.0, 0.25, 0.25)
+    for cells in (128, 2048):
+        report = check_A2(make_spec(mu=mu, numerics=NumericsConfig(mesh_cells=cells)))
+        for key in ("I_q", "I_qu", "ratio"):
+            got = getattr(report, key)
+            assert abs(got - want[key]) <= 1e-8 * want[key], (cells, key, got)
 
 
 def test_a2_zero_profile_diverges(make_spec):
@@ -201,6 +206,23 @@ def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
     want = terms(128)
     assert terms(512) == want
     assert terms(2048) == want
+
+
+@pytest.mark.parametrize("gamma", [3.0, 3e4, 4e4, 1e5])
+@pytest.mark.parametrize("a", [1.0, 1.2])
+def test_divergent_int_q_fails_at_every_grading(a, gamma, make_spec):
+    # int_0^1 s (1 - s^2)^(-a) ds diverges for a >= 1, so I_q and I_qu are
+    # not finite at any mesh.gamma.  From gamma = 3.5e4 on, build_mesh merges
+    # every sub-ulp cell of both refinement meshes into the one cell [0, 1]
+    report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a})", R=1e4,
+                                numerics=NumericsConfig(gamma=gamma)))
+    failed = {f.check: f for f in report.failures}
+    assert {"A2.I_q_finite", "A2.I_qu_finite"} <= failed.keys()
+    coarse, fine = (build_mesh(c * REFINE_BASE_CELLS, gamma=max(gamma, 6.0)).cells
+                    for c in (4, 8))
+    if fine <= coarse:  # refinement cannot tell: the check names both cell counts
+        for check in ("A2.I_q_finite", "A2.I_qu_finite"):
+            assert failed[check].witness == {"coarse_cells": coarse, "fine_cells": fine}
 
 
 def test_q_failure_names_one_subexpression(make_spec):
