@@ -162,7 +162,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, text, pos = self.take()
         if kind == "num":
-            return Expr("const", value=float(text))
+            value = float(text)
+            if math.isinf(value):  # unparse would render it as inf, which parse rejects
+                raise ExprSyntaxError("number out of range", pos)
+            return Expr("const", value=value)
         if kind == "ident":
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":

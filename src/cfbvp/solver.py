@@ -213,7 +213,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
 
     if not all(s.converged for s in inner):
         status = "inner_failed"
-    elif deviations and deviations[-1] >= config.inter_m_tol:
+    elif deviations[-1] >= config.inter_m_tol:  # the schedule has two levels or more
         status = "not_stabilized"
     else:
         status = "converged"

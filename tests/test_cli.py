@@ -93,10 +93,13 @@ def _schedule(text, schedule):
     (lambda t: t + "solver.omega = nan\n", "key 'solver.omega': must be in (0, 1], got nan"),
     (lambda t: t + "solver.omega = 0\n", "key 'solver.omega': must be in (0, 1]"),
     (lambda t: t + "solver.omega = 1.5\n", "key 'solver.omega': must be in (0, 1]"),
-    (lambda t: _schedule(t, "32,16"), "key 'solver.m_schedule': must be non-empty, positive"),
+    (lambda t: _schedule(t, "32,16"),
+     "key 'solver.m_schedule': must be at least two entries, positive"),
     (lambda t: _schedule(t, "16,16"), "key 'solver.m_schedule': must be"),
     (lambda t: _schedule(t, "-5"), "key 'solver.m_schedule': must be"),
     (lambda t: _schedule(t, "0,16"), "key 'solver.m_schedule': must be"),
+    # one level has no inter-level deviation to test
+    (lambda t: _schedule(t, "16"), "key 'solver.m_schedule': must be"),
     (lambda t: t.replace("mesh.cells = 64", "mesh.cells = 0"),
      "key 'mesh.cells': must be at least 1, got 0"),
     (lambda t: t + "mesh.nodes_per_cell = 1\n",

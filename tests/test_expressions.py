@@ -29,7 +29,9 @@ def test_syntax_error_position():
     assert err.value.position == 4
 
 
-@pytest.mark.parametrize("bad", ["", "   ", "2 +", "foo", "y + 1", "min(1)", "exp(1, 2)"])
+# 1e999 overflows to inf, which unparse could not render as a literal
+@pytest.mark.parametrize("bad", ["", "   ", "2 +", "foo", "y + 1", "min(1)", "exp(1, 2)",
+                                 "1e999"])
 def test_rejected_inputs(bad):
     with pytest.raises(ex.ExprSyntaxError):
         ex.parse(bad)

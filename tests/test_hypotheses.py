@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cfbvp.green import GreenOperator, green_sup, rate_of
-from cfbvp.hypotheses import (REFINE_BASE_CELLS, NumericsConfig, ProblemSpec, check_A1,
-                              check_A2, sigma_R)
+from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
 from cfbvp.quadrature import build_mesh
 
 
@@ -195,34 +194,29 @@ def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
 def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
-    # the refinement meshes of I_q and I_qu have 4 and 8 times
-    # REFINE_BASE_CELLS cells whatever mesh.cells, so the size terms of a
-    # refined solver mesh are the default mesh's, bit for bit
-    def terms(cells):
-        r = check_A2(make_spec(mu=mu, numerics=NumericsConfig(mesh_cells=cells)))
-        assert r.passed
+    # the refinement meshes of I_q and I_qu are REFINE_MESHES whatever the
+    # mesh keys, so the size terms of any solver mesh are the default
+    # mesh's, bit for bit, and A2 passes (int q = 2/3) at every grading
+    def terms(numerics):
+        r = check_A2(make_spec(mu=mu, numerics=numerics))
+        assert r.passed, numerics
         return r.I_q, r.I_qu, r.ratio, r.eps_max
 
-    want = terms(128)
-    assert terms(512) == want
-    assert terms(2048) == want
+    want = terms(NumericsConfig())
+    for numerics in (*(NumericsConfig(mesh_cells=c) for c in (512, 2048)),
+                     *(NumericsConfig(gamma=g) for g in (1.0, 1e3, 3e4, 1e5)),
+                     *(NumericsConfig(nodes_per_cell=k) for k in (2, 12))):
+        assert terms(numerics) == want, numerics
 
 
 @pytest.mark.parametrize("gamma", [3.0, 3e4, 4e4, 1e5])
 @pytest.mark.parametrize("a", [1.0, 1.2])
 def test_divergent_int_q_fails_at_every_grading(a, gamma, make_spec):
     # int_0^1 s (1 - s^2)^(-a) ds diverges for a >= 1, so I_q and I_qu are
-    # not finite at any mesh.gamma.  From gamma = 3.5e4 on, build_mesh merges
-    # every sub-ulp cell of both refinement meshes into the one cell [0, 1]
+    # not finite at any mesh.gamma
     report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a})", R=1e4,
                                 numerics=NumericsConfig(gamma=gamma)))
-    failed = {f.check: f for f in report.failures}
-    assert {"A2.I_q_finite", "A2.I_qu_finite"} <= failed.keys()
-    coarse, fine = (build_mesh(c * REFINE_BASE_CELLS, gamma=max(gamma, 6.0)).cells
-                    for c in (4, 8))
-    if fine <= coarse:  # refinement cannot tell: the check names both cell counts
-        for check in ("A2.I_q_finite", "A2.I_qu_finite"):
-            assert failed[check].witness == {"coarse_cells": coarse, "fine_cells": fine}
+    assert {"A2.I_q_finite", "A2.I_qu_finite"} <= {f.check for f in report.failures}
 
 
 def test_q_failure_names_one_subexpression(make_spec):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbvp import expressions as ex
-from cfbvp.hypotheses import NumericsConfig, check_A2
+from cfbvp.hypotheses import REFINE_MESHES, NumericsConfig, check_A2
 from cfbvp.problem_io import load_problem
 from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
@@ -184,8 +184,7 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
     # build_mesh merges the sub-ulp cells of the grading-6 meshes near t = 1
-    refined = [build_mesh(c, gamma=6.0).cells
-               for c in (512, 1024)]
+    refined = [build_mesh(*args).cells for args in REFINE_MESHES]
     for s in (spec, make_spec(NumericsConfig(mesh_cells=64)),
               make_spec(NumericsConfig(mesh_cells=512))):
         cells.clear()
@@ -313,7 +312,7 @@ def test_small_R_rejected(make_spec):
 
 
 def test_inner_budget_exhaustion(report, make_spec):
-    tight = make_spec(numerics=NumericsConfig(m_schedule=(16,), max_inner=2))
+    tight = make_spec(numerics=NumericsConfig(m_schedule=(16, 32), max_inner=2))
     rep = solve(tight)
     assert rep.status == "inner_failed"
     assert not rep.inner[0].converged
@@ -326,7 +325,7 @@ def test_schedule_vs_eps_guard(report, monkeypatch, make_spec):
     tiny = replace(report.hypothesis, ratio=1.001, eps_max=0.01)
     monkeypatch.setattr("cfbvp.solver.check_A2", lambda spec: tiny)
     with pytest.raises(SolverError, match="violates 1/m < eps"):
-        solve(make_spec(numerics=NumericsConfig(m_schedule=(16,))))
+        solve(make_spec(numerics=NumericsConfig(m_schedule=(16, 32))))
 
 
 def test_solve_deterministic(spec, report):
