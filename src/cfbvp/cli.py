@@ -49,8 +49,6 @@ def _numeric_overrides(args) -> dict:
     overrides = {}
     if args.mesh_cells is not None:
         overrides["mesh_cells"] = args.mesh_cells
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
     if args.strict_unit_bound:
         overrides["strict_unit_bound"] = True
     return overrides
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_numeric_flags(sp):
         sp.add_argument("--mesh-cells", type=int, default=None)
-        sp.add_argument("--gamma", type=float, default=None)
         sp.add_argument("--strict-unit-bound", action="store_true",
                         help="use the literal kernel bound 1 instead of the audited sup")
 

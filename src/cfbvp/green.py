@@ -181,8 +181,9 @@ class GreenOperator:
         # times the node values through the transposed integration matrix;
         # stored in the nodes' full shape, so apply multiplies without a
         # column broadcast
-        self._half = np.repeat(0.5 * np.diff(t), mesh.nodes_per_cell).reshape(mesh.nodes.shape)
-        self._spectral = gauss_integration_matrix(mesh.nodes_per_cell).T
+        k = mesh.nodes.shape[1]
+        self._half = np.repeat(0.5 * np.diff(t), k).reshape(mesh.nodes.shape)
+        self._spectral = gauss_integration_matrix(k).T
         self._decay = np.exp(-lam * mesh.nodes)
         self._weights = mesh.weights * self._decay
         # a(s) without the cancellation of e^{-lam s} - e^{lam s - 2 lam} near s = 1

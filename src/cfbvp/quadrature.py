@@ -16,6 +16,10 @@ import numpy as np
 __all__ = ["Mesh", "build_mesh", "mesh_from_breakpoints", "integrate",
            "gauss_integration_matrix"]
 
+# Gauss-Legendre nodes per mesh cell, for every mesh
+GAUSS_NODES = 8
+
+
 class MeshError(ValueError):
     pass
 
@@ -58,14 +62,13 @@ def gauss_integration_matrix(k: int) -> np.ndarray:
 class Mesh:
     """Partition of [0, 1] with per-cell Gauss-Legendre nodes.
 
-    ``nodes`` and ``weights`` have shape (cells, nodes_per_cell); cells are
+    ``nodes`` and ``weights`` have shape (cells, GAUSS_NODES); cells are
     ordered left to right and nodes ascend within each cell.
     """
 
     breakpoints: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    nodes_per_cell: int
 
     @property
     def cells(self) -> int:
@@ -76,7 +79,7 @@ class Mesh:
         return self.nodes.reshape(-1)
 
 
-def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
+def mesh_from_breakpoints(breakpoints) -> Mesh:
     """Mesh on the given breakpoints, which must run from 0 to 1 (MeshError otherwise)."""
     bps = np.asarray(breakpoints, dtype=float)
     if bps.ndim != 1 or len(bps) < 2:
@@ -85,9 +88,7 @@ def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
         raise MeshError(f"mesh must cover [0, 1], got [{bps[0]}, {bps[-1]}]")
     if not np.all(np.diff(bps) > 0):
         raise MeshError("breakpoints must strictly increase")
-    if nodes_per_cell < 2:
-        raise MeshError("need at least 2 quadrature nodes per cell")
-    x, w = _gauss_rule(nodes_per_cell)
+    x, w = _gauss_rule(GAUSS_NODES)
     left = bps[:-1][:, None]
     right = bps[1:][:, None]
     half = 0.5 * (right - left)
@@ -96,15 +97,12 @@ def mesh_from_breakpoints(breakpoints, nodes_per_cell: int = 8) -> Mesh:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     bps.setflags(write=False)
-    return Mesh(breakpoints=bps, nodes=nodes, weights=weights,
-                nodes_per_cell=nodes_per_cell)
+    return Mesh(breakpoints=bps, nodes=nodes, weights=weights)
 
 
-# check and solve each build three meshes, which depend on these three numbers
-# alone.  Typed, so that build_mesh(128, 3.0, 8.0) raises as ever and does
-# not return the cached mesh of build_mesh(128, 3.0, 8)
-@lru_cache(maxsize=8, typed=True)
-def build_mesh(cells: int, gamma: float = 1.0, nodes_per_cell: int = 8) -> Mesh:
+# check and solve each build three meshes, which depend on these two numbers alone
+@lru_cache(maxsize=8)
+def build_mesh(cells: int, gamma: float = 1.0) -> Mesh:
     """Mesh on [0, 1], uniform for gamma = 1, else graded with exponent gamma toward 1.
 
     The graded breakpoints are ``1 - (1 - j/N)**gamma``.  Equal arguments
@@ -130,13 +128,9 @@ def build_mesh(cells: int, gamma: float = 1.0, nodes_per_cell: int = 8) -> Mesh:
         for v in bps[narrow[0] + 1:].tolist():
             if v - kept[-1] > tol:
                 kept.append(v)
-        if kept[-1] != 1.0:
-            if 1.0 - kept[-1] > tol:
-                kept.append(1.0)
-            else:
-                kept[-1] = 1.0  # widening the last cell keeps gaps > tol
+        kept[-1] = 1.0  # kept ends at 1.0, or within tol below it: widen the last cell
         bps = np.concatenate((head, kept))
-    return mesh_from_breakpoints(bps, nodes_per_cell)
+    return mesh_from_breakpoints(bps)
 
 
 def integrate(values, mesh: Mesh) -> float:

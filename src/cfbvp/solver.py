@@ -24,6 +24,10 @@ __all__ = ["SolveReport", "InnerStats", "clamp_m", "apply_Tm",
            "SolverError"]
 
 
+# Picard iterations per level before it is reported as not converged
+MAX_INNER = 200
+
+
 class HypothesisError(RuntimeError):
     """The problem failed its assumption checks; the solver refuses to run."""
 
@@ -100,19 +104,19 @@ def solve_fixed_m(spec: ProblemSpec, m: int | None, op: GreenOperator,
     """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m (m = None:
     the limit map, as in apply_Tm).
 
-    x holds values at ``op.points``; the damping w, the inner tolerance
-    and the iteration budget come from ``spec.numerics``.  Stops when the
-    sup-norm step drops below the inner tolerance; ten consecutive
-    step growths abort with a divergence diagnostic, and a non-finite value
-    of T_m x aborts naming the first node where f is not finite (else the
-    first point where T_m x is not).
+    x holds values at ``op.points``; the damping w and the inner tolerance
+    come from ``spec.numerics``, and at most MAX_INNER iterations run.
+    Stops when the sup-norm step drops below the inner tolerance; ten
+    consecutive step growths abort with a divergence diagnostic, and a
+    non-finite value of T_m x aborts naming the first node where f is not
+    finite (else the first point where T_m x is not).
     """
     config = spec.numerics
     omega = config.omega
     x = x0
     prev_step = np.inf
     growth = 0
-    for it in range(1, config.max_inner + 1):
+    for it in range(1, MAX_INNER + 1):
         tx = apply_Tm(spec, x, m, op)  # a new array: the steps below reuse it
         if not np.isfinite(tx).all():
             # a nan of f at one node spreads through the integrals: name that node
@@ -138,7 +142,7 @@ def solve_fixed_m(spec: ProblemSpec, m: int | None, op: GreenOperator,
         else:
             growth = 0
         prev_step = step
-    return x, InnerStats(m=m, iterations=config.max_inner, final_step=prev_step,
+    return x, InnerStats(m=m, iterations=MAX_INNER, final_step=prev_step,
                          converged=False)
 
 

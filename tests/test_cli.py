@@ -85,7 +85,6 @@ def _schedule(text, schedule):
     (lambda t: t + "solver.inter_m_tol = nan\n", "key 'solver.inter_m_tol'"),
     (lambda t: t + "solver.inner_tol = nan\n", "key 'solver.inner_tol'"),
     (lambda t: t + "solver.inner_tol = -1\n", "key 'solver.inner_tol'"),
-    (lambda t: t + "solver.max_inner = 0\n", "key 'solver.max_inner': must be at least 1"),
     (lambda t: t.replace("R = 100", "R = inf"), "R must be positive and finite"),
     # the A1 lattice samples x up to 10 R
     (lambda t: t.replace("R = 100", "R = 1e308"), "R must keep 10 R finite"),
@@ -102,8 +101,6 @@ def _schedule(text, schedule):
     (lambda t: _schedule(t, "16"), "key 'solver.m_schedule': must be"),
     (lambda t: t.replace("mesh.cells = 64", "mesh.cells = 0"),
      "key 'mesh.cells': must be at least 1, got 0"),
-    (lambda t: t + "mesh.nodes_per_cell = 1\n",
-     "key 'mesh.nodes_per_cell': must be at least 2, got 1"),
 ])
 def test_parse_rejections(mutation, fragment):
     with pytest.raises(ProblemFileError) as exc:
@@ -115,6 +112,9 @@ def test_numeric_keys_are_one_table():
     # one key per NumericsConfig field that a problem file can set, read by
     # problem_io from the table that NumericsConfig checks the ranges with
     assert problem_io.NUMERIC_KEYS is NUMERIC_KEYS
+    assert list(NUMERIC_KEYS) == ["mesh.cells", "mesh.gamma", "checks.lattice_density",
+                                  "solver.m_schedule", "solver.omega", "solver.inner_tol",
+                                  "solver.inter_m_tol"]
     names = [name for name, *_ in NUMERIC_KEYS.values()]
     settable = [f.name for f in fields(NumericsConfig) if f.name != "strict_unit_bound"]
     assert sorted(names) == sorted(settable)
@@ -139,11 +139,32 @@ def test_check_and_solve_reject_the_same_numerics(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("gamma", ["nan", "inf"])
-def test_gamma_override_rejected(problem_file, capsys, gamma):
-    # the flags override the file, and are validated after it
-    assert main(["check", str(problem_file), "--gamma", gamma]) == EXIT_USAGE
-    assert "key 'mesh.gamma': must be finite" in capsys.readouterr().err
+@pytest.mark.parametrize("line", ["mesh.nodes_per_cell = 8", "solver.max_inner = 200"])
+def test_removed_numerics_keys_are_unknown(tmp_path, capsys, line):
+    # the Gauss order and the Picard budget are constants: a file that sets
+    # either, even to its value, fails as any unknown key does
+    p = tmp_path / "old.prob"
+    p.write_text(WORKED_TEXT + line + "\n")
+    for argv in (["check", str(p)], ["solve", str(p), "--out", str(tmp_path / "o")]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unknown key(s): {line.split(' =')[0]}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_gamma_flag_is_a_usage_error(problem_file, tmp_path, capsys, command):
+    # the grading is set by mesh.gamma in the problem file, and there alone
+    argv = [command, str(problem_file), "--gamma", "3", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments: --gamma 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_check_empty_value(tmp_path, capsys):
+    p = tmp_path / "empty.prob"
+    p.write_text(WORKED_TEXT.replace("mu = 1.5", "mu ="))
+    assert main(["check", str(p)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: line 2: empty key or value\n"
 
 
 def test_load_problem_missing_file(tmp_path):
@@ -243,10 +264,9 @@ def test_solve_hypothesis_failure_exit(problem_file, tmp_path, capsys):
     assert "hypothesis failure" in capsys.readouterr().err
 
 
-def test_solve_inner_failure_exit(problem_file, tmp_path, capsys):
-    p = tmp_path / "tight.prob"
-    p.write_text(WORKED_TEXT + "solver.max_inner = 2\n")
-    code = main(["solve", str(p), "--out", str(tmp_path / "o")])
+def test_solve_inner_failure_exit(problem_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("cfbvp.solver.MAX_INNER", 2)
+    code = main(["solve", str(problem_file), "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
     assert "status = inner_failed" in capsys.readouterr().out
 

@@ -29,12 +29,30 @@ def test_syntax_error_position():
     assert err.value.position == 4
 
 
-# 1e999 overflows to inf, which unparse could not render as a literal
-@pytest.mark.parametrize("bad", ["", "   ", "2 +", "foo", "y + 1", "min(1)", "exp(1, 2)",
-                                 "1e999"])
+# each rejected input -> the start of its message and its position
+REJECTED = {
+    "": ("empty expression", 0),
+    "   ": ("empty expression", 0),
+    "2 +": ("unexpected token 'end of input'", 3),
+    "foo": ("unknown identifier 'foo'", 0),
+    "y + 1": ("unknown identifier 'y'", 0),
+    "min(1)": ("min expects 2 argument(s), got 1", 0),
+    "exp(1, 2)": ("exp expects 1 argument(s), got 2", 0),
+    # 1e999 overflows to inf, which unparse could not render as a literal
+    "1e999": ("number out of range", 0),
+    "x $ 1": ("unexpected character '$'", 2),
+    "foo(x)": ("unknown function 'foo'", 0),
+    "x y": ("unexpected trailing token 'y'", 2),
+}
+
+
+@pytest.mark.parametrize("bad", list(REJECTED))
 def test_rejected_inputs(bad):
-    with pytest.raises(ex.ExprSyntaxError):
+    message, position = REJECTED[bad]
+    with pytest.raises(ex.ExprSyntaxError) as err:
         ex.parse(bad)
+    assert str(err.value).startswith(message)
+    assert err.value.position == position
 
 
 def test_eval_direct():

@@ -369,12 +369,12 @@ NODE_VALUES = st.lists(st.floats(-1e3, 1e3), min_size=PROPERTY_MESH.flat_nodes.s
 
 # Linearity holds up to rounding, which the node output amplifies like
 # e^{lam h} across a cell of width h (ROADMAP item 3).  The spectral step
-# sums k = nodes_per_cell rounded products, so a node's rounding is about
+# sums k rounded products (k nodes per cell), so a node's rounding is about
 # k eps of the integrand's scale; across the first cell, the widest
 # (h_0 = 0.578), it grows by up to e^{lam h_0}.  It stays within the 1e-12
 # bound while k eps e^{lam h_0} <= 1e-12, that is, up to the rate below;
 # mu = (1 + 2 lam) / (1 + lam) inverts lam = (mu - 1) / (2 - mu).
-LINEAR_LAM_MAX = math.log(1e-12 / (PROPERTY_MESH.nodes_per_cell * np.finfo(float).eps)) \
+LINEAR_LAM_MAX = math.log(1e-12 / (PROPERTY_MESH.nodes.shape[1] * np.finfo(float).eps)) \
     / PROPERTY_MESH.breakpoints[1]
 LINEAR_MU_MAX = (1.0 + 2.0 * LINEAR_LAM_MAX) / (1.0 + LINEAR_LAM_MAX)
 

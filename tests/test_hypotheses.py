@@ -204,8 +204,7 @@ def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
 
     want = terms(NumericsConfig())
     for numerics in (*(NumericsConfig(mesh_cells=c) for c in (512, 2048)),
-                     *(NumericsConfig(gamma=g) for g in (1.0, 1e3, 3e4, 1e5)),
-                     *(NumericsConfig(nodes_per_cell=k) for k in (2, 12))):
+                     *(NumericsConfig(gamma=g) for g in (1.0, 1e3, 3e4, 1e5))):
         assert terms(numerics) == want, numerics
 
 
@@ -227,6 +226,33 @@ def test_q_failure_names_one_subexpression(make_spec):
     assert details["A2.I_q_finite"] == details["A2.I_qu_finite"] == (
         "integration failed: square root of a negative value in subexpression "
         "'sqrt(0.5 - s)'")
+
+
+def test_zero_size_denominator_is_named(make_spec):
+    # q = 0 makes I_qu = 0: R / (c (1 + v(R)/u(R)) I_qu) is no ratio to
+    # test, and the failure names the denominator, not "ratio=inf"
+    report = check_A2(make_spec(f="0*x", q="0*s", psi="0*s", u="exp(-x)", v="x"))
+    assert report.I_qu == 0.0
+    assert [str(f) for f in report.failures] == [
+        "[A2.ratio] size condition requires a positive denominator "
+        "c (1 + v(R)/u(R)) I_qu (at denominator=0)"]
+
+
+@pytest.mark.parametrize("u,error", [
+    # u(R) = 0 divides v(R) by zero
+    ("x - 100", "float division by zero"),
+    # sqrt(99.9 - x) is defined at the barrier's values but not at R = 100
+    ("x^(-0.25) + 0*sqrt(99.9 - x)", "square root of a negative value in subexpression "
+                                    "'sqrt(99.9 - x)'"),
+])
+def test_undefined_size_ratio(u, error, make_spec):
+    # the ratio needs u(R): when that raises, the ratio is nan and both
+    # ratio failures are reported, the first without a witness
+    report = check_A2(make_spec(u=u))
+    ratio = [str(f) for f in report.failures if f.check == "A2.ratio"]
+    assert ratio == [f"[A2.ratio] ratio undefined: {error}",
+                     "[A2.ratio] size condition requires ratio > 1 (at ratio=nan)"]
+    assert np.isnan(report.ratio) and np.isnan(report.eps_max)
 
 
 def test_strict_mode_uses_unit_bound(make_spec):

@@ -1,13 +1,13 @@
 import dataclasses
-import itertools
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfbvp.quadrature import (Mesh, MeshError, NonFiniteIntegrandError, _sum_left_to_right,
-                              build_mesh, gauss_integration_matrix, integrate,
-                              mesh_from_breakpoints)
+from cfbvp.quadrature import (GAUSS_NODES, Mesh, MeshError, NonFiniteIntegrandError,
+                              _sum_left_to_right, build_mesh, gauss_integration_matrix,
+                              integrate, mesh_from_breakpoints)
 
 
 def test_uniform_breakpoints():
@@ -70,16 +70,12 @@ def test_gamma_below_one_rejected():
 
 
 def test_equal_arguments_share_one_read_only_mesh():
-    mesh = build_mesh(128, 3.0, 8)
-    assert build_mesh(128, 3.0, 8) is mesh
-    assert build_mesh(128, 3.0, 4) is not mesh
+    mesh = build_mesh(128, 3.0)
+    assert build_mesh(128, 3.0) is mesh
+    assert build_mesh(128, 6.0) is not mesh
     for values in (mesh.breakpoints, mesh.nodes, mesh.weights):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.5
-    # the cache is typed: an integral float is not the cached int, and the
-    # Gauss rule rejects it as it did before the cache
-    with pytest.raises(TypeError, match="deg must be an integer"):
-        build_mesh(128, 3.0, 8.0)
     # bounded: a check or a solve builds three meshes
     assert 3 <= build_mesh.cache_info().maxsize <= 16
 
@@ -96,7 +92,7 @@ def test_constant_exact():
 
 
 def test_cubic_exact():
-    m = build_mesh(4, nodes_per_cell=2)
+    m = build_mesh(4)
     assert abs(integrate(m.flat_nodes ** 3, m) - 0.25) <= 1e-12
 
 
@@ -143,10 +139,11 @@ def test_determinism():
 
 
 def test_mesh_from_breakpoints_validates():
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="breakpoints must strictly increase"):
         mesh_from_breakpoints([0.0, 0.5, 0.5, 1.0])
-    with pytest.raises(MeshError):
-        mesh_from_breakpoints([0.0, 1.0], nodes_per_cell=1)
+    for bps in ([0.0], [[0.0, 1.0]]):
+        with pytest.raises(MeshError, match="need at least two breakpoints"):
+            mesh_from_breakpoints(bps)
 
 
 @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (0.0, 2.0), (0.5, 1.0)])
@@ -157,8 +154,11 @@ def test_mesh_off_the_unit_interval_rejected(a, b):
 
 
 def test_mesh_fields():
-    assert [f.name for f in dataclasses.fields(Mesh)] == \
-        ["breakpoints", "nodes", "weights", "nodes_per_cell"]
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["breakpoints", "nodes", "weights"]
+    # every mesh has GAUSS_NODES nodes per cell: no argument sets another count
+    assert list(inspect.signature(build_mesh).parameters) == ["cells", "gamma"]
+    assert list(inspect.signature(mesh_from_breakpoints).parameters) == ["breakpoints"]
+    assert build_mesh(3).nodes.shape == (3, GAUSS_NODES) == (3, 8)
 
 
 def _loop_sum(values) -> float:
@@ -191,8 +191,8 @@ def test_sum_left_to_right_is_the_loop_bit_for_bit():
 
 def test_integrate_sums_cells_left_to_right():
     rng = np.random.default_rng(5)
-    for cells, k in itertools.product((1, 2, 7, 128, 4096), (2, 8)):
-        m = build_mesh(cells, 3.0, nodes_per_cell=k)
+    for cells in (1, 2, 7, 128, 4096):
+        m = build_mesh(cells, 3.0)
         v = rng.standard_normal(m.flat_nodes.shape) * 10.0 ** rng.uniform(-8, 8)
         v[: len(v) // 3] = 0.0
         cell_sums = np.einsum("ij,ij->i", m.weights, v.reshape(m.nodes.shape))

@@ -311,9 +311,9 @@ def test_small_R_rejected(make_spec):
     assert any(f.check == "A2.ratio" for f in exc.value.failures)
 
 
-def test_inner_budget_exhaustion(report, make_spec):
-    tight = make_spec(numerics=NumericsConfig(m_schedule=(16, 32), max_inner=2))
-    rep = solve(tight)
+def test_inner_budget_exhaustion(report, make_spec, monkeypatch):
+    monkeypatch.setattr("cfbvp.solver.MAX_INNER", 2)
+    rep = solve(make_spec(numerics=NumericsConfig(m_schedule=(16, 32))))
     assert rep.status == "inner_failed"
     assert not rep.inner[0].converged
 
