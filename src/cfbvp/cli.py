@@ -46,12 +46,7 @@ def _write(path: Path, data) -> None:
 
 
 def _numeric_overrides(args) -> dict:
-    overrides = {}
-    if args.mesh_cells is not None:
-        overrides["mesh_cells"] = args.mesh_cells
-    if args.strict_unit_bound:
-        overrides["strict_unit_bound"] = True
-    return overrides
+    return {} if args.mesh_cells is None else {"mesh_cells": args.mesh_cells}
 
 
 def _hypothesis_text(spec, a1, a2) -> str:
@@ -68,9 +63,7 @@ def _hypothesis_text(spec, a1, a2) -> str:
         f"sigma_R(0) = {_fmt(a2.sigma_at_zero)}",
         f"I_q = {_fmt(a2.I_q)}",
         f"I_qu = {_fmt(a2.I_qu)}",
-        f"kernel bound c = {_fmt(a2.c_kernel)}"
-        + (" (strict literal bound 1)" if spec.numerics.strict_unit_bound
-           else " (audited sup)"),
+        f"kernel bound c = {_fmt(a2.c_kernel)} (audited sup)",
         f"ratio = {_fmt(a2.ratio)}",
         f"eps_max = {_fmt(a2.eps_max)}",
     ]
@@ -244,21 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
                                             "integro-differential boundary value problem")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_numeric_flags(sp):
-        sp.add_argument("--mesh-cells", type=int, default=None)
-        sp.add_argument("--strict-unit-bound", action="store_true",
-                        help="use the literal kernel bound 1 instead of the audited sup")
-
     sp = sub.add_parser("check", help="verify the problem assumptions")
     sp.add_argument("problem")
     sp.add_argument("--out", default=None)
-    add_numeric_flags(sp)
+    sp.add_argument("--mesh-cells", type=int, default=None)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("solve", help="run the regularized fixed-point solver")
     sp.add_argument("problem")
     sp.add_argument("--out", required=True)
-    add_numeric_flags(sp)
+    sp.add_argument("--mesh-cells", type=int, default=None)
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("green", help="dump the kernel on a tensor grid as CSV")

@@ -11,7 +11,7 @@ Two assumption groups gate the nonlinear solve:
 Inequalities over continua are checked by sampled falsification on a
 documented lattice; a pass means "no counterexample found", never a proof.
 The kernel bound c is sup G = 2 / (1 + e^{-2 lambda}), the kernel at the
-corner t = tau = 0 (it exceeds 1); a strict mode substitutes the literal 1.
+corner t = tau = 0 (it exceeds 1).
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class NumericsConfig:
     omega: float = 1.0
     inner_tol: float = 1e-10
     inter_m_tol: float = 0.05
-    strict_unit_bound: bool = False
 
     def __post_init__(self):
         for key, (name, _, ok, want) in NUMERIC_KEYS.items():
@@ -427,23 +426,28 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
                       else _unusable(f[i, j], f_err[i, j]))
             failures.append(CheckFailure("A2.minorant", {"t": t, "x": xs[j]}, detail))
 
-    c_kernel = 1.0 if n.strict_unit_bound else kernel_bound(spec.mu)
+    # one failure for each outcome: the ratio is undefined, its denominator is
+    # not positive, or it is not above 1.  Only a ratio has a slack eps_max
+    c_kernel = kernel_bound(spec.mu)
+    ratio = eps_max = float("nan")
     try:
         with np.errstate(all="ignore"):  # a non-finite u(R) or v(R) is a nan ratio
             uR, vR = spec.u_at(spec.R), spec.v_at(spec.R)
             denom = c_kernel * (1.0 + vR / uR) * I_qu
-            ratio = float("inf") if denom <= 0 else spec.R / denom  # nan stays nan
+            if not denom <= 0:  # a nan denominator leaves the ratio nan
+                ratio = spec.R / denom
     except (ex.ExprDomainError, ZeroDivisionError) as err:
-        denom = ratio = float("nan")
         failures.append(CheckFailure("A2.ratio", {}, f"ratio undefined: {err}"))
-    if denom <= 0:  # R / denom would read as a ratio: name the denominator
-        failures.append(CheckFailure("A2.ratio", {"denominator": denom},
-                                     "size condition requires a positive denominator "
-                                     "c (1 + v(R)/u(R)) I_qu"))
-    elif not np.isfinite(ratio) or ratio <= 1.0:
-        failures.append(CheckFailure("A2.ratio", {"ratio": ratio},
-                                     "size condition requires ratio > 1"))
-    eps_max = spec.R - denom if np.isfinite(denom) else float("nan")
+    else:
+        if denom <= 0:  # R / denom would read as a ratio: name the denominator
+            failures.append(CheckFailure("A2.ratio", {"denominator": denom},
+                                         "size condition requires a positive denominator "
+                                         "c (1 + v(R)/u(R)) I_qu"))
+        elif not np.isfinite(ratio) or ratio <= 1.0:
+            failures.append(CheckFailure("A2.ratio", {"ratio": ratio},
+                                         "size condition requires ratio > 1"))
+        if 0 < denom < np.inf:
+            eps_max = spec.R - denom
 
     return HypothesisReport(passed=not failures, sigma=sigma, operator=op,
                             sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu,

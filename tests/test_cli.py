@@ -116,8 +116,7 @@ def test_numeric_keys_are_one_table():
                                   "solver.m_schedule", "solver.omega", "solver.inner_tol",
                                   "solver.inter_m_tol"]
     names = [name for name, *_ in NUMERIC_KEYS.values()]
-    settable = [f.name for f in fields(NumericsConfig) if f.name != "strict_unit_bound"]
-    assert sorted(names) == sorted(settable)
+    assert sorted(names) == sorted(f.name for f in fields(NumericsConfig))
     default = NumericsConfig()
     for key, (name, parse, _, _) in NUMERIC_KEYS.items():
         value = getattr(default, name)
@@ -151,12 +150,16 @@ def test_removed_numerics_keys_are_unknown(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["check", "solve"])
-def test_gamma_flag_is_a_usage_error(problem_file, tmp_path, capsys, command):
-    # the grading is set by mesh.gamma in the problem file, and there alone
-    argv = [command, str(problem_file), "--gamma", "3", "--out", str(tmp_path / "o")]
+@pytest.mark.parametrize("command,flag", [
+    ("check", ["--gamma", "3"]), ("solve", ["--gamma", "3"]),
+    ("check", ["--strict-unit-bound"]), ("solve", ["--strict-unit-bound"]),
+], ids=["check", "solve", "check-strict", "solve-strict"])
+def test_gamma_flag_is_a_usage_error(problem_file, tmp_path, capsys, command, flag):
+    # the grading is set by mesh.gamma in the problem file, and there alone;
+    # the size ratio always uses the kernel's sup, never the literal bound 1
+    argv = [command, str(problem_file), *flag, "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_USAGE
-    assert "unrecognized arguments: --gamma 3" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -606,7 +609,7 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     # commands in one process, a flag and then its default among them, gives
     # the exit codes, messages and files of each command in a fresh process
     prob = str(ROOT / "problems" / "worked_family.prob")
-    commands = [["check", prob, "--strict-unit-bound", "--out", "check_strict"],
+    commands = [["check", prob, "--mesh-cells", "64", "--out", "check_64"],
                 ["check", prob, "--out", "check"],
                 ["solve", prob, "--mesh-cells", "64", "--out", "solve_64"],
                 ["solve", prob, "--out", "solve"],

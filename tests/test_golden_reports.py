@@ -6,11 +6,8 @@ expression error on part of the lattice, non-finite values and a constant
 expression.  ``tests/data/golden/<case>/`` holds the ``hypothesis_report.txt``
 and ``sigma_R.csv`` written at ``checks.lattice_density = 9``;
 ``tests/data/golden/default_density.sha256`` holds the sha256 of the report
-at the default density, and ``tests/data/golden/strict_unit_bound/`` the
-outputs of the ``worked`` case checked with ``--strict-unit-bound``, whose
-kernel bound line reads "(strict literal bound 1)".  The report lists every
-failure witness in order, so any change to the order or text of a
-``CheckFailure`` shows up here.
+at the default density.  The report lists every failure witness in order, so
+any change to the order or text of a ``CheckFailure`` shows up here.
 ``tests/data/golden/solve.sha256`` holds the sha256 of ``solution.csv`` and
 ``solve_report.txt`` of ``cfbvp solve`` for ``problems/worked_family.prob``
 and its mu = 1.9 twin at 128 and 512 cells, so a rounding change on the
@@ -82,11 +79,11 @@ def problem_text(case: str, density: int | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_check(case: str, density: int | None, work: Path, *flags: str) -> tuple[int, Path]:
+def run_check(case: str, density: int | None, work: Path) -> tuple[int, Path]:
     problem = work / f"{case}.prob"
     problem.write_text(problem_text(case, density))
     out = work / case
-    code = main(["check", str(problem), "--out", str(out), *flags])
+    code = main(["check", str(problem), "--out", str(out)])
     return code, out
 
 
@@ -107,15 +104,6 @@ def test_report_and_barrier_match_golden(case, tmp_path, capsys):
     for name in ("hypothesis_report.txt", "sigma_R.csv"):
         assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
     assert code == _expected_code((out / "hypothesis_report.txt").read_text())
-
-
-def test_strict_unit_bound_matches_golden(tmp_path, capsys):
-    code, out = run_check("worked", SMALL_DENSITY, tmp_path, "--strict-unit-bound")
-    capsys.readouterr()
-    for name in ("hypothesis_report.txt", "sigma_R.csv"):
-        assert (out / name).read_bytes() == (GOLDEN / "strict_unit_bound" / name).read_bytes(), name
-    assert "(strict literal bound 1)" in (out / "hypothesis_report.txt").read_text()
-    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -163,7 +151,6 @@ def test_solve_outputs_digest(case, tmp_path, capsys):
 def regenerate(work: Path) -> None:
     (work / "small").mkdir()
     (work / "default").mkdir()
-    (work / "strict").mkdir()
     digests = []
     for case in sorted(CASES):
         _, out = run_check(case, SMALL_DENSITY, work / "small")
@@ -175,10 +162,6 @@ def regenerate(work: Path) -> None:
         report = (out / "hypothesis_report.txt").read_bytes()
         digests.append(f"{hashlib.sha256(report).hexdigest()}  {case}\n")
     (GOLDEN / "default_density.sha256").write_text("".join(digests))
-    _, out = run_check("worked", SMALL_DENSITY, work / "strict", "--strict-unit-bound")
-    (GOLDEN / "strict_unit_bound").mkdir(exist_ok=True)
-    for name in ("hypothesis_report.txt", "sigma_R.csv"):
-        (GOLDEN / "strict_unit_bound" / name).write_bytes((out / name).read_bytes())
     digests = []
     for case in SOLVES:
         out = run_solve(case, work)
