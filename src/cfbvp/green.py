@@ -18,8 +18,7 @@ import numpy as np
 
 from .quadrature import Mesh, gauss_integration_matrix
 
-__all__ = ["rate_of", "green_eval", "green_diagonal_jump", "green_sup", "kernel_bound",
-           "GreenOperator"]
+__all__ = ["rate_of", "green_eval", "green_diagonal_jump", "kernel_bound", "GreenOperator"]
 
 
 def rate_of(mu):
@@ -52,16 +51,15 @@ def lower_branch(lam, t, tau):
         / (1.0 + np.exp(-2.0 * lam))
 
 
-def upper_factors(lam, t, tau):
-    """The two factors of the upper branch, cosh(lam t) / cosh(lam) and
-    e^{lam (1 - tau)}; upper_branch is their rounded product."""
-    return np.cosh(lam * t) / np.cosh(lam), np.exp(lam * (1.0 - tau))
-
-
 def upper_branch(lam, t, tau):
-    """Kernel for 0 <= t <= tau <= 1."""
-    row, col = upper_factors(lam, t, tau)
-    return row * col
+    """Kernel for 0 <= t <= tau <= 1.
+
+    cosh(lam t) / cosh(lam) e^{lam (1 - tau)}, written with exponents <= 0,
+    so it overflows at no order.  On tau < t it reads |tau - t|, which
+    keeps it finite where green_eval evaluates it and does not keep it.
+    """
+    return (np.exp(-lam * np.abs(tau - t)) + np.exp(-lam * (tau + t))) \
+        / (1.0 + np.exp(-2.0 * lam))
 
 
 def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
@@ -73,12 +71,10 @@ def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
     and each order's table has the bits of a call with that order alone.
     On the diagonal tau == t the two branches disagree by a unit jump;
     ``side`` selects which one ("lower", the default convention, or
-    "upper", the other one-sided value).  For lam > 709 cosh(lam)
-    overflows, without a numpy warning: the upper branch is 0 where
-    cosh(lam t) and e^{lam (1 - tau)} are still finite, although its value
-    e^{-lam (tau - t)} (1 + e^{-2 lam t}) may be a normal double (about
-    3e-167 at mu = 1.9987, t = 0, tau = 0.5), and nan where either
-    overflows too.
+    "upper", the other one-sided value).  Both branches take exponentials
+    of non-positive arguments only, so every order in (1, 2) gives finite
+    values: at mu = 1.9987, G(0, 0.5) = 2 e^{-lam/2} / (1 + e^{-2 lam}),
+    about 3e-167.
     """
     lam = rate_of(mu)
     if side not in ("lower", "upper"):
@@ -92,24 +88,10 @@ def green_eval(mu, t, tau, side: str = "lower") -> np.ndarray:
         if np.any(bad):
             i = np.argmax(bad)  # the first offending point
             raise ValueError(message.format(pt.flat[i], ptau.flat[i]))
-    # G(-t, -tau) = G(t, tau); on the inputs' own shapes, so the upper
-    # branch's factors are computed once per coordinate, not per point
-    t, tau = np.abs(t), np.abs(tau)
+    t, tau = np.abs(t), np.abs(tau)  # G(-t, -tau) = G(t, tau)
     lower = (tau < t) | ((tau == t) & (side != "upper"))
-    # each order's rate over the points' axes, and over the gathered points;
-    # a mask of the output's own shape keeps numpy's boolean fast path, where
-    # out[..., lower] takes integer indices (about 10x slower on a 201 x 201
-    # grid)
-    lam_points = np.reshape(lam, np.shape(lam) + (1,) * lower.ndim)
-    lam_gathered = np.reshape(lam, np.shape(lam) + (1,))
-    mask = np.broadcast_to(lower, np.shape(lam) + lower.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: 0 or nan, as above
-        out = np.asarray(upper_branch(lam_points, t, tau))  # a new array of the output's shape
-        # the lower branch only at its own points, gathered on the points
-        # alone, with the order axes carried along
-        t, tau = np.broadcast_arrays(t, tau)
-        out[mask] = lower_branch(lam_gathered, t[lower], tau[lower]).ravel()
-    return out
+    lam = np.reshape(lam, np.shape(lam) + (1,) * lower.ndim)  # each order over the points' axes
+    return np.where(lower, lower_branch(lam, t, tau), upper_branch(lam, t, tau))
 
 
 def green_diagonal_jump(mu, t) -> np.ndarray:
@@ -118,39 +100,17 @@ def green_diagonal_jump(mu, t) -> np.ndarray:
     return green_eval(mu, t, t, side="upper") - green_eval(mu, t, t, side="lower")
 
 
-def green_sup(mu, grid_density: int) -> float:
-    """Max kernel value over a tensor grid, both diagonal sides included.
+def kernel_bound(mu):
+    """sup G = G(0, 0) on the upper side, 2 / (1 + e^{-2 lam}), for an order
+    or an array of orders.
 
-    The two same-sign squares carry the same values, so the right half
-    covers both.  There the upper branch at (t, tau) = (g_j, g_i), j <= i,
-    is the rounded product row[j] col[i]; rounding it is monotone in row[j],
-    so a running max of row gives the max over j <= i, in O(n) and exact
-    even where the computed cosh is not monotone.  The lower branch never sets the
-    max: e^{-x}, x >= 0, is at most 1, and subtracting a non-negative term
-    or dividing by 1 + e^{-2 lam} >= 1 cannot raise it (nor make a nan),
-    while the upper corner (0, 0) is 1 + tanh(lam) >= 1.  inf where only
-    e^lam overflows (lam in (709.78, 710.47)), nan past; no warning.
+    On tau >= t both exponentials of upper_branch are at most 1, so their
+    rounded sum is at most 2 and the quotient at most this double, which
+    is the branch's own value at the corner t = tau = 0; the lower branch
+    stays below 1 / (1 + e^{-2 lam}).  So on any grid that contains 0 the
+    max of green_eval is this double, bit for bit.
     """
-    lam = rate_of(mu)
-    if grid_density < 2:
-        raise ValueError("grid_density must be >= 2")
-    g = np.linspace(0.0, 1.0, grid_density)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as above
-        row, col = upper_factors(lam, g, g)
-        return float(np.max(np.maximum.accumulate(row) * col))  # both keep a nan
-
-
-def kernel_bound(mu) -> float:
-    """sup G = G(0, 0) on the upper side, 2 / (1 + e^{-2 lam}); nan if lam > 709.
-
-    On tau >= t the upper branch decreases in tau, and on the diagonal,
-    (e^lam + e^{lam (1 - 2t)}) / (2 cosh lam), in t, so its sup is at the
-    corner t = tau = 0; the lower branch stays below 1 / (1 + e^{-2 lam}).
-    The corner value is taken with upper_branch's own arithmetic, so it is
-    the double that green_sup measures on any grid (each contains 0).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # cosh(lam) = inf: nan
-        return float(upper_branch(rate_of(mu), 0.0, 0.0))
+    return 2.0 / (1.0 + np.exp(-2.0 * rate_of(mu)))
 
 
 class GreenOperator:
@@ -200,8 +160,8 @@ class GreenOperator:
         filled into buffers in place.
         """
         y = np.asarray(y, dtype=float)
-        if y.shape != self.tau.shape:  # a constant integrand
-            y = np.broadcast_to(y, self.tau.shape)
+        if y.shape != self.tau.shape:  # a constant integrand, filled as integrate fills it
+            y = np.full(self.tau.shape, y)
         y = y.reshape(self._weights.shape)
         n = len(self.grid)
         out = np.empty(len(self.points))

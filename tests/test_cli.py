@@ -13,7 +13,7 @@ import pytest
 from cfbvp import problem_io
 from cfbvp.cli import (_ROWS_PER_WRITE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER,
                        EXIT_USAGE, _solution_csv, main)
-from cfbvp.green import green_diagonal_jump, green_eval, green_sup, rate_of
+from cfbvp.green import green_diagonal_jump, green_eval, kernel_bound, rate_of
 from cfbvp.hypotheses import NUMERIC_KEYS, NumericsConfig, check_A2
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
@@ -153,11 +153,14 @@ def test_removed_numerics_keys_are_unknown(tmp_path, capsys, line):
 @pytest.mark.parametrize("command,flag", [
     ("check", ["--gamma", "3"]), ("solve", ["--gamma", "3"]),
     ("check", ["--strict-unit-bound"]), ("solve", ["--strict-unit-bound"]),
-], ids=["check", "solve", "check-strict", "solve-strict"])
+    ("audit", ["--grid", "41"]),
+], ids=["check", "solve", "check-strict", "solve-strict", "audit-grid"])
 def test_gamma_flag_is_a_usage_error(problem_file, tmp_path, capsys, command, flag):
     # the grading is set by mesh.gamma in the problem file, and there alone;
-    # the size ratio always uses the kernel's sup, never the literal bound 1
-    argv = [command, str(problem_file), *flag, "--out", str(tmp_path / "o")]
+    # the size ratio always uses the kernel's sup, never the literal bound 1;
+    # the audit's sup is the closed form, which no grid changes
+    target = "1.5" if command == "audit" else str(problem_file)
+    argv = [command, target, *flag, "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_USAGE
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -359,8 +362,10 @@ def test_solve_t_only_expression_error_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_high_order_emits_no_runtime_warning(tmp_path, capsys, command):
-    # lam = 768 > 709: the barrier and the kernel bound overflow to nan, which
-    # check_A2 reports (A2.sigma_finite, c = nan, exit 2); no numpy warning leaks
+    # lam = 768 > 709: the barrier overflows to nan in GreenOperator's row
+    # factor cosh(lam t) (ROADMAP item 3), which check_A2 reports
+    # (A2.sigma_finite, exit 2), while the kernel bound is 2; no numpy
+    # warning leaks
     p = tmp_path / "overflow.prob"
     p.write_text(WORKED_TEXT.replace("mu = 1.5", "mu = 1.9987"))
     with warnings.catch_warnings():
@@ -370,6 +375,7 @@ def test_high_order_emits_no_runtime_warning(tmp_path, capsys, command):
     line = "[A2.sigma_finite] barrier takes a non-finite value (at t=0)"
     if command == "check":
         assert f"A2 failure: {line}" in out.splitlines()
+        assert "kernel bound c = 2 (audited sup)" in out.splitlines()
     else:
         assert f"  {line}" in err.splitlines()
 
@@ -430,11 +436,10 @@ def test_green_dump(tmp_path):
 @pytest.mark.parametrize("grid", [0, 1])
 def test_green_rejects_a_degenerate_grid(tmp_path, capsys, grid):
     # a grid of 0 points wrote a header and blank lines, and one of 1 point
-    # the origin twice (0,0 and -0,-0); audit rejects the same densities
+    # the origin twice (0,0 and -0,-0)
     out = tmp_path / "green.csv"
-    for command in (["green", "1.5", "--out", str(out)], ["audit", "1.5"]):
-        assert main([*command, "--grid", str(grid)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: grid_density must be >= 2\n"
+    assert main(["green", "1.5", "--out", str(out), "--grid", str(grid)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: grid_density must be >= 2\n"
     assert not out.exists()
 
 
@@ -476,8 +481,7 @@ def test_green_dump_peak_is_below_its_file(tmp_path):
 
 def test_audit_table(tmp_path, capsys):
     out = tmp_path / "audit.csv"
-    assert main(["audit", "1.2,1.5,1.8", "--grid", "101",
-                 "--out", str(out)]) == EXIT_OK
+    assert main(["audit", "1.2,1.5,1.8", "--out", str(out)]) == EXIT_OK
     text = capsys.readouterr().out
     assert out.read_text() == text
     lines = text.splitlines()
@@ -487,7 +491,7 @@ def test_audit_table(tmp_path, capsys):
         assert float(cols[2]) <= 1e-13      # boundary_max
         assert float(cols[3]) == 0.0        # symmetry_max_diff exact
         assert float(cols[4]) <= 1e-12      # diag_jump_max_err
-        assert abs(float(cols[5]) - float(cols[6])) <= 1e-4  # sup vs closed form
+        assert cols[5] == cols[6]           # the sup is its closed form
         assert cols[7] == "True"            # sup exceeds the unit bound
 
 
@@ -499,9 +503,8 @@ KERNEL_TABLES = Path(__file__).resolve().parent / "data" / "kernel_tables"
 @pytest.mark.parametrize("argv,golden", [
     (["green", "1.93", "--grid", "7"], "green_1.93_grid7.csv"),
     (["green", "1.3", "--grid", "7"], "green_1.3_grid7.csv"),
-    (["audit", "1.05,1.5,1.9,1.95,1.9985", "--grid", "41"], "audit_grid41.csv"),
-    # the audit's own grid, up to and past lam = 709: mu = 1.9985938 is
-    # lam = 710.14, where e^lam overflows but cosh(lam) does not (an inf sup)
+    # up to and past lam = 709: mu = 1.9985938 is lam = 710.14, where e^lam
+    # overflows but cosh(lam) does not
     (["audit", "1.05,1.2,1.35,1.5,1.65,1.8,1.95,1.9985,1.9985938,1.9987"],
      "audit_grid401.csv"),
 ])
@@ -512,7 +515,7 @@ def test_kernel_tables_match_golden(tmp_path, capsys, argv, golden):
     assert out.read_bytes() == (KERNEL_TABLES / golden).read_bytes()
 
 
-def _audit_loop(mus, grid):
+def _audit_loop(mus):
     """The audit table from scalar-order calls, one order at a time."""
     lines = ["mu,lambda,boundary_max,symmetry_max_diff,diag_jump_max_err,"
              "sup_measured,sup_closed_form,sup_exceeds_unit_bound"]
@@ -524,36 +527,33 @@ def _audit_loop(mus, grid):
         values = [mu, lam, np.max(np.abs(green_eval(mu, 1.0, taus))),
                   np.max(np.abs(green_eval(mu, t, tau) - green_eval(mu, -t, -tau))),
                   np.max(np.abs(green_diagonal_jump(mu, diag) - 1.0)),
-                  green_sup(mu, grid), 2.0 / (1.0 + math.exp(-2.0 * lam))]
-        sup = values[5]
-        lines.append(",".join(f"{v:.17g}" for v in values)
-                     + f",{'nan' if math.isnan(sup) else sup > 1.0}")
+                  kernel_bound(mu), kernel_bound(mu)]
+        lines.append(",".join(f"{v:.17g}" for v in values) + f",{values[5] > 1.0}")
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("grid", [2, 3, 41, 401])
-def test_audit_is_the_loop_over_orders(tmp_path, capsys, grid):
-    # the fixed tables are evaluated for all orders at once: the bytes are
-    # those of one order at a time, for random order lists, most of them
-    # with orders past lam = 709 (nan and inf)
-    rng = np.random.default_rng(grid)
+@pytest.mark.parametrize("seed", [2, 3, 41, 401])
+def test_audit_is_the_loop_over_orders(tmp_path, capsys, seed):
+    # the tables are evaluated for all orders at once: the bytes are those
+    # of one order at a time, for random order lists, most of them with
+    # orders past lam = 709
+    rng = np.random.default_rng(seed)
     out = tmp_path / "audit.csv"
     for _ in range(6):
         k = int(rng.integers(1, 11))
         high = 2.0 - 10.0 ** rng.uniform(-5.0, -2.0, k)
         mus = np.where(rng.random(k) < 0.4, high, rng.uniform(1.00001, 1.99999, k)).tolist()
-        mus.insert(int(rng.integers(0, k + 1)), 1.9985938)  # lam = 710.14: an inf sup
-        assert main(["audit", ",".join(map(repr, mus)), "--grid", str(grid),
-                     "--out", str(out)]) == EXIT_OK
-        want = _audit_loop(mus, grid)
+        mus.insert(int(rng.integers(0, k + 1)), 1.9985938)  # lam = 710.14
+        assert main(["audit", ",".join(map(repr, mus)), "--out", str(out)]) == EXIT_OK
+        want = _audit_loop(mus)
         assert capsys.readouterr().out == want
         assert out.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("argv,message", [
-    # the first order, then --grid, then each later order
-    (["audit", "1.5,2.5", "--grid", "1"], "grid_density must be >= 2"),
-    (["audit", "2.5,1.5", "--grid", "1"], "order must lie in (1, 2), got 2.5"),
+    # the first order, then each later order
+    (["audit", "1.5,1.7,1"], "order must lie in (1, 2), got 1.0"),
+    (["audit", "2.5,1.5"], "order must lie in (1, 2), got 2.5"),
     (["audit", "1.5,nan"], "order must lie in (1, 2), got nan"),
     (["audit", "1.5,2.5"], "order must lie in (1, 2), got 2.5"),
 ])
@@ -578,14 +578,15 @@ def _fresh_cli(argv, cwd):
     return _python(["-m", "cfbvp.cli", *argv], cwd)
 
 
-@pytest.mark.parametrize("argv", [["audit", "1.9987", "--grid", "41"],
+@pytest.mark.parametrize("argv", [["audit", "1.9987"],
                                   ["green", "1.9987", "--grid", "5", "--out", "g.csv"],
                                   ["check", "overflow.prob"]])
 def test_kernel_tables_overflow_without_warning(tmp_path, argv):
-    # lam = 768 > 709: the upper branch overflows (a nan sup in the audit;
-    # unused on the green grid; a nan kernel bound and barrier in the check of
-    # the shipped problem, an A2 failure); no numpy warning reaches stderr or,
-    # as an error, turns into exit 1
+    # lam = 768 > 709, where cosh(lam) overflows: the kernel and its sup
+    # stay finite (sup 2 in the audit), while the check of the shipped
+    # problem fails A2, because GreenOperator's row factor cosh(lam t)
+    # still overflows and makes the barrier nan (ROADMAP item 3); no numpy
+    # warning reaches stderr or, as an error, turns into exit 1
     shipped = (ROOT / "problems" / "worked_family.prob").read_text()
     overflow = shipped.replace("\nmu = 1.5\n", "\nmu = 1.9987\n")
     assert overflow != shipped
@@ -594,10 +595,8 @@ def test_kernel_tables_overflow_without_warning(tmp_path, argv):
     code = EXIT_HYPOTHESIS if argv[0] == "check" else EXIT_OK
     assert (run.returncode, run.stderr) == (code, "")
     if argv[0] == "audit":
-        # not the 1 that a NaN-dropping max once reported
         row = run.stdout.splitlines()[1].split(",")
-        assert row[5] == "nan"
-        assert row[7] == "nan"  # not False: a NaN sup is not known to stay below 1
+        assert (row[5], row[6], row[7]) == ("2", "2", "True")
     elif argv[0] == "green":
         assert len((tmp_path / "g.csv").read_text().splitlines()) == 1 + 2 * 5 * 5
     else:
@@ -614,7 +613,7 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
                 ["solve", prob, "--mesh-cells", "64", "--out", "solve_64"],
                 ["solve", prob, "--out", "solve"],
                 ["solve"],
-                ["audit", "1.5,1.9", "--grid", "9", "--out", "audit.csv"],
+                ["audit", "1.5,1.9", "--out", "audit.csv"],
                 ["green", "1.93", "--grid", "7", "--out", "green.csv"]]
     fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
     fresh.mkdir()
@@ -704,9 +703,8 @@ def test_green_table_is_the_per_row_rendering(tmp_path, mu, grid):
     # the dump renders every value once, in one call, the mirrored half
     # reuses its lines, and the 2 * grid t rows are written in blocks, the
     # last one partial or full; it must be the bytes of formatting each
-    # row on its own (at mu = 1.9987 the upper-branch values are 0 on this
-    # 9-point grid: cosh(lam) overflows while cosh(lam t) and
-    # e^{lam (1 - tau)} do not)
+    # row on its own (at mu = 1.9987, lam = 768, the values span 1e-292
+    # to 1, and 26 of the 81 underflow to 0)
     nodes = np.linspace(0.0, 1.0, grid)
     right = []
     for t in nodes:

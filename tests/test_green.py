@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbvp.green import (GreenOperator, green_diagonal_jump, green_eval, green_sup,
-                         kernel_bound, lower_branch, rate_of, upper_branch)
+from cfbvp.green import (GreenOperator, green_diagonal_jump, green_eval, kernel_bound,
+                         lower_branch, rate_of, upper_branch)
 from cfbvp.quadrature import build_mesh, integrate
 from linear_oracles import LocalQuartic
 
@@ -54,7 +53,8 @@ def test_diagonal_default_is_lower_side():
         == green_eval(mu, t, t) + green_diagonal_jump(mu, t)
 
 
-@pytest.mark.parametrize("mu,t", [(1.5, 0.4), (1.2, -0.6), (1.9, 0.0)])
+@pytest.mark.parametrize("mu,t", [(1.5, 0.4), (1.2, -0.6), (1.9, 0.0), (1.9987, 0.5),
+                                  (2.0 - 1e-12, -0.25)])
 def test_diagonal_jump_is_unit(mu, t):
     assert abs(green_diagonal_jump(mu, t) - 1.0) <= 1e-12
 
@@ -79,21 +79,19 @@ def test_array_eval_matches_pointwise(mu, side):
 @pytest.mark.parametrize("mu", [1.05, 1.5, 1.93, 1.9985, 1.9987])
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_outer_grid_eval_is_each_branch_on_the_whole_square(mu, side):
-    # the lower branch is evaluated only where it is kept: the bits are
-    # those of both branches evaluated at every point of the square
+    # the bits are those of each branch evaluated on the whole square and
+    # kept on its own side of the diagonal
     lam = rate_of(mu)
     g = np.linspace(0.0, 1.0, 201)
     t, tau = np.meshgrid(g, g, indexing="ij")
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = np.where((tau < t) | ((tau == t) & (side == "lower")),
-                        lower_branch(lam, t, tau), upper_branch(lam, t, tau))
+    want = np.where((tau < t) | ((tau == t) & (side == "lower")),
+                    lower_branch(lam, t, tau), upper_branch(lam, t, tau))
     for sign in (1.0, -1.0):
         got = green_eval(mu, sign * g[:, None], sign * g[None, :], side=side)
         assert got.tobytes() == want.tobytes()
 
 
-# orders on both sides of lam = 709: past it the tables of 1.9986 and
-# 1.9987 hold 0 and nan
+# orders on both sides of lam = 709, where cosh(lam) overflows
 TABLE_ORDERS = np.array([1.05, 1.5, 1.93, 1.9985, 1.9986, 1.9987])
 G15 = np.linspace(0.0, 1.0, 15)
 
@@ -110,9 +108,7 @@ def test_orders_axis_is_each_order_alone(t, tau, side):
         for k in np.ndindex(np.shape(mus)):
             alone = green_eval(float(np.asarray(mus)[k]), t, tau, side=side)
             assert got[k].tobytes() == alone.tobytes()
-    if np.ndim(t) == 2 and side == "upper":  # past lam = 709 the outer grid holds 0 and nan
-        for table in got[-2:]:
-            assert (table == 0.0).any() and np.isnan(table).any()
+    assert np.isfinite(got).all()
     jumps = green_diagonal_jump(TABLE_ORDERS, t)
     assert jumps.shape == TABLE_ORDERS.shape + np.shape(t)
     for jump, mu in zip(jumps, TABLE_ORDERS):
@@ -148,99 +144,38 @@ def test_interior_positivity():
         assert np.all(green_eval(mu, g[:, None], g[None, :]) > 0.0), mu
 
 
-@pytest.mark.parametrize("mu", [1.2, 1.5, 1.8])
-def test_sup_oracle(mu):
-    lam = rate_of(mu)
-    sup = green_sup(mu, 401)
-    want = 2.0 / (1.0 + math.exp(-2.0 * lam))
-    assert abs(sup - want) <= 1e-6
-    assert sup >= math.tanh(lam)  # lower-side diagonal value at the origin
-    assert sup < 2.0
-    assert sup > 1.0  # exceeds the naive unit bound
+# orders past lam = 709, where cosh(lam) and then e^lam overflow, up to
+# lam = 1e12; mu = (1 + 2 lam) / (1 + lam) inverts lam = (mu - 1) / (2 - mu)
+HIGH_ORDERS = [*((1.0 + 2.0 * lam) / (1.0 + lam)
+                 for lam in (709.5, 710.0, 710.3, 711.0, 768.0, 1e6)), 2.0 - 1e-12]
 
 
-def _cosh_form_sup(mu, n):
-    # the textbook form of both branches on the whole grid, masked to each side
-    lam = rate_of(mu)
+@pytest.mark.parametrize("n,step", [(2, 1), (9, 1), (41, 1), (402, 20)])
+def test_kernel_bound_is_the_grid_max(n, step):
+    # on tau >= t both exponentials of the upper branch are at most 1, so
+    # the corner t = tau = 0, which every grid holds, is the max to the bit;
+    # finite and without a warning at every order.  Each order of the 600
+    # on the small grids, each step-th on the 402-point one, whose tables
+    # take about 4 exponentials per point
+    mus = np.array([*np.linspace(1.0005, 1.9999, 600)[::step], 1.2, 1.5, 1.9, 1.975,
+                    *HIGH_ORDERS])
     g = np.linspace(0.0, 1.0, n)
-    tt, ss = np.meshgrid(g, g, indexing="ij")
-    upper = np.cosh(lam * tt) / np.cosh(lam) * np.exp(lam * (1.0 - ss))
-    lower = upper - np.exp(lam * (tt - ss))
-    return float(max(np.max(np.where(ss <= tt, lower, -np.inf)),
-                     np.max(np.where(ss >= tt, upper, -np.inf))))
-
-
-def test_sup_at_high_orders():
-    # the lower branch once subtracted two terms of size e^lam, which gave
-    # 416 at mu = 1.975 and 2.4e202 at mu = 1.998; the closed form is 2 there
-    for mu in (1.975, 1.98, 1.99, 1.998, 1.9985):
-        assert green_sup(mu, 401) == 2.0
-    # where that form loses nothing the audited sup is the same to the bit
-    for mu in np.linspace(1.0, 1.97, 61)[1:]:
-        assert green_sup(mu, 401) == _cosh_form_sup(mu, 401)
-
-
-def test_sup_propagates_overflow():
-    # lam = 768 > 709: cosh(lam) overflows, so the upper branch is nan;
-    # the sup must say so instead of falling back to the lower branch's 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(green_sup(1.9987, 41))
-
-
-def _full_square_sup(mu, n):
-    # both branches over the whole n x n square, each masked to its closed
-    # triangle: the sup that green_sup takes from the upper branch's factors
-    lam = rate_of(mu)
-    g = np.linspace(0.0, 1.0, n)
-    t, tau = g[:, None], g[None, :]
-    below = tau <= t
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max([np.max(lower_branch(lam, t, tau), where=below, initial=-np.inf),
-                             np.max(upper_branch(lam, tau, t), where=below, initial=-np.inf)]))
-
-
-@pytest.mark.parametrize("n", [2, 3, 9, 402])
-def test_sup_in_row_blocks_is_the_full_square(n):
-    # the running max of the upper branch's t-factor, times its tau-factor,
-    # is the max over the whole triangle, and the lower branch never sets
-    # it: the same double, or nan past lam = 710.47, where cosh(lam)
-    # overflows (which nan, of either sign, the reductions pick depends on
-    # their shapes).  Past 709.78 e^lam overflows: inf at 710 and 710.3
-    high = [(1.0 + 2.0 * lam) / (1.0 + lam) for lam in (709.5, 710.0, 710.3, 711.0)]
-    for mu in [*np.linspace(1.0005, 1.9999, 41).tolist(), 1.05, 1.9987, *high]:
-        got, want = green_sup(mu, n), _full_square_sup(mu, n)
-        if math.isnan(want):
-            assert math.isnan(got), mu
-        else:
-            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), mu
-
-
-def test_sup_memory_is_linear_in_the_grid():
-    # two factors and their products on the grid; temporaries over the
-    # n x n triangle would peak near 49 MB at n = 4001
-    tracemalloc.start()
-    try:
-        green_sup(1.5, 4001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-@pytest.mark.parametrize("n", [2, 41, 401])
-def test_kernel_bound_is_the_grid_sup(n):
-    # the sup sits at the grid corner t = tau = 0, so the corner value is
-    # the measured sup to the bit, whatever the grid
-    for mu in [*np.linspace(1.0005, 1.9985, 600).tolist(), 1.2, 1.5, 1.9, 1.975]:
-        assert kernel_bound(mu) == green_sup(mu, n), mu
-
-
-@pytest.mark.parametrize("mu", [1.9986, 1.9987, 1.999])
-def test_kernel_bound_overflow_is_nan_without_warning(mu):
-    # lam > 709: cosh(lam) overflows; nan is the result, not a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert math.isnan(kernel_bound(mu))
+        bound = kernel_bound(mus)
+        for mu, c in zip(mus.tolist(), bound.tolist()):
+            assert kernel_bound(mu) == c
+            assert np.max(green_eval(mu, g[:, None], g[None, :], side="upper")) == c, mu
+            assert np.max(green_eval(mu, g[:, None], g[None, :], side="lower")) < c, mu
+    assert np.all((1.0 < bound) & (bound <= 2.0))
+
+
+def test_kernel_past_the_overflow_order():
+    # cosh(lam) overflows from lam = 710.48, but G(0, 0.5) at mu = 1.9987
+    # (lam = 768) is the normal double 2 e^{-lam / 2} / (1 + e^{-2 lam})
+    lam = rate_of(1.9987)
+    assert green_eval(1.9987, 0.0, 0.5) == 3.0327599975842248e-167 \
+        == 2.0 * math.exp(-lam / 2.0) / (1.0 + math.exp(-2.0 * lam))
 
 
 def test_lower_branch_matches_cosh_form():
@@ -250,6 +185,14 @@ def test_lower_branch_matches_cosh_form():
     cosh_form = np.cosh(lam * g[i]) / np.cosh(lam) * np.exp(lam * (1.0 - g[j])) \
         - np.exp(lam * (g[i] - g[j]))
     assert np.max(np.abs(lower_branch(lam, g[i], g[j]) - cosh_form)) <= 1e-15
+
+
+def test_upper_branch_matches_cosh_form():
+    lam = rate_of(1.5)
+    g = np.linspace(0.0, 1.0, 101)
+    i, j = np.triu_indices(101)  # tau = g[j] >= t = g[i]
+    cosh_form = np.cosh(lam * g[i]) / np.cosh(lam) * np.exp(lam * (1.0 - g[j]))
+    assert np.max(np.abs(upper_branch(lam, g[i], g[j]) - cosh_form)) <= 1e-15
 
 
 def test_branch_continuity_under_refinement():
@@ -428,7 +371,9 @@ def _apply_concatenate_form(op, values, nodes):
     """GreenOperator.apply as it was written before it filled its buffers in
     place: the same floating-point operations, on fresh arrays.  Without
     ``nodes``, only the breakpoint arithmetic: x at ``grid``."""
-    y = np.broadcast_to(np.asarray(values, dtype=float), op.tau.shape)
+    y = np.asarray(values, dtype=float)
+    if y.shape != op.tau.shape:  # a constant, filled
+        y = np.full(op.tau.shape, y)
     y = y.reshape(op._weights.shape)
     cells = np.einsum("ij,ij->i", op._weights, y)
     prefix = np.concatenate(([0.0], np.cumsum(cells)))
@@ -450,7 +395,7 @@ def test_apply_is_the_concatenate_form_bit_for_bit(mu, cells, gamma):
     rng = np.random.default_rng(cells)
     noise = rng.uniform(-1.0, 1.0, op.tau.shape)
     integrands = (op.tau ** 2 * np.cos(3.0 * op.tau) + noise,  # full array
-                  0.7)  # a constant, broadcast to the nodes
+                  0.7)  # a constant, filled at the nodes
     for values in integrands:
         got = op.apply(values)
         assert got.shape == op.points.shape
@@ -459,3 +404,12 @@ def test_apply_is_the_concatenate_form_bit_for_bit(mu, cells, gamma):
             want = _apply_concatenate_form(op, values, nodes)
             part = got[:len(want)]
             assert np.array_equal(part, want) and part.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cells", [32, 128, 512])
+def test_apply_of_a_constant_is_the_filled_array(cells):
+    # a scalar is filled at the nodes, as integrate fills it: einsum sums a
+    # stride-0 view in another order than the array of its values
+    op = GreenOperator(1.5, build_mesh(cells, 3.0))
+    for c in (0.001, 0.7, 3.0):
+        assert op.apply(c).tobytes() == op.apply(np.full(op.tau.shape, c)).tobytes()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cfbvp.green import GreenOperator, green_sup, rate_of
+from cfbvp.cli import main
+from cfbvp.green import GreenOperator, rate_of
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
 from cfbvp.quadrature import build_mesh
 
@@ -76,8 +77,10 @@ def test_sigma_refinement_order(mu, make_spec):
 
 
 @pytest.mark.parametrize("mu", [1.2, 1.5, 1.9, 1.975])
-def test_a2_kernel_bound_is_the_audited_sup(mu, make_spec):
-    assert check_A2(make_spec(mu=mu)).c_kernel == green_sup(mu, 401)
+def test_a2_kernel_bound_is_the_audited_sup(mu, make_spec, capsys):
+    assert main(["audit", str(mu)]) == 0
+    sup = float(capsys.readouterr().out.splitlines()[1].split(",")[5])
+    assert check_A2(make_spec(mu=mu)).c_kernel == sup
 
 
 def test_a1_worked_family_passes(spec):
