@@ -196,7 +196,7 @@ def _green_blocks(lines, n: int):
 
 def cmd_green(args) -> int:
     if args.grid < 2:  # 0 points make no table, 1 point the origin twice
-        raise ValueError("grid_density must be >= 2")
+        raise ValueError(f"--grid must be at least 2, got {args.grid}")
     _write(Path(args.out), _green_table(args.mu, args.grid))
     return EXIT_OK
 

@@ -11,8 +11,8 @@ tiny so an expression can be audited at a glance:
     atom   := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')'
 
 Evaluation is pure and accepts numpy arrays as bindings.  ``bind`` fixes
-some variables and evaluates the subexpressions that read only those
-once, for repeated evaluations over the others.
+some variables and folds the subexpressions that read only those into
+their values once, for repeated evaluations over the others.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ class UnboundVariableError(ValueError):
 class Expr:
     """Immutable expression tree node.
 
-    ``kind`` is one of: const, var, neg, add, sub, mul, div, pow, call.
-    ``value`` holds the constant, variable name or function name;
-    ``args`` holds the child nodes.
+    ``kind`` is one of: const, var, neg, add, sub, mul, div, pow, call, and
+    value (made by ``bind`` only).  ``value`` holds the constant, variable
+    name or function name, or a value node's value; ``args`` holds the child
+    nodes, for a value node the subexpression it is the value of.
     """
 
     kind: str
@@ -211,76 +212,55 @@ def _is_int_valued(v) -> bool:
 
 def evaluate(e: Expr, bindings: dict) -> float | np.ndarray:
     """Evaluate e with the given variable bindings (scalars or ndarrays)."""
-    return _result(_eval(e, bindings, {}))
+    return _result(_eval(e, bindings))
 
 
 def bind(e: Expr, fixed: dict):
     """env -> evaluate(e, env | fixed), for env binding the other variables.
 
-    Every maximal subexpression that reads only the ``fixed`` variables (or
-    no variable) is evaluated once, here, and its value stored.  One that
-    fails is not stored: an evaluation that reaches it evaluates it and
-    raises, in evaluate's order and text.  The fixed values must not change
-    while the result is in use.
+    The evaluations walk ``_fold(e, fixed)``, in which the subexpressions
+    that read only the ``fixed`` variables are evaluated once, here.  The
+    fixed values must not change while the result is in use.
     """
-    memo: dict = {}
-    if _fold(e, fixed, memo):
-        _store(e, fixed, memo)
-    return lambda env: _result(_eval(e, {**env, **fixed}, memo))
+    folded = _fold(e, fixed)
+    return lambda env: _result(_eval(folded, {**env, **fixed}))
 
 
 def _result(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def _fold(e: Expr, fixed: dict, memo: dict) -> bool:
-    """True if e reads only fixed variables; otherwise stores in memo each
-    child subexpression that does (leaves need no storing)."""
-    if e.kind == "var":
-        return e.value in fixed
-    if e.kind == "const":
-        return True
-    known = [_fold(a, fixed, memo) for a in e.args]
-    if all(known):
-        return True
-    for a, k in zip(e.args, known):
-        if k:
-            _store(a, fixed, memo)
-    return False
-
-
-def _store(e: Expr, fixed: dict, memo: dict) -> None:
+def _fold(e: Expr, fixed: dict) -> Expr:
+    """A copy of e in which each maximal subexpression that reads only fixed
+    variables (or none) is a "value" node holding its value.  One that fails
+    stays as it is: an evaluation that reaches it evaluates it and raises,
+    in evaluate's order and text.  Leaves stay as they are."""
     if e.kind in ("const", "var"):
-        return
-    try:
-        memo[id(e)] = _eval(e, fixed, {})
-    except Exception:  # left to the evaluations that reach e
-        pass
+        return e
+    if e.variables() <= fixed.keys():
+        try:
+            return Expr("value", _eval(e, fixed), (e,))
+        except Exception:  # left to the evaluations that reach e
+            return e
+    return Expr(e.kind, e.value, tuple(_fold(a, fixed) for a in e.args))
 
 
-_MISSING = object()
 _NEGATIVE_BASE = "negative base with non-integer exponent"
 _ZERO_BASE = "zero base with negative exponent"
 
 
-def _eval(e: Expr, env: dict, memo: dict):
-    """e's value; ``memo`` maps id(node) to a value computed beforehand
-    for that node."""
-    if memo:
-        done = memo.get(id(e), _MISSING)
-        if done is not _MISSING:
-            return done
-    if e.kind == "const":
+def _eval(e: Expr, env: dict):
+    if e.kind in ("const", "value"):
         return e.value
     if e.kind == "var":
         if e.value not in env:
             raise UnboundVariableError(f"variable {e.value!r} is not bound")
         return env[e.value]
     if e.kind == "neg":
-        return -_eval(e.args[0], env, memo)
+        return -_eval(e.args[0], env)
     if e.kind in ("add", "sub", "mul", "div"):
-        a = _eval(e.args[0], env, memo)
-        b = _eval(e.args[1], env, memo)
+        a = _eval(e.args[0], env)
+        b = _eval(e.args[1], env)
         if e.kind == "add":
             return np.add(a, b)
         if e.kind == "sub":
@@ -291,8 +271,8 @@ def _eval(e: Expr, env: dict, memo: dict):
             raise ExprDomainError("division by zero", e)
         return np.divide(a, b)
     if e.kind == "pow":
-        base = _eval(e.args[0], env, memo)
-        exponent = _eval(e.args[1], env, memo)
+        base = _eval(e.args[0], env)
+        exponent = _eval(e.args[1], env)
         # a finite scalar exponent (a float or np.float64, e.g. a constant)
         # is settled in at most one pass over the base
         if isinstance(exponent, float) and math.isfinite(exponent):
@@ -316,7 +296,7 @@ def _eval(e: Expr, env: dict, memo: dict):
             raise ExprDomainError(_ZERO_BASE, e)
         return np.power(base, exponent)
     if e.kind == "call":
-        args = [_eval(a, env, memo) for a in e.args]
+        args = [_eval(a, env) for a in e.args]
         if e.value == "sqrt":
             if np.any(np.less(args[0], 0.0)):
                 raise ExprDomainError("square root of a negative value", e)
@@ -330,6 +310,8 @@ _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4,
 
 
 def _paren(child: Expr, parent_prec: int, tighten: bool = False) -> str:
+    if child.kind == "value":  # rendered as its source
+        child = child.args[0]
     text = unparse(child)
     prec = _PRECEDENCE[child.kind]
     if prec < parent_prec or (tighten and prec == parent_prec):
@@ -343,6 +325,8 @@ def unparse(e: Expr) -> str:
         return repr(e.value)
     if e.kind == "var":
         return e.value
+    if e.kind == "value":
+        return unparse(e.args[0])
     if e.kind == "neg":
         # tighten so a negated negation renders as -(-x), not the
         # unparseable --x (the grammar allows only one leading minus)

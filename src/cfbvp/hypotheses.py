@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expressions as ex
 from .green import GreenOperator, kernel_bound, rate_of
-from .quadrature import Mesh, build_mesh, integrate
+from .quadrature import Mesh, MeshError, build_mesh, integrate
 
 __all__ = ["NUMERIC_KEYS", "NumericsConfig", "ProblemSpec", "HypothesisReport",
            "CheckFailure", "sigma_R", "check_A1", "check_A2"]
@@ -120,8 +120,19 @@ class ProblemSpec:
                    numerics=numerics or NumericsConfig())
 
     def default_mesh(self) -> Mesh:
+        """The solver mesh; MeshError if its grading merges cells.
+
+        ``build_mesh`` merges the cells that a steep grading makes narrower
+        than a few ulps near t = 1, which would leave the solve on a mesh
+        of fewer cells than the problem asks for.
+        """
         n = self.numerics
-        return build_mesh(n.mesh_cells, gamma=n.gamma)
+        mesh = build_mesh(n.mesh_cells, gamma=n.gamma)
+        if mesh.cells < n.mesh_cells:
+            raise MeshError(f"key 'mesh.gamma': a grading of {n.gamma:g} merges the "
+                            f"{n.mesh_cells} mesh cells into {mesh.cells}; "
+                            "use a smaller mesh.gamma")
+        return mesh
 
     def f_at(self, t, x):
         return ex.evaluate(self.f, {"t": t, "x": x})

@@ -150,6 +150,18 @@ def test_removed_numerics_keys_are_unknown(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_collapsing_grading_is_a_usage_error(tmp_path, capsys):
+    # mesh.gamma = 500 merges the 64 cells into 5: check and solve refuse to
+    # run on that mesh, and write nothing
+    p = tmp_path / "steep.prob"
+    p.write_text(WORKED_TEXT + "mesh.gamma = 500\n")
+    for argv in (["check", str(p)], ["solve", str(p)]):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: key 'mesh.gamma': a grading of 500 merges "
+                                           "the 64 mesh cells into 5; use a smaller mesh.gamma\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,flag", [
     ("check", ["--gamma", "3"]), ("solve", ["--gamma", "3"]),
     ("check", ["--strict-unit-bound"]), ("solve", ["--strict-unit-bound"]),
@@ -439,7 +451,7 @@ def test_green_rejects_a_degenerate_grid(tmp_path, capsys, grid):
     # the origin twice (0,0 and -0,-0)
     out = tmp_path / "green.csv"
     assert main(["green", "1.5", "--out", str(out), "--grid", str(grid)]) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: grid_density must be >= 2\n"
+    assert capsys.readouterr().err == f"error: --grid must be at least 2, got {grid}\n"
     assert not out.exists()
 
 
@@ -455,7 +467,7 @@ def test_green_error_writes_nothing(tmp_path, capsys, argv):
 
 def test_green_out_is_a_directory(tmp_path, capsys):
     # the dump is made, then the file cannot be opened: exit 1, nothing
-    # written and nothing left open (CI runs this file in dev mode)
+    # written and nothing left open (an unclosed file fails the test)
     (tmp_path / "d").mkdir()
     assert main(["green", "1.5", "--grid", "9", "--out", str(tmp_path / "d")]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'd'}'\n"

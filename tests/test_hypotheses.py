@@ -6,7 +6,7 @@ import pytest
 from cfbvp.cli import main
 from cfbvp.green import GreenOperator, rate_of
 from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
-from cfbvp.quadrature import build_mesh
+from cfbvp.quadrature import MeshError, build_mesh
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,7 @@ def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
     # the refinement meshes of I_q and I_qu are REFINE_MESHES whatever the
     # mesh keys, so the size terms of any solver mesh are the default
     # mesh's, bit for bit, and A2 passes (int q = 2/3) at every grading
+    # that keeps the solver mesh's cells
     def terms(numerics):
         r = check_A2(make_spec(mu=mu, numerics=numerics))
         assert r.passed, numerics
@@ -207,18 +208,35 @@ def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
 
     want = terms(NumericsConfig())
     for numerics in (*(NumericsConfig(mesh_cells=c) for c in (512, 2048)),
-                     *(NumericsConfig(gamma=g) for g in (1.0, 1e3, 3e4, 1e5))):
+                     *(NumericsConfig(gamma=g) for g in (1.0, 6.0))):
         assert terms(numerics) == want, numerics
 
 
-@pytest.mark.parametrize("gamma", [3.0, 3e4, 4e4, 1e5])
+@pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0, 3e4, 4e4, 1e5])
 @pytest.mark.parametrize("a", [1.0, 1.2])
 def test_divergent_int_q_fails_at_every_grading(a, gamma, make_spec):
     # int_0^1 s (1 - s^2)^(-a) ds diverges for a >= 1, so I_q and I_qu are
-    # not finite at any mesh.gamma
+    # not finite at any mesh.gamma.  The solver mesh is one the grading keeps
+    # whole: 128 cells below gamma 6.854, and one cell at the steep gradings,
+    # which merge 128 cells into one (rejected, as the next test checks)
+    cells = 128 if gamma < 6.854 else 1
+    assert build_mesh(cells, gamma).cells == cells
     report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a})", R=1e4,
-                                numerics=NumericsConfig(gamma=gamma)))
+                                numerics=NumericsConfig(mesh_cells=cells, gamma=gamma)))
     assert {"A2.I_q_finite", "A2.I_qu_finite"} <= {f.check for f in report.failures}
+
+
+@pytest.mark.parametrize("gamma, kept", [(7.0, 127), (500.0, 9), (1e3, 5), (3e4, 1),
+                                         (4e4, 1), (1e5, 1)])
+def test_a_grading_that_merges_solver_cells_is_rejected(gamma, kept, make_spec):
+    # build_mesh merges the cells that a steep grading makes narrower than a
+    # few ulps near t = 1; the solver mesh must keep all 128, or the solve
+    # would run on `kept` cells (below gamma 6.854 it keeps them all)
+    assert build_mesh(128, gamma).cells == kept
+    spec = make_spec(numerics=NumericsConfig(gamma=gamma))
+    with pytest.raises(MeshError, match=f"^key 'mesh.gamma': a grading of {gamma:g} "
+                                        f"merges the 128 mesh cells into {kept}; "):
+        check_A2(spec)
 
 
 def test_q_failure_names_one_subexpression(make_spec):

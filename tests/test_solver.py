@@ -171,6 +171,55 @@ def test_x0_matches_independent_nystrom_reference(reference, make_spec):
     assert abs(rep.x[0] - want) <= 1e-9 * want
 
 
+@pytest.fixture(scope="module")
+def endpoint_deviation(make_spec):
+    """mu -> (d, x_m / law - 1) at the Gauss nodes of the worked family's
+    m = 128 level on 512 cells, with d = 1 - t and law = m^b 2^-a d^(1-a)/(1-a).
+
+    The law.  f = |t| (1 - t^2)^-a x^-b, with a = b = 1/4.  At level m, f
+    reads clamp_m(x) = x + 1/m (0 <= x <= R - 1/m).  Near t = 1, with
+    sigma = 1 - tau:
+      - where x << 1/m, (x + 1/m)^-b = m^b (1 + m x)^-b is m^b;
+      - |tau| (1 - tau^2)^-a = (2 sigma)^-a (1 + O(sigma));
+      - the upper branch e^(-lam tau) cosh(lam t) e^lam / cosh(lam) tends
+        to 1 as t, tau -> 1, and the lower branch (tau <= t), which
+        vanishes at t = 1, is O(d), as is its integral against f.
+    So x_m(t) = int_t^1 f dtau + O(d) = m^b 2^-a int_0^d sigma^-a dsigma
+    + O(d), which is the law.  Its relative remainders are O(d^a) from
+    the lower branch and about -b m x from the clamp (0.4% at d = 1e-6,
+    where m x = 0.015).
+    """
+    a = b = 0.25
+    m = 128
+    out = {}
+    for mu in (1.5, 1.9):
+        rep = solve(make_spec(mu=mu, numerics=NumericsConfig(mesh_cells=512)))
+        assert rep.status == "converged" and rep.inner[-1].m == m
+        op = rep.hypothesis.operator
+        d = 1.0 - op.tau
+        law = m**b * 2.0**-a * d**(1.0 - a) / (1.0 - a)
+        out[mu] = d, rep.x[len(op.grid):] / law - 1.0
+    return out
+
+
+@pytest.mark.parametrize("mu", [1.5, 1.9])
+def test_m_level_follows_the_endpoint_law(endpoint_deviation, mu):
+    # the 32 nodes with 1e-8 <= d <= 1e-6, all outside the last cell
+    # (d < (1/512)^3 = 7.5e-9); they deviate by 0.44% (mu = 1.5) and 0.52%
+    # (mu = 1.9) at most
+    d, deviation = endpoint_deviation[mu]
+    band = (d >= 1e-8) & (d <= 1e-6)
+    assert np.count_nonzero(band) == 32
+    assert np.max(np.abs(deviation[band])) <= 0.01
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the Gauss rule of the last cell "
+                   "does not resolve f's d^-a; the outermost node reads 19.3% low")
+def test_m_level_follows_the_endpoint_law_at_the_outermost_node(endpoint_deviation):
+    for d, deviation in endpoint_deviation.values():
+        assert abs(deviation[np.argmin(d)]) <= 0.01
+
+
 def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
     # the solve builds the 3 operators of its A2 check (the solver mesh,
     # then the 512- and 1024-cell meshes of the improper integrals, whatever
