@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import hypotheses
 from .green import green_diagonal_jump, green_eval, kernel_bound, rate_of
 from .hypotheses import check_A1, check_A2
 from .problem_io import load_problem
@@ -53,7 +54,7 @@ def _hypothesis_text(spec, a1, a2) -> str:
         "hypothesis report",
         f"mu = {_fmt(spec.mu)}",
         f"R = {_fmt(spec.R)}",
-        f"A1 passed = {a1.passed} (lattice density {spec.numerics.lattice_density})",
+        f"A1 passed = {a1.passed} (lattice density {hypotheses.LATTICE_DENSITY})",
     ]
     for fail in a1.failures:
         lines.append(f"A1 failure: {fail}")
@@ -136,6 +137,9 @@ def cmd_solve(args) -> int:
         print(f"hypothesis failure: {err}", file=sys.stderr)
         for fail in err.failures[:10]:
             print(f"  {fail}", file=sys.stderr)
+        if len(err.failures) > 10:
+            print(f"  ... and {len(err.failures) - 10} more (cfbvp check lists them all)",
+                  file=sys.stderr)
         return EXIT_HYPOTHESIS
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)

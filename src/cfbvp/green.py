@@ -28,17 +28,12 @@ def rate_of(mu):
     ValueError, which names the first such order of an array of orders.  A
     scalar order gives a float, an array of orders an array of rates.
     """
-    # a scalar order makes no array, which would cost each call microseconds
-    if isinstance(mu, (list, tuple, np.ndarray)) and np.ndim(mu) > 0:
-        orders = np.asarray(mu, dtype=float)
-        good = (1.0 < orders) & (orders < 2.0)  # nan is not
-        if good.all():
-            return (orders - 1.0) / (2.0 - orders)
-        mu = orders.flat[np.argmin(good)]  # the first bad order, rejected below
-    mu = float(mu)
-    if not 1.0 < mu < 2.0:
-        raise ValueError(f"order must lie in (1, 2), got {mu}")
-    return (mu - 1.0) / (2.0 - mu)
+    orders = np.asarray(mu, dtype=float)
+    good = (1.0 < orders) & (orders < 2.0)  # nan is not
+    if not good.all():
+        raise ValueError(f"order must lie in (1, 2), got {float(orders.flat[np.argmin(good)])}")
+    rates = (orders - 1.0) / (2.0 - orders)
+    return float(rates) if rates.ndim == 0 else rates
 
 
 def lower_branch(lam, t, tau):

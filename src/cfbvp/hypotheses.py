@@ -38,8 +38,6 @@ def _schedule(raw: str) -> tuple[int, ...]:
 NUMERIC_KEYS = {
     "mesh.cells": ("mesh_cells", int, lambda n: n >= 1, "at least 1"),
     "mesh.gamma": ("gamma", float, lambda g: 1.0 <= g < np.inf, "finite and at least 1"),
-    # a lattice of one point samples t = 0 alone
-    "checks.lattice_density": ("lattice_density", int, lambda n: n >= 2, "at least 2"),
     # success needs the last two levels to agree: a level of its own has none
     "solver.m_schedule": ("m_schedule", _schedule,
                           lambda s: len(s) >= 2 and s[0] >= 1
@@ -63,7 +61,6 @@ class NumericsConfig:
 
     mesh_cells: int = 128
     gamma: float = 3.0
-    lattice_density: int = 41
     m_schedule: tuple[int, ...] = (16, 32, 64, 128)
     omega: float = 1.0
     inner_tol: float = 1e-10
@@ -122,9 +119,9 @@ class ProblemSpec:
     def default_mesh(self) -> Mesh:
         """The solver mesh; MeshError if its grading merges cells.
 
-        ``build_mesh`` merges the cells that a steep grading makes narrower
-        than a few ulps near t = 1, which would leave the solve on a mesh
-        of fewer cells than the problem asks for.
+        ``build_mesh`` makes one cell of the tail from a steep grading's
+        first gap of a few ulps near t = 1, which would leave the solve on a
+        mesh of fewer cells than the problem asks for.
         """
         n = self.numerics
         mesh = build_mesh(n.mesh_cells, gamma=n.gamma)
@@ -207,6 +204,11 @@ def sigma_R(spec: ProblemSpec, op: GreenOperator) -> np.ndarray:
     return op.apply(spec.psi_at(op.tau))
 
 
+# points of the A1 and A2 lattices per half of the t-axis and along x; read
+# at each check, so a test can set another
+LATTICE_DENSITY = 41
+
+
 def _t_lattice(density: int) -> np.ndarray:
     # symmetric interior lattice including 0, avoiding the singular endpoints
     pos = np.linspace(0.0, 1.0, density + 1)[:-1]
@@ -268,7 +270,7 @@ def check_A1(spec: ProblemSpec) -> A1Report:
     An expression error or a non-finite value is a failure at its point.
     Each condition is one boolean array; the loops only format its failures.
     """
-    density = spec.numerics.lattice_density
+    density = LATTICE_DENSITY
     ts = _t_lattice(density)
     xs = _x_lattice(density, 10.0 * spec.R, max(spec.numerics.m_schedule))
     mid = density - 1  # ts[mid] = 0 and ts[mid - k] = -ts[mid + k]
@@ -415,9 +417,8 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
         failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_coarse, qu_fine)
 
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
-    density = n.lattice_density
-    ts = _t_lattice(density)
-    xs = _x_lattice(density, spec.R, max(n.m_schedule))
+    ts = _t_lattice(LATTICE_DENSITY)
+    xs = _x_lattice(LATTICE_DENSITY, spec.R, max(n.m_schedule))
     psi, psi_err = _on_lattice(spec.psi_at, np.abs(ts))
     f, f_err = _on_lattice(spec.f_at, ts[:, None], xs)
     with np.errstate(all="ignore"):

@@ -118,18 +118,12 @@ def build_mesh(cells: int, gamma: float = 1.0) -> Mesh:
     else:
         bps = 1.0 - (1.0 - j / cells) ** float(gamma)
     # steep gradings can push cell widths below double-precision spacing
-    # near the singular endpoint; merge cells narrower than a few ulps so
-    # quadrature nodes cannot round onto the singular endpoint itself
-    tol = 16.0 * np.finfo(float).eps
-    narrow = np.flatnonzero(np.diff(bps) <= tol)
-    if narrow.size:  # the breakpoints before the first narrow gap stay as they are
-        head = bps[:narrow[0]]
-        kept = [float(bps[narrow[0]])]  # the loop runs over the tail only
-        for v in bps[narrow[0] + 1:].tolist():
-            if v - kept[-1] > tol:
-                kept.append(v)
-        kept[-1] = 1.0  # kept ends at 1.0, or within tol below it: widen the last cell
-        bps = np.concatenate((head, kept))
+    # near the singular endpoint; from the first gap of a few ulps on, the
+    # tail is one last cell ending at 1, so quadrature nodes cannot round
+    # onto the singular endpoint itself
+    narrow = np.flatnonzero(np.diff(bps) <= 16.0 * np.finfo(float).eps)
+    if narrow.size:
+        bps = np.append(bps[:narrow[0]], 1.0)
     return mesh_from_breakpoints(bps)
 
 

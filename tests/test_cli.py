@@ -74,10 +74,11 @@ def _schedule(text, schedule):
     (lambda t: t + "this line has no equals sign\n", "key = value"),
     (lambda t: t.replace("solver.m_schedule = 16,32,64",
                          "solver.m_schedule = 16,x"), "m_schedule"),
-    # a lattice of fewer than 2 points tests nothing or cannot be built
-    (lambda t: t + "checks.lattice_density = 0\n", "checks.lattice_density"),
-    (lambda t: t + "checks.lattice_density = -3\n", "checks.lattice_density"),
-    (lambda t: t + "checks.lattice_density = 1\n", "checks.lattice_density"),
+    # the lattice density is a constant, hypotheses.LATTICE_DENSITY: the key
+    # is unknown at its old default, at the golden's 9 and at any other value
+    (lambda t: t + "checks.lattice_density = 41\n", "checks.lattice_density"),
+    (lambda t: t + "checks.lattice_density = 9\n", "checks.lattice_density"),
+    (lambda t: t + "checks.lattice_density = 401\n", "checks.lattice_density"),
     # NaN passes no range test; each would otherwise be taken silently
     (lambda t: t + "mesh.gamma = nan\n", "key 'mesh.gamma': must be finite"),
     (lambda t: t + "mesh.gamma = inf\n", "key 'mesh.gamma': must be finite"),
@@ -112,9 +113,8 @@ def test_numeric_keys_are_one_table():
     # one key per NumericsConfig field that a problem file can set, read by
     # problem_io from the table that NumericsConfig checks the ranges with
     assert problem_io.NUMERIC_KEYS is NUMERIC_KEYS
-    assert list(NUMERIC_KEYS) == ["mesh.cells", "mesh.gamma", "checks.lattice_density",
-                                  "solver.m_schedule", "solver.omega", "solver.inner_tol",
-                                  "solver.inter_m_tol"]
+    assert list(NUMERIC_KEYS) == ["mesh.cells", "mesh.gamma", "solver.m_schedule",
+                                  "solver.omega", "solver.inner_tol", "solver.inter_m_tol"]
     names = [name for name, *_ in NUMERIC_KEYS.values()]
     assert sorted(names) == sorted(f.name for f in fields(NumericsConfig))
     default = NumericsConfig()
@@ -138,10 +138,12 @@ def test_check_and_solve_reject_the_same_numerics(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("line", ["mesh.nodes_per_cell = 8", "solver.max_inner = 200"])
+@pytest.mark.parametrize("line", ["mesh.nodes_per_cell = 8", "solver.max_inner = 200",
+                                  "checks.lattice_density = 41"])
 def test_removed_numerics_keys_are_unknown(tmp_path, capsys, line):
-    # the Gauss order and the Picard budget are constants: a file that sets
-    # either, even to its value, fails as any unknown key does
+    # the Gauss order, the Picard budget and the lattice density are
+    # constants: a file that sets one, even to its value, fails as any
+    # unknown key does
     p = tmp_path / "old.prob"
     p.write_text(WORKED_TEXT + line + "\n")
     for argv in (["check", str(p)], ["solve", str(p), "--out", str(tmp_path / "o")]):
@@ -280,6 +282,22 @@ def test_solve_hypothesis_failure_exit(problem_file, tmp_path, capsys):
     code = main(["solve", str(p), "--out", str(tmp_path / "o")])
     assert code == EXIT_HYPOTHESIS
     assert "hypothesis failure" in capsys.readouterr().err
+
+
+def test_solve_counts_the_failures_it_does_not_list(tmp_path, capsys):
+    # u = x^(-0.125) fails the majorant at 520 lattice points: solve lists
+    # the first 10 and counts the rest, which check lists in full
+    p = tmp_path / "majorant.prob"
+    p.write_text(WORKED_TEXT.replace("u = x^(-0.25)", "u = x^(-0.125)"))
+    assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    listed = capsys.readouterr().out.count("A1 failure: ")
+    assert listed == 520
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "hypothesis failure: growth/symmetry assumptions failed"
+    assert len(err) == 12 and all(line.startswith("  [A1.") for line in err[1:11])
+    assert err[11] == "  ... and 510 more (cfbvp check lists them all)"
+    assert not (tmp_path / "o").exists()
 
 
 def test_solve_inner_failure_exit(problem_file, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ Each case is a variant of the worked family chosen to exercise one path of
 the A1/A2 lattice checks: a pass, every kind of lattice violation, an
 expression error on part of the lattice, non-finite values and a constant
 expression.  ``tests/data/golden/<case>/`` holds the ``hypothesis_report.txt``
-and ``sigma_R.csv`` written at ``checks.lattice_density = 9``;
+and ``sigma_R.csv`` written with ``hypotheses.LATTICE_DENSITY`` set to 9;
 ``tests/data/golden/default_density.sha256`` holds the sha256 of the report
 at the default density.  The report lists every failure witness in order, so
 any change to the order or text of a ``CheckFailure`` shows up here.
@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from cfbvp import hypotheses
 from cfbvp.cli import EXIT_HYPOTHESIS, EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -70,20 +71,22 @@ CASES = {
 }
 
 
-def problem_text(case: str, density: int | None) -> str:
+def problem_text(case: str) -> str:
     exprs = {**BASE, **CASES[case]}
     lines = ["mu = 1.5", "R = 100", *(f"{k} = {v}" for k, v in exprs.items()),
              "mesh.cells = 32", "solver.m_schedule = 16,32,64,128"]
-    if density is not None:
-        lines.append(f"checks.lattice_density = {density}")
     return "\n".join(lines) + "\n"
 
 
 def run_check(case: str, density: int | None, work: Path) -> tuple[int, Path]:
+    """``cfbvp check`` of the case, at ``density`` if given, else at the default."""
     problem = work / f"{case}.prob"
-    problem.write_text(problem_text(case, density))
+    problem.write_text(problem_text(case))
     out = work / case
-    code = main(["check", str(problem), "--out", str(out)])
+    with pytest.MonkeyPatch.context() as mp:  # outside pytest too, for regenerate
+        if density is not None:
+            mp.setattr(hypotheses, "LATTICE_DENSITY", density)
+        code = main(["check", str(problem), "--out", str(out)])
     return code, out
 
 

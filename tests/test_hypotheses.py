@@ -191,7 +191,8 @@ def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
     monkeypatch.setattr(ProblemSpec, "q_at", counted)
     report = check_A2(spec)
     assert report.passed
-    # (build_mesh merges the sub-ulp cells of the steep grading near t = 1)
+    # (build_mesh makes one last cell of each steep grading's tail from its
+    # first gap of a few ulps near t = 1 on: 510 and 1,020 cells are left)
     assert len(sizes) == 2 and report.operator.tau.size < sizes[0] < sizes[1]
 
 
@@ -229,9 +230,9 @@ def test_divergent_int_q_fails_at_every_grading(a, gamma, make_spec):
 @pytest.mark.parametrize("gamma, kept", [(7.0, 127), (500.0, 9), (1e3, 5), (3e4, 1),
                                          (4e4, 1), (1e5, 1)])
 def test_a_grading_that_merges_solver_cells_is_rejected(gamma, kept, make_spec):
-    # build_mesh merges the cells that a steep grading makes narrower than a
-    # few ulps near t = 1; the solver mesh must keep all 128, or the solve
-    # would run on `kept` cells (below gamma 6.854 it keeps them all)
+    # build_mesh makes the tail from a steep grading's first gap of a few
+    # ulps near t = 1 one cell; the solver mesh must keep all 128, or the
+    # solve would run on `kept` cells (below gamma 6.854 it keeps them all)
     assert build_mesh(128, gamma).cells == kept
     spec = make_spec(numerics=NumericsConfig(gamma=gamma))
     with pytest.raises(MeshError, match=f"^key 'mesh.gamma': a grading of {gamma:g} "

@@ -21,7 +21,9 @@ def test_right_graded_breakpoints():
 
 
 def _merged_by_loop(cells, gamma):
-    # build_mesh's breakpoints, narrow gaps merged by the loop over all of them
+    # the graded breakpoints with every gap of at most 16 eps merged, one by
+    # one, by a loop over all of them: build_mesh's oracle where the loop
+    # and its one cut agree
     j = np.arange(cells + 1, dtype=float)
     bps = j / cells if gamma == 1.0 else 1.0 - (1.0 - j / cells) ** gamma
     bps[0], bps[-1] = 0.0, 1.0
@@ -38,16 +40,41 @@ def _merged_by_loop(cells, gamma):
     return np.array(kept)
 
 
-@pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0, 20.0])
-@pytest.mark.parametrize("cells", [1, 2, 128, 512, 1024, 4096, 8192])
+# (cells, gamma) -> cells kept, on the meshes where the tail past the first
+# narrow gap is not all within 16 eps of its first breakpoint: the loop kept
+# later breakpoints there, the cut keeps none.  build_mesh's only merged
+# meshes in use are A2's two refinement meshes (512 and 1024 cells at gamma
+# 6), which the loop and the cut build alike; a solver mesh that loses cells
+# is rejected
+CUT_DIFFERS = {(512, 20.0): 406, (1024, 20.0): 805, (4096, 6.0): 4076,
+               (4096, 20.0): 3154, (8192, 6.0): 8147, (8192, 20.0): 6239}
+
+
+@pytest.mark.parametrize("cells, gamma", [
+    *((c, g) for c in (1, 2, 128, 512, 1024, 4096, 8192) for g in (1.0, 3.0, 6.0, 20.0)
+      if (c, g) not in CUT_DIFFERS),
+    # the gradings of 128 cells that test_hypotheses rejects as solver meshes
+    *((128, g) for g in (7.0, 500.0, 1e3, 3e4, 4e4, 1e5))])
 def test_merged_breakpoints_are_the_loop_bit_for_bit(gamma, cells):
-    # the merge loop runs over the tail from the first narrow gap, the head
-    # stays an array; every breakpoint and its bits are the full loop's
+    # the tail from the first narrow gap on is one last cell; on these meshes
     # (gamma 6 merges cells from 512 on, A2's refinement meshes among them,
-    # and gamma 20 from 128 on)
+    # and gamma 20 from 128 on) every breakpoint and its bits are the loop's
     got = build_mesh(cells, gamma).breakpoints
     want = _merged_by_loop(cells, gamma)
     assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("cells, gamma, kept",
+                         [(*key, kept) for key, kept in CUT_DIFFERS.items()])
+def test_the_tail_from_the_first_narrow_gap_is_one_cell(cells, gamma, kept):
+    # the grading's breakpoints before the first gap of at most 16 eps, then 1:
+    # fewer cells than the loop kept, which merged the tail gap by gap
+    grading = 1.0 - (1.0 - np.arange(cells + 1) / cells) ** gamma
+    first = int(np.argmax(np.diff(grading) <= 16.0 * np.finfo(float).eps))
+    want = np.append(grading[:first], 1.0)
+    got = build_mesh(cells, gamma).breakpoints
+    assert len(got) - 1 == kept < len(_merged_by_loop(cells, gamma)) - 1
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -213,6 +213,53 @@ def test_m_level_follows_the_endpoint_law(endpoint_deviation, mu):
     assert np.max(np.abs(deviation[band])) <= 0.01
 
 
+def _volterra_level(t, m, a=0.25, b=0.25):
+    """x_m(t) of the worked family's level m at mu = 1 (see the test below)."""
+    return ((1.0 / m) ** (1.0 + b)
+            + (1.0 + b) * (1.0 - t * t) ** (1.0 - a) / (2.0 * (1.0 - a))) ** (1.0 / (1.0 + b)) \
+        - 1.0 / m
+
+
+@pytest.mark.parametrize("cells, tol", [(128, 1e-5), (512, 1e-6)])
+def test_m_level_as_mu_tends_to_one_has_a_closed_form(make_spec, cells, tol):
+    """The last level x_m of the worked family tends, as mu -> 1, to a closed form.
+
+    As mu -> 1 the rate lam = (mu - 1)/(2 - mu) -> 0, and the kernel on the
+    right half tends to the indicator of tau > t: the upper branch
+    cosh(lam t) e^(lam (1 - tau)) / cosh(lam) -> 1 and the lower branch
+    (e^(-lam (t + tau)) - e^(-lam (2 - t + tau))) / (1 + e^(-2 lam)) -> 0.
+    So level m solves the Volterra equation x(t) = int_t^1 f(tau, x + 1/m)
+    dtau: clamp_m(x) = x + 1/m, as 0 <= x < R - 1/m (x <= 0.87, R = 100).
+    With f = |t| (1 - t^2)^-a x^-b and y = x + 1/m on t >= 0,
+    y' = -t (1 - t^2)^-a y^-b and y(1) = 1/m.  The equation separates:
+    y^b dy = -t (1 - t^2)^-a dt, and integrating from t to 1 gives
+      y(t)^(1+b) = (1/m)^(1+b) + (1 + b) (1 - t^2)^(1-a) / (2 (1 - a)),
+    so x_m(t) = y(t) - 1/m; x_128(0) = 0.8583952 at a = b = 1/4.  The limit
+    equation's x_1(0) = 0.864281 (no 1/m) is 0.7% away, so the test tells
+    the level from the limit.
+
+    At mu = 1 + 1e-10 the breakpoints with t <= 0.99 deviate by 3.6e-6
+    (128 cells) and 1.6e-7 (512 cells) at most.  At mu = 1 + 1e-4, x(0)
+    exceeds x_m(0) by lam times 0.1993 (128 cells) and 0.2012 (512 cells):
+    the O(lam) term of ROADMAP item 17 (0.1998 lam for the limit).
+    """
+    m = 128
+
+    def level(mu):
+        rep = solve(make_spec(mu=mu, numerics=NumericsConfig(mesh_cells=cells)))
+        assert rep.status == "converged" and rep.inner[-1].m == m
+        grid = rep.hypothesis.operator.grid
+        return grid, rep.x[:len(grid)]
+
+    grid, x = level(1.0 + 1e-10)
+    keep = grid <= 0.99
+    assert np.max(np.abs(x[keep] / _volterra_level(grid[keep], m) - 1.0)) <= tol
+    mu = 1.0 + 1e-4
+    _, x = level(mu)
+    lam = (mu - 1.0) / (2.0 - mu)
+    assert 0.19 <= (x[0] / _volterra_level(0.0, m) - 1.0) / lam <= 0.21
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the Gauss rule of the last cell "
                    "does not resolve f's d^-a; the outermost node reads 19.3% low")
 def test_m_level_follows_the_endpoint_law_at_the_outermost_node(endpoint_deviation):
