@@ -91,8 +91,6 @@ class ProblemSpec:
     v: ex.Expr
     psi: ex.Expr
     numerics: NumericsConfig = field(default_factory=NumericsConfig)
-    # (t, x -> f(t, x)) of the last read-only t that f_given_t bound
-    _f_binding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rate_of(self.mu)
@@ -133,22 +131,6 @@ class ProblemSpec:
 
     def f_at(self, t, x):
         return ex.evaluate(self.f, {"t": t, "x": x})
-
-    def f_given_t(self, t):
-        """x -> f(t, x), with the part of f that reads only t evaluated once.
-
-        The binding (``expressions.bind``) of the last read-only array t is
-        kept, so the Picard applies on one operator's nodes, which never
-        change, bind f once.
-        """
-        last = self._f_binding.get("t")
-        if last is not None and last[0] is t:
-            return last[1]
-        bound = ex.bind(self.f, {"t": t})
-        f_of_x = lambda x: bound({"x": x})
-        if isinstance(t, np.ndarray) and not t.flags.writeable:
-            self._f_binding["t"] = (t, f_of_x)
-        return f_of_x
 
     def q_at(self, s):
         return ex.evaluate(self.q, {"s": s})

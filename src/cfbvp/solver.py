@@ -77,51 +77,48 @@ class SolveReport:
         return float(np.max(np.abs(self.residual)))
 
 
-def apply_Tm(spec: ProblemSpec, x: np.ndarray, m: int | None,
+def apply_Tm(spec: ProblemSpec, f, x: np.ndarray, m: int | None,
              op: GreenOperator) -> np.ndarray:
     """One application of the regularized operator, on the Nystrom points.
 
     x and the result hold values at ``op.points`` (the mesh breakpoints,
-    then the Gauss nodes); f reads x at the nodes only, bound to the nodes
-    once per operator (``ProblemSpec.f_given_t``).  At level m, f is only
-    evaluated at clamped arguments in [1/m, R], so the x = 0 singularity is
-    never touched; m = None is the limit map, where f reads x itself.  The
-    output is symmetric by construction.
+    then the Gauss nodes); f is ``spec.f`` bound to the nodes ``op.tau``
+    (``expressions.bind(spec.f, {"t": op.tau})``) and reads x at the nodes
+    only.  At level m, f is only evaluated at clamped arguments in
+    [1/m, R], so the x = 0 singularity is never touched; m = None is the
+    limit map, where f reads x itself.  The output is symmetric by
+    construction.
     """
-    return op.apply(_f_at_nodes(spec, x, m, op))
-
-
-def _f_at_nodes(spec: ProblemSpec, x: np.ndarray, m: int | None,
-                op: GreenOperator) -> np.ndarray:
-    """f at the nodes ``op.tau``, of clamp_m(x) at level m and of x itself
-    for m = None."""
     xv = x[len(op.grid):]
-    return spec.f_given_t(op.tau)(xv if m is None else clamp_m(xv, m, spec.R))
+    return op.apply(f({"x": xv if m is None else clamp_m(xv, m, spec.R)}))
 
 
-def solve_fixed_m(spec: ProblemSpec, m: int | None, op: GreenOperator,
+def solve_fixed_m(spec: ProblemSpec, f, m: int | None, op: GreenOperator,
                   x0: np.ndarray) -> tuple[np.ndarray, InnerStats]:
     """Damped Picard iteration x <- (1-w) x + w T_m x at fixed m (m = None:
-    the limit map, as in apply_Tm).
+    the limit map; f and x as in apply_Tm).
 
-    x holds values at ``op.points``; the damping w and the inner tolerance
-    come from ``spec.numerics``, and at most MAX_INNER iterations run.
-    Stops when the sup-norm step drops below the inner tolerance; ten
-    consecutive step growths abort with a divergence diagnostic, and a
-    non-finite value of T_m x aborts naming the first node where f is not
-    finite (else the first point where T_m x is not).
+    The damping w and the inner tolerance come from ``spec.numerics``, and
+    at most MAX_INNER iterations run.  A step evaluates f at the nodes once
+    and applies the operator to those values.  Stops when the sup-norm step
+    drops below the inner tolerance; ten consecutive step growths abort
+    with a divergence diagnostic, and a non-finite value of T_m x aborts
+    naming the first node where the step's f is not finite (else the first
+    point where T_m x is not).
     """
     config = spec.numerics
     omega = config.omega
+    n = len(op.grid)
     x = x0
     prev_step = np.inf
     growth = 0
     for it in range(1, MAX_INNER + 1):
-        tx = apply_Tm(spec, x, m, op)  # a new array: the steps below reuse it
+        xv = x[n:]
+        fx = f({"x": xv if m is None else clamp_m(xv, m, spec.R)})
+        tx = op.apply(fx)  # a new array: the steps below reuse it
         if not np.isfinite(tx).all():
             # a nan of f at one node spreads through the integrals: name that node
-            f = _f_at_nodes(spec, x, m, op)
-            bad = np.flatnonzero(~np.isfinite(f))
+            bad = np.flatnonzero(~np.isfinite(fx))
             at = op.tau[bad[0]] if bad.size else op.points[np.flatnonzero(~np.isfinite(tx))[0]]
             raise SolverError(f"T_m x is not finite at t = {at:.6g} "
                               f"(m = {m}, iteration {it})")
@@ -146,20 +143,20 @@ def solve_fixed_m(spec: ProblemSpec, m: int | None, op: GreenOperator,
                          converged=False)
 
 
-def residual_nonlinear(spec: ProblemSpec, x: np.ndarray, op: GreenOperator,
+def residual_nonlinear(spec: ProblemSpec, f, x: np.ndarray, op: GreenOperator,
                        m: int | None = None) -> np.ndarray:
     """Integral-equation residual x - int G(t, .) f(., x(.)) at ``op.grid``.
 
-    x holds values at ``op.points``; f reads it at the nodes.  With m
-    given, f is evaluated at the clamped argument, i.e. the residual is
-    taken against the regularized equation the iteration actually solves;
-    with m = None it is taken against the limit equation, where it carries
-    an O(1/m) regularization offset for any finite-m solution.
+    f and x are as in apply_Tm.  With m given, f is evaluated at the
+    clamped argument, i.e. the residual is taken against the regularized
+    equation the iteration actually solves; with m = None it is taken
+    against the limit equation, where it carries an O(1/m) regularization
+    offset for any finite-m solution.
     """
     n = len(op.grid)
     if m is None and np.any(x[n:] <= 0.0):
         raise ValueError("limit-equation residual needs x > 0 at the nodes")
-    return x[:n] - apply_Tm(spec, x, m, op)[:n]
+    return x[:n] - apply_Tm(spec, f, x, m, op)[:n]
 
 
 def solve(spec: ProblemSpec) -> SolveReport:
@@ -168,11 +165,12 @@ def solve(spec: ProblemSpec) -> SolveReport:
     Refuses to run unless both assumption checks pass.  The solve runs on
     the A2 report's mesh: the report's barrier is the starting x and its
     Green operator is the solve's.  x lives on the mesh breakpoints and
-    Gauss nodes (Nystrom): f is evaluated at the nodes, and the breakpoint
-    values carry the margins and the inter-level deviations.  Success
-    requires every inner iteration to converge and the last two level
-    solutions to agree within the inter-level tolerance.  An expression
-    error during the sweep is a SolverError.
+    Gauss nodes (Nystrom): f is bound to the nodes once
+    (``expressions.bind``), every level and residual evaluates that binding,
+    and the breakpoint values carry the margins and the inter-level
+    deviations.  Success requires every inner iteration to converge and the
+    last two level solutions to agree within the inter-level tolerance.  An
+    expression error during the sweep is a SolverError.
     """
     config = spec.numerics
     a1 = check_A1(spec)
@@ -196,18 +194,19 @@ def solve(spec: ProblemSpec) -> SolveReport:
     prev = None
     # a non-finite f is a SolverError or a nan in the report, not a numpy warning
     with np.errstate(all="ignore"):
+        f = ex.bind(spec.f, {"t": op.tau})  # f's t-only part, evaluated once
         try:
             for m in config.m_schedule:
-                x, stats = solve_fixed_m(spec, m, op, x)
+                x, stats = solve_fixed_m(spec, f, m, op, x)
                 inner.append(stats)
                 if prev is not None:
                     deviations.append(float(np.max(np.abs(x[:n] - prev[:n]))))
                 prev = x
-            res = residual_nonlinear(spec, x, op, m=config.m_schedule[-1])
+            res = residual_nonlinear(spec, f, x, op, m=config.m_schedule[-1])
         except ex.ExprDomainError as err:
             raise SolverError(f"expression error at m = {m}: {err}") from err
         try:
-            res_limit = float(np.max(np.abs(residual_nonlinear(spec, x, op))))
+            res_limit = float(np.max(np.abs(residual_nonlinear(spec, f, x, op))))
         except (ValueError, ArithmeticError):
             res_limit = float("nan")
 

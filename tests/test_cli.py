@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -321,9 +322,12 @@ def test_solve_not_stabilized_exit(tmp_path, capsys):
 
 
 def test_solve_divergence_exit(problem_file, tmp_path, capsys, monkeypatch):
-    # T_m x = 2 x + 1: the Picard step doubles every iteration, and the
-    # tenth consecutive growth is a SolverError
-    monkeypatch.setattr("cfbvp.solver.apply_Tm", lambda spec, x, m, op: 2.0 * x + 1.0)
+    # f at the nodes doubles at every evaluation, so T_m x and the Picard
+    # step double every iteration, and the tenth consecutive growth is a
+    # SolverError
+    doublings = itertools.count()
+    monkeypatch.setattr("cfbvp.expressions.bind", lambda e, fixed: lambda env:
+                        np.full_like(env["x"], 2.0 ** next(doublings)))
     out = tmp_path / "o"
     assert main(["solve", str(problem_file), "--out", str(out)]) == EXIT_SOLVER
     assert "solver failure: divergence at m = 16" in capsys.readouterr().err
@@ -331,9 +335,11 @@ def test_solve_divergence_exit(problem_file, tmp_path, capsys, monkeypatch):
 
 
 def test_solve_negative_margin_exit(problem_file, tmp_path, capsys, monkeypatch):
-    # T_m x = 0 converges at once, to a solution below the barrier: the
-    # status is converged, yet the negative lower margin fails the solve
-    monkeypatch.setattr("cfbvp.solver.apply_Tm", lambda spec, x, m, op: np.zeros_like(x))
+    # f = 0 at the nodes makes T_m x = 0, which converges at once, to a
+    # solution below the barrier: the status is converged, yet the negative
+    # lower margin fails the solve
+    monkeypatch.setattr("cfbvp.expressions.bind",
+                        lambda e, fixed: lambda env: np.zeros_like(env["x"]))
     out = tmp_path / "o"
     assert main(["solve", str(problem_file), "--out", str(out)]) == EXIT_SOLVER
     text = (out / "solve_report.txt").read_text()

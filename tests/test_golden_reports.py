@@ -24,7 +24,9 @@ Regenerate the goldens, only when a change to the reports is intended, with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import re
 from pathlib import Path
 
@@ -152,26 +154,28 @@ def test_solve_outputs_digest(case, tmp_path, capsys):
 
 
 def regenerate(work: Path) -> None:
-    (work / "small").mkdir()
-    (work / "default").mkdir()
-    digests = []
-    for case in sorted(CASES):
-        _, out = run_check(case, SMALL_DENSITY, work / "small")
-        target = GOLDEN / case
-        target.mkdir(parents=True, exist_ok=True)
-        for name in ("hypothesis_report.txt", "sigma_R.csv"):
-            (target / name).write_bytes((out / name).read_bytes())
-        _, out = run_check(case, None, work / "default")
-        report = (out / "hypothesis_report.txt").read_bytes()
-        digests.append(f"{hashlib.sha256(report).hexdigest()}  {case}\n")
-    (GOLDEN / "default_density.sha256").write_text("".join(digests))
-    digests = []
-    for case in SOLVES:
-        out = run_solve(case, work)
-        for name in ("solution.csv", "solve_report.txt"):
-            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-            digests.append(f"{digest}  {case}/{name}\n")
-    (GOLDEN / "solve.sha256").write_text("".join(digests))
+    # check and solve write their reports to stdout too: only the files count
+    with contextlib.redirect_stdout(io.StringIO()):
+        (work / "small").mkdir()
+        (work / "default").mkdir()
+        digests = []
+        for case in sorted(CASES):
+            _, out = run_check(case, SMALL_DENSITY, work / "small")
+            target = GOLDEN / case
+            target.mkdir(parents=True, exist_ok=True)
+            for name in ("hypothesis_report.txt", "sigma_R.csv"):
+                (target / name).write_bytes((out / name).read_bytes())
+            _, out = run_check(case, None, work / "default")
+            report = (out / "hypothesis_report.txt").read_bytes()
+            digests.append(f"{hashlib.sha256(report).hexdigest()}  {case}\n")
+        (GOLDEN / "default_density.sha256").write_text("".join(digests))
+        digests = []
+        for case in SOLVES:
+            out = run_solve(case, work)
+            for name in ("solution.csv", "solve_report.txt"):
+                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                digests.append(f"{digest}  {case}/{name}\n")
+        (GOLDEN / "solve.sha256").write_text("".join(digests))
 
 
 if __name__ == "__main__":

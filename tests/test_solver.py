@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,12 @@ def mesh(spec):
 @pytest.fixture(scope="module")
 def op(spec, mesh):
     return GreenOperator(spec.mu, mesh)
+
+
+@pytest.fixture(scope="module")
+def f_nodes(spec, op):
+    # the worked family's f bound to the operator's nodes, as solve binds it
+    return ex.bind(spec.f, {"t": op.tau})
 
 
 @pytest.fixture(scope="module")
@@ -72,60 +80,70 @@ def test_apply_Tm_zero_nonlinearity(op, make_spec):
     # f = 0 maps everything to the zero function
     s = make_spec(f="0*t*x", psi="0*s")
     x0 = np.ones(op.points.shape)
-    tx = apply_Tm(s, x0, 16, op)
+    tx = apply_Tm(s, ex.bind(s.f, {"t": op.tau}), x0, 16, op)
     assert tx.shape == op.points.shape
     assert np.max(np.abs(tx)) == 0.0
 
 
-def test_apply_Tm_deep_clamp(spec, op):
+def test_apply_Tm_deep_clamp(spec, op, f_nodes):
     # far below the clamp floor the operator only sees f(., 1/m)
     m = 16
     x0 = np.full(op.points.shape, -50.0)
-    tx = apply_Tm(spec, x0, m, op)
+    tx = apply_Tm(spec, f_nodes, x0, m, op)
     want = op.apply(spec.f_at(op.tau, 1.0 / m))
     assert np.max(np.abs(tx - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_solve_fixed_m_names_non_finite_node(op, make_spec):
     # f overflows at x = 1 + 1/m; the first non-finite value of T_m x stops
-    # the iteration instead of entering the next step
+    # the iteration instead of entering the next step, and the node is named
+    # from the values of f that the step applied: f is evaluated once
     s = make_spec(f="abs(t)*(1-t^2)^(-0.25)*x^(-0.25) + 0*exp(1000*x)")
+    bound = ex.bind(s.f, {"t": op.tau})
+    calls = []
+
+    def f(env):
+        calls.append(env)
+        return bound(env)
+
     x0 = np.ones(op.points.shape)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(SolverError, match=r"not finite at t = .*m = 16"):
-        solve_fixed_m(s, 16, op, x0)
+            pytest.raises(SolverError, match=rf"^T_m x is not finite at t = {op.tau[0]:.6g} "
+                                             r"\(m = 16, iteration 1\)$"):
+        solve_fixed_m(s, f, 16, op, x0)
+    assert len(calls) == 1
 
 
-def test_limit_map_names_non_finite_node(spec, op):
+def test_limit_map_names_non_finite_node(spec, op, f_nodes):
     # m = None reads x itself, in the iteration and in its diagnostic alike
     k = 5
     x0 = np.ones(op.points.shape)
     x0[len(op.grid) + k] = np.nan
     with pytest.raises(SolverError,
                        match=rf"not finite at t = {op.tau[k]:.6g} \(m = None, iteration 1\)$"):
-        solve_fixed_m(spec, None, op, x0)
+        solve_fixed_m(spec, f_nodes, None, op, x0)
 
 
-def test_limit_map_reads_x_itself(spec, op):
+def test_limit_map_reads_x_itself(spec, op, f_nodes):
     # m = None is the limit map: no clamp, below 1/m and above R alike
     n = len(op.grid)
     x = np.geomspace(1e-3, 2.0 * spec.R, op.points.size)
-    assert apply_Tm(spec, x, None, op).tobytes() == op.apply(spec.f_at(op.tau, x[n:])).tobytes()
+    assert apply_Tm(spec, f_nodes, x, None, op).tobytes() == op.apply(spec.f_at(op.tau, x[n:])).tobytes()
 
 
 @pytest.mark.parametrize("m", [None, 128])
-def test_residual_is_x_minus_apply_Tm(spec, op, m):
+def test_residual_is_x_minus_apply_Tm(spec, op, f_nodes, m):
     n = len(op.grid)
     x = np.geomspace(1e-3, 2.0 * spec.R, op.points.size)
-    want = x[:n] - apply_Tm(spec, x, m, op)[:n]
-    assert residual_nonlinear(spec, x, op, m).tobytes() == want.tobytes()
+    want = x[:n] - apply_Tm(spec, f_nodes, x, m, op)[:n]
+    assert residual_nonlinear(spec, f_nodes, x, op, m).tobytes() == want.tobytes()
 
 
-def test_apply_Tm_order_interval(spec, op):
+def test_apply_Tm_order_interval(spec, op, f_nodes):
     # any iterate starting from the barrier stays in [sigma, R], at the
     # breakpoints and at the nodes
     sigma = check_A2(spec).sigma
-    tx = apply_Tm(spec, sigma, 64, op)
+    tx = apply_Tm(spec, f_nodes, sigma, 64, op)
     assert np.all(tx >= sigma - 1e-12)
     assert np.all(tx <= spec.R + 1e-12)
 
@@ -313,6 +331,17 @@ def test_solve_binds_f_once(spec, monkeypatch):
     assert e is spec.f and fixed["t"] is rep.hypothesis.operator.tau
 
 
+def test_problem_spec_holds_no_state(make_spec):
+    # a problem is a plain value: its fields are the eight it is made of,
+    # and a solve binds f without leaving anything on it
+    s = make_spec()
+    assert [(fl.name, fl.init) for fl in dataclasses.fields(s)] == [
+        (name, True) for name in ("mu", "R", "f", "q", "u", "v", "psi", "numerics")]
+    before = {k: copy.copy(v) for k, v in vars(s).items()}
+    assert solve(s).status == "converged"
+    assert vars(s) == before
+
+
 def test_solve_takes_no_hypothesis_report(make_spec):
     # the solve computes its own A2 report from the spec: a report of
     # another problem cannot stand in for it
@@ -355,12 +384,12 @@ def test_level_deviations_shrink(report):
     assert devs[-1] < 0.05
 
 
-def test_clamped_residual_small(report, spec, op):
+def test_clamped_residual_small(report, spec, op, f_nodes):
     # the iterate satisfies the regularized integral equation to solver tol
     assert report.residual_sup <= 1e-9
     # and matches a fresh residual computation
     m = spec.numerics.m_schedule[-1]
-    fresh = residual_nonlinear(spec, report.x, op, m=m)
+    fresh = residual_nonlinear(spec, f_nodes, report.x, op, m=m)
     assert fresh.shape == op.grid.shape
     assert np.max(np.abs(fresh)) == pytest.approx(report.residual_sup, abs=1e-14)
 
@@ -372,17 +401,17 @@ def test_limit_residual_tracks_regularization(report):
     assert report.residual_limit_sup > report.residual_sup
 
 
-def test_limit_residual_requires_positivity(spec, op):
+def test_limit_residual_requires_positivity(spec, op, f_nodes):
     x = np.full(op.points.shape, -1.0)
     with pytest.raises(ValueError):
-        residual_nonlinear(spec, x, op, m=None)
+        residual_nonlinear(spec, f_nodes, x, op, m=None)
 
 
-def test_fixed_point_is_stationary(spec, op, report):
+def test_fixed_point_is_stationary(spec, op, f_nodes, report):
     # re-applying the operator at the final level moves the iterate by no
     # more than the inner tolerance
     m = report.inner[-1].m
-    tx = apply_Tm(spec, report.x, m, op)
+    tx = apply_Tm(spec, f_nodes, report.x, m, op)
     assert np.max(np.abs(report.x - tx)) <= 10.0 * spec.numerics.inner_tol
 
 
@@ -430,11 +459,11 @@ def test_solve_deterministic(spec, report):
     assert rep2.residual_sup == report.residual_sup
 
 
-def test_solve_fixed_m_leaves_x0_unchanged(spec, op):
+def test_solve_fixed_m_leaves_x0_unchanged(spec, op, f_nodes):
     # the Picard step damps in place into arrays of its own
     x0 = check_A2(spec).sigma
     before = x0.copy()
-    x, _ = solve_fixed_m(spec, 16, op, x0)
+    x, _ = solve_fixed_m(spec, f_nodes, 16, op, x0)
     assert x is not x0
     assert x0.tobytes() == before.tobytes()
 
