@@ -61,6 +61,7 @@ def _hypothesis_text(spec, a1, a2) -> str:
     lines += [
         f"A2 passed = {a2.passed}",
         f"sigma_R(0) = {_fmt(a2.sigma_at_zero)}",
+        f"endpoint exponents = {_exponents_text(a2.exponents)}",
         f"I_q = {_fmt(a2.I_q)}",
         f"I_qu = {_fmt(a2.I_qu)}",
         f"kernel bound c = {_fmt(a2.c_kernel)} (audited sup)",
@@ -70,6 +71,13 @@ def _hypothesis_text(spec, a1, a2) -> str:
     for fail in a2.failures:
         lines.append(f"A2 failure: {fail}")
     return "\n".join(lines) + "\n"
+
+
+def _exponents_text(exps) -> str:
+    if exps is None:
+        return "unread (I_q and I_qu finite by refinement on two meshes)"
+    return (f"q {_fmt(exps.q)}, psi {_fmt(exps.psi)}, u {_fmt(exps.u)}; "
+            f"beta_q = {_fmt(exps.beta_q)}, beta_qu = {_fmt(exps.beta_qu)}")
 
 
 def cmd_check(args) -> int:

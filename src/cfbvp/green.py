@@ -122,10 +122,13 @@ class GreenOperator:
     exactly.  At a node inside cell j the cell splits at the node: the
     integral from the cell's start to the node takes the Gauss rule's
     spectral integration matrix (a Nystrom discretization), so x is known
-    exactly where the quadrature reads it, in O(cells k^2).
+    exactly where the quadrature reads it, in O(cells k^2).  A nonzero
+    ``beta`` is y's exponent at t = 1, where y behaves like (1 - t)^(-beta):
+    the last cell's weights and integration matrix are then endpoint's
+    singular_weights and singular_integration_matrix.
     """
 
-    def __init__(self, mu, mesh: Mesh):
+    def __init__(self, mu, mesh: Mesh, beta: float | None = None):
         lam = rate_of(mu)
         t = mesh.breakpoints
         d = 1.0 + np.exp(-2.0 * lam)
@@ -141,6 +144,11 @@ class GreenOperator:
         self._spectral = gauss_integration_matrix(k).T
         self._decay = np.exp(-lam * mesh.nodes)
         self._weights = mesh.weights * self._decay
+        self._last = None  # the last cell's step to its nodes, if beta is given
+        if beta:
+            from .endpoint import singular_integration_matrix, singular_weights
+            self._weights[-1] = singular_weights(mesh, beta) * self._decay[-1]
+            self._last = singular_integration_matrix(mesh, beta).T
         # a(s) without the cancellation of e^{-lam s} - e^{lam s - 2 lam} near s = 1
         a = lambda s: 2.0 * np.exp(-lam) * np.sinh(lam * (1.0 - s)) / d
         b = lambda s: 2.0 * np.cosh(lam * s) / d
@@ -169,8 +177,11 @@ class GreenOperator:
         np.multiply(self._below, prefix, out=x)
         x += self._above * suffix
         inside = out[n:].reshape(self._weights.shape)
-        part = (self._decay * y) @ self._spectral
+        decayed = self._decay * y
+        part = decayed @ self._spectral
         part *= self._half  # cell start to node
+        if self._last is not None:
+            part[-1] = decayed[-1] @ self._last
         np.add(prefix[:-1, None], part, out=inside)
         inside *= self._below_nodes
         np.subtract(suffix[:-1, None], part, out=part)

@@ -8,6 +8,11 @@ Two assumption groups gate the nonlinear solve:
     the barrier sigma_R and the two improper integrals of q are finite,
     and the size ratio R / (c * (1 + v(R)/u(R)) * I_qu) exceeds 1.
 
+Where the expressions show their power laws at the endpoints (q and psi as
+s -> 1, u as x -> 0), an improper integral is finite iff its integrand's
+exponent is below 1, and is computed with that exponent in the last cell;
+elsewhere finiteness is tested by refinement.
+
 Inequalities over continua are checked by sampled falsification on a
 documented lattice; a pass means "no counterexample found", never a proof.
 The kernel bound c is sup G = 2 / (1 + e^{-2 lambda}), the kernel at the
@@ -17,12 +22,16 @@ corner t = tau = 0 (it exceeds 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import expressions as ex
 from .green import GreenOperator, kernel_bound, rate_of
 from .quadrature import Mesh, MeshError, build_mesh, integrate
+
+if TYPE_CHECKING:
+    from .endpoint import EndpointExponents
 
 __all__ = ["NUMERIC_KEYS", "NumericsConfig", "ProblemSpec", "HypothesisReport",
            "CheckFailure", "sigma_R", "check_A1", "check_A2"]
@@ -173,6 +182,7 @@ class HypothesisReport:
     c_kernel: float
     ratio: float
     eps_max: float  # the largest admissible slack R - c (1 + v(R)/u(R)) I_qu
+    exponents: EndpointExponents | None  # None: finiteness by refinement
     failures: tuple[CheckFailure, ...]
 
 
@@ -204,10 +214,11 @@ def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
 
 _EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
 
-# the two refinement meshes of I_q and I_qu, as build_mesh arguments (cells,
-# gamma).  I_q and I_qu belong to the problem, not to the solver mesh, so no
-# numerics key sets these; the grading is steeper than the solver's default
-# to keep the Gauss rule past the 1e-8 test
+# the meshes of I_q and I_qu, as build_mesh arguments (cells, gamma): the
+# first alone where the exponents are read, both for the refinement test
+# otherwise.  I_q and I_qu belong to the problem, not to the solver mesh, so
+# no numerics key sets these; the grading is steeper than the solver's
+# default to keep the Gauss rule past the 1e-8 test
 REFINE_MESHES = ((512, 6.0), (1024, 6.0))
 # an improper integral is finite when the two meshes agree to this relative change
 REFINE_REL_TOL = 1e-8
@@ -279,20 +290,22 @@ def check_A1(spec: ProblemSpec) -> A1Report:
         detail = (f"f(0, x) = {f[mid, j]:.6g} != 0" if f_ok[mid, j]
                   else _unusable(f[mid, j], f_err[mid, j]))
         failures.append(CheckFailure("A1.f(0,x)=0", {"t": 0.0, "x": xs[j]}, detail))
-    for i, j in zip(*np.nonzero(~usable | uneven | over)):
-        t, x = ts[mid + 1 + i], xs[j]
-        if not usable[i, j]:
-            for side, ok, vals, errs in ((t, w_ok, fw, w_err), (-t, m_ok, fm, m_err)):
-                if not ok[i, j]:
+    # the failing points' values, gathered once as Python floats and bools
+    ii, jj = np.nonzero(~usable | uneven | over)
+    for i, j, t, x, w, m, b, ok, odd, big, finite in zip(
+            ii.tolist(), jj.tolist(), ts[mid + 1 + ii].tolist(), xs[jj].tolist(),
+            *(a[ii, jj].tolist() for a in (fw, fm, bound, usable, uneven, over, b_ok))):
+        if not ok:
+            for side, side_ok, vals, errs in ((t, w_ok, fw, w_err), (-t, m_ok, fm, m_err)):
+                if not side_ok[i, j]:
                     failures.append(CheckFailure("A1.even", {"t": side, "x": x},
                                                  _unusable(vals[i, j], errs[i, j])))
             continue
-        w, b = fw[i, j], bound[i, j]
-        if uneven[i, j]:
+        if odd:
             failures.append(CheckFailure("A1.even", {"t": t, "x": x},
-                                         f"f(t,x) = {w:.6g} but f(-t,x) = {fm[i, j]:.6g}"))
-        if over[i, j]:
-            detail = (f"|f| = {abs(w):.6g} exceeds bound {b:.6g}" if b_ok[i, j]
+                                         f"f(t,x) = {w:.6g} but f(-t,x) = {m:.6g}"))
+        if big:
+            detail = (f"|f| = {abs(w):.6g} exceeds bound {b:.6g}" if finite
                       else _unusable(b, q_err[i] or u_err[j] or v_err[j]))
             failures.append(CheckFailure("A1.majorant", {"t": t, "x": x}, detail))
     for j in np.flatnonzero(~u_ok | ~v_ok):
@@ -311,43 +324,59 @@ def check_A1(spec: ProblemSpec) -> A1Report:
     return A1Report(passed=not failures, failures=tuple(failures))
 
 
-def _size_integrals(spec: ProblemSpec, mesh: Mesh) -> tuple:
+def _size_integrals(spec: ProblemSpec, mesh: Mesh, betas: tuple) -> tuple:
     """(int q, int q u(sigma_R)) on one mesh, each a float or the ValueError
     (an expression error or a non-finite integrand) that failed it.
 
-    q is evaluated once, for both integrals.  If q fails to evaluate, that
-    error fails int q u(sigma_R) too, but only after the barrier on this
-    mesh, so an error of psi comes first.
+    ``betas`` are the endpoint exponents (beta_q, beta_psi, beta_qu), or
+    Nones where unread: the barrier and both integrals take them in the
+    last cell, and an integral whose beta is >= 1 is inf.  q is evaluated
+    once, for both integrals.  If q fails to evaluate, that error fails
+    int q u(sigma_R) too, but only after the barrier on this mesh, so an
+    error of psi comes first.
     """
     q = None
     with np.errstate(all="ignore"):  # a non-finite integrand raises in integrate
         try:
             q = spec.q_at(mesh.flat_nodes)
-            I_q = integrate(q, mesh)
+            I_q = _integral(q, mesh, betas[0])
         except ValueError as err:
             I_q = err
         try:
-            op = GreenOperator(spec.mu, mesh)  # sigma_R at the mesh's own nodes
+            op = GreenOperator(spec.mu, mesh, betas[1])  # sigma_R at the mesh's own nodes
             sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
             if q is None:
                 raise I_q
-            I_qu = integrate(q * spec.u_at(sigma), mesh)
+            I_qu = _integral(q * spec.u_at(sigma), mesh, betas[2])
         except ValueError as err:
             I_qu = err
     return I_q, I_qu
 
 
-def _improper_integral(failures: list, check: str, name: str, coarse, fine) -> float:
-    """The integral on the finer of two refining meshes, from _size_integrals.
+def _integral(values, mesh: Mesh, beta: float | None) -> float:
+    # (1 - t)^(-beta) is not integrable at t = 1 for beta >= 1
+    return integrate(values, mesh, beta) if beta is None or beta < 1.0 else np.inf
 
-    A divergent (non-finite) improper integral shows up as refinement that
-    does not stabilize to REFINE_REL_TOL; that, or a failed integration (nan,
-    with the coarse mesh's error first), is recorded as a failure of ``check``.
+
+def _improper_integral(failures: list, check: str, name: str, values: tuple,
+                       beta: float | None) -> float:
+    """The integral on the last mesh of ``values``, from _size_integrals.
+
+    A failed integration (nan, with the first mesh's error first) is a
+    failure of ``check``.  With the integrand's exponent beta read, the
+    integral diverges iff beta >= 1.  Else a divergent integral shows up as
+    refinement of the two values that does not stabilize to REFINE_REL_TOL.
     """
-    for value in (coarse, fine):
+    for value in values:
         if isinstance(value, ValueError):
             failures.append(CheckFailure(check, {}, f"integration failed: {value}"))
             return float("nan")
+    if beta is not None:
+        if not beta < 1.0:
+            failures.append(CheckFailure(check, {"beta": beta}, f"{name} diverges: its "
+                                         "integrand behaves like (1 - t)^(-beta) at t = 1"))
+        return values[-1]
+    coarse, fine = values
     change = abs(fine - coarse) / max(abs(fine), 1e-300)
     if not change < REFINE_REL_TOL:
         failures.append(CheckFailure(check, {"rel_change": change},
@@ -390,13 +419,19 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
                                      f"R = {spec.R:.6g} < sigma_R(0) = {sigma0:.6g}"))
 
-    # finiteness by refinement stabilization on the two REFINE_MESHES, shared
-    # by both integrals; one mesh is integrated at a time
-    (q_coarse, qu_coarse), (q_fine, qu_fine) = (_size_integrals(spec, build_mesh(*args))
-                                                for args in REFINE_MESHES)
-    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_coarse, q_fine)
+    # finiteness from the exponents on the first of REFINE_MESHES, else by
+    # refinement stabilization on both; one mesh is integrated at a time
+    from .endpoint import endpoint_exponents  # imported where used
+    exps = endpoint_exponents(spec)
+    if exps is None:
+        meshes, betas = REFINE_MESHES, (None,) * 3
+    else:
+        meshes, betas = REFINE_MESHES[:1], (exps.beta_q, exps.beta_psi, exps.beta_qu)
+    q_values, qu_values = zip(*(_size_integrals(spec, build_mesh(*args), betas)
+                                for args in meshes))
+    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_values, betas[0])
     I_qu = float("nan") if nonfinite.size else _improper_integral(  # I_qu needs sigma_R
-        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_coarse, qu_fine)
+        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_values, betas[2])
 
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
     ts = _t_lattice(LATTICE_DENSITY)
@@ -446,4 +481,4 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     return HypothesisReport(passed=not failures, sigma=sigma, operator=op,
                             sigma_at_zero=sigma0, I_q=I_q, I_qu=I_qu,
                             c_kernel=c_kernel, ratio=ratio, eps_max=eps_max,
-                            failures=tuple(failures))
+                            exponents=exps, failures=tuple(failures))

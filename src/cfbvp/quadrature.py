@@ -3,7 +3,9 @@
 Every mesh covers the problem's right half [0, 1]; mesh_from_breakpoints
 is the one check of that domain.  Integrands may have an integrable
 singularity at t = 1; the mesh is then graded polynomially toward it and
-quadrature nodes stay strictly interior to every cell.
+quadrature nodes stay strictly interior to every cell.  Where the
+singularity's exponent beta is known, the last cell takes the rule of the
+weight (1 - t)^(-beta) on the same nodes (endpoint.singular_weights).
 """
 
 from __future__ import annotations
@@ -127,11 +129,13 @@ def build_mesh(cells: int, gamma: float = 1.0) -> Mesh:
     return mesh_from_breakpoints(bps)
 
 
-def integrate(values, mesh: Mesh) -> float:
+def integrate(values, mesh: Mesh, beta: float | None = None) -> float:
     """Composite Gauss-Legendre integral of the values at ``mesh.flat_nodes``.
 
-    A scalar is a constant integrand.  Cell sums are accumulated strictly
-    left to right so results are bit-reproducible.
+    A scalar is a constant integrand.  A nonzero ``beta`` is the integrand's
+    exponent at t = 1, where it behaves like (1 - t)^(-beta): the last cell
+    then takes endpoint.singular_weights.  Cell sums are accumulated
+    strictly left to right so results are bit-reproducible.
     """
     x = mesh.flat_nodes
     v = np.asarray(values, dtype=float)
@@ -140,7 +144,11 @@ def integrate(values, mesh: Mesh) -> float:
     if not np.all(np.isfinite(v)):
         bad = int(np.argmax(~np.isfinite(v)))
         raise NonFiniteIntegrandError(float(x[bad]))
-    cell_sums = np.einsum("ij,ij->i", mesh.weights, v.reshape(mesh.nodes.shape))
+    v = v.reshape(mesh.nodes.shape)
+    cell_sums = np.einsum("ij,ij->i", mesh.weights, v)
+    if beta:
+        from .endpoint import singular_weights  # imported where used
+        cell_sums[-1] = singular_weights(mesh, beta) @ v[-1]
     return _sum_left_to_right(cell_sums)
 
 

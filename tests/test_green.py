@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cfbvp.green import (GreenOperator, green_diagonal_jump, green_eval, kernel_bound,
                          lower_branch, rate_of, upper_branch)
-from cfbvp.quadrature import build_mesh, integrate
+from cfbvp.quadrature import GAUSS_NODES, build_mesh, integrate
 from linear_oracles import LocalQuartic
 
 MESH = build_mesh(128, 3.0)
@@ -413,3 +413,37 @@ def test_apply_of_a_constant_is_the_filled_array(cells):
     op = GreenOperator(1.5, build_mesh(cells, 3.0))
     for c in (0.001, 0.7, 3.0):
         assert op.apply(c).tobytes() == op.apply(np.full(op.tau.shape, c)).tobytes()
+
+
+def _power_barrier(mu, beta, t):
+    """x(t) = int_0^1 G(t, tau) (1 - tau)^(-beta) dtau in closed form.
+
+    With the kernel's semi-separable form (GreenOperator's docstring),
+    x = a(t) (Q(0) - Q(t)) + b(t) Q(t), where Q(t) = int_t^1 e^{-lam tau}
+    (1 - tau)^(-beta) dtau = e^{-lam} sum_n lam^n / n! d^(n+1-beta) / (n+1-beta)
+    with d = 1 - t.
+    """
+    lam = rate_of(mu)
+    D = 1.0 + math.exp(-2.0 * lam)
+
+    def Q(s):
+        return math.exp(-lam) * math.fsum(lam ** n / math.factorial(n) * (1.0 - s) ** (n + 1 - beta)
+                                          / (n + 1 - beta) for n in range(80))
+
+    return np.array([2.0 * math.exp(-lam) * math.sinh(lam * (1.0 - s)) / D * (Q(0.0) - Q(s))
+                     + 2.0 * math.cosh(lam * s) / D * Q(s) for s in t])
+
+
+@pytest.mark.parametrize("mu", [1.5, 1.9])
+@pytest.mark.parametrize("cells, gamma", [(128, 3.0), (512, 6.0)])
+@pytest.mark.parametrize("beta", [0.4, 0.9, -0.25])
+def test_last_cell_exponent_makes_the_barrier_exact_near_one(mu, cells, gamma, beta):
+    # x at the last cell's nodes, where the integrand (1 - tau)^(-beta) is
+    # singular; the 512-cell grading-6 mesh ends in a tail cell about 3e-14
+    # wide.  The Gauss rule there is off by 6e-5 to 0.88 (relative), and a
+    # beta off by 0.02 by 4e-6 to 0.23
+    mesh = build_mesh(cells, gamma)
+    want = _power_barrier(mu, beta, mesh.nodes[-1])
+    op = GreenOperator(mu, mesh, beta)
+    got = op.apply((1.0 - op.tau) ** -beta)[-GAUSS_NODES:]
+    assert np.max(np.abs(got - want) / want) <= 1e-11

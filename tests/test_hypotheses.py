@@ -5,8 +5,12 @@ import pytest
 
 from cfbvp.cli import main
 from cfbvp.green import GreenOperator, rate_of
-from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
+from cfbvp.endpoint import endpoint_exponents
+from cfbvp.hypotheses import (REFINE_MESHES, NumericsConfig, ProblemSpec, check_A1, check_A2,
+                              sigma_R)
+from cfbvp.problem_io import parse_problem_text
 from cfbvp.quadrature import MeshError, build_mesh
+from test_manufactured import manufactured_text
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +182,11 @@ def test_a2_minorant_violation_detected(make_spec):
     assert any(f.check == "A2.minorant" for f in report.failures)
 
 
-def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
+def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, make_spec, monkeypatch):
     # int q and int q u(sigma_R) share each mesh's q values: one call per
-    # mesh (512, then 1024 cells), where one per integral and mesh took four
+    # mesh, where one per integral and mesh took four.  The worked family's
+    # exponents are read, so only the 512-cell mesh is integrated; with an
+    # unread u both meshes (512, then 1024 cells) are
     sizes = []
     original = ProblemSpec.q_at
 
@@ -190,10 +196,14 @@ def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, monkeypatch):
 
     monkeypatch.setattr(ProblemSpec, "q_at", counted)
     report = check_A2(spec)
-    assert report.passed
+    assert report.passed and report.exponents is not None
     # (build_mesh makes one last cell of each steep grading's tail from its
     # first gap of a few ulps near t = 1 on: 510 and 1,020 cells are left)
-    assert len(sizes) == 2 and report.operator.tau.size < sizes[0] < sizes[1]
+    assert sizes == [8 * 510]
+    sizes.clear()
+    report = check_A2(make_spec(u="max(x^(-0.25), 0)"))
+    assert report.passed and report.exponents is None
+    assert sizes == [8 * 510, 8 * 1020]
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
@@ -285,3 +295,79 @@ def test_report_reproducible(spec):
     assert r1.I_qu == r2.I_qu
     assert r1.ratio == r2.ratio
     assert np.array_equal(r1.sigma, r2.sigma)
+
+
+def _family(make_spec, a, b, **overrides):
+    """The worked family with q = s (1-s^2)^(-a), u = x^(-b) and psi alike."""
+    return make_spec(**{"f": f"abs(t)*(1-t^2)^(-{a!r})*x^(-{b!r})", "q": f"s*(1-s^2)^(-{a!r})",
+                        "u": f"x^(-{b!r})", "v": f"x^({b!r})",
+                        "psi": f"s*(1-s^2)^(-{a!r})*R^(-{b!r})", **overrides})
+
+
+@pytest.mark.parametrize("a, b", [(0.25, 0.25), (0.5, 0.25), (0.1, 0.3), (0.8, 0.5), (0.6, 1.5)])
+def test_exponents_of_the_worked_family(a, b, make_spec):
+    # q ~ 2^-a d^-a and psi alike, so sigma_R ~ d^(1-a) and q u(sigma_R) ~
+    # d^-(a + b (1-a)): the benchmark family's beta_qu.  (0.25, 0.25) is
+    # problems/worked_family.prob
+    exps = endpoint_exponents(_family(make_spec, a, b))
+    assert (exps.q, exps.psi, exps.u) == (-a, -a, -b)
+    assert exps.beta_q == a
+    assert math.isclose(exps.beta_qu, a + b * (1.0 - a), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("mu, A, a, b", [(1.5, 1.0, 0.25, 0.25), (1.9, 0.1, 0.25, 0.25),
+                                         (1.5, 1.0, 0.4, 0.3)])
+def test_exponents_of_the_manufactured_member(mu, A, a, b):
+    # q ~ F(1) x*^-a / 2 and psi ~ x*^b: sigma_R ~ d, and I_qu's integrand
+    # behaves like d^-(a + b).  (1.5, 1, 0.25, 0.25) is problems/manufactured.prob
+    exps = endpoint_exponents(parse_problem_text(manufactured_text(mu, A, a, b)))
+    assert (exps.q, exps.psi, exps.u) == (-a, b, -b)
+    assert math.isclose(exps.beta_qu, a + b, rel_tol=1e-15)
+
+
+def test_unread_exponent_keeps_the_refinement_test(make_spec, monkeypatch):
+    # |s - 0.5|^-1.5 is not integrable at s = 0.5, inside the domain: its
+    # base is not shown positive, so no exponent is read, both refinement
+    # meshes are built, and refinement finds the divergence
+    built = []
+    original = GreenOperator.__init__
+
+    def counted(self, mu, mesh, beta=None):
+        built.append((mesh.cells, beta))
+        original(self, mu, mesh, beta)
+
+    monkeypatch.setattr(GreenOperator, "__init__", counted)
+    report = check_A2(make_spec(q="s*(1-s^2)^(-0.25) + abs(s - 0.5)^(-1.5)"))
+    assert report.exponents is None
+    assert built == [(128, None)] + [(build_mesh(*args).cells, None) for args in REFINE_MESHES]
+    assert built[-1][0] == 1020
+    assert [f.detail for f in report.failures[:2]] == [
+        "int q did not stabilize under refinement", "int q*u(sigma_R) did not stabilize under refinement"]
+
+
+@pytest.mark.parametrize("a, b, beta", [(0.5, 0.25, 0.625), (0.5, 0.5, 0.75), (0.8, 0.5, 0.9),
+                                        (0.5, 1.0, 1.0), (0.6, 1.5, 1.2)])
+def test_I_qu_is_finite_iff_its_exponent_is_below_one(a, b, beta, make_spec):
+    # beta = a + b (1 - a) from the closed forms; refinement stabilization
+    # called beta = 0.625 divergent (change 9.6e-8 between 510 and 1,020
+    # cells) and could not tell 0.9 (3.6e-4) from 1 (2e-2)
+    report = check_A2(_family(make_spec, a, b))
+    assert math.isclose(report.exponents.beta_qu, beta, rel_tol=1e-15)
+    finiteness = [str(f) for f in report.failures if f.check == "A2.I_qu_finite"]
+    if beta < 1.0:
+        assert finiteness == [] and 0.0 < report.I_qu < np.inf
+    else:
+        assert finiteness == [f"[A2.I_qu_finite] int q*u(sigma_R) diverges: its integrand "
+                              f"behaves like (1 - t)^(-beta) at t = 1 (at beta={beta:.6g})"]
+        assert report.I_qu == np.inf and report.ratio == 0.0
+    # the benchmark's probe: ratio 2.88, so A2 passes
+    assert report.passed == (beta == 0.625)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
+def test_I_q_matches_its_closed_form(a, make_spec):
+    # int_0^1 s (1 - s^2)^(-a) ds = 1 / (2 (1 - a)); a last-cell exponent off
+    # by 0.02 leaves 1.1e-9 at a = 0.5, and the Gauss rule 1.4e-8 there
+    report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a!r})"))
+    want = 0.5 / (1.0 - a)
+    assert abs(report.I_q - want) <= 1e-10 * want

@@ -240,3 +240,15 @@ def test_partial_weights_integrate_polynomials_exactly(k):
     for j in range(k):
         want = (x ** (j + 1) - (-1.0) ** (j + 1)) / (j + 1)
         assert np.max(np.abs(S @ x ** j - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9])
+def test_integrate_takes_the_last_cell_exponent(beta):
+    # int_0^1 (1 - t)^(-beta) dt = 1 / (1 - beta) on one cell, which is the
+    # last; the Gauss rule misses it by the same share in the last cell of
+    # every mesh
+    m = mesh_from_breakpoints([0.0, 1.0])
+    v = (1.0 - m.flat_nodes) ** -beta
+    want = 1.0 / (1.0 - beta)
+    assert abs(integrate(v, m, beta) - want) <= 1e-13 * want
+    assert abs(integrate(v, m) - want) > 1e-2 * want

@@ -286,19 +286,20 @@ def test_m_level_follows_the_endpoint_law_at_the_outermost_node(endpoint_deviati
 
 
 def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
-    # the solve builds the 3 operators of its A2 check (the solver mesh,
-    # then the 512- and 1024-cell meshes of the improper integrals, whatever
-    # the solver mesh) and none of its own
+    # the solve builds the 2 operators of its A2 check (the solver mesh,
+    # then the 512-cell mesh of the improper integrals, whatever the solver
+    # mesh; the worked family's exponents are read, so the 1024-cell
+    # refinement mesh is not built) and none of its own
     cells = []
     original = GreenOperator.__init__
 
-    def counted(self, mu, mesh):
+    def counted(self, mu, mesh, beta=None):
         cells.append(mesh.cells)
-        original(self, mu, mesh)
+        original(self, mu, mesh, beta)
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
-    # build_mesh merges the sub-ulp cells of the grading-6 meshes near t = 1
-    refined = [build_mesh(*args).cells for args in REFINE_MESHES]
+    # build_mesh merges the sub-ulp cells of the grading-6 mesh near t = 1
+    refined = [build_mesh(*REFINE_MESHES[0]).cells]
     for s in (spec, make_spec(NumericsConfig(mesh_cells=64)),
               make_spec(NumericsConfig(mesh_cells=512))):
         cells.clear()
