@@ -74,10 +74,9 @@ def _hypothesis_text(spec, a1, a2) -> str:
 
 
 def _exponents_text(exps) -> str:
-    if exps is None:
-        return "unread (I_q and I_qu finite by refinement on two meshes)"
-    return (f"q {_fmt(exps.q)}, psi {_fmt(exps.psi)}, u {_fmt(exps.u)}; "
-            f"beta_q = {_fmt(exps.beta_q)}, beta_qu = {_fmt(exps.beta_qu)}")
+    q, psi, u, beta_q, beta_qu = ("unread" if v is None else _fmt(v) for v in (
+        exps.q, exps.psi, exps.u, exps.beta_q, exps.beta_qu))
+    return f"q {q}, psi {psi}, u {u}; beta_q = {beta_q}, beta_qu = {beta_qu}"
 
 
 def cmd_check(args) -> int:
@@ -90,9 +89,7 @@ def cmd_check(args) -> int:
         out = Path(args.out)
         _write(out / "hypothesis_report.txt", text.encode())
         _write(out / "sigma_R.csv", _sigma_csv(a2))
-    if not (a1.passed and a2.passed):
-        return EXIT_HYPOTHESIS
-    return EXIT_OK
+    return EXIT_OK if a1.passed and a2.passed else EXIT_HYPOTHESIS
 
 
 def _sigma_csv(a2) -> bytes:
@@ -118,6 +115,11 @@ def _solution_csv(report) -> bytes:
     return b"".join([b"t,x,sigma_R,residual\n", *left, right])
 
 
+def _margins(report) -> tuple:
+    return (("lower bound margin min(x - sigma_R)", report.lower_margin, report.lower_margin_t),
+            ("upper bound margin min(R - eps - x)", report.upper_margin, report.upper_margin_t))
+
+
 def _solve_text(report) -> str:
     lines = [
         "solve report",
@@ -125,8 +127,7 @@ def _solve_text(report) -> str:
         f"eps = {_fmt(report.eps)} (eps_max = {_fmt(report.hypothesis.eps_max)})",
         f"residual sup (regularized equation, final m) = {_fmt(report.residual_sup)}",
         f"residual sup (limit equation, O(1/m) offset) = {_fmt(report.residual_limit_sup)}",
-        f"lower bound margin min(x - sigma_R) = {_fmt(report.lower_margin)}",
-        f"upper bound margin min(R - eps - x) = {_fmt(report.upper_margin)}",
+        *(f"{name} = {_fmt(margin)}" for name, margin, _ in _margins(report)),
     ]
     for s in report.inner:
         lines.append(f"m = {s.m}: iterations = {s.iterations}, "
@@ -157,8 +158,13 @@ def cmd_solve(args) -> int:
     _write(out / "solution.csv", _solution_csv(report))
     _write(out / "solve_report.txt", text.encode())
     sys.stdout.write(text)
-    if report.status != "converged" or report.lower_margin < -1e-9 \
-            or report.upper_margin < -1e-9:
+    # why a written solve fails: a status other than converged, else its
+    # first margin below -1e-9, with the breakpoint where it is attained
+    why = [f"status = {report.status}"] if report.status != "converged" else [
+        f"{name} = {_fmt(margin)} at t = {_fmt(t)}" for name, margin, t in _margins(report)
+        if margin < -1e-9]
+    if why:
+        print(f"solver failure: {why[0]}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -245,17 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
                                             "integro-differential boundary value problem")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("check", help="verify the problem assumptions")
-    sp.add_argument("problem")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--mesh-cells", type=int, default=None)
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("solve", help="run the regularized fixed-point solver")
-    sp.add_argument("problem")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--mesh-cells", type=int, default=None)
-    sp.set_defaults(fn=cmd_solve)
+    for name, fn, out_required, help_ in (
+            ("check", cmd_check, False, "verify the problem assumptions"),
+            ("solve", cmd_solve, True, "run the regularized fixed-point solver")):
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("problem")
+        sp.add_argument("--out", required=out_required, default=None)
+        sp.add_argument("--mesh-cells", type=int, default=None)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("green", help="dump the kernel on a tensor grid as CSV")
     sp.add_argument("mu", type=float)

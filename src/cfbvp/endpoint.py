@@ -4,7 +4,8 @@ quadrature rule of the last cell that integrates them.
 ``leading_power`` reads an expression's leading power law at the endpoint
 of its variable (s -> 1, x -> 0) from its tree, where the grammar shows
 it; ``endpoint_exponents`` reads those of a problem's q, psi and u, which
-decide whether A2's improper integrals are finite.  ``singular_weights``
+decide whether A2's improper integrals are finite, and where one is
+unread, that their finiteness is not shown.  ``singular_weights``
 and ``singular_integration_matrix`` are the last cell's rule for an
 integrand (1 - t)^(-beta) g with g smooth, which ``quadrature.integrate``
 and ``green.GreenOperator`` take for a given beta.
@@ -37,7 +38,8 @@ _CANCELLED = 1e-12
 _MAX_POLY_POWER = 16
 
 
-def leading_power(e: Expr, var: str, fixed: dict | None = None) -> tuple[float, float] | None:
+def leading_power(e: Expr, var: str, fixed: dict | None = None,
+                  zero=None) -> tuple[float, float] | None:
     """(kappa, alpha) with e ~ kappa d^alpha as d -> 0+, or None where unread.
 
     d = 1 - s for var "s" (the domain s in [0, 1)) and d = x for var "x"
@@ -51,7 +53,7 @@ def leading_power(e: Expr, var: str, fixed: dict | None = None) -> tuple[float, 
     values.  Polynomials are expanded exactly, so 1 - s^2 reads as
     2d - d^2; a sum keeps its lowest power, and a leading coefficient that
     cancels to rounding is unread.  exp, cosh and sinh read only a bounded
-    argument; min, max and every other variable are unread.
+    argument; min, max and every other variable are unread.  Zero reads as ``zero``.
     """
     poly, upper = _ENDPOINTS[var]
     poly = [poly, tuple(map(abs, poly))]
@@ -59,7 +61,9 @@ def leading_power(e: Expr, var: str, fixed: dict | None = None) -> tuple[float, 
         lead = _lead(_walk(e, var, poly, upper, fixed or {}), upper)
     except (_Unread, OverflowError, ZeroDivisionError):
         return None
-    if lead is None or not (math.isfinite(lead[0]) and math.isfinite(lead[1])):
+    if lead is None:
+        return zero
+    if not (math.isfinite(lead[0]) and math.isfinite(lead[1])):
         return None
     return lead[0], lead[1] + 0.0  # no -0.0 exponent
 
@@ -233,39 +237,51 @@ def _walk(e: Expr, var: str, poly: list, upper: float, fixed: dict):
 @dataclass(frozen=True)
 class EndpointExponents:
     """Leading exponents: q ~ (1 - s)^q and psi ~ (1 - s)^psi as s -> 1,
-    u ~ x^u as x -> 0.
+    u ~ x^u as x -> 0; None where unread, inf for an expression that is zero.
 
     The barrier behaves like (1 - t)^min(1, 1 + psi) at t = 1, so the
-    integrand q u(sigma_R) behaves like (1 - t)^(-beta_qu).
+    integrand q u(sigma_R) behaves like (1 - t)^(-beta_qu).  A beta is None
+    where an exponent it needs is unread, and -inf for a zero integrand.
     """
 
-    q: float
-    psi: float
-    u: float
+    q: float | None
+    psi: float | None
+    u: float | None
 
     @property
-    def beta_q(self) -> float:
-        return -self.q
+    def beta_q(self) -> float | None:
+        return None if self.q is None else -self.q
 
     @property
-    def beta_psi(self) -> float:
-        return -self.psi
+    def beta_psi(self) -> float | None:
+        return None if self.psi is None else -self.psi
 
     @property
-    def beta_qu(self) -> float:
+    def beta_qu(self) -> float | None:
+        if self.q == math.inf:  # a zero q makes a zero integrand
+            return -math.inf
+        if None in (self.q, self.psi, self.u):
+            return None
         return -(self.q + self.u * min(1.0, 1.0 + self.psi))
 
+    def unread(self, *names: str) -> str:
+        """Those of the named expressions whose exponents are unread, in words."""
+        at = [f"{n} at {'x = 0' if n == 'u' else 's = 1'}" for n in names
+              if getattr(self, n) is None]
+        verb = "exponent of {} is" if len(at) == 1 else "exponents of {} are"
+        return f"the {verb.format(' and '.join(at))} unread"
 
-def endpoint_exponents(spec) -> EndpointExponents | None:
-    """The exponents read from the expressions (leading_power),
-    or None if one is unread, or if psi is not positive and integrable
-    near s = 1 (then the barrier's own exponent is not min(1, 1 + psi))."""
-    q = leading_power(spec.q, "s")
+
+def endpoint_exponents(spec) -> EndpointExponents:
+    """The exponents read from the expressions (leading_power; zero reads
+    inf).  psi's counts as unread unless psi is positive and integrable
+    near s = 1: elsewhere the barrier's exponent is not min(1, 1 + psi)."""
+    zero = (0.0, math.inf)
+    q, u = leading_power(spec.q, "s", zero=zero), leading_power(spec.u, "x", zero=zero)
     psi = leading_power(spec.psi, "s", {"R": spec.R})
-    u = leading_power(spec.u, "x")
-    if q is None or psi is None or u is None or not (psi[0] > 0.0 and psi[1] > -1.0):
-        return None
-    return EndpointExponents(q=q[1], psi=psi[1], u=u[1])
+    if psi is not None and not (psi[0] > 0.0 and psi[1] > -1.0):
+        psi = None
+    return EndpointExponents(*(None if r is None else r[1] for r in (q, psi, u)))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ Two assumption groups gate the nonlinear solve:
 Where the expressions show their power laws at the endpoints (q and psi as
 s -> 1, u as x -> 0), an improper integral is finite iff its integrand's
 exponent is below 1, and is computed with that exponent in the last cell;
-elsewhere finiteness is tested by refinement.
+where an exponent it needs is unread, its finiteness is not shown (a failure).
 
 Inequalities over continua are checked by sampled falsification on a
 documented lattice; a pass means "no counterexample found", never a proof.
@@ -182,7 +182,7 @@ class HypothesisReport:
     c_kernel: float
     ratio: float
     eps_max: float  # the largest admissible slack R - c (1 + v(R)/u(R)) I_qu
-    exponents: EndpointExponents | None  # None: finiteness by refinement
+    exponents: EndpointExponents  # decide I_q and I_qu; None where unread
     failures: tuple[CheckFailure, ...]
 
 
@@ -214,14 +214,10 @@ def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
 
 _EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
 
-# the meshes of I_q and I_qu, as build_mesh arguments (cells, gamma): the
-# first alone where the exponents are read, both for the refinement test
-# otherwise.  I_q and I_qu belong to the problem, not to the solver mesh, so
-# no numerics key sets these; the grading is steeper than the solver's
-# default to keep the Gauss rule past the 1e-8 test
-REFINE_MESHES = ((512, 6.0), (1024, 6.0))
-# an improper integral is finite when the two meshes agree to this relative change
-REFINE_REL_TOL = 1e-8
+# the mesh of I_q and I_qu, as build_mesh arguments (cells, gamma; 510 cells
+# are left).  I_q and I_qu belong to the problem, not to the solver mesh, so
+# no numerics key sets it; it is graded more steeply than the solver's default
+SIZE_MESH = (512, 6.0)
 
 
 def _on_lattice(fn, *axes) -> tuple[np.ndarray, np.ndarray]:
@@ -324,64 +320,47 @@ def check_A1(spec: ProblemSpec) -> A1Report:
     return A1Report(passed=not failures, failures=tuple(failures))
 
 
-def _size_integrals(spec: ProblemSpec, mesh: Mesh, betas: tuple) -> tuple:
-    """(int q, int q u(sigma_R)) on one mesh, each a float or the ValueError
-    (an expression error or a non-finite integrand) that failed it.
-
-    ``betas`` are the endpoint exponents (beta_q, beta_psi, beta_qu), or
-    Nones where unread: the barrier and both integrals take them in the
-    last cell, and an integral whose beta is >= 1 is inf.  q is evaluated
-    once, for both integrals.  If q fails to evaluate, that error fails
-    int q u(sigma_R) too, but only after the barrier on this mesh, so an
-    error of psi comes first.
+def _size_integrands(spec: ProblemSpec, exps: EndpointExponents) -> tuple:
+    """SIZE_MESH, then q and q u(sigma_R) at its nodes, each an array or the
+    ValueError that failed it.  q is evaluated once, for both; an error of q
+    fails q u(sigma_R) too, but only after the barrier on this mesh (which
+    takes psi's exponent in its last cell), so an error of psi comes first.
     """
-    q = None
-    with np.errstate(all="ignore"):  # a non-finite integrand raises in integrate
-        try:
-            q = spec.q_at(mesh.flat_nodes)
-            I_q = _integral(q, mesh, betas[0])
-        except ValueError as err:
-            I_q = err
-        try:
-            op = GreenOperator(spec.mu, mesh, betas[1])  # sigma_R at the mesh's own nodes
-            sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
-            if q is None:
-                raise I_q
-            I_qu = _integral(q * spec.u_at(sigma), mesh, betas[2])
-        except ValueError as err:
-            I_qu = err
-    return I_q, I_qu
+    mesh = build_mesh(*SIZE_MESH)
+    try:
+        q = spec.q_at(mesh.flat_nodes)
+    except ValueError as err:
+        q = err
+    try:
+        op = GreenOperator(spec.mu, mesh, exps.beta_psi)  # sigma_R at the mesh's own nodes
+        sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
+        qu = q if isinstance(q, ValueError) else q * spec.u_at(sigma)
+    except ValueError as err:
+        qu = err
+    return mesh, q, qu
 
 
-def _integral(values, mesh: Mesh, beta: float | None) -> float:
-    # (1 - t)^(-beta) is not integrable at t = 1 for beta >= 1
-    return integrate(values, mesh, beta) if beta is None or beta < 1.0 else np.inf
-
-
-def _improper_integral(failures: list, check: str, name: str, values: tuple,
-                       beta: float | None) -> float:
-    """The integral on the last mesh of ``values``, from _size_integrals.
-
-    A failed integration (nan, with the first mesh's error first) is a
-    failure of ``check``.  With the integrand's exponent beta read, the
-    integral diverges iff beta >= 1.  Else a divergent integral shows up as
-    refinement of the two values that does not stabilize to REFINE_REL_TOL.
-    """
-    for value in values:
-        if isinstance(value, ValueError):
-            failures.append(CheckFailure(check, {}, f"integration failed: {value}"))
-            return float("nan")
-    if beta is not None:
-        if not beta < 1.0:
-            failures.append(CheckFailure(check, {"beta": beta}, f"{name} diverges: its "
-                                         "integrand behaves like (1 - t)^(-beta) at t = 1"))
-        return values[-1]
-    coarse, fine = values
-    change = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if not change < REFINE_REL_TOL:
-        failures.append(CheckFailure(check, {"rel_change": change},
-                                     f"{name} did not stabilize under refinement"))
-    return fine
+def _improper_integral(failures: list, check: str, name: str, values, mesh: Mesh,
+                       beta: float | None, unread) -> float:
+    """The integral of ``values`` (from _size_integrands) over ``mesh``, its
+    last cell taking the integrand's exponent beta (the plain rule where
+    beta is unread, None, or the integrand zero, -inf).  It fails ``check``
+    as nan where it fails to evaluate, as inf where beta >= 1, and as not
+    shown finite where beta is unread, naming what ``unread()`` returns."""
+    try:
+        if isinstance(values, ValueError):
+            raise values
+        value = (integrate(values, mesh, None if beta == -np.inf else beta)
+                 if beta is None or beta < 1.0 else np.inf)
+    except ValueError as err:
+        failures.append(CheckFailure(check, {}, f"integration failed: {err}"))
+        return float("nan")
+    if beta is None:
+        failures.append(CheckFailure(check, {}, f"{name} not shown finite: {unread()}"))
+    elif not beta < 1.0:
+        failures.append(CheckFailure(check, {"beta": beta}, f"{name} diverges: its "
+                                     "integrand behaves like (1 - t)^(-beta) at t = 1"))
+    return value
 
 
 def check_A2(spec: ProblemSpec) -> HypothesisReport:
@@ -392,7 +371,6 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     (-1, 1) x (0, R], and ratio = R / (c (1 + v(R)/u(R)) I_qu) > 1.
     The barrier is computed on the spec's default mesh.
     """
-    n = spec.numerics
     failures: list[CheckFailure] = []
 
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
@@ -419,23 +397,20 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
                                      f"R = {spec.R:.6g} < sigma_R(0) = {sigma0:.6g}"))
 
-    # finiteness from the exponents on the first of REFINE_MESHES, else by
-    # refinement stabilization on both; one mesh is integrated at a time
+    # each integral's finiteness from the exponents it needs
     from .endpoint import endpoint_exponents  # imported where used
     exps = endpoint_exponents(spec)
-    if exps is None:
-        meshes, betas = REFINE_MESHES, (None,) * 3
-    else:
-        meshes, betas = REFINE_MESHES[:1], (exps.beta_q, exps.beta_psi, exps.beta_qu)
-    q_values, qu_values = zip(*(_size_integrals(spec, build_mesh(*args), betas)
-                                for args in meshes))
-    I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q_values, betas[0])
-    I_qu = float("nan") if nonfinite.size else _improper_integral(  # I_qu needs sigma_R
-        failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu_values, betas[2])
+    with np.errstate(all="ignore"):  # a non-finite integrand is integrate's error
+        mesh, q, qu = _size_integrands(spec, exps)
+        I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q, mesh, exps.beta_q,
+                                 lambda: exps.unread("q"))
+        I_qu = float("nan") if nonfinite.size else _improper_integral(  # I_qu needs sigma_R
+            failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu, mesh, exps.beta_qu,
+            lambda: exps.unread("q", "psi", "u"))
 
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
     ts = _t_lattice(LATTICE_DENSITY)
-    xs = _x_lattice(LATTICE_DENSITY, spec.R, max(n.m_schedule))
+    xs = _x_lattice(LATTICE_DENSITY, spec.R, max(spec.numerics.m_schedule))
     psi, psi_err = _on_lattice(spec.psi_at, np.abs(ts))
     f, f_err = _on_lattice(spec.f_at, ts[:, None], xs)
     with np.errstate(all="ignore"):

@@ -102,7 +102,7 @@ def mesh_from_breakpoints(breakpoints) -> Mesh:
     return Mesh(breakpoints=bps, nodes=nodes, weights=weights)
 
 
-# check and solve each build three meshes, which depend on these two numbers alone
+# check and solve each build two meshes, which depend on these two numbers alone
 @lru_cache(maxsize=8)
 def build_mesh(cells: int, gamma: float = 1.0) -> Mesh:
     """Mesh on [0, 1], uniform for gamma = 1, else graded with exponent gamma toward 1.

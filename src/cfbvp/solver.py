@@ -68,6 +68,8 @@ class SolveReport:
     inter_m_deviations: tuple[float, ...]
     lower_margin: float
     upper_margin: float
+    lower_margin_t: float  # the breakpoints where the margins are attained
+    upper_margin_t: float
     residual: np.ndarray  # the regularized equation's residual at hypothesis.operator.grid
     residual_limit_sup: float
     hypothesis: HypothesisReport
@@ -211,8 +213,9 @@ def solve(spec: ProblemSpec) -> SolveReport:
             res_limit = float("nan")
 
     # sigma_R(1) = x(1) = 0 exactly: the margin is taken where it can be nonzero
-    lower_margin = float(np.min(x[:n - 1] - report.sigma[:n - 1]))
-    upper_margin = float(np.min((spec.R - eps) - x[:n]))
+    lower = x[:n - 1] - report.sigma[:n - 1]
+    upper = (spec.R - eps) - x[:n]
+    lower_at, upper_at = int(np.argmin(lower)), int(np.argmin(upper))
 
     if not all(s.converged for s in inner):
         status = "inner_failed"
@@ -223,6 +226,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
 
     return SolveReport(status=status, x=x, eps=eps,
                        inner=tuple(inner), inter_m_deviations=tuple(deviations),
-                       lower_margin=lower_margin, upper_margin=upper_margin,
+                       lower_margin=float(lower[lower_at]), upper_margin=float(upper[upper_at]),
+                       lower_margin_t=float(op.grid[lower_at]),
+                       upper_margin_t=float(op.grid[upper_at]),
                        residual=res, residual_limit_sup=res_limit,
                        hypothesis=report)

@@ -18,6 +18,7 @@ from cfbvp.green import green_diagonal_jump, green_eval, kernel_bound, rate_of
 from cfbvp.hypotheses import NUMERIC_KEYS, NumericsConfig, check_A2
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
+from cfbvp.quadrature import build_mesh
 from cfbvp.solver import solve
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -232,6 +233,59 @@ def test_check_hypothesis_failure(tmp_path, capsys):
     assert "A1 failure" in out
 
 
+# int_0^1 1e-9 / (1 - s) ds diverges, so this q's int q does too;
+# 0*min(s, 1) hides its exponent from the endpoint walk
+LOG_DIVERGENT_TEXT = """\
+mu = 1.5
+R = 100
+f = abs(t)*(1-t^2)^(-0.25)
+q = s*(1-s^2)^(-0.25) + 1e-9/(1-s) + 0*min(s, 1)
+u = 1
+v = x^(0.25)
+psi = 0.5*s*(1-s^2)^(-0.25)
+"""
+
+
+@pytest.mark.parametrize("hidden", [True, False], ids=["hidden", "read"])
+def test_a_divergent_int_q_never_passes(hidden, tmp_path, capsys):
+    # with the exponent hidden, int q is "not shown" finite (two meshes'
+    # plain rules once agreed to 1e-8 on it, and check and solve exited 0);
+    # without it, q ~ 1e-9 d^-1 reads beta_q = 1, a divergence
+    p = tmp_path / "log.prob"
+    p.write_text(LOG_DIVERGENT_TEXT if hidden else
+                 LOG_DIVERGENT_TEXT.replace(" + 0*min(s, 1)", ""))
+    assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    out = capsys.readouterr().out
+    failure = "A2 failure: [A2.I_q_finite] int q " + (
+        "not shown finite: the exponent of q at s = 1 is unread\n" if hidden else
+        "diverges: its integrand behaves like (1 - t)^(-beta) at t = 1 (at beta=1)\n")
+    assert failure in out
+    assert ("endpoint exponents = q unread, " in out) == hidden
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    assert "  " + failure.removeprefix("A2 failure: ") in capsys.readouterr().err
+
+
+def test_a_finite_but_unread_q_is_exit_2(tmp_path, capsys):
+    # int_0^1 s (1 - s^2)^(-1/4) ds = 2/3 is finite, but min hides q's
+    # exponent: the size integrals are not shown finite, and check and solve
+    # exit 2 naming q
+    p = tmp_path / "hidden.prob"
+    p.write_text(WORKED_TEXT.replace("q = s*(1-s^2)^(-0.25)\n",
+                                     "q = s*(1-s^2)^(-0.25) + 0*min(s, 1)\n"))
+    assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("A2 failure")] == [
+        "A2 failure: [A2.I_q_finite] int q not shown finite: the exponent of q at s = 1 "
+        "is unread",
+        "A2 failure: [A2.I_qu_finite] int q*u(sigma_R) not shown finite: the exponent of q "
+        "at s = 1 is unread"]
+    I_q = float(out.split("\nI_q = ")[1].split("\n")[0])
+    assert abs(I_q - 2.0 / 3.0) < 1e-7  # the plain rule's value is still shown
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    assert "the exponent of q at s = 1 is unread" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_problem_path(tmp_path):
     assert main(["check", str(tmp_path / "ghost.prob")]) == EXIT_USAGE
 
@@ -305,7 +359,9 @@ def test_solve_inner_failure_exit(problem_file, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("cfbvp.solver.MAX_INNER", 2)
     code = main(["solve", str(problem_file), "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
-    assert "status = inner_failed" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "status = inner_failed" in captured.out
+    assert captured.err == "solver failure: status = inner_failed\n"
 
 
 def test_solve_not_stabilized_exit(tmp_path, capsys):
@@ -317,7 +373,9 @@ def test_solve_not_stabilized_exit(tmp_path, capsys):
                                              "solver.inter_m_tol = 1e-9"))
     out = tmp_path / "o"
     assert main(["solve", str(p), "--out", str(out)]) == EXIT_SOLVER
-    assert "status = not_stabilized" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "status = not_stabilized" in captured.out
+    assert captured.err == "solver failure: status = not_stabilized\n"
     assert "status = not_stabilized\n" in (out / "solve_report.txt").read_text()
 
 
@@ -344,9 +402,41 @@ def test_solve_negative_margin_exit(problem_file, tmp_path, capsys, monkeypatch)
     assert main(["solve", str(problem_file), "--out", str(out)]) == EXIT_SOLVER
     text = (out / "solve_report.txt").read_text()
     assert "status = converged\n" in text
-    margin = float(text.split("lower bound margin min(x - sigma_R) = ")[1].split("\n")[0])
-    assert margin < -1e-9
-    assert text == capsys.readouterr().out
+    shown = text.split("lower bound margin min(x - sigma_R) = ")[1].split("\n")[0]
+    assert float(shown) < -1e-9
+    captured = capsys.readouterr()
+    assert text == captured.out
+    # the one stderr line names the margin and the breakpoint t >= 0 where
+    # solution.csv's x - sigma_R is least (x = 0 there, so sigma_R's max)
+    t, x, sigma = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1,
+                             usecols=(0, 1, 2), unpack=True)
+    right = t >= 0.0
+    at = t[right][np.argmin((x - sigma)[right])]
+    assert captured.err == (f"solver failure: lower bound margin min(x - sigma_R) = {shown} "
+                            f"at t = {at:.17g}\n")
+
+
+def test_solve_exit_3_names_the_violated_margin(tmp_path, capsys):
+    # f = |t| does not dominate psi ~ 2^(-1/4) (1 - t)^(-1/4) next to t = 1,
+    # between A2's lattice points, so check passes; the solution then dips
+    # below the barrier at the mesh's breakpoint 109 of 0 ... 128, and solve
+    # exits 3 with one stderr line naming that margin and t.  The shipped
+    # problem itself writes nothing to stderr
+    shipped = (ROOT / "problems" / "worked_family.prob").read_text()
+    p = tmp_path / "abs_t.prob"
+    p.write_text(shipped.replace("f = abs(t)*(1-t^2)^(-0.25)*x^(-0.25)", "f = abs(t)"))
+    assert main(["check", str(p)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "status = converged\n" in captured.out
+    t = build_mesh(128, 3.0).breakpoints[109]
+    assert t == 0.9967293739318848
+    assert captured.err == ("solver failure: lower bound margin min(x - sigma_R) = "
+                            f"-0.0012381073747291995 at t = {t:.17g}\n")
+    assert main(["solve", str(ROOT / "problems" / "worked_family.prob"),
+                 "--out", str(tmp_path / "w")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def _worked_variant(tmp_path, f_extra, schedule="16,32,64"):

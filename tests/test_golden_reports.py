@@ -42,7 +42,8 @@ SMALL_DENSITY = 9
 F = "abs(t)*(1-t^2)^(-0.25)*x^(-0.25)"
 Q = "s*(1-s^2)^(-0.25)"
 PSI = "s*(1-s^2)^(-0.25)*R^(-0.25)"
-# fails only on the A2 refinement meshes, whose last nodes pass 0.999999999
+# unread (its base is not shown positive), and fails only on A2's SIZE_MESH,
+# whose last nodes pass 0.999999999
 PSI_TAIL = PSI + " + 0*sqrt(0.999999999 - s)"
 BASE = dict(f=F, q=Q, u="x^(-0.25)", v="x^(0.25)", psi=PSI)
 

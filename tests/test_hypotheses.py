@@ -6,7 +6,7 @@ import pytest
 from cfbvp.cli import main
 from cfbvp.green import GreenOperator, rate_of
 from cfbvp.endpoint import endpoint_exponents
-from cfbvp.hypotheses import (REFINE_MESHES, NumericsConfig, ProblemSpec, check_A1, check_A2,
+from cfbvp.hypotheses import (SIZE_MESH, NumericsConfig, ProblemSpec, check_A1, check_A2,
                               sigma_R)
 from cfbvp.problem_io import parse_problem_text
 from cfbvp.quadrature import MeshError, build_mesh
@@ -182,33 +182,36 @@ def test_a2_minorant_violation_detected(make_spec):
     assert any(f.check == "A2.minorant" for f in report.failures)
 
 
-def test_check_A2_evaluates_q_once_per_refinement_mesh(spec, make_spec, monkeypatch):
-    # int q and int q u(sigma_R) share each mesh's q values: one call per
-    # mesh, where one per integral and mesh took four.  The worked family's
-    # exponents are read, so only the 512-cell mesh is integrated; with an
-    # unread u both meshes (512, then 1024 cells) are
-    sizes = []
-    original = ProblemSpec.q_at
+@pytest.mark.parametrize("u", ["x^(-0.25)", "max(x^(-0.25), 0)"], ids=["u_read", "u_unread"])
+def test_check_A2_builds_two_operators_and_evaluates_q_once(u, make_spec, monkeypatch):
+    # whether the exponents are read (the worked family) or not (max is
+    # unread), check_A2 builds the solver mesh's operator, then SIZE_MESH's,
+    # and int q and int q u(sigma_R) share one evaluation of q on SIZE_MESH
+    # (build_mesh makes one last cell of the steep grading's tail from its
+    # first gap of a few ulps near t = 1 on: 510 cells are left)
+    built, sizes = [], []
+    original_init, original_q = GreenOperator.__init__, ProblemSpec.q_at
 
-    def counted(self, s):
+    def counted_init(self, mu, mesh, beta=None):
+        built.append(mesh.cells)
+        original_init(self, mu, mesh, beta)
+
+    def counted_q(self, s):
         sizes.append(np.size(s))
-        return original(self, s)
+        return original_q(self, s)
 
-    monkeypatch.setattr(ProblemSpec, "q_at", counted)
-    report = check_A2(spec)
-    assert report.passed and report.exponents is not None
-    # (build_mesh makes one last cell of each steep grading's tail from its
-    # first gap of a few ulps near t = 1 on: 510 and 1,020 cells are left)
+    monkeypatch.setattr(GreenOperator, "__init__", counted_init)
+    monkeypatch.setattr(ProblemSpec, "q_at", counted_q)
+    report = check_A2(make_spec(u=u))
+    assert (report.exponents.u is None) == u.startswith("max")
+    assert build_mesh(*SIZE_MESH).cells == 510
+    assert built == [128, 510]
     assert sizes == [8 * 510]
-    sizes.clear()
-    report = check_A2(make_spec(u="max(x^(-0.25), 0)"))
-    assert report.passed and report.exponents is None
-    assert sizes == [8 * 510, 8 * 1020]
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
 def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
-    # the refinement meshes of I_q and I_qu are REFINE_MESHES whatever the
+    # the mesh of I_q and I_qu is SIZE_MESH whatever the
     # mesh keys, so the size terms of any solver mesh are the default
     # mesh's, bit for bit, and A2 passes (int q = 2/3) at every grading
     # that keeps the solver mesh's cells
@@ -325,32 +328,54 @@ def test_exponents_of_the_manufactured_member(mu, A, a, b):
     assert math.isclose(exps.beta_qu, a + b, rel_tol=1e-15)
 
 
-def test_unread_exponent_keeps_the_refinement_test(make_spec, monkeypatch):
+def test_unread_exponent_is_not_shown_finite(make_spec):
     # |s - 0.5|^-1.5 is not integrable at s = 0.5, inside the domain: its
-    # base is not shown positive, so no exponent is read, both refinement
-    # meshes are built, and refinement finds the divergence
-    built = []
-    original = GreenOperator.__init__
-
-    def counted(self, mu, mesh, beta=None):
-        built.append((mesh.cells, beta))
-        original(self, mu, mesh, beta)
-
-    monkeypatch.setattr(GreenOperator, "__init__", counted)
+    # base is not shown positive, so q's exponent is unread and neither
+    # integral is shown finite, whatever the plain rule's values
     report = check_A2(make_spec(q="s*(1-s^2)^(-0.25) + abs(s - 0.5)^(-1.5)"))
-    assert report.exponents is None
-    assert built == [(128, None)] + [(build_mesh(*args).cells, None) for args in REFINE_MESHES]
-    assert built[-1][0] == 1020
-    assert [f.detail for f in report.failures[:2]] == [
-        "int q did not stabilize under refinement", "int q*u(sigma_R) did not stabilize under refinement"]
+    assert report.exponents.q is None and report.exponents.psi == report.exponents.u == -0.25
+    assert [str(f) for f in report.failures[:2]] == [
+        "[A2.I_q_finite] int q not shown finite: the exponent of q at s = 1 is unread",
+        "[A2.I_qu_finite] int q*u(sigma_R) not shown finite: the exponent of q at s = 1 "
+        "is unread"]
+    assert np.isfinite(report.I_q) and np.isfinite(report.I_qu)
+
+
+@pytest.mark.parametrize("psi, u, unread", [
+    ("s*(1-s^2)^(-0.25)*R^(-0.25)", "max(x^(-0.25), 0)", "the exponent of u at x = 0 is unread"),
+    ("min(s*(1-s^2)^(-0.25)*R^(-0.25), 1e9)", "max(x^(-0.25), 0)",
+     "the exponents of psi at s = 1 and u at x = 0 are unread"),
+], ids=["u_unread", "psi_and_u_unread"])
+def test_I_q_needs_only_the_exponent_of_q(psi, u, unread, make_spec):
+    # int_0^1 s (1 - s^2)^(-1/4) ds = 2/3 from q's own exponent, on the last
+    # cell's exact rule, whatever psi and u read; int q u(sigma_R) needs all
+    # three exponents, and its failure names the unread ones
+    report = check_A2(make_spec(psi=psi, u=u))
+    assert report.exponents.beta_q == 0.25 and report.exponents.beta_qu is None
+    assert abs(report.I_q - 2.0 / 3.0) <= 1e-10
+    assert [str(f) for f in report.failures] == [
+        f"[A2.I_qu_finite] int q*u(sigma_R) not shown finite: {unread}"]
+    assert 0.0 < report.I_qu < np.inf and report.ratio > 1.0
+
+
+def test_a_zero_q_makes_both_integrals_finite(make_spec):
+    # q folds to exactly 0, so int q = int q u(sigma_R) = 0 whatever psi and
+    # u read (min and max leave both unread)
+    report = check_A2(make_spec(q="0*s", psi="0*min(s, 1)", u="max(exp(-x), 0.5)"))
+    exps = report.exponents
+    assert (exps.q, exps.psi, exps.u) == (math.inf, None, None)
+    assert exps.beta_q == exps.beta_qu == -math.inf
+    assert report.I_q == report.I_qu == 0.0
+    assert not {"A2.I_q_finite", "A2.I_qu_finite"} & {f.check for f in report.failures}
 
 
 @pytest.mark.parametrize("a, b, beta", [(0.5, 0.25, 0.625), (0.5, 0.5, 0.75), (0.8, 0.5, 0.9),
                                         (0.5, 1.0, 1.0), (0.6, 1.5, 1.2)])
 def test_I_qu_is_finite_iff_its_exponent_is_below_one(a, b, beta, make_spec):
-    # beta = a + b (1 - a) from the closed forms; refinement stabilization
-    # called beta = 0.625 divergent (change 9.6e-8 between 510 and 1,020
-    # cells) and could not tell 0.9 (3.6e-4) from 1 (2e-2)
+    # beta = a + b (1 - a) from the closed forms; the refinement test that
+    # decided unread exponents until they became "not shown" called
+    # beta = 0.625 divergent (change 9.6e-8 between 510 and 1,020 cells) and
+    # could not tell 0.9 (3.6e-4) from 1 (2e-2)
     report = check_A2(_family(make_spec, a, b))
     assert math.isclose(report.exponents.beta_qu, beta, rel_tol=1e-15)
     finiteness = [str(f) for f in report.failures if f.check == "A2.I_qu_finite"]

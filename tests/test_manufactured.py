@@ -102,7 +102,7 @@ def test_solve_is_the_regularization_of_the_exact_solution():
 
 def test_check_passes_at_high_order(tmp_path, capsys):
     # I_qu's integrand behaves like (1 - s)^-(a + b): the exponent read from
-    # q, psi and u decides its finiteness exactly, where refinement
-    # stabilization (a change of 1.03e-8 between 510 and 1,020 cells) did not
+    # q, psi and u decides its finiteness exactly, where the refinement test
+    # that preceded it (a change of 1.03e-8 between 510 and 1,020 cells) did not
     assert main(["check", str(_problem_file(tmp_path, 1.9, 0.1))]) == EXIT_OK
     assert "beta_qu = 0.5\n" in capsys.readouterr().out

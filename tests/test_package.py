@@ -17,7 +17,8 @@ def test_exported_name_resolves(name):
 
 @pytest.mark.parametrize("module, name", [
     (cfbvp, "FracOrder"), (cfbvp, "as_order"), (cfbvp, "epsilon_max"),
-    (hypotheses, "epsilon_max"), (cfbvp, "GeneralSolutionCoeffs"), (Mesh, "rescaled"),
+    (hypotheses, "epsilon_max"), (hypotheses, "REFINE_REL_TOL"), (hypotheses, "REFINE_MESHES"),
+    (cfbvp, "GeneralSolutionCoeffs"), (Mesh, "rescaled"),
     (Mesh, "a"), (Mesh, "b"), (solver, "_integrand"),
     (cfbvp, "cf_left"), (cfbvp, "cf_right"), (cfbvp, "apply_green"),
     (cfbvp, "general_solution_left_half"), (cfbvp, "general_solution_right_half"),

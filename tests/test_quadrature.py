@@ -43,9 +43,8 @@ def _merged_by_loop(cells, gamma):
 # (cells, gamma) -> cells kept, on the meshes where the tail past the first
 # narrow gap is not all within 16 eps of its first breakpoint: the loop kept
 # later breakpoints there, the cut keeps none.  build_mesh's only merged
-# meshes in use are A2's two refinement meshes (512 and 1024 cells at gamma
-# 6), which the loop and the cut build alike; a solver mesh that loses cells
-# is rejected
+# mesh in use is A2's SIZE_MESH (512 cells at gamma 6), which the loop and
+# the cut build alike; a solver mesh that loses cells is rejected
 CUT_DIFFERS = {(512, 20.0): 406, (1024, 20.0): 805, (4096, 6.0): 4076,
                (4096, 20.0): 3154, (8192, 6.0): 8147, (8192, 20.0): 6239}
 
@@ -57,8 +56,8 @@ CUT_DIFFERS = {(512, 20.0): 406, (1024, 20.0): 805, (4096, 6.0): 4076,
     *((128, g) for g in (7.0, 500.0, 1e3, 3e4, 4e4, 1e5))])
 def test_merged_breakpoints_are_the_loop_bit_for_bit(gamma, cells):
     # the tail from the first narrow gap on is one last cell; on these meshes
-    # (gamma 6 merges cells from 512 on, A2's refinement meshes among them,
-    # and gamma 20 from 128 on) every breakpoint and its bits are the loop's
+    # (gamma 6 merges cells from 512 on, A2's SIZE_MESH among them, and
+    # gamma 20 from 128 on) every breakpoint and its bits are the loop's
     got = build_mesh(cells, gamma).breakpoints
     want = _merged_by_loop(cells, gamma)
     assert got.shape == want.shape

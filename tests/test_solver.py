@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbvp import expressions as ex
-from cfbvp.hypotheses import REFINE_MESHES, NumericsConfig, check_A2
+from cfbvp.hypotheses import SIZE_MESH, NumericsConfig, check_A2
 from cfbvp.problem_io import load_problem
 from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
@@ -287,9 +287,8 @@ def test_m_level_follows_the_endpoint_law_at_the_outermost_node(endpoint_deviati
 
 def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
     # the solve builds the 2 operators of its A2 check (the solver mesh,
-    # then the 512-cell mesh of the improper integrals, whatever the solver
-    # mesh; the worked family's exponents are read, so the 1024-cell
-    # refinement mesh is not built) and none of its own
+    # then SIZE_MESH, the mesh of the improper integrals whatever the solver
+    # mesh) and none of its own
     cells = []
     original = GreenOperator.__init__
 
@@ -299,7 +298,7 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
     # build_mesh merges the sub-ulp cells of the grading-6 mesh near t = 1
-    refined = [build_mesh(*REFINE_MESHES[0]).cells]
+    size = [build_mesh(*SIZE_MESH).cells]
     for s in (spec, make_spec(NumericsConfig(mesh_cells=64)),
               make_spec(NumericsConfig(mesh_cells=512))):
         cells.clear()
@@ -308,7 +307,7 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
         cells.clear()
         rep = solve(s)
         assert rep.status == "converged"
-        assert in_check == [s.numerics.mesh_cells, *refined]
+        assert in_check == [s.numerics.mesh_cells, *size]
         assert cells == in_check
         assert len(rep.x) == len(rep.hypothesis.operator.points)
 
