@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expressions import Expr
-from .quadrature import Mesh, _gauss_rule
+from .quadrature import GAUSS_NODES, GAUSS_W, GAUSS_X, Mesh
 
 __all__ = ["leading_power", "EndpointExponents", "endpoint_exponents", "singular_weights",
            "singular_integration_matrix"]
@@ -239,30 +239,38 @@ class EndpointExponents:
     """Leading exponents: q ~ (1 - s)^q and psi ~ (1 - s)^psi as s -> 1,
     u ~ x^u as x -> 0; None where unread, inf for an expression that is zero.
 
-    The barrier behaves like (1 - t)^min(1, 1 + psi) at t = 1, so the
-    integrand q u(sigma_R) behaves like (1 - t)^(-beta_qu).  A beta is None
-    where an exponent it needs is unread, and -inf for a zero integrand.
+    Where psi is positive near s = 1, the barrier diverges for psi <= -1 and
+    behaves like (1 - t)^min(1, 1 + psi) at t = 1 otherwise, so the integrand
+    q u(sigma_R) behaves like (1 - t)^(-beta_qu).  A beta is None where an
+    exponent it needs is unread or psi's is not the barrier's, and -inf for
+    a zero integrand.
     """
 
     q: float | None
     psi: float | None
     u: float | None
+    psi_positive: bool = True  # psi's leading coefficient at s = 1 is > 0
 
     @property
     def beta_q(self) -> float | None:
-        return None if self.q is None else -self.q
+        return None if self.q is None else 0.0 - self.q  # 0.0 - 0.0 is not -0.0
 
     @property
     def beta_psi(self) -> float | None:
-        return None if self.psi is None else -self.psi
+        usable = self.psi is not None and self.psi_positive and self.psi > -1.0
+        return 0.0 - self.psi if usable else None
+
+    @property
+    def barrier_diverges(self) -> bool:
+        return self.psi is not None and self.psi_positive and self.psi <= -1.0
 
     @property
     def beta_qu(self) -> float | None:
         if self.q == math.inf:  # a zero q makes a zero integrand
             return -math.inf
-        if None in (self.q, self.psi, self.u):
+        if None in (self.q, self.beta_psi, self.u):
             return None
-        return -(self.q + self.u * min(1.0, 1.0 + self.psi))
+        return 0.0 - (self.q + self.u * min(1.0, 1.0 + self.psi))
 
     def unread(self, *names: str) -> str:
         """Those of the named expressions whose exponents are unread, in words."""
@@ -274,36 +282,32 @@ class EndpointExponents:
 
 def endpoint_exponents(spec) -> EndpointExponents:
     """The exponents read from the expressions (leading_power; zero reads
-    inf).  psi's counts as unread unless psi is positive and integrable
-    near s = 1: elsewhere the barrier's exponent is not min(1, 1 + psi)."""
+    inf), and whether psi's leading coefficient is positive."""
     zero = (0.0, math.inf)
     q, u = leading_power(spec.q, "s", zero=zero), leading_power(spec.u, "x", zero=zero)
     psi = leading_power(spec.psi, "s", {"R": spec.R})
-    if psi is not None and not (psi[0] > 0.0 and psi[1] > -1.0):
-        psi = None
-    return EndpointExponents(*(None if r is None else r[1] for r in (q, psi, u)))
+    return EndpointExponents(*(None if r is None else r[1] for r in (q, psi, u)),
+                             psi_positive=psi is None or psi[0] > 0.0)
 
 
-@lru_cache(maxsize=None)
-def _lagrange_coefficients(k: int) -> np.ndarray:
-    """A[q, n] = w_q (n + 1/2) P_n(x_q): the Legendre coefficients of the
-    Lagrange basis l_q on the k Gauss nodes x."""
-    x, w = _gauss_rule(k)
-    return np.polynomial.legendre.legvander(x, k - 1) * (np.arange(k) + 0.5) * w[:, None]
+# A[q, n] = w_q (n + 1/2) P_n(x_q): the Legendre coefficients of the Lagrange
+# basis l_q on the Gauss nodes x
+_LAGRANGE = (np.polynomial.legendre.legvander(GAUSS_X, GAUSS_NODES - 1)
+             * (np.arange(GAUSS_NODES) + 0.5) * GAUSS_W[:, None])
 
 
 @lru_cache(maxsize=64)
-def _singular_weights(beta: float, k: int) -> np.ndarray:
-    """W_q = int_{-1}^{1} (1 - x)^(-beta) l_q(x) dx on the k Gauss nodes.
+def _singular_weights(beta: float) -> np.ndarray:
+    """W_q = int_{-1}^{1} (1 - x)^(-beta) l_q(x) dx on the Gauss nodes.
 
     From the modified moments m_n = int_{-1}^{1} (1 - x)^g P_n (g = -beta),
     which QUADPACK's QAWS uses in their Chebyshev form (Piessens et al.,
     QUADPACK, 1983): m_0 = 2^(g+1) / (g+1), m_n = -m_{n-1} (g - n + 1) / (g + n + 1).
     """
     g = -beta
-    n = np.arange(1.0, k)
+    n = np.arange(1.0, GAUSS_NODES)
     ratios = np.concatenate(([2.0 ** (g + 1.0) / (g + 1.0)], (n - g - 1.0) / (g + n + 1.0)))
-    return _lagrange_coefficients(k) @ np.cumprod(ratios)
+    return _LAGRANGE @ np.cumprod(ratios)
 
 
 def _last_cell(mesh: Mesh) -> tuple[float, np.ndarray]:
@@ -319,7 +323,7 @@ def singular_weights(mesh: Mesh, beta: float) -> np.ndarray:
     beta < 1: ``weights @ v`` integrates the node values v over the cell,
     exactly when g = v d^beta is a polynomial of degree < GAUSS_NODES."""
     half, r = _last_cell(mesh)
-    return _singular_weights(float(beta), mesh.nodes.shape[1]) * (half * (2.0 * r) ** beta)
+    return _singular_weights(float(beta)) * (half * (2.0 * r) ** beta)
 
 
 def singular_integration_matrix(mesh: Mesh, beta: float) -> np.ndarray:
@@ -327,7 +331,7 @@ def singular_integration_matrix(mesh: Mesh, beta: float) -> np.ndarray:
     v of d^(-beta) g from the cell's start to each node, as singular_weights
     over the cell.  The integral from node p to 1 is the cell's own rule on
     [node p, 1], scaled by r_p^(1 - beta) (r_p: its share of the cell)."""
-    W = _singular_weights(float(beta), mesh.nodes.shape[1])
+    W = _singular_weights(float(beta))
     half, r = _last_cell(mesh)
     M = W - r[:, None] ** (1.0 - beta) * np.einsum("i,piq->pq", W, _tail_basis(tuple(r)))
     return M * (half * (2.0 * r) ** beta)
@@ -338,7 +342,5 @@ def singular_integration_matrix(mesh: Mesh, beta: float) -> np.ndarray:
 def _tail_basis(r: tuple) -> np.ndarray:
     """basis[p, i, q] = l_q(1 - r_p (1 - x_i)): the Lagrange basis at the
     Gauss nodes x of [node p, 1], for nodes at 1 - 2 r_p on [-1, 1]."""
-    k = len(r)
-    x = _gauss_rule(k)[0]
-    points = 1.0 - np.array(r)[:, None] * (1.0 - x)
-    return np.polynomial.legendre.legvander(points, k - 1) @ _lagrange_coefficients(k).T
+    points = 1.0 - np.array(r)[:, None] * (1.0 - GAUSS_X)
+    return np.polynomial.legendre.legvander(points, GAUSS_NODES - 1) @ _LAGRANGE.T

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import Mesh, gauss_integration_matrix
+from .quadrature import GAUSS_INTEGRATION_MATRIX, GAUSS_NODES, Mesh
 
 __all__ = ["rate_of", "green_eval", "green_diagonal_jump", "kernel_bound", "GreenOperator"]
 
@@ -139,9 +139,8 @@ class GreenOperator:
         # times the node values through the transposed integration matrix;
         # stored in the nodes' full shape, so apply multiplies without a
         # column broadcast
-        k = mesh.nodes.shape[1]
-        self._half = np.repeat(0.5 * np.diff(t), k).reshape(mesh.nodes.shape)
-        self._spectral = gauss_integration_matrix(k).T
+        self._half = np.repeat(0.5 * np.diff(t), GAUSS_NODES).reshape(mesh.nodes.shape)
+        self._spectral = GAUSS_INTEGRATION_MATRIX.T
         self._decay = np.exp(-lam * mesh.nodes)
         self._weights = mesh.weights * self._decay
         self._last = None  # the last cell's step to its nodes, if beta is given

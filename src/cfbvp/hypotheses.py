@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expressions as ex
 from .green import GreenOperator, kernel_bound, rate_of
-from .quadrature import Mesh, MeshError, build_mesh, integrate
+from .quadrature import Mesh, MeshError, build_mesh, integrate, mesh_from_breakpoints
 
 if TYPE_CHECKING:
     from .endpoint import EndpointExponents
@@ -124,19 +124,13 @@ class ProblemSpec:
                    numerics=numerics or NumericsConfig())
 
     def default_mesh(self) -> Mesh:
-        """The solver mesh; MeshError if its grading merges cells.
-
-        ``build_mesh`` makes one cell of the tail from a steep grading's
-        first gap of a few ulps near t = 1, which would leave the solve on a
-        mesh of fewer cells than the problem asks for.
-        """
+        """The solver mesh; a MeshError names mesh.gamma where the grading's
+        gaps near t = 1 fall to a few ulps (build_mesh)."""
         n = self.numerics
-        mesh = build_mesh(n.mesh_cells, gamma=n.gamma)
-        if mesh.cells < n.mesh_cells:
-            raise MeshError(f"key 'mesh.gamma': a grading of {n.gamma:g} merges the "
-                            f"{n.mesh_cells} mesh cells into {mesh.cells}; "
-                            "use a smaller mesh.gamma")
-        return mesh
+        try:
+            return build_mesh(n.mesh_cells, gamma=n.gamma)
+        except MeshError as err:
+            raise MeshError(f"key 'mesh.gamma': {err}; use a smaller mesh.gamma") from None
 
     def f_at(self, t, x):
         return ex.evaluate(self.f, {"t": t, "x": x})
@@ -214,10 +208,10 @@ def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
 
 _EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
 
-# the mesh of I_q and I_qu, as build_mesh arguments (cells, gamma; 510 cells
-# are left).  I_q and I_qu belong to the problem, not to the solver mesh, so
-# no numerics key sets it; it is graded more steeply than the solver's default
-SIZE_MESH = (512, 6.0)
+# the mesh of I_q and I_qu, which belong to the problem, so no numerics key
+# sets it: 128 uniform cells (lambda h <= 709/128 at every order), the last
+# one halved 33 times toward t = 1 (161 cells, every breakpoint exact)
+SIZE_MESH = mesh_from_breakpoints([*(np.arange(128) / 128), *(1.0 - 0.5 ** np.arange(8, 41)), 1.0])
 
 
 def _on_lattice(fn, *axes) -> tuple[np.ndarray, np.ndarray]:
@@ -321,28 +315,27 @@ def check_A1(spec: ProblemSpec) -> A1Report:
 
 
 def _size_integrands(spec: ProblemSpec, exps: EndpointExponents) -> tuple:
-    """SIZE_MESH, then q and q u(sigma_R) at its nodes, each an array or the
+    """q and q u(sigma_R) at the nodes of SIZE_MESH, each an array or the
     ValueError that failed it.  q is evaluated once, for both; an error of q
     fails q u(sigma_R) too, but only after the barrier on this mesh (which
     takes psi's exponent in its last cell), so an error of psi comes first.
     """
-    mesh = build_mesh(*SIZE_MESH)
     try:
-        q = spec.q_at(mesh.flat_nodes)
+        q = spec.q_at(SIZE_MESH.flat_nodes)
     except ValueError as err:
         q = err
     try:
-        op = GreenOperator(spec.mu, mesh, exps.beta_psi)  # sigma_R at the mesh's own nodes
+        op = GreenOperator(spec.mu, SIZE_MESH, exps.beta_psi)  # sigma_R at the mesh's own nodes
         sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
         qu = q if isinstance(q, ValueError) else q * spec.u_at(sigma)
     except ValueError as err:
         qu = err
-    return mesh, q, qu
+    return q, qu
 
 
-def _improper_integral(failures: list, check: str, name: str, values, mesh: Mesh,
+def _improper_integral(failures: list, check: str, name: str, values,
                        beta: float | None, unread) -> float:
-    """The integral of ``values`` (from _size_integrands) over ``mesh``, its
+    """The integral of ``values`` (from _size_integrands) over SIZE_MESH, its
     last cell taking the integrand's exponent beta (the plain rule where
     beta is unread, None, or the integrand zero, -inf).  It fails ``check``
     as nan where it fails to evaluate, as inf where beta >= 1, and as not
@@ -350,7 +343,7 @@ def _improper_integral(failures: list, check: str, name: str, values, mesh: Mesh
     try:
         if isinstance(values, ValueError):
             raise values
-        value = (integrate(values, mesh, None if beta == -np.inf else beta)
+        value = (integrate(values, SIZE_MESH, None if beta == -np.inf else beta)
                  if beta is None or beta < 1.0 else np.inf)
     except ValueError as err:
         failures.append(CheckFailure(check, {}, f"integration failed: {err}"))
@@ -372,16 +365,24 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     The barrier is computed on the spec's default mesh.
     """
     failures: list[CheckFailure] = []
+    # each integral's finiteness, and the barrier's, from the exponents it needs
+    from .endpoint import endpoint_exponents  # imported where used
+    exps = endpoint_exponents(spec)
 
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
         op = GreenOperator(spec.mu, spec.default_mesh())
-        try:
-            sigma = sigma_R(spec, op)
-            undefined = "barrier takes a non-finite value"
-        except _EXPR_ERRORS as err:
-            # psi is integrated against every row at once: the whole barrier is undefined
-            sigma = np.full(op.points.shape, np.nan)
-            undefined = f"barrier undefined: expression error in psi: {err}"
+        # psi is integrated against every row at once: the whole barrier is undefined
+        # where that fails, and infinite on [0, 1) where int psi diverges (G(t, 1) > 0)
+        sigma = np.full(op.points.shape, np.nan)
+        if exps.barrier_diverges:
+            undefined = (f"barrier diverges: psi behaves like (1 - s)^({exps.psi:g}) "
+                         "at s = 1, not integrable")
+        else:
+            try:
+                sigma = sigma_R(spec, op)
+                undefined = "barrier takes a non-finite value"
+            except _EXPR_ERRORS as err:
+                undefined = f"barrier undefined: expression error in psi: {err}"
     at_grid = sigma[:len(op.grid)]  # the breakpoints come first
     nonfinite = np.flatnonzero(~np.isfinite(at_grid))
     if nonfinite.size:
@@ -397,16 +398,17 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
                                      f"R = {spec.R:.6g} < sigma_R(0) = {sigma0:.6g}"))
 
-    # each integral's finiteness from the exponents it needs
-    from .endpoint import endpoint_exponents  # imported where used
-    exps = endpoint_exponents(spec)
     with np.errstate(all="ignore"):  # a non-finite integrand is integrate's error
-        mesh, q, qu = _size_integrands(spec, exps)
-        I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q, mesh, exps.beta_q,
+        q, qu = _size_integrands(spec, exps)
+        I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q, exps.beta_q,
                                  lambda: exps.unread("q"))
-        I_qu = float("nan") if nonfinite.size else _improper_integral(  # I_qu needs sigma_R
-            failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu, mesh, exps.beta_qu,
-            lambda: exps.unread("q", "psi", "u"))
+        I_qu = float("nan")  # I_qu needs sigma_R, and psi's exponent in it
+        if not nonfinite.size and exps.psi_positive:
+            I_qu = _improper_integral(failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu,
+                                      exps.beta_qu, lambda: exps.unread("q", "psi", "u"))
+        elif not nonfinite.size:
+            failures.append(CheckFailure("A2.I_qu_finite", {}, "int q*u(sigma_R) not shown "
+                                         "finite: psi is not positive at s = 1"))
 
     # sampled minorant check f >= psi_R on (-1,1) x (0, R]
     ts = _t_lattice(LATTICE_DENSITY)

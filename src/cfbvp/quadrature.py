@@ -2,8 +2,10 @@
 
 Every mesh covers the problem's right half [0, 1]; mesh_from_breakpoints
 is the one check of that domain.  Integrands may have an integrable
-singularity at t = 1; the mesh is then graded polynomially toward it and
-quadrature nodes stay strictly interior to every cell.  Where the
+singularity at t = 1; the mesh is then refined toward it (build_mesh grades
+it polynomially, and A2's hypotheses.SIZE_MESH halves its last cells down
+to 2^-40) and quadrature nodes stay strictly interior to every cell, which
+is why build_mesh refuses a grading whose gaps fall to a few ulps.  Where the
 singularity's exponent beta is known, the last cell takes the rule of the
 weight (1 - t)^(-beta) on the same nodes (endpoint.singular_weights).
 """
@@ -16,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["Mesh", "build_mesh", "mesh_from_breakpoints", "integrate",
-           "gauss_integration_matrix"]
+           "GAUSS_INTEGRATION_MATRIX"]
 
 # Gauss-Legendre nodes per mesh cell, for every mesh
 GAUSS_NODES = 8
@@ -32,25 +34,21 @@ class NonFiniteIntegrandError(ValueError):
         super().__init__(f"integrand is not finite at quadrature node {node!r}")
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-1, 1], cached per order."""
-    x, w = np.polynomial.legendre.leggauss(k)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+# the Gauss-Legendre nodes and weights on [-1, 1]
+GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
+GAUSS_X.setflags(write=False)
+GAUSS_W.setflags(write=False)
 
 
-@lru_cache(maxsize=None)
-def gauss_integration_matrix(k: int) -> np.ndarray:
+def _integration_matrix() -> np.ndarray:
     """S[p, q] = int_{-1}^{x_p} l_q(s) ds for the Lagrange basis l_q on the Gauss nodes x.
 
     S @ v integrates the interpolant of the values v from -1 to each node,
-    exactly for polynomials of degree < k.  The Gauss rule inverts the
-    Legendre Vandermonde matrix exactly, l_q = w_q sum_n (n + 1/2) P_n(x_q)
-    P_n, and int_{-1}^x P_n = (P_{n+1} - P_{n-1}) / (2n + 1) for n >= 1.
+    exactly for polynomials of degree < GAUSS_NODES.  The Gauss rule inverts
+    the Legendre Vandermonde matrix exactly, l_q = w_q sum_n (n + 1/2)
+    P_n(x_q) P_n, and int_{-1}^x P_n = (P_{n+1} - P_{n-1}) / (2n + 1) for n >= 1.
     """
-    x, w = _gauss_rule(k)
+    x, w, k = GAUSS_X, GAUSS_W, GAUSS_NODES
     P = np.polynomial.legendre.legvander(x, k)  # P[p, n] = P_n(x_p), n <= k
     anti = np.empty((k, k))  # (n + 1/2) int_{-1}^{x_p} P_n
     anti[:, 0] = 0.5 * (x + 1.0)
@@ -58,6 +56,9 @@ def gauss_integration_matrix(k: int) -> np.ndarray:
     S = anti @ (P[:, :k] * w[:, None]).T
     S.setflags(write=False)
     return S
+
+
+GAUSS_INTEGRATION_MATRIX = _integration_matrix()
 
 
 @dataclass(frozen=True)
@@ -90,42 +91,35 @@ def mesh_from_breakpoints(breakpoints) -> Mesh:
         raise MeshError(f"mesh must cover [0, 1], got [{bps[0]}, {bps[-1]}]")
     if not np.all(np.diff(bps) > 0):
         raise MeshError("breakpoints must strictly increase")
-    x, w = _gauss_rule(GAUSS_NODES)
     left = bps[:-1][:, None]
     right = bps[1:][:, None]
     half = 0.5 * (right - left)
-    nodes = left + half * (x[None, :] + 1.0)
-    weights = half * w[None, :]
+    nodes = left + half * (GAUSS_X[None, :] + 1.0)
+    weights = half * GAUSS_W[None, :]
     nodes.setflags(write=False)
     weights.setflags(write=False)
     bps.setflags(write=False)
     return Mesh(breakpoints=bps, nodes=nodes, weights=weights)
 
 
-# check and solve each build two meshes, which depend on these two numbers alone
+# check and solve each build one mesh, which depends on these two numbers alone
 @lru_cache(maxsize=8)
 def build_mesh(cells: int, gamma: float = 1.0) -> Mesh:
     """Mesh on [0, 1], uniform for gamma = 1, else graded with exponent gamma toward 1.
 
-    The graded breakpoints are ``1 - (1 - j/N)**gamma``.  Equal arguments
-    return the same Mesh, whose arrays are read-only.
+    The graded breakpoints are ``1 - (1 - j/N)**gamma``.  A gap of a few
+    ulps, onto whose ends quadrature nodes round, is a MeshError that counts
+    the cells before the first one.  Equal arguments return the same Mesh.
     """
     if cells < 1:
         raise MeshError("cell count must be positive")
     if not 1.0 <= gamma < np.inf:
         raise MeshError(f"grading exponent must be finite and >= 1, got {gamma}")
     j = np.arange(cells + 1, dtype=float)
-    if gamma == 1.0:
-        bps = j / cells
-    else:
-        bps = 1.0 - (1.0 - j / cells) ** float(gamma)
-    # steep gradings can push cell widths below double-precision spacing
-    # near the singular endpoint; from the first gap of a few ulps on, the
-    # tail is one last cell ending at 1, so quadrature nodes cannot round
-    # onto the singular endpoint itself
+    bps = j / cells if gamma == 1.0 else 1.0 - (1.0 - j / cells) ** float(gamma)
     narrow = np.flatnonzero(np.diff(bps) <= 16.0 * np.finfo(float).eps)
     if narrow.size:
-        bps = np.append(bps[:narrow[0]], 1.0)
+        raise MeshError(f"a grading of {gamma:g} merges the {cells} mesh cells into {narrow[0]}")
     return mesh_from_breakpoints(bps)
 
 

@@ -286,6 +286,48 @@ def test_a_finite_but_unread_q_is_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _worked_family_with_psi(tmp_path, psi: str) -> Path:
+    text = (ROOT / "problems" / "worked_family.prob").read_text()
+    p = tmp_path / "psi.prob"
+    p.write_text(text.replace("psi = s*(1-s^2)^(-0.25)*R^(-0.25)\n", f"psi = {psi}\n"))
+    assert p.read_text() != text
+    return p
+
+
+def test_a_psi_read_as_not_integrable_makes_the_barrier_diverge(tmp_path, capsys):
+    # psi ~ 0.001 2^(-1.5) (1 - s)^(-1.5): int psi diverges at s = 1, and
+    # G(t, 1) > 0 for t < 1, so sigma_R is infinite on [0, 1), whatever
+    # finite value a quadrature rule gives it
+    p = _worked_family_with_psi(tmp_path, "0.001*s*(1-s^2)^(-1.5)")
+    assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    lines = capsys.readouterr().out.splitlines()
+    assert "sigma_R(0) = nan" in lines and "I_qu = nan" in lines
+    assert "endpoint exponents = q -0.25, psi -1.5, u -0.25; beta_q = 0.25, " \
+           "beta_qu = unread" in lines
+    assert [line for line in lines if line.startswith("A2 failure")] == [
+        "A2 failure: [A2.sigma_finite] barrier diverges: psi behaves like (1 - s)^(-1.5) at "
+        "s = 1, not integrable (at t=0)",
+        "A2 failure: [A2.ratio] size condition requires ratio > 1 (at ratio=nan)"]
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+    assert "[A2.sigma_finite] barrier diverges" in capsys.readouterr().err
+
+
+def test_a_psi_read_as_negative_at_one_is_named(tmp_path, capsys):
+    # psi ~ -0.001 2^(-0.25) (1 - s)^(-0.25): its exponent is read, and the
+    # barrier's exponent is not min(1, 1 + psi) for a psi below 0 near s = 1
+    p = _worked_family_with_psi(tmp_path, "-0.001*s*(1-s^2)^(-0.25)")
+    assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    lines = capsys.readouterr().out.splitlines()
+    assert "endpoint exponents = q -0.25, psi -0.25, u -0.25; beta_q = 0.25, " \
+           "beta_qu = unread" in lines
+    assert "I_qu = nan" in lines
+    assert [line for line in lines if "A2.I_qu_finite" in line] == [
+        "A2 failure: [A2.I_qu_finite] int q*u(sigma_R) not shown finite: psi is not "
+        "positive at s = 1"]
+    assert not any("unread" in line for line in lines if line.startswith("A2 failure"))
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_HYPOTHESIS
+
+
 def test_missing_problem_path(tmp_path):
     assert main(["check", str(tmp_path / "ghost.prob")]) == EXIT_USAGE
 

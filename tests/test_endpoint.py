@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cfbvp.endpoint import leading_power, singular_integration_matrix, singular_weights
 from cfbvp.expressions import Expr, evaluate, parse, unparse
-from cfbvp.quadrature import GAUSS_NODES, build_mesh, gauss_integration_matrix, mesh_from_breakpoints
+from cfbvp.quadrature import (GAUSS_INTEGRATION_MATRIX, GAUSS_NODES, build_mesh,
+                              mesh_from_breakpoints)
 
 
 # leading_power's readings against closed forms: near s = 1, with d = 1 - s,
@@ -27,6 +28,8 @@ from cfbvp.quadrature import GAUSS_NODES, build_mesh, gauss_integration_matrix, 
     ("3", "s", (3.0, 0.0)),
     # a negative constant is dominated, not a cancellation
     ("s*(1-s^2)^(-0.25) - 0.5", "s", (2.0 ** -0.25, -0.25)),
+    # a zero term of a sum leaves the other term's law
+    ("(1-s^2)^(-0.25) + 0", "s", (2.0 ** -0.25, -0.25)),
 ])
 def test_leading_power_reads_the_endpoint_law(text, var, want):
     kappa, alpha = leading_power(parse(text), var, {"R": 100.0})
@@ -50,6 +53,11 @@ def test_leading_power_reads_the_endpoint_law(text, var, want):
     ("min(s, 2)", "s"),
     ("0*s", "s"),
     ("t*s", "s"),
+    # an exponent that reads the variable, a leading coefficient that cancels
+    # to rounding (1 - 0.9999999999999999 = 1.1e-16), and one that is not finite
+    ("s^s*(1-s^2)^(-0.25)", "s"),
+    ("s - 0.9999999999999999*s", "s"),
+    ("1e300*1e300*(1-s)^(-0.5)", "s"),
 ])
 def test_leading_power_leaves_unread(text, var):
     assert leading_power(parse(text), var) is None
@@ -61,7 +69,7 @@ def test_singular_rule_at_beta_zero_is_the_gauss_rule():
     half = 0.5 * (1.0 - m.breakpoints[-2])
     assert np.allclose(singular_weights(m, 0.0), m.weights[-1], rtol=1e-14, atol=0.0)
     assert np.allclose(singular_integration_matrix(m, 0.0),
-                       half * gauss_integration_matrix(GAUSS_NODES), rtol=0.0, atol=1e-11 * half)
+                       half * GAUSS_INTEGRATION_MATRIX, rtol=0.0, atol=1e-11 * half)
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.9, -0.5])

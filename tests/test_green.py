@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cfbvp.green import (GreenOperator, green_diagonal_jump, green_eval, kernel_bound,
                          lower_branch, rate_of, upper_branch)
+from cfbvp.hypotheses import SIZE_MESH
 from cfbvp.quadrature import GAUSS_NODES, build_mesh, integrate
 from linear_oracles import LocalQuartic
 
@@ -388,10 +389,11 @@ def _apply_concatenate_form(op, values, nodes):
 
 
 @pytest.mark.parametrize("mu", [1.2, 1.5, 1.9])
-@pytest.mark.parametrize("cells", [1, 4, 128, 512])
-@pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0])
-def test_apply_is_the_concatenate_form_bit_for_bit(mu, cells, gamma):
-    op = GreenOperator(mu, build_mesh(cells, gamma))
+@pytest.mark.parametrize("gamma, cells", [
+    *((g, c) for g in (1.0, 3.0, 6.0) for c in (1, 4, 128, 512) if (g, c) != (6.0, 512)),
+    pytest.param(None, 161, id="SIZE_MESH")])  # A2's mesh, which halves its last cells
+def test_apply_is_the_concatenate_form_bit_for_bit(mu, gamma, cells):
+    op = GreenOperator(mu, SIZE_MESH if gamma is None else build_mesh(cells, gamma))
     rng = np.random.default_rng(cells)
     noise = rng.uniform(-1.0, 1.0, op.tau.shape)
     integrands = (op.tau ** 2 * np.cos(3.0 * op.tau) + noise,  # full array
@@ -435,14 +437,13 @@ def _power_barrier(mu, beta, t):
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
-@pytest.mark.parametrize("cells, gamma", [(128, 3.0), (512, 6.0)])
+@pytest.mark.parametrize("mesh", [build_mesh(128, 3.0), SIZE_MESH], ids=["128-3.0", "SIZE_MESH"])
 @pytest.mark.parametrize("beta", [0.4, 0.9, -0.25])
-def test_last_cell_exponent_makes_the_barrier_exact_near_one(mu, cells, gamma, beta):
+def test_last_cell_exponent_makes_the_barrier_exact_near_one(mu, mesh, beta):
     # x at the last cell's nodes, where the integrand (1 - tau)^(-beta) is
-    # singular; the 512-cell grading-6 mesh ends in a tail cell about 3e-14
-    # wide.  The Gauss rule there is off by 6e-5 to 0.88 (relative), and a
-    # beta off by 0.02 by 4e-6 to 0.23
-    mesh = build_mesh(cells, gamma)
+    # singular; A2's SIZE_MESH ends in a cell 2^-40 (9.1e-13) wide.  The
+    # Gauss rule there is off by 1e-4 to 0.88 (relative), and a beta off by
+    # 0.02 by 8e-6 to 0.23
     want = _power_barrier(mu, beta, mesh.nodes[-1])
     op = GreenOperator(mu, mesh, beta)
     got = op.apply((1.0 - op.tau) ** -beta)[-GAUSS_NODES:]

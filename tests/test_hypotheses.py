@@ -187,8 +187,7 @@ def test_check_A2_builds_two_operators_and_evaluates_q_once(u, make_spec, monkey
     # whether the exponents are read (the worked family) or not (max is
     # unread), check_A2 builds the solver mesh's operator, then SIZE_MESH's,
     # and int q and int q u(sigma_R) share one evaluation of q on SIZE_MESH
-    # (build_mesh makes one last cell of the steep grading's tail from its
-    # first gap of a few ulps near t = 1 on: 510 cells are left)
+    # (128 uniform cells, then the last one halved 33 times toward t = 1)
     built, sizes = [], []
     original_init, original_q = GreenOperator.__init__, ProblemSpec.q_at
 
@@ -204,9 +203,9 @@ def test_check_A2_builds_two_operators_and_evaluates_q_once(u, make_spec, monkey
     monkeypatch.setattr(ProblemSpec, "q_at", counted_q)
     report = check_A2(make_spec(u=u))
     assert (report.exponents.u is None) == u.startswith("max")
-    assert build_mesh(*SIZE_MESH).cells == 510
-    assert built == [128, 510]
-    assert sizes == [8 * 510]
+    assert (SIZE_MESH.cells, SIZE_MESH.flat_nodes.size) == (161, 1288)
+    assert built == [128, 161]
+    assert sizes == [8 * 161]
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
@@ -232,7 +231,7 @@ def test_divergent_int_q_fails_at_every_grading(a, gamma, make_spec):
     # int_0^1 s (1 - s^2)^(-a) ds diverges for a >= 1, so I_q and I_qu are
     # not finite at any mesh.gamma.  The solver mesh is one the grading keeps
     # whole: 128 cells below gamma 6.854, and one cell at the steep gradings,
-    # which merge 128 cells into one (rejected, as the next test checks)
+    # which refuse 128 cells (as the next test checks)
     cells = 128 if gamma < 6.854 else 1
     assert build_mesh(cells, gamma).cells == cells
     report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a})", R=1e4,
@@ -243,10 +242,9 @@ def test_divergent_int_q_fails_at_every_grading(a, gamma, make_spec):
 @pytest.mark.parametrize("gamma, kept", [(7.0, 127), (500.0, 9), (1e3, 5), (3e4, 1),
                                          (4e4, 1), (1e5, 1)])
 def test_a_grading_that_merges_solver_cells_is_rejected(gamma, kept, make_spec):
-    # build_mesh makes the tail from a steep grading's first gap of a few
-    # ulps near t = 1 one cell; the solver mesh must keep all 128, or the
-    # solve would run on `kept` cells (below gamma 6.854 it keeps them all)
-    assert build_mesh(128, gamma).cells == kept
+    # a steep grading's gaps near t = 1 fall to a few ulps after `kept` of
+    # the 128 cells (below gamma 6.854 they never do); the solver mesh is
+    # then refused, naming the key
     spec = make_spec(numerics=NumericsConfig(gamma=gamma))
     with pytest.raises(MeshError, match=f"^key 'mesh.gamma': a grading of {gamma:g} "
                                         f"merges the 128 mesh cells into {kept}; "):
@@ -389,10 +387,33 @@ def test_I_qu_is_finite_iff_its_exponent_is_below_one(a, b, beta, make_spec):
     assert report.passed == (beta == 0.625)
 
 
-@pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 2.0 / 3.0, 0.8, 0.9])
 def test_I_q_matches_its_closed_form(a, make_spec):
     # int_0^1 s (1 - s^2)^(-a) ds = 1 / (2 (1 - a)); a last-cell exponent off
-    # by 0.02 leaves 1.1e-9 at a = 0.5, and the Gauss rule 1.4e-8 there
+    # by 0.02 leaves 5.8e-9 at a = 0.5, and the Gauss rule 6.9e-8 there.
+    # SIZE_MESH's error grows with a, to 9.0e-9 at a = 0.9
     report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a!r})"))
     want = 0.5 / (1.0 - a)
-    assert abs(report.I_q - want) <= 1e-10 * want
+    assert abs(report.I_q - want) <= (1e-10 if a <= 0.5 else 2e-8) * want
+
+
+@pytest.mark.parametrize("mu, tol", [(1.5, 1e-12), (1.9, 1e-12), (1.99, 1e-12),
+                                     (1.9985, 1e-7)])
+def test_I_qu_matches_the_converged_reference_at_high_order(mu, tol, reference, make_spec):
+    # the worked family at R = 1e4 against the benchmark's Nystrom barrier on
+    # 2,048 cells, which moves at most 9.4e-13 from 1,024 cells; at
+    # mu = 1.9985 (lambda = 666) SIZE_MESH is 2.7e-8 off
+    want = reference.family_size_terms(mu, 1e4, 0.25, 0.25, cells=2048)["I_qu"]
+    report = check_A2(make_spec(mu=mu, R=1e4))
+    assert abs(report.I_qu - want) <= tol * want
+
+
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.8])
+def test_the_barrier_on_SIZE_MESH_is_positive_at_lambda_703(a, make_spec):
+    # at mu = 1.99858 the kernel decays like e^(-703 |t - tau|); on a
+    # positive psi the barrier at every node of SIZE_MESH, with psi's
+    # exponent in the last cell, stays positive (down to 1.4e-13 at a = 0.1),
+    # so u(sigma_R) never meets the clamp at 0
+    spec = make_spec(mu=1.99858, psi=f"s*(1-s^2)^(-{a!r})*R^(-0.25)")
+    op = GreenOperator(spec.mu, SIZE_MESH, a)
+    assert np.all(sigma_R(spec, op)[len(op.grid):] > 0.0)

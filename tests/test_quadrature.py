@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfbvp.quadrature import (GAUSS_NODES, Mesh, MeshError, NonFiniteIntegrandError,
-                              _sum_left_to_right, build_mesh, gauss_integration_matrix,
+from cfbvp.quadrature import (GAUSS_INTEGRATION_MATRIX, GAUSS_NODES, Mesh, MeshError,
+                              NonFiniteIntegrandError, _sum_left_to_right, build_mesh,
                               integrate, mesh_from_breakpoints)
 
 
@@ -20,61 +20,36 @@ def test_right_graded_breakpoints():
     assert np.allclose(m.breakpoints, [0.0, 0.4375, 0.75, 0.9375, 1.0], atol=1e-15)
 
 
-def _merged_by_loop(cells, gamma):
-    # the graded breakpoints with every gap of at most 16 eps merged, one by
-    # one, by a loop over all of them: build_mesh's oracle where the loop
-    # and its one cut agree
-    j = np.arange(cells + 1, dtype=float)
-    bps = j / cells if gamma == 1.0 else 1.0 - (1.0 - j / cells) ** gamma
-    bps[0], bps[-1] = 0.0, 1.0
-    tol = 16.0 * np.finfo(float).eps
-    kept = [bps[0]]
-    for v in bps[1:]:
-        if v - kept[-1] > tol:
-            kept.append(v)
-    if kept[-1] != bps[-1]:
-        if bps[-1] - kept[-1] > tol:
-            kept.append(bps[-1])
-        else:
-            kept[-1] = bps[-1]
-    return np.array(kept)
-
-
-# (cells, gamma) -> cells kept, on the meshes where the tail past the first
-# narrow gap is not all within 16 eps of its first breakpoint: the loop kept
-# later breakpoints there, the cut keeps none.  build_mesh's only merged
-# mesh in use is A2's SIZE_MESH (512 cells at gamma 6), which the loop and
-# the cut build alike; a solver mesh that loses cells is rejected
-CUT_DIFFERS = {(512, 20.0): 406, (1024, 20.0): 805, (4096, 6.0): 4076,
-               (4096, 20.0): 3154, (8192, 6.0): 8147, (8192, 20.0): 6239}
+# (cells, gamma) -> the cells before the grading's first gap of at most
+# 16 eps, on the gradings tried below that have one.  The solver's default
+# grading 3 has none at any cell count tried, and 128 cells have none up to
+# grading 6.85
+NARROW = {(128, 20.0): 104, (512, 6.0): 510, (512, 20.0): 406, (1024, 6.0): 1020,
+          (1024, 20.0): 805, (4096, 6.0): 4076, (4096, 20.0): 3154, (8192, 6.0): 8147,
+          (8192, 20.0): 6239, (128, 7.0): 127, (128, 500.0): 9, (128, 1e3): 5,
+          (128, 3e4): 1, (128, 4e4): 1, (128, 1e5): 1, (64, 500.0): 5}
 
 
 @pytest.mark.parametrize("cells, gamma", [
-    *((c, g) for c in (1, 2, 128, 512, 1024, 4096, 8192) for g in (1.0, 3.0, 6.0, 20.0)
-      if (c, g) not in CUT_DIFFERS),
-    # the gradings of 128 cells that test_hypotheses rejects as solver meshes
-    *((128, g) for g in (7.0, 500.0, 1e3, 3e4, 4e4, 1e5))])
-def test_merged_breakpoints_are_the_loop_bit_for_bit(gamma, cells):
-    # the tail from the first narrow gap on is one last cell; on these meshes
-    # (gamma 6 merges cells from 512 on, A2's SIZE_MESH among them, and
-    # gamma 20 from 128 on) every breakpoint and its bits are the loop's
-    got = build_mesh(cells, gamma).breakpoints
-    want = _merged_by_loop(cells, gamma)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("cells, gamma, kept",
-                         [(*key, kept) for key, kept in CUT_DIFFERS.items()])
-def test_the_tail_from_the_first_narrow_gap_is_one_cell(cells, gamma, kept):
-    # the grading's breakpoints before the first gap of at most 16 eps, then 1:
-    # fewer cells than the loop kept, which merged the tail gap by gap
-    grading = 1.0 - (1.0 - np.arange(cells + 1) / cells) ** gamma
-    first = int(np.argmax(np.diff(grading) <= 16.0 * np.finfo(float).eps))
-    want = np.append(grading[:first], 1.0)
-    got = build_mesh(cells, gamma).breakpoints
-    assert len(got) - 1 == kept < len(_merged_by_loop(cells, gamma)) - 1
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    *((c, g) for c in (1, 2, 128, 512, 1024, 4096, 8192) for g in (1.0, 3.0, 6.0, 20.0)),
+    *((128, g) for g in (6.85, 7.0, 500.0, 1e3, 3e4, 4e4, 1e5)), (64, 500.0)])
+def test_build_mesh_keeps_every_cell_or_raises(cells, gamma):
+    # the grading's breakpoints bit for bit, every cell kept; or, where a gap
+    # is at most 16 eps (quadrature nodes would round onto the breakpoints
+    # near t = 1), a MeshError naming the cells before the first such gap
+    j = np.arange(cells + 1) / cells
+    grading = j if gamma == 1.0 else 1.0 - (1.0 - j) ** gamma
+    narrow = np.flatnonzero(np.diff(grading) <= 16.0 * np.finfo(float).eps)
+    kept = NARROW.get((cells, gamma))
+    if kept is None:
+        got = build_mesh(cells, gamma).breakpoints
+        assert narrow.size == 0 and len(got) == cells + 1
+        assert np.array_equal(got.view(np.int64), grading.view(np.int64))
+    else:
+        assert narrow[0] == kept
+        with pytest.raises(MeshError, match=rf"^a grading of {gamma:g} merges the {cells} "
+                                            rf"mesh cells into {kept}$"):
+            build_mesh(cells, gamma)
 
 
 def test_invalid_interval():
@@ -102,7 +77,7 @@ def test_equal_arguments_share_one_read_only_mesh():
     for values in (mesh.breakpoints, mesh.nodes, mesh.weights):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.5
-    # bounded: a check or a solve builds three meshes
+    # bounded: a check or a solve builds one mesh with it
     assert 3 <= build_mesh.cache_info().maxsize <= 16
 
 
@@ -229,16 +204,14 @@ def test_integrate_sums_cells_left_to_right():
             assert _same_double(integrate(c, m), integrate(np.full(m.flat_nodes.shape, c), m))
 
 
-@pytest.mark.parametrize("k", [2, 3, 8, 12])
-def test_partial_weights_integrate_polynomials_exactly(k):
+def test_partial_weights_integrate_polynomials_exactly():
     # entry [p, q] of the integration matrix integrates the Lagrange basis
     # polynomial of Gauss node q from -1 to node p, so its product with node
-    # values integrates them from -1 to each node: exact for degree < k
-    x, _ = np.polynomial.legendre.leggauss(k)
-    S = gauss_integration_matrix(k)
-    for j in range(k):
+    # values integrates them from -1 to each node: exact for degree < 8
+    x, _ = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    for j in range(GAUSS_NODES):
         want = (x ** (j + 1) - (-1.0) ** (j + 1)) / (j + 1)
-        assert np.max(np.abs(S @ x ** j - want)) <= 1e-14
+        assert np.max(np.abs(GAUSS_INTEGRATION_MATRIX @ x ** j - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.9])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cfbvp import expressions as ex
 from cfbvp.hypotheses import SIZE_MESH, NumericsConfig, check_A2
 from cfbvp.problem_io import load_problem
-from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
                           clamp_m, residual_nonlinear, solve, solve_fixed_m)
 
@@ -297,8 +296,7 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
         original(self, mu, mesh, beta)
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
-    # build_mesh merges the sub-ulp cells of the grading-6 mesh near t = 1
-    size = [build_mesh(*SIZE_MESH).cells]
+    size = [SIZE_MESH.cells]
     for s in (spec, make_spec(NumericsConfig(mesh_cells=64)),
               make_spec(NumericsConfig(mesh_cells=512))):
         cells.clear()
