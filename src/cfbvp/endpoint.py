@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expressions import Expr
-from .quadrature import GAUSS_NODES, GAUSS_W, GAUSS_X, Mesh
+from .quadrature import GAUSS_NODES, GAUSS_W, GAUSS_X, Mesh, legendre_table
 
 __all__ = ["leading_power", "EndpointExponents", "endpoint_exponents", "singular_weights",
            "singular_integration_matrix"]
@@ -292,7 +292,7 @@ def endpoint_exponents(spec) -> EndpointExponents:
 
 # A[q, n] = w_q (n + 1/2) P_n(x_q): the Legendre coefficients of the Lagrange
 # basis l_q on the Gauss nodes x
-_LAGRANGE = (np.polynomial.legendre.legvander(GAUSS_X, GAUSS_NODES - 1)
+_LAGRANGE = (legendre_table(GAUSS_X, GAUSS_NODES - 1)
              * (np.arange(GAUSS_NODES) + 0.5) * GAUSS_W[:, None])
 
 
@@ -343,4 +343,4 @@ def _tail_basis(r: tuple) -> np.ndarray:
     """basis[p, i, q] = l_q(1 - r_p (1 - x_i)): the Lagrange basis at the
     Gauss nodes x of [node p, 1], for nodes at 1 - 2 r_p on [-1, 1]."""
     points = 1.0 - np.array(r)[:, None] * (1.0 - GAUSS_X)
-    return np.polynomial.legendre.legvander(points, GAUSS_NODES - 1) @ _LAGRANGE.T
+    return legendre_table(points, GAUSS_NODES - 1) @ _LAGRANGE.T

@@ -12,6 +12,9 @@ Where the expressions show their power laws at the endpoints (q and psi as
 s -> 1, u as x -> 0), an improper integral is finite iff its integrand's
 exponent is below 1, and is computed with that exponent in the last cell;
 where an exponent it needs is unread, its finiteness is not shown (a failure).
+The barrier and both integrals are computed on one mesh, build_mesh of the
+mesh.cells key, whose Green operator takes psi's exponent in its last cell
+and is the one the solve reuses.
 
 Inequalities over continua are checked by sampled falsification on a
 documented lattice; a pass means "no counterexample found", never a proof.
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import expressions as ex
 from .green import GreenOperator, kernel_bound, rate_of
-from .quadrature import Mesh, MeshError, build_mesh, integrate, mesh_from_breakpoints
+from .quadrature import Mesh, build_mesh, integrate
 
 if TYPE_CHECKING:
     from .endpoint import EndpointExponents
@@ -46,6 +49,8 @@ def _schedule(raw: str) -> tuple[int, ...]:
 # test is written as what must hold.
 NUMERIC_KEYS = {
     "mesh.cells": ("mesh_cells", int, lambda n: n >= 1, "at least 1"),
+    # read by nothing (the mesh has no grading), but kept a valid key: the
+    # benchmark's problem files set it
     "mesh.gamma": ("gamma", float, lambda g: 1.0 <= g < np.inf, "finite and at least 1"),
     # success needs the last two levels to agree: a level of its own has none
     "solver.m_schedule": ("m_schedule", _schedule,
@@ -123,15 +128,6 @@ class ProblemSpec:
                    u=ex.parse(u), v=ex.parse(v), psi=ex.parse(psi),
                    numerics=numerics or NumericsConfig())
 
-    def default_mesh(self) -> Mesh:
-        """The solver mesh; a MeshError names mesh.gamma where the grading's
-        gaps near t = 1 fall to a few ulps (build_mesh)."""
-        n = self.numerics
-        try:
-            return build_mesh(n.mesh_cells, gamma=n.gamma)
-        except MeshError as err:
-            raise MeshError(f"key 'mesh.gamma': {err}; use a smaller mesh.gamma") from None
-
     def f_at(self, t, x):
         return ex.evaluate(self.f, {"t": t, "x": x})
 
@@ -169,7 +165,7 @@ class A1Report:
 class HypothesisReport:
     passed: bool
     sigma: np.ndarray  # the barrier at operator.points
-    operator: GreenOperator  # the default mesh's Green operator, which solve reuses
+    operator: GreenOperator  # on build_mesh(mesh.cells); solve reuses it
     sigma_at_zero: float
     I_q: float
     I_qu: float
@@ -207,11 +203,6 @@ def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
 
 
 _EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
-
-# the mesh of I_q and I_qu, which belong to the problem, so no numerics key
-# sets it: 128 uniform cells (lambda h <= 709/128 at every order), the last
-# one halved 33 times toward t = 1 (161 cells, every breakpoint exact)
-SIZE_MESH = mesh_from_breakpoints([*(np.arange(128) / 128), *(1.0 - 0.5 ** np.arange(8, 41)), 1.0])
 
 
 def _on_lattice(fn, *axes) -> tuple[np.ndarray, np.ndarray]:
@@ -314,36 +305,18 @@ def check_A1(spec: ProblemSpec) -> A1Report:
     return A1Report(passed=not failures, failures=tuple(failures))
 
 
-def _size_integrands(spec: ProblemSpec, exps: EndpointExponents) -> tuple:
-    """q and q u(sigma_R) at the nodes of SIZE_MESH, each an array or the
-    ValueError that failed it.  q is evaluated once, for both; an error of q
-    fails q u(sigma_R) too, but only after the barrier on this mesh (which
-    takes psi's exponent in its last cell), so an error of psi comes first.
-    """
-    try:
-        q = spec.q_at(SIZE_MESH.flat_nodes)
-    except ValueError as err:
-        q = err
-    try:
-        op = GreenOperator(spec.mu, SIZE_MESH, exps.beta_psi)  # sigma_R at the mesh's own nodes
-        sigma = np.maximum(sigma_R(spec, op)[len(op.grid):], 0.0)
-        qu = q if isinstance(q, ValueError) else q * spec.u_at(sigma)
-    except ValueError as err:
-        qu = err
-    return q, qu
-
-
-def _improper_integral(failures: list, check: str, name: str, values,
+def _improper_integral(failures: list, check: str, name: str, values, mesh: Mesh,
                        beta: float | None, unread) -> float:
-    """The integral of ``values`` (from _size_integrands) over SIZE_MESH, its
-    last cell taking the integrand's exponent beta (the plain rule where
-    beta is unread, None, or the integrand zero, -inf).  It fails ``check``
-    as nan where it fails to evaluate, as inf where beta >= 1, and as not
-    shown finite where beta is unread, naming what ``unread()`` returns."""
+    """The integral of ``values``, the integrand at the mesh's nodes or the
+    ValueError that failed it, its last cell taking the integrand's exponent
+    beta (the plain rule where beta is unread, None, or the integrand zero,
+    -inf).  It fails ``check`` as nan where it fails to evaluate, as inf
+    where beta >= 1, and as not shown finite where beta is unread, naming
+    what ``unread()`` returns."""
     try:
         if isinstance(values, ValueError):
             raise values
-        value = (integrate(values, SIZE_MESH, None if beta == -np.inf else beta)
+        value = (integrate(values, mesh, None if beta == -np.inf else beta)
                  if beta is None or beta < 1.0 else np.inf)
     except ValueError as err:
         failures.append(CheckFailure(check, {}, f"integration failed: {err}"))
@@ -362,7 +335,8 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     Conditions: finiteness of I_q = int q and I_qu = int q * u(sigma_R),
     R >= sigma_R(0), the sampled minorant f(t, x) >= psi(|t|, R) on
     (-1, 1) x (0, R], and ratio = R / (c (1 + v(R)/u(R)) I_qu) > 1.
-    The barrier is computed on the spec's default mesh.
+    The barrier and both integrals are computed on build_mesh(mesh.cells),
+    whose Green operator takes psi's exponent in its last cell.
     """
     failures: list[CheckFailure] = []
     # each integral's finiteness, and the barrier's, from the exponents it needs
@@ -370,7 +344,8 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
     exps = endpoint_exponents(spec)
 
     with np.errstate(over="ignore", invalid="ignore"):  # lam > 709: reported below
-        op = GreenOperator(spec.mu, spec.default_mesh())
+        mesh = build_mesh(spec.numerics.mesh_cells)
+        op = GreenOperator(spec.mu, mesh, exps.beta_psi)
         # psi is integrated against every row at once: the whole barrier is undefined
         # where that fails, and infinite on [0, 1) where int psi diverges (G(t, 1) > 0)
         sigma = np.full(op.points.shape, np.nan)
@@ -390,22 +365,32 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
         failures.append(CheckFailure("A2.sigma_finite", {"t": float(op.grid[nonfinite[0]])},
                                      undefined))
     sigma0 = float("nan") if nonfinite.size else 0.0 + float(sigma[0])
-    if np.min(at_grid) < -1e-12:
+    if np.min(sigma) < -1e-12:  # at the nodes too: the barrier can dip between breakpoints
         failures.append(CheckFailure("A2.sigma_nonneg",
-                                     {"t": float(op.grid[np.argmin(at_grid)])},
+                                     {"t": float(op.points[np.argmin(sigma)])},
                                      "barrier takes a negative value"))
     if spec.R < sigma0:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
                                      f"R = {spec.R:.6g} < sigma_R(0) = {sigma0:.6g}"))
 
     with np.errstate(all="ignore"):  # a non-finite integrand is integrate's error
-        q, qu = _size_integrands(spec, exps)
-        I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q, exps.beta_q,
+        try:  # evaluated once, for both integrals
+            q = spec.q_at(op.tau)
+        except ValueError as err:
+            q = err
+        I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q, mesh, exps.beta_q,
                                  lambda: exps.unread("q"))
         I_qu = float("nan")  # I_qu needs sigma_R, and psi's exponent in it
         if not nonfinite.size and exps.psi_positive:
+            qu = q  # an error of q fails q u(sigma_R) too
+            if not isinstance(q, ValueError):
+                try:
+                    qu = q * spec.u_at(np.maximum(sigma[len(op.grid):], 0.0))
+                except ValueError as err:
+                    qu = err
             I_qu = _improper_integral(failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu,
-                                      exps.beta_qu, lambda: exps.unread("q", "psi", "u"))
+                                      mesh, exps.beta_qu,
+                                      lambda: exps.unread("q", "psi", "u"))
         elif not nonfinite.size:
             failures.append(CheckFailure("A2.I_qu_finite", {}, "int q*u(sigma_R) not shown "
                                          "finite: psi is not positive at s = 1"))

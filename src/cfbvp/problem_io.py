@@ -10,7 +10,6 @@ Example::
     v = x^(0.25)
     psi = s*(1-s^2)^(-0.25)*R^(-0.25)
     mesh.cells = 128
-    mesh.gamma = 3
     solver.m_schedule = 16,32,64,128
     solver.omega = 1.0
     solver.inner_tol = 1e-10

@@ -1,13 +1,13 @@
-"""Graded meshes on [0, 1] and composite Gauss-Legendre quadrature.
+"""The mesh on [0, 1] and composite Gauss-Legendre quadrature.
 
 Every mesh covers the problem's right half [0, 1]; mesh_from_breakpoints
 is the one check of that domain.  Integrands may have an integrable
-singularity at t = 1; the mesh is then refined toward it (build_mesh grades
-it polynomially, and A2's hypotheses.SIZE_MESH halves its last cells down
-to 2^-40) and quadrature nodes stay strictly interior to every cell, which
-is why build_mesh refuses a grading whose gaps fall to a few ulps.  Where the
-singularity's exponent beta is known, the last cell takes the rule of the
-weight (1 - t)^(-beta) on the same nodes (endpoint.singular_weights).
+singularity at t = 1, so build_mesh, the one mesh of check and solve,
+ends its uniform cells by halving the last one until it is at most 2^-40
+wide (the geometric refinement of the hp method); quadrature nodes stay
+strictly interior to every cell.  Where the singularity's exponent beta
+is known, the last cell takes the rule of the weight (1 - t)^(-beta) on
+the same nodes (endpoint.singular_weights).
 """
 
 from __future__ import annotations
@@ -34,10 +34,27 @@ class NonFiniteIntegrandError(ValueError):
         super().__init__(f"integrand is not finite at quadrature node {node!r}")
 
 
-# the Gauss-Legendre nodes and weights on [-1, 1]
-GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES)
+# the Gauss-Legendre nodes and weights on [-1, 1]: numpy.polynomial's
+# leggauss(GAUSS_NODES), written out, so that importing this module imports
+# no numpy.polynomial and runs no eigensolver
+GAUSS_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                    0.7966664774136267, 0.9602898564975362])
+GAUSS_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                    0.22238103445337443, 0.10122853629037706])
 GAUSS_X.setflags(write=False)
 GAUSS_W.setflags(write=False)
+
+
+def legendre_table(x, degree: int) -> np.ndarray:
+    """P[..., n] = P_n(x) for n <= degree, by the three-term recurrence of
+    numpy.polynomial.legendre.legvander, so bit for bit its table."""
+    x = np.asarray(x, dtype=float)
+    P = [np.ones_like(x), x]
+    for n in range(2, degree + 1):
+        P.append((P[n - 1] * x * (2 * n - 1) - P[n - 2] * (n - 1)) / n)
+    return np.stack(P[:degree + 1], axis=-1)
 
 
 def _integration_matrix() -> np.ndarray:
@@ -49,7 +66,7 @@ def _integration_matrix() -> np.ndarray:
     P_n(x_q) P_n, and int_{-1}^x P_n = (P_{n+1} - P_{n-1}) / (2n + 1) for n >= 1.
     """
     x, w, k = GAUSS_X, GAUSS_W, GAUSS_NODES
-    P = np.polynomial.legendre.legvander(x, k)  # P[p, n] = P_n(x_p), n <= k
+    P = legendre_table(x, k)  # P[p, n] = P_n(x_p), n <= k
     anti = np.empty((k, k))  # (n + 1/2) int_{-1}^{x_p} P_n
     anti[:, 0] = 0.5 * (x + 1.0)
     anti[:, 1:] = 0.5 * (P[:, 2:] - P[:, :k - 1])
@@ -102,25 +119,20 @@ def mesh_from_breakpoints(breakpoints) -> Mesh:
     return Mesh(breakpoints=bps, nodes=nodes, weights=weights)
 
 
-# check and solve each build one mesh, which depends on these two numbers alone
+# check and solve each build one mesh, which depends on the cell count alone
 @lru_cache(maxsize=8)
-def build_mesh(cells: int, gamma: float = 1.0) -> Mesh:
-    """Mesh on [0, 1], uniform for gamma = 1, else graded with exponent gamma toward 1.
-
-    The graded breakpoints are ``1 - (1 - j/N)**gamma``.  A gap of a few
-    ulps, onto whose ends quadrature nodes round, is a MeshError that counts
-    the cells before the first one.  Equal arguments return the same Mesh.
+def build_mesh(cells: int) -> Mesh:
+    """The mesh of ``cells`` uniform cells whose last one is halved until it
+    is at most 2^-40 wide: breakpoints k/cells for k < cells, then
+    1 - 2^-j/cells for j = 1, 2, ..., then 1.  The last cell is then wider
+    than 2^-41, far above the ulps near t = 1.  Equal arguments return the
+    same Mesh.
     """
     if cells < 1:
         raise MeshError("cell count must be positive")
-    if not 1.0 <= gamma < np.inf:
-        raise MeshError(f"grading exponent must be finite and >= 1, got {gamma}")
-    j = np.arange(cells + 1, dtype=float)
-    bps = j / cells if gamma == 1.0 else 1.0 - (1.0 - j / cells) ** float(gamma)
-    narrow = np.flatnonzero(np.diff(bps) <= 16.0 * np.finfo(float).eps)
-    if narrow.size:
-        raise MeshError(f"a grading of {gamma:g} merges the {cells} mesh cells into {narrow[0]}")
-    return mesh_from_breakpoints(bps)
+    halvings = 41 - int(cells).bit_length()  # the least j with 2^-j/cells <= 2^-40
+    tail = 1.0 - 0.5 ** np.arange(1, halvings + 1) / cells
+    return mesh_from_breakpoints([*(np.arange(cells) / cells), *tail, 1.0])
 
 
 def integrate(values, mesh: Mesh, beta: float | None = None) -> float:

@@ -11,7 +11,9 @@ cosh(lam t) and sinh(lam t), and a particular solution is a one-sided
 exponential convolution of the forcing.  The reflection t -> -t maps the
 left half onto the right one, so the left-half functions reflect their
 inputs and call the right-half ones.  The boundary value solve itself is
-green.GreenOperator, which check and solve run.
+green.GreenOperator, which check and solve run.  graded_mesh is the tests'
+one mesh of a given grading, for oracles and tolerances that need uniform
+cells or a polynomial grading rather than cfbvp's build_mesh.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from cfbvp.green import rate_of
-from cfbvp.quadrature import Mesh
+from cfbvp.quadrature import Mesh, mesh_from_breakpoints
+
+
+def graded_mesh(cells: int, gamma: float = 1.0) -> Mesh:
+    """The mesh on the breakpoints 1 - (1 - j/cells)**gamma, j = 0..cells:
+    uniform (j/cells) for gamma = 1, else graded toward t = 1."""
+    j = np.arange(cells + 1) / cells
+    return mesh_from_breakpoints(j if gamma == 1.0 else 1.0 - (1.0 - j) ** gamma)
 
 
 def exp_convolution(values, rate: float, mesh: Mesh) -> np.ndarray:

@@ -16,10 +16,9 @@ from cfbvp.cli import main as cli_main
 from cfbvp.green import GreenOperator, green_diagonal_jump, green_eval, rate_of
 from cfbvp.hypotheses import check_A1, check_A2
 from cfbvp.problem_io import load_problem
-from cfbvp.quadrature import build_mesh
 from cfbvp.solver import solve
 from linear_oracles import (LocalQuartic, cf_left, cf_right, general_solution_right_half,
-                            residual_linear)
+                            graded_mesh, residual_linear)
 
 MUS = (1.2, 1.5, 1.8)
 PROBLEM_FILE = pathlib.Path(__file__).resolve().parents[1] / "problems" / "worked_family.prob"
@@ -83,7 +82,7 @@ def test_criterion_04_sup_audit():
 
 
 def test_criterion_05_cf_derivative_oracle():
-    mesh = build_mesh(256)
+    mesh = graded_mesh(256)
     worst_rel = 0.0
     worst_affine = 0.0
     xpp = lambda s: 2.0 + 0.0 * np.asarray(s)
@@ -109,7 +108,7 @@ def test_criterion_06_homogeneous_residuals():
     fns = (lambda s: np.cosh(lam * np.asarray(s)),
            lambda s: np.sinh(lam * np.asarray(s)))
     zero = lambda s: 0.0 * np.asarray(s)
-    mesh = build_mesh(512)
+    mesh = graded_mesh(512)
     worst = 0.0
     for half in ("right", "left"):
         for fn in fns:
@@ -119,7 +118,7 @@ def test_criterion_06_homogeneous_residuals():
     # (O(h^3)), not the Gauss-rule order
     sups = []
     for cells in (128, 256, 512):
-        mesh = build_mesh(cells)
+        mesh = graded_mesh(cells)
         sups.append(np.max(np.abs(residual_linear(1.5, fns[0], zero, mesh, half="right"))))
     factors = [a / b for a, b in zip(sups, sups[1:])]
     _report(6, "homogeneous solutions have tiny defect and the defect "
@@ -131,7 +130,7 @@ def test_criterion_06_homogeneous_residuals():
 
 def test_criterion_07_linear_bvp(quad_green, slope_at_zero):
     mu = 1.5
-    mesh = build_mesh(256)
+    mesh = graded_mesh(256)
     y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
     op = GreenOperator(mu, mesh)
     values = op.apply(y(op.tau))[:len(op.grid)]

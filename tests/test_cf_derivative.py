@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from cfbvp.green import rate_of
-from cfbvp.quadrature import build_mesh
-from linear_oracles import cf_left, cf_right, exp_convolution
+from linear_oracles import cf_left, cf_right, exp_convolution, graded_mesh
 
-MESH = build_mesh(256)
+MESH = graded_mesh(256)
 
 
 def test_rate_values():
@@ -99,7 +98,7 @@ def test_square_oracle_past_the_overflow_order():
 
 def test_constant_is_filled():
     # a scalar g gives the same bits as the same constant filled at the nodes
-    mesh = build_mesh(128, 3.0)
+    mesh = graded_mesh(128, 3.0)
     for rate in (1.0, -1.0):
         assert np.array_equal(exp_convolution(0.3, rate, mesh),
                               exp_convolution(np.full(mesh.flat_nodes.shape, 0.3), rate, mesh))

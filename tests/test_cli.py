@@ -15,7 +15,7 @@ from cfbvp import problem_io
 from cfbvp.cli import (_ROWS_PER_WRITE, EXIT_HYPOTHESIS, EXIT_OK, EXIT_SOLVER,
                        EXIT_USAGE, _solution_csv, main)
 from cfbvp.green import green_diagonal_jump, green_eval, kernel_bound, rate_of
-from cfbvp.hypotheses import NUMERIC_KEYS, NumericsConfig, check_A2
+from cfbvp.hypotheses import NUMERIC_KEYS, NumericsConfig, ProblemSpec, check_A2
 from cfbvp.problem_io import (ProblemFileError, load_problem,
                               parse_problem_text)
 from cfbvp.quadrature import build_mesh
@@ -154,25 +154,13 @@ def test_removed_numerics_keys_are_unknown(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
-def test_a_collapsing_grading_is_a_usage_error(tmp_path, capsys):
-    # mesh.gamma = 500 merges the 64 cells into 5: check and solve refuse to
-    # run on that mesh, and write nothing
-    p = tmp_path / "steep.prob"
-    p.write_text(WORKED_TEXT + "mesh.gamma = 500\n")
-    for argv in (["check", str(p)], ["solve", str(p)]):
-        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_USAGE
-        assert capsys.readouterr().err == ("error: key 'mesh.gamma': a grading of 500 merges "
-                                           "the 64 mesh cells into 5; use a smaller mesh.gamma\n")
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("command,flag", [
     ("check", ["--gamma", "3"]), ("solve", ["--gamma", "3"]),
     ("check", ["--strict-unit-bound"]), ("solve", ["--strict-unit-bound"]),
     ("audit", ["--grid", "41"]),
 ], ids=["check", "solve", "check-strict", "solve-strict", "audit-grid"])
 def test_gamma_flag_is_a_usage_error(problem_file, tmp_path, capsys, command, flag):
-    # the grading is set by mesh.gamma in the problem file, and there alone;
+    # no flag sets a grading (mesh.gamma is accepted and read by nothing);
     # the size ratio always uses the kernel's sup, never the literal bound 1;
     # the audit's sup is the closed form, which no grid changes
     target = "1.5" if command == "audit" else str(problem_file)
@@ -213,7 +201,8 @@ def test_check_ok(problem_file, tmp_path, capsys):
     assert (out / "hypothesis_report.txt").read_text() == text
     sigma = (out / "sigma_R.csv").read_text().splitlines()
     assert sigma[0] == "t,sigma_R"
-    assert len(sigma) == 64 + 2  # header + one row per grid node
+    # header + one row per breakpoint: 64 uniform cells, then 34 halvings down to 2^-40
+    assert len(sigma) == 1 + 64 + 34 + 1 == 1 + len(build_mesh(64).breakpoints)
 
 
 def test_check_missing_key(tmp_path, capsys):
@@ -312,6 +301,70 @@ def test_a_psi_read_as_not_integrable_makes_the_barrier_diverge(tmp_path, capsys
     assert "[A2.sigma_finite] barrier diverges" in capsys.readouterr().err
 
 
+def test_a_diverging_barrier_evaluates_no_u_at_the_nodes(tmp_path, capsys, monkeypatch):
+    # the barrier is infinite, so I_qu = int q u(sigma_R) is left undefined
+    # without evaluating u(sigma_R) at the mesh's nodes; the report is that
+    # of evaluating it and throwing it away
+    p = _worked_family_with_psi(tmp_path, "0.001*s*(1-s^2)^(-1.5)")
+    nodes = build_mesh(128).flat_nodes.size
+    sizes = []
+    original = ProblemSpec.u_at
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(ProblemSpec, "u_at", counted)
+    assert main(["check", str(p)]) == EXIT_HYPOTHESIS
+    assert sizes and nodes not in sizes  # the A1 lattice and u(R) only
+    assert capsys.readouterr().out == (
+        "hypothesis report\nmu = 1.5\nR = 100\nA1 passed = True (lattice density 41)\n"
+        "A2 passed = False\nsigma_R(0) = nan\n"
+        "endpoint exponents = q -0.25, psi -1.5, u -0.25; beta_q = 0.25, beta_qu = unread\n"
+        "I_q = 0.66666666666666452\nI_qu = nan\n"
+        "kernel bound c = 1.7615941559557646 (audited sup)\nratio = nan\neps_max = nan\n"
+        "A2 failure: [A2.sigma_finite] barrier diverges: psi behaves like (1 - s)^(-1.5) at "
+        "s = 1, not integrable (at t=0)\n"
+        "A2 failure: [A2.ratio] size condition requires ratio > 1 (at ratio=nan)\n")
+
+
+def _high_order_family(tmp_path) -> Path:
+    # the worked family at mu = 1.9985 and R = 1e4: lambda = 666
+    text = (ROOT / "problems" / "worked_family.prob").read_text()
+    high = text.replace("\nmu = 1.5\n", "\nmu = 1.9985\n").replace("\nR = 100\n", "\nR = 1e4\n")
+    assert high.count("1.9985") == 1 and high.count("R = 1e4") == 1
+    p = tmp_path / "high.prob"
+    p.write_text(high)
+    return p
+
+
+def test_a_barrier_negative_between_breakpoints_is_named(tmp_path, capsys):
+    # on 32 uniform cells lambda h = 21, and the barrier's node values,
+    # which amplify rounding by about e^(lambda h) (ROADMAP item 3), dip to
+    # -279 at the node t = 0.96813 while every breakpoint reads >= 0: the
+    # check names that node
+    p = _high_order_family(tmp_path)
+    assert main(["check", str(p), "--mesh-cells", "32"]) == EXIT_HYPOTHESIS
+    assert "A2 failure: [A2.sigma_nonneg] barrier takes a negative value (at t=0.96813)" \
+        in capsys.readouterr().out.splitlines()
+    a2 = check_A2(load_problem(p, {"mesh_cells": 32}))
+    n = len(a2.operator.grid)
+    assert np.min(a2.sigma[:n]) >= 0.0 and np.argmin(a2.sigma) >= n
+    assert -280.0 < np.min(a2.sigma) < -279.0
+    # at the default 128 cells (lambda h = 5.2) the barrier is positive and check passes
+    assert main(["check", str(p)]) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["worked_family", "manufactured"])
+def test_the_shipped_problems_pass_at_every_cell_count(name):
+    # their barriers are positive at every node (down to 1.7e-11 and 9.0e-16)
+    for cells in (16, 32, 64, 128, 256, 512):
+        a2 = check_A2(load_problem(ROOT / "problems" / f"{name}.prob", {"mesh_cells": cells}))
+        assert a2.passed, (cells, a2.failures)
+        assert np.min(a2.sigma[len(a2.operator.grid):]) > 0.0
+
+
 def test_a_psi_read_as_negative_at_one_is_named(tmp_path, capsys):
     # psi ~ -0.001 2^(-0.25) (1 - s)^(-0.25): its exponent is read, and the
     # barrier's exponent is not min(1, 1 + psi) for a psi below 0 near s = 1
@@ -349,7 +402,7 @@ def test_solve_ok_and_deterministic(problem_file, tmp_path, capsys):
 
     lines = csv1.decode().splitlines()
     assert lines[0] == "t,x,sigma_R,residual"
-    assert len(lines) == 2 * (64 + 1) - 1 + 1  # mirrored grid + header
+    assert len(lines) == 2 * len(build_mesh(64).breakpoints) - 1 + 1  # mirrored grid + header
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     t, x, sigma, res = data.T
     assert np.all(np.diff(t) > 0)
@@ -364,13 +417,14 @@ def test_solve_ok_and_deterministic(problem_file, tmp_path, capsys):
 @pytest.mark.parametrize("cells", ["1", "2"])
 def test_check_and_solve_on_one_or_two_cells(problem_file, tmp_path, capsys, cells):
     # neither command reads the barrier or the iterate between breakpoints,
-    # so a mesh too coarse to interpolate on still checks and solves
+    # so one or two uniform cells (then the halving tail) still check and solve
     out = tmp_path / "o"
     assert main(["check", str(problem_file), "--mesh-cells", cells]) == EXIT_OK
     assert main(["solve", str(problem_file), "--mesh-cells", cells, "--out", str(out)]) \
         == EXIT_OK
     assert "status = converged" in capsys.readouterr().out
-    assert len((out / "solution.csv").read_text().splitlines()) == 2 * int(cells) + 2
+    assert len((out / "solution.csv").read_text().splitlines()) == \
+        2 * build_mesh(int(cells)).cells + 2
 
 
 def test_solve_hypothesis_failure_exit(problem_file, tmp_path, capsys):
@@ -461,7 +515,8 @@ def test_solve_negative_margin_exit(problem_file, tmp_path, capsys, monkeypatch)
 def test_solve_exit_3_names_the_violated_margin(tmp_path, capsys):
     # f = |t| does not dominate psi ~ 2^(-1/4) (1 - t)^(-1/4) next to t = 1,
     # between A2's lattice points, so check passes; the solution then dips
-    # below the barrier at the mesh's breakpoint 109 of 0 ... 128, and solve
+    # below the barrier at the mesh's breakpoint 128 (the first halving,
+    # 1 - 2^-8), and solve
     # exits 3 with one stderr line naming that margin and t.  The shipped
     # problem itself writes nothing to stderr
     shipped = (ROOT / "problems" / "worked_family.prob").read_text()
@@ -472,10 +527,10 @@ def test_solve_exit_3_names_the_violated_margin(tmp_path, capsys):
     assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
     captured = capsys.readouterr()
     assert "status = converged\n" in captured.out
-    t = build_mesh(128, 3.0).breakpoints[109]
-    assert t == 0.9967293739318848
+    t = build_mesh(128).breakpoints[128]
+    assert t == 1.0 - 2.0 ** -8
     assert captured.err == ("solver failure: lower bound margin min(x - sigma_R) = "
-                            f"-0.0012381073747291995 at t = {t:.17g}\n")
+                            f"-0.0012272058137906185 at t = {t:.17g}\n")
     assert main(["solve", str(ROOT / "problems" / "worked_family.prob"),
                  "--out", str(tmp_path / "w")]) == EXIT_OK
     assert capsys.readouterr().err == ""
@@ -810,6 +865,15 @@ def test_cli_imports_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_cli_imports_no_numpy_polynomial():
+    # the Gauss and Legendre tables are written out or recurred in quadrature:
+    # no command imports numpy.polynomial or runs its eigensolver
+    run = _python(["-c", "import sys, cfbvp.cli, cfbvp.endpoint\n"
+                   "print('numpy.polynomial' in sys.modules)"])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 def test_check_and_solve_without_scipy_write_the_same_bytes(tmp_path):
     # scipy is a test dependency only: the package imports and runs without it
     worked = ROOT / "problems" / "worked_family.prob"
@@ -858,7 +922,7 @@ def test_sigma_csv_is_the_per_row_rendering(tmp_path, capsys, cells):
     a2 = check_A2(load_problem(prob, {"mesh_cells": cells}))
     grid = a2.operator.grid  # the first len(grid) entries of sigma
     want = ["t,sigma_R"] + [f"{t:.17g},{v:.17g}" for t, v in zip(grid, a2.sigma[:len(grid)])]
-    assert len(want) == cells + 2
+    assert len(want) == build_mesh(cells).cells + 2
     out = tmp_path / "o"
     assert main(["check", str(prob), "--mesh-cells", str(cells), "--out", str(out)]) == EXIT_OK
     assert (out / "sigma_R.csv").read_bytes() == ("\n".join(want) + "\n").encode()

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cfbvp.endpoint import leading_power, singular_integration_matrix, singular_weights
 from cfbvp.expressions import Expr, evaluate, parse, unparse
-from cfbvp.quadrature import (GAUSS_INTEGRATION_MATRIX, GAUSS_NODES, build_mesh,
-                              mesh_from_breakpoints)
+from cfbvp.quadrature import GAUSS_INTEGRATION_MATRIX, GAUSS_NODES, mesh_from_breakpoints
+from linear_oracles import graded_mesh
 
 
 # leading_power's readings against closed forms: near s = 1, with d = 1 - s,
@@ -65,7 +65,7 @@ def test_leading_power_leaves_unread(text, var):
 
 def test_singular_rule_at_beta_zero_is_the_gauss_rule():
     # up to the rounded node positions, which the singular rule reads
-    m = build_mesh(16, 3.0)
+    m = graded_mesh(16, 3.0)
     half = 0.5 * (1.0 - m.breakpoints[-2])
     assert np.allclose(singular_weights(m, 0.0), m.weights[-1], rtol=1e-14, atol=0.0)
     assert np.allclose(singular_integration_matrix(m, 0.0),

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from cfbvp.green import (GreenOperator, green_diagonal_jump, green_eval, kernel_bound,
                          lower_branch, rate_of, upper_branch)
-from cfbvp.hypotheses import SIZE_MESH
 from cfbvp.quadrature import GAUSS_NODES, build_mesh, integrate
-from linear_oracles import LocalQuartic
+from linear_oracles import LocalQuartic, graded_mesh
 
-MESH = build_mesh(128, 3.0)
+MESH = graded_mesh(128, 3.0)
 
 
 def test_boundary_zero():
@@ -213,7 +212,7 @@ def test_branch_continuity_under_refinement():
 def test_apply_green_zero():
     # the interpolant of zeros goes to exactly 0, on the 128- and the
     # 256-cell graded mesh
-    for mesh in (MESH, build_mesh(256, 3.0)):
+    for mesh in (MESH, graded_mesh(256, 3.0)):
         y = LocalQuartic(mesh.breakpoints, np.zeros(len(mesh.breakpoints)))
         op = GreenOperator(1.5, mesh)
         assert np.all(op.apply(y(op.tau)) == 0.0)
@@ -291,7 +290,7 @@ def test_operator_exact_oracle(mu, cells):
     # y = F(tau) = lam (1 - tau^2 - e^{-lam tau}) + 2 tau; and e^{2 tau}
     # reaches both branches with a closed-form image; at every point
     lam = rate_of(mu)
-    op = GreenOperator(mu, build_mesh(cells, 3.0))
+    op = GreenOperator(mu, graded_mesh(cells, 3.0))
     tau, t = op.tau, op.points
     F = lam * (1.0 - tau ** 2 - np.exp(-lam * tau)) + 2.0 * tau
     assert np.max(np.abs(op.apply(F) - (1.0 - t ** 2))) <= 2e-14
@@ -306,7 +305,7 @@ def test_operator_exact_oracle(mu, cells):
 # as arbitrary nonnegative node values.  Its error grows like e^{lam h} in
 # a cell of width h (y = 1 on one cell at mu = 1.9375 gives x = -104 at a
 # node), so it is drawn on meshes of 32 and more cells up to mu = 1.95.
-PROPERTY_MESH = build_mesh(4, 3.0)
+PROPERTY_MESH = graded_mesh(4, 3.0)
 ORDERS = st.floats(1.01, 1.99)
 NODE_VALUES = st.lists(st.floats(-1e3, 1e3), min_size=PROPERTY_MESH.flat_nodes.size,
                        max_size=PROPERTY_MESH.flat_nodes.size).map(np.array)
@@ -354,7 +353,7 @@ def test_node_output_is_linear_past_the_rounding_limit():
 @settings(max_examples=100, deadline=None)
 def test_node_output_keeps_sign(mu, cells, coef, rate):
     # y(tau) = e^{rate tau} sum_i coef_i tau^i >= 0 on [0, 1]
-    op = GreenOperator(mu, build_mesh(cells, 3.0))
+    op = GreenOperator(mu, graded_mesh(cells, 3.0))
     y = np.exp(rate * op.tau) * np.polynomial.polynomial.polyval(op.tau, coef)
     assert np.all(op.apply(y) >= 0.0)
 
@@ -391,9 +390,9 @@ def _apply_concatenate_form(op, values, nodes):
 @pytest.mark.parametrize("mu", [1.2, 1.5, 1.9])
 @pytest.mark.parametrize("gamma, cells", [
     *((g, c) for g in (1.0, 3.0, 6.0) for c in (1, 4, 128, 512) if (g, c) != (6.0, 512)),
-    pytest.param(None, 161, id="SIZE_MESH")])  # A2's mesh, which halves its last cells
+    pytest.param(None, 128, id="build_mesh")])  # the mesh of check and solve, with its halving tail
 def test_apply_is_the_concatenate_form_bit_for_bit(mu, gamma, cells):
-    op = GreenOperator(mu, SIZE_MESH if gamma is None else build_mesh(cells, gamma))
+    op = GreenOperator(mu, build_mesh(cells) if gamma is None else graded_mesh(cells, gamma))
     rng = np.random.default_rng(cells)
     noise = rng.uniform(-1.0, 1.0, op.tau.shape)
     integrands = (op.tau ** 2 * np.cos(3.0 * op.tau) + noise,  # full array
@@ -412,7 +411,7 @@ def test_apply_is_the_concatenate_form_bit_for_bit(mu, gamma, cells):
 def test_apply_of_a_constant_is_the_filled_array(cells):
     # a scalar is filled at the nodes, as integrate fills it: einsum sums a
     # stride-0 view in another order than the array of its values
-    op = GreenOperator(1.5, build_mesh(cells, 3.0))
+    op = GreenOperator(1.5, graded_mesh(cells, 3.0))
     for c in (0.001, 0.7, 3.0):
         assert op.apply(c).tobytes() == op.apply(np.full(op.tau.shape, c)).tobytes()
 
@@ -437,11 +436,12 @@ def _power_barrier(mu, beta, t):
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
-@pytest.mark.parametrize("mesh", [build_mesh(128, 3.0), SIZE_MESH], ids=["128-3.0", "SIZE_MESH"])
+@pytest.mark.parametrize("mesh", [graded_mesh(128, 3.0), build_mesh(128)],
+                         ids=["128-3.0", "build_mesh"])
 @pytest.mark.parametrize("beta", [0.4, 0.9, -0.25])
 def test_last_cell_exponent_makes_the_barrier_exact_near_one(mu, mesh, beta):
     # x at the last cell's nodes, where the integrand (1 - tau)^(-beta) is
-    # singular; A2's SIZE_MESH ends in a cell 2^-40 (9.1e-13) wide.  The
+    # singular; build_mesh(128) ends in a cell 2^-40 (9.1e-13) wide.  The
     # Gauss rule there is off by 1e-4 to 0.88 (relative), and a beta off by
     # 0.02 by 8e-6 to 0.23
     want = _power_barrier(mu, beta, mesh.nodes[-1])

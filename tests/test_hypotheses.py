@@ -6,10 +6,9 @@ import pytest
 from cfbvp.cli import main
 from cfbvp.green import GreenOperator, rate_of
 from cfbvp.endpoint import endpoint_exponents
-from cfbvp.hypotheses import (SIZE_MESH, NumericsConfig, ProblemSpec, check_A1, check_A2,
-                              sigma_R)
+from cfbvp.hypotheses import NumericsConfig, ProblemSpec, check_A1, check_A2, sigma_R
 from cfbvp.problem_io import parse_problem_text
-from cfbvp.quadrature import MeshError, build_mesh
+from cfbvp.quadrature import build_mesh
 from test_manufactured import manufactured_text
 
 
@@ -36,7 +35,7 @@ def test_sigma_constant_profile_oracle(make_spec):
     # psi = 1: sigma(0) = int_0^1 e^{lam(1-s)} / cosh(lam) ds
     #        = (e^lam - 1) / (lam cosh(lam))
     s = make_spec(psi="1")
-    sig = sigma_R(s, GreenOperator(s.mu, s.default_mesh()))
+    sig = sigma_R(s, GreenOperator(s.mu, build_mesh(s.numerics.mesh_cells)))
     lam = rate_of(1.5)
     want = (math.exp(lam) - 1.0) / (lam * math.cosh(lam))
     assert abs(sig[0] - want) <= 1e-10  # the breakpoint t = 0 comes first
@@ -44,12 +43,12 @@ def test_sigma_constant_profile_oracle(make_spec):
 
 def test_sigma_zero_profile(make_spec):
     s = make_spec(psi="0*s")
-    sig = sigma_R(s, GreenOperator(s.mu, s.default_mesh()))
+    sig = sigma_R(s, GreenOperator(s.mu, build_mesh(s.numerics.mesh_cells)))
     assert np.all(sig == 0.0)
 
 
 def test_sigma_vanishes_at_one(spec):
-    op = GreenOperator(spec.mu, spec.default_mesh())
+    op = GreenOperator(spec.mu, build_mesh(spec.numerics.mesh_cells))
     sig = sigma_R(spec, op)
     assert sig.shape == op.points.shape
     assert sig[len(op.grid) - 1] == 0.0  # the breakpoint t = 1
@@ -57,27 +56,10 @@ def test_sigma_vanishes_at_one(spec):
 
 
 def test_sigma_monotone_in_profile(make_spec):
-    op = GreenOperator(1.5, make_spec().default_mesh())
+    op = GreenOperator(1.5, build_mesh(128))
     lo = sigma_R(make_spec(psi="s"), op)
     hi = sigma_R(make_spec(psi="s + 0.5"), op)
     assert np.all(hi >= lo - 1e-15)
-
-
-@pytest.mark.parametrize("mu", [1.5, 1.9])
-def test_sigma_refinement_order(mu, make_spec):
-    # the graded breakpoints nest (1 - (1 - j/N)^3 is node 2j of the 2N
-    # mesh); with psi ~ (1 - s)^(-1/4) the barrier converges at order
-    # gamma (1 - 1/4) = 2.25, a factor 4.76 per doubling
-    spec = make_spec(mu=mu)
-    ops = [GreenOperator(mu, build_mesh(cells, 3.0))
-           for cells in (64, 128, 256, 512)]
-    sigmas = [sigma_R(spec, op)[:len(op.grid)] for op in ops]
-    diffs = []
-    for coarse, fine, op_c, op_f in zip(sigmas, sigmas[1:], ops, ops[1:]):
-        assert np.array_equal(op_c.grid, op_f.grid[::2])
-        diffs.append(np.max(np.abs(coarse - fine[::2])))
-    assert diffs[0] / diffs[1] >= 4.0
-    assert diffs[1] / diffs[2] >= 4.0
 
 
 @pytest.mark.parametrize("mu", [1.2, 1.5, 1.9, 1.975])
@@ -183,11 +165,11 @@ def test_a2_minorant_violation_detected(make_spec):
 
 
 @pytest.mark.parametrize("u", ["x^(-0.25)", "max(x^(-0.25), 0)"], ids=["u_read", "u_unread"])
-def test_check_A2_builds_two_operators_and_evaluates_q_once(u, make_spec, monkeypatch):
+def test_check_A2_builds_one_operator_and_evaluates_q_once(u, make_spec, monkeypatch):
     # whether the exponents are read (the worked family) or not (max is
-    # unread), check_A2 builds the solver mesh's operator, then SIZE_MESH's,
-    # and int q and int q u(sigma_R) share one evaluation of q on SIZE_MESH
-    # (128 uniform cells, then the last one halved 33 times toward t = 1)
+    # unread), check_A2 builds one operator, on build_mesh(128) (128 uniform
+    # cells, then the last one halved 33 times toward t = 1), and int q and
+    # int q u(sigma_R) share one evaluation of q at its nodes
     built, sizes = [], []
     original_init, original_q = GreenOperator.__init__, ProblemSpec.q_at
 
@@ -203,52 +185,40 @@ def test_check_A2_builds_two_operators_and_evaluates_q_once(u, make_spec, monkey
     monkeypatch.setattr(ProblemSpec, "q_at", counted_q)
     report = check_A2(make_spec(u=u))
     assert (report.exponents.u is None) == u.startswith("max")
-    assert (SIZE_MESH.cells, SIZE_MESH.flat_nodes.size) == (161, 1288)
-    assert built == [128, 161]
-    assert sizes == [8 * 161]
+    assert built == [161]
+    assert sizes == [8 * 161] == [report.operator.tau.size]
 
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
 def test_size_terms_do_not_depend_on_the_mesh(mu, make_spec):
-    # the mesh of I_q and I_qu is SIZE_MESH whatever the
-    # mesh keys, so the size terms of any solver mesh are the default
-    # mesh's, bit for bit, and A2 passes (int q = 2/3) at every grading
-    # that keeps the solver mesh's cells
+    # every mesh ends in the same halving tail, whose last cell takes the
+    # integrands' exponents, so the size terms at any mesh.cells agree with
+    # the default's to rounding (within 1.6e-14 relative from 16 to 2,048
+    # cells) and A2 passes (int q = 2/3); mesh.gamma is read by nothing, so
+    # it leaves them bit for bit
     def terms(numerics):
         r = check_A2(make_spec(mu=mu, numerics=numerics))
         assert r.passed, numerics
-        return r.I_q, r.I_qu, r.ratio, r.eps_max
+        return np.array([r.I_q, r.I_qu, r.ratio, r.eps_max])
 
     want = terms(NumericsConfig())
-    for numerics in (*(NumericsConfig(mesh_cells=c) for c in (512, 2048)),
-                     *(NumericsConfig(gamma=g) for g in (1.0, 6.0))):
-        assert terms(numerics) == want, numerics
+    for cells in (16, 32, 512, 2048):
+        got = terms(NumericsConfig(mesh_cells=cells))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13, cells
+    for gamma in (1.0, 6.0, 1e5):
+        assert terms(NumericsConfig(gamma=gamma)).tobytes() == want.tobytes(), gamma
 
 
 @pytest.mark.parametrize("gamma", [1.0, 3.0, 6.0, 3e4, 4e4, 1e5])
 @pytest.mark.parametrize("a", [1.0, 1.2])
 def test_divergent_int_q_fails_at_every_grading(a, gamma, make_spec):
     # int_0^1 s (1 - s^2)^(-a) ds diverges for a >= 1, so I_q and I_qu are
-    # not finite at any mesh.gamma.  The solver mesh is one the grading keeps
-    # whole: 128 cells below gamma 6.854, and one cell at the steep gradings,
-    # which refuse 128 cells (as the next test checks)
-    cells = 128 if gamma < 6.854 else 1
-    assert build_mesh(cells, gamma).cells == cells
-    report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a})", R=1e4,
-                                numerics=NumericsConfig(mesh_cells=cells, gamma=gamma)))
-    assert {"A2.I_q_finite", "A2.I_qu_finite"} <= {f.check for f in report.failures}
-
-
-@pytest.mark.parametrize("gamma, kept", [(7.0, 127), (500.0, 9), (1e3, 5), (3e4, 1),
-                                         (4e4, 1), (1e5, 1)])
-def test_a_grading_that_merges_solver_cells_is_rejected(gamma, kept, make_spec):
-    # a steep grading's gaps near t = 1 fall to a few ulps after `kept` of
-    # the 128 cells (below gamma 6.854 they never do); the solver mesh is
-    # then refused, naming the key
-    spec = make_spec(numerics=NumericsConfig(gamma=gamma))
-    with pytest.raises(MeshError, match=f"^key 'mesh.gamma': a grading of {gamma:g} "
-                                        f"merges the 128 mesh cells into {kept}; "):
-        check_A2(spec)
+    # not finite at any mesh.cells, and at any mesh.gamma, which the checks
+    # accept and do not read (a steep one once merged the mesh's cells)
+    for cells in (1, 16, 128):
+        report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a})", R=1e4,
+                                    numerics=NumericsConfig(mesh_cells=cells, gamma=gamma)))
+        assert {"A2.I_q_finite", "A2.I_qu_finite"} <= {f.check for f in report.failures}
 
 
 def test_q_failure_names_one_subexpression(make_spec):
@@ -391,7 +361,7 @@ def test_I_qu_is_finite_iff_its_exponent_is_below_one(a, b, beta, make_spec):
 def test_I_q_matches_its_closed_form(a, make_spec):
     # int_0^1 s (1 - s^2)^(-a) ds = 1 / (2 (1 - a)); a last-cell exponent off
     # by 0.02 leaves 5.8e-9 at a = 0.5, and the Gauss rule 6.9e-8 there.
-    # SIZE_MESH's error grows with a, to 9.0e-9 at a = 0.9
+    # The default mesh's error grows with a, to 9.0e-9 at a = 0.9
     report = check_A2(make_spec(q=f"s*(1-s^2)^(-{a!r})"))
     want = 0.5 / (1.0 - a)
     assert abs(report.I_q - want) <= (1e-10 if a <= 0.5 else 2e-8) * want
@@ -402,18 +372,18 @@ def test_I_q_matches_its_closed_form(a, make_spec):
 def test_I_qu_matches_the_converged_reference_at_high_order(mu, tol, reference, make_spec):
     # the worked family at R = 1e4 against the benchmark's Nystrom barrier on
     # 2,048 cells, which moves at most 9.4e-13 from 1,024 cells; at
-    # mu = 1.9985 (lambda = 666) SIZE_MESH is 2.7e-8 off
+    # mu = 1.9985 (lambda = 666) the default mesh is 2.7e-8 off
     want = reference.family_size_terms(mu, 1e4, 0.25, 0.25, cells=2048)["I_qu"]
     report = check_A2(make_spec(mu=mu, R=1e4))
     assert abs(report.I_qu - want) <= tol * want
 
 
 @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.8])
-def test_the_barrier_on_SIZE_MESH_is_positive_at_lambda_703(a, make_spec):
+def test_the_barrier_on_the_default_mesh_is_positive_at_lambda_703(a, make_spec):
     # at mu = 1.99858 the kernel decays like e^(-703 |t - tau|); on a
-    # positive psi the barrier at every node of SIZE_MESH, with psi's
+    # positive psi the barrier at every node of build_mesh(128), with psi's
     # exponent in the last cell, stays positive (down to 1.4e-13 at a = 0.1),
     # so u(sigma_R) never meets the clamp at 0
     spec = make_spec(mu=1.99858, psi=f"s*(1-s^2)^(-{a!r})*R^(-0.25)")
-    op = GreenOperator(spec.mu, SIZE_MESH, a)
+    op = GreenOperator(spec.mu, build_mesh(128), a)
     assert np.all(sigma_R(spec, op)[len(op.grid):] > 0.0)

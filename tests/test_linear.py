@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from cfbvp.green import GreenOperator, rate_of
-from cfbvp.quadrature import MeshError, build_mesh, mesh_from_breakpoints
+from cfbvp.quadrature import MeshError, mesh_from_breakpoints
 from linear_oracles import (LocalQuartic, cf_left, cf_right, general_solution_left_half,
-                            general_solution_right_half, residual_linear)
+                            general_solution_right_half, graded_mesh, residual_linear)
 
 MU = 1.5
 LAM = rate_of(MU)
-MESH = build_mesh(256, 3.0)
-UNIFORM = build_mesh(512)
+MESH = graded_mesh(256, 3.0)
+UNIFORM = graded_mesh(512)
 
 # oracle: int_0^1 e^{1-s} s^2 ds = [-e^{1-s}(s^2+2s+2)]_0^1 = 2e - 5
 INT_EXP_SQUARE = 2.0 * math.e - 5.0
@@ -128,7 +128,7 @@ def test_left_half_residual_of_odd_forcing():
     cfd = lambda t: -6.0 * (r(t) - (1.0 - np.exp(-r(t))))
     memory = lambda t: -(r(t) ** 3 - 3.0 * r(t) ** 2 + 6.0 * r(t) - 6.0 + 6.0 * np.exp(-r(t)))
     y = lambda t: memory(t) - cfd(t)
-    res = residual_linear(MU, lambda t: t ** 3, y, build_mesh(256), half="left")
+    res = residual_linear(MU, lambda t: t ** 3, y, graded_mesh(256), half="left")
     assert np.max(np.abs(res)) <= 1e-12
 
 
@@ -136,7 +136,7 @@ def test_left_half_residual_of_odd_forcing():
                          ids=["right", "left"])
 def test_residual_decreases_under_doubling(fn, half):
     sups = [np.max(np.abs(residual_linear(MU, lambda t: fn(LAM * t), lambda t: 0.0,
-                                          build_mesh(n), half=half)))
+                                          graded_mesh(n), half=half)))
             for n in (64, 128, 256, 512, 1024)]
     # interpolation-limited: x'' of the local quartic is O(h^3), a factor 8
     factors = [a / b for a, b in zip(sups, sups[1:])]
@@ -146,7 +146,7 @@ def test_residual_decreases_under_doubling(fn, half):
 def test_residual_of_bvp_solution_refines():
     sups = []
     for cells in (64, 128):
-        mesh = build_mesh(cells)
+        mesh = graded_mesh(cells)
         y = LocalQuartic(mesh.breakpoints, mesh.breakpoints ** 2)
         op = GreenOperator(MU, mesh)
         x = LocalQuartic(mesh.breakpoints, op.apply(y(op.tau))[:len(op.grid)])
@@ -174,13 +174,13 @@ def test_zero_forcing_compatibility_is_sharp(slope_at_zero):
 def test_graded_mesh_rejected():
     # x'' divides by h^2: on the graded cells near t = 1 roundoff swamped
     # the defect (cosh: 6.2e-8, 1.8e-8, 4.2e-7 at 128, 512, 2048 cells)
-    mesh = build_mesh(512, 3.0)
+    mesh = graded_mesh(512, 3.0)
     with pytest.raises(ValueError, match="uniform"):
         residual_linear(MU, lambda t: np.cosh(LAM * t), lambda t: 0.0, mesh)
 
 
 def test_grid_too_coarse_rejected():
-    mesh = build_mesh(4)
+    mesh = graded_mesh(4)
     with pytest.raises(ValueError):
         residual_linear(MU, lambda t: t, lambda t: 0.0, mesh)
 
@@ -198,7 +198,7 @@ def barrier_like(t):
 @pytest.mark.parametrize("cells", [16, 64, 512, 2048])
 @pytest.mark.parametrize("grading", ["uniform", "graded", "left"])
 def test_quartics_are_reproduced(grading, cells):
-    mesh = build_mesh(cells, gamma=1.0 if grading == "uniform" else 3.0)
+    mesh = graded_mesh(cells, gamma=1.0 if grading == "uniform" else 3.0)
     grid, p = mesh.breakpoints, mesh.flat_nodes
     if grading == "left":  # the mirrored grid, on [-1, 0]
         grid, p = -grid[::-1], -p
@@ -214,7 +214,7 @@ def test_quartics_are_reproduced(grading, cells):
 def test_value_error_falls_like_h5():
     errs = []
     for cells in (16, 32, 64, 128, 256):
-        mesh = build_mesh(cells)
+        mesh = graded_mesh(cells)
         g = LocalQuartic(mesh.breakpoints, np.cos(3.0 * mesh.breakpoints))
         errs.append(np.max(np.abs(g(mesh.flat_nodes) - np.cos(3.0 * mesh.flat_nodes))))
     factors = np.array(errs[:-1]) / np.array(errs[1:])
@@ -222,7 +222,7 @@ def test_value_error_falls_like_h5():
 
 
 def test_interpolant_evaluation_and_reuse():
-    mesh = build_mesh(128, gamma=3.0)
+    mesh = graded_mesh(128, gamma=3.0)
     bps, tau = mesh.breakpoints, mesh.flat_nodes
     values = {"g": barrier_like(bps), "h": 2.0 * barrier_like(bps) - bps}
     fits = {name: LocalQuartic(bps, v) for name, v in values.items()}

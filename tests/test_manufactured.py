@@ -20,6 +20,7 @@ import pytest
 from cfbvp.cli import EXIT_OK, main
 from cfbvp.green import GreenOperator
 from cfbvp.problem_io import load_problem, parse_problem_text
+from cfbvp.quadrature import build_mesh
 from cfbvp.solver import solve
 
 SHIPPED = Path(__file__).resolve().parents[1] / "problems" / "manufactured.prob"
@@ -78,7 +79,7 @@ def test_exact_solution_is_a_fixed_point(mu):
     # text and the operator together reproduce x* at every point
     A = 1.0
     spec = parse_problem_text(manufactured_text(mu, A, 0.25, 0.25))
-    op = GreenOperator(mu, spec.default_mesh())
+    op = GreenOperator(mu, build_mesh(spec.numerics.mesh_cells))
     x_star = lambda t: A * (1.0 - t * t)
     x = op.apply(spec.f_at(op.tau, x_star(op.tau)))
     assert np.max(np.abs(x - x_star(op.points))) <= 2e-14 * A

@@ -2,11 +2,13 @@
 names and modules removed from it stay removed."""
 
 import importlib.util
+import inspect
 
 import pytest
 
 import cfbvp
 from cfbvp import endpoint, green, hypotheses, quadrature, solver
+from cfbvp.hypotheses import ProblemSpec
 from cfbvp.quadrature import Mesh
 
 
@@ -26,6 +28,9 @@ def test_exported_name_resolves(name):
     # one Gauss order: its tables are module constants, not functions of an order
     (quadrature, "_gauss_rule"), (quadrature, "gauss_integration_matrix"),
     (endpoint, "_lagrange_coefficients"),
+    # one mesh, build_mesh(cells): no grading, and no second mesh for A2
+    (quadrature.build_mesh, "gamma"), (hypotheses, "SIZE_MESH"),
+    (hypotheses, "_size_integrands"), (ProblemSpec, "default_mesh"),
     # a deleted module goes by its dotted path: none of its names can come back
     ("cfbvp.cf_derivative", "FracOrder"), ("cfbvp.cf_derivative", "as_order"),
     ("cfbvp.cf_derivative", "check_unit_mesh"), ("cfbvp.linear", "GeneralSolutionCoeffs"),
@@ -36,6 +41,9 @@ def test_removed_name_is_gone(module, name):
         if importlib.util.find_spec(module) is None:
             return
         module = importlib.import_module(module)
+    elif callable(module) and not isinstance(module, type):  # a function's parameter
+        assert name not in inspect.signature(module).parameters
+        return
     assert name not in getattr(module, "__all__", ())  # a class has no __all__
     assert not hasattr(module, name)
 

@@ -5,51 +5,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfbvp.quadrature import (GAUSS_INTEGRATION_MATRIX, GAUSS_NODES, Mesh, MeshError,
-                              NonFiniteIntegrandError, _sum_left_to_right, build_mesh,
-                              integrate, mesh_from_breakpoints)
+from cfbvp import endpoint
+from cfbvp.quadrature import (GAUSS_INTEGRATION_MATRIX, GAUSS_NODES, GAUSS_W, GAUSS_X, Mesh,
+                              MeshError, NonFiniteIntegrandError, _sum_left_to_right,
+                              build_mesh, integrate, legendre_table, mesh_from_breakpoints)
+from linear_oracles import graded_mesh
 
 
 def test_uniform_breakpoints():
-    m = build_mesh(4, 1.0)
-    assert np.allclose(m.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
+    # 4 uniform cells, the last one halved until it is 2^-40 wide: 38
+    # halvings, every breakpoint exact in binary
+    m = build_mesh(4)
+    want = np.array([0.0, 0.25, 0.5, 0.75, *(1.0 - 0.5 ** np.arange(3, 41)), 1.0])
+    assert np.array_equal(m.breakpoints, want)
 
 
-def test_right_graded_breakpoints():
-    m = build_mesh(4, 2.0)
-    assert np.allclose(m.breakpoints, [0.0, 0.4375, 0.75, 0.9375, 1.0], atol=1e-15)
+def test_128_cells_end_in_33_halvings_exact_in_binary():
+    # 128 uniform cells (lambda h <= 709/128 at every order), the last one
+    # halved 33 times toward t = 1: 161 cells, 1,288 nodes
+    m = build_mesh(128)
+    want = mesh_from_breakpoints([*(np.arange(128) / 128), *(1.0 - 0.5 ** np.arange(8, 41)), 1.0])
+    assert (m.cells, m.flat_nodes.size) == (161, 1288)
+    assert np.array_equal(m.breakpoints, want.breakpoints)
+    assert np.array_equal(m.nodes, want.nodes) and np.array_equal(m.weights, want.weights)
 
 
-# (cells, gamma) -> the cells before the grading's first gap of at most
-# 16 eps, on the gradings tried below that have one.  The solver's default
-# grading 3 has none at any cell count tried, and 128 cells have none up to
-# grading 6.85
-NARROW = {(128, 20.0): 104, (512, 6.0): 510, (512, 20.0): 406, (1024, 6.0): 1020,
-          (1024, 20.0): 805, (4096, 6.0): 4076, (4096, 20.0): 3154, (8192, 6.0): 8147,
-          (8192, 20.0): 6239, (128, 7.0): 127, (128, 500.0): 9, (128, 1e3): 5,
-          (128, 3e4): 1, (128, 4e4): 1, (128, 1e5): 1, (64, 500.0): 5}
-
-
-@pytest.mark.parametrize("cells, gamma", [
-    *((c, g) for c in (1, 2, 128, 512, 1024, 4096, 8192) for g in (1.0, 3.0, 6.0, 20.0)),
-    *((128, g) for g in (6.85, 7.0, 500.0, 1e3, 3e4, 4e4, 1e5)), (64, 500.0)])
-def test_build_mesh_keeps_every_cell_or_raises(cells, gamma):
-    # the grading's breakpoints bit for bit, every cell kept; or, where a gap
-    # is at most 16 eps (quadrature nodes would round onto the breakpoints
-    # near t = 1), a MeshError naming the cells before the first such gap
-    j = np.arange(cells + 1) / cells
-    grading = j if gamma == 1.0 else 1.0 - (1.0 - j) ** gamma
-    narrow = np.flatnonzero(np.diff(grading) <= 16.0 * np.finfo(float).eps)
-    kept = NARROW.get((cells, gamma))
-    if kept is None:
-        got = build_mesh(cells, gamma).breakpoints
-        assert narrow.size == 0 and len(got) == cells + 1
-        assert np.array_equal(got.view(np.int64), grading.view(np.int64))
-    else:
-        assert narrow[0] == kept
-        with pytest.raises(MeshError, match=rf"^a grading of {gamma:g} merges the {cells} "
-                                            rf"mesh cells into {kept}$"):
-            build_mesh(cells, gamma)
+@pytest.mark.parametrize("cells, total", [(1, 41), (2, 41), (3, 42), (100, 134), (128, 161),
+                                          (512, 543), (4096, 4124)])
+def test_the_last_cell_is_halved_to_at_most_2_to_the_minus_40(cells, total):
+    # the uniform breakpoints k/cells, then 1 - 2^-j/cells for j = 1, 2, ...
+    # until the last cell is at most 2^-40 wide (and so more than 2^-41);
+    # at 100 cells, 2^-33/100 = 1.2e-12 is still wider, so j runs to 34
+    m = build_mesh(cells)
+    bps = m.breakpoints
+    assert m.cells == total
+    assert np.array_equal(bps[:cells], np.arange(cells) / cells)
+    halvings = total - cells
+    assert np.array_equal(bps[cells:-1], 1.0 - 0.5 ** np.arange(1, halvings + 1) / cells)
+    assert 2.0 ** -41 < 1.0 - bps[-2] <= 2.0 ** -40
+    # quadrature nodes stay strictly inside every cell
+    assert np.all(m.nodes > bps[:-1, None]) and np.all(m.nodes < bps[1:, None])
 
 
 def test_invalid_interval():
@@ -64,16 +59,10 @@ def test_nonpositive_cells():
             build_mesh(0)
 
 
-def test_gamma_below_one_rejected():
-    for _ in range(2):
-        with pytest.raises(MeshError):
-            build_mesh(4, 0.5)
-
-
 def test_equal_arguments_share_one_read_only_mesh():
-    mesh = build_mesh(128, 3.0)
-    assert build_mesh(128, 3.0) is mesh
-    assert build_mesh(128, 6.0) is not mesh
+    mesh = build_mesh(128)
+    assert build_mesh(128) is mesh
+    assert build_mesh(64) is not mesh
     for values in (mesh.breakpoints, mesh.nodes, mesh.weights):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.5
@@ -82,13 +71,13 @@ def test_equal_arguments_share_one_read_only_mesh():
 
 
 def test_weights_positive_and_breakpoints_increase():
-    m = build_mesh(10, 3.0)
+    m = build_mesh(10)
     assert np.all(np.diff(m.breakpoints) > 0)
     assert np.all(m.weights > 0)
 
 
 def test_constant_exact():
-    for m in (build_mesh(1), build_mesh(17, 3.0)):
+    for m in (build_mesh(1), build_mesh(17)):
         assert abs(integrate(1.0, m) - 1.0) <= 1e-14
 
 
@@ -98,15 +87,18 @@ def test_cubic_exact():
 
 
 def test_endpoint_singularity_oracle():
-    # oracle: closed-form antiderivative 2(1 - (1-x)^{1/2}) gives exactly 2
-    m = build_mesh(4096, 3.0)
-    assert abs(integrate((1.0 - m.flat_nodes) ** -0.5, m) - 2.0) <= 1e-6
+    # oracle: closed-form antiderivative 2(1 - (1-x)^{1/2}) gives exactly 2;
+    # the plain rule is 9.8e-8 off, the last cell's exponent leaves 7.3e-13
+    m = build_mesh(4096)
+    v = (1.0 - m.flat_nodes) ** -0.5
+    assert abs(integrate(v, m) - 2.0) <= 1e-6
+    assert abs(integrate(v, m, 0.5) - 2.0) <= 1e-12
 
 
 def test_refinement_convergence_monotone():
     errs = []
     for cells in (64, 128, 256, 512):
-        m = build_mesh(cells, 3.0)
+        m = graded_mesh(cells, 3.0)
         errs.append(abs(integrate((1.0 - m.flat_nodes) ** -0.5, m) - 2.0))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -133,7 +125,7 @@ def test_linearity(alpha, beta):
 
 
 def test_determinism():
-    m = build_mesh(64, 3.0)
+    m = build_mesh(64)
     v1 = integrate((1.0 - m.flat_nodes) ** -0.25, m)
     v2 = integrate((1.0 - m.flat_nodes) ** -0.25, m)
     assert v1 == v2
@@ -157,9 +149,9 @@ def test_mesh_off_the_unit_interval_rejected(a, b):
 def test_mesh_fields():
     assert [f.name for f in dataclasses.fields(Mesh)] == ["breakpoints", "nodes", "weights"]
     # every mesh has GAUSS_NODES nodes per cell: no argument sets another count
-    assert list(inspect.signature(build_mesh).parameters) == ["cells", "gamma"]
+    assert list(inspect.signature(build_mesh).parameters) == ["cells"]
     assert list(inspect.signature(mesh_from_breakpoints).parameters) == ["breakpoints"]
-    assert build_mesh(3).nodes.shape == (3, GAUSS_NODES) == (3, 8)
+    assert build_mesh(3).nodes.shape == (42, GAUSS_NODES) == (42, 8)
 
 
 def _loop_sum(values) -> float:
@@ -193,7 +185,7 @@ def test_sum_left_to_right_is_the_loop_bit_for_bit():
 def test_integrate_sums_cells_left_to_right():
     rng = np.random.default_rng(5)
     for cells in (1, 2, 7, 128, 4096):
-        m = build_mesh(cells, 3.0)
+        m = build_mesh(cells)
         v = rng.standard_normal(m.flat_nodes.shape) * 10.0 ** rng.uniform(-8, 8)
         v[: len(v) // 3] = 0.0
         cell_sums = np.einsum("ij,ij->i", m.weights, v.reshape(m.nodes.shape))
@@ -224,3 +216,28 @@ def test_integrate_takes_the_last_cell_exponent(beta):
     want = 1.0 / (1.0 - beta)
     assert abs(integrate(v, m, beta) - want) <= 1e-13 * want
     assert abs(integrate(v, m) - want) > 1e-2 * want
+
+
+def test_tables_are_numpy_polynomials_bit_for_bit():
+    # the written-out Gauss rule is leggauss's, and legendre_table runs
+    # legvander's recurrence, so every table built on them is the one
+    # numpy.polynomial gives
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(GAUSS_NODES)
+    assert GAUSS_X.tobytes() == x.tobytes() and GAUSS_W.tobytes() == w.tobytes()
+    r = np.linspace(0.0, 1.0, 7)
+    points = [x, 1.0 - r[:, None] * (1.0 - x), np.random.default_rng(3).uniform(-1, 1, 50), 0.3]
+    for p in points:
+        for degree in (0, 1, GAUSS_NODES - 1, GAUSS_NODES):
+            assert legendre_table(p, degree).tobytes() == legendre.legvander(p, degree).tobytes()
+    P = legendre.legvander(x, GAUSS_NODES)
+    k = GAUSS_NODES
+    anti = np.empty((k, k))
+    anti[:, 0] = 0.5 * (x + 1.0)
+    anti[:, 1:] = 0.5 * (P[:, 2:] - P[:, :k - 1])
+    assert GAUSS_INTEGRATION_MATRIX.tobytes() == (anti @ (P[:, :k] * w[:, None]).T).tobytes()
+    lagrange = P[:, :k] * (np.arange(k) + 0.5) * w[:, None]
+    assert endpoint._LAGRANGE.tobytes() == lagrange.tobytes()
+    basis = endpoint._tail_basis(tuple(r))
+    want = legendre.legvander(1.0 - r[:, None] * (1.0 - x), k - 1) @ lagrange.T
+    assert basis.tobytes() == want.tobytes()

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbvp import expressions as ex
-from cfbvp.hypotheses import SIZE_MESH, NumericsConfig, check_A2
+from cfbvp.endpoint import endpoint_exponents
+from cfbvp.hypotheses import NumericsConfig, check_A2
 from cfbvp.problem_io import load_problem
+from cfbvp.quadrature import build_mesh
 from cfbvp.solver import (GreenOperator, HypothesisError, SolverError, apply_Tm,
                           clamp_m, residual_nonlinear, solve, solve_fixed_m)
 
@@ -21,12 +23,13 @@ def spec(make_spec):
 
 @pytest.fixture(scope="module")
 def mesh(spec):
-    return spec.default_mesh()
+    return build_mesh(spec.numerics.mesh_cells)
 
 
 @pytest.fixture(scope="module")
 def op(spec, mesh):
-    return GreenOperator(spec.mu, mesh)
+    # as check_A2 builds it: the last cell takes psi's exponent, 1/4
+    return GreenOperator(spec.mu, mesh, endpoint_exponents(spec).beta_psi)
 
 
 @pytest.fixture(scope="module")
@@ -167,18 +170,26 @@ def test_solve_converges(report):
     assert report.hypothesis.eps_max > 1.0
 
 
-def test_x0_refinement_order():
-    # the graded breakpoints nest and x(0) is the breakpoint t = 0: its
-    # change per doubling of the cells shrinks by a factor of about 5
+@pytest.mark.parametrize("cells", [16, 32, 128, 512])
+@pytest.mark.parametrize("name, mu, tol", [("worked_family", None, 2e-11),
+                                           ("worked_family_mu19", 1.9, 1e-10)])
+def test_x0_matches_the_reference_at_every_cell_count(reference, name, mu, tol, cells):
+    # x(0) of the shipped problem and of its mu = 1.9 twin against the
+    # benchmark's converged X0_REF (within 1e-13).  The halving tail resolves
+    # f's singularity at t = 1 whatever the uniform cells, so x(0) is flat in
+    # them: it moves by about 1e-15 from 16 to 512 cells
     shipped = Path(__file__).resolve().parents[1] / "problems" / "worked_family.prob"
-    x0 = [solve(load_problem(shipped, {"mesh_cells": cells})).x[0]
-          for cells in (64, 128, 256, 512, 1024)]
-    steps = np.abs(np.diff(x0))
-    assert np.all(steps[:-1] / steps[1:] >= 4.0), steps
+    spec = load_problem(shipped, {"mesh_cells": cells})
+    if mu is not None:
+        spec = dataclasses.replace(spec, mu=mu)
+    rep = solve(spec)
+    want = reference.X0_REF[name]
+    assert rep.status == "converged"
+    assert abs(rep.x[0] - want) <= tol * want
 
 
 def test_x0_matches_independent_nystrom_reference(reference, make_spec):
-    # the mu = 1.9 member at the default 128 cells and grading 3 against the
+    # the mu = 1.9 member at the default 128 cells against the
     # benchmark's m = 128 reference on 256 cells at grading 6 with 12 nodes
     # per cell (limit of refinement to ~1e-13); reading the iterate through a
     # cubic spline instead of at the quadrature nodes left a 1.9e-8 relative error
@@ -221,12 +232,12 @@ def endpoint_deviation(make_spec):
 
 @pytest.mark.parametrize("mu", [1.5, 1.9])
 def test_m_level_follows_the_endpoint_law(endpoint_deviation, mu):
-    # the 32 nodes with 1e-8 <= d <= 1e-6, all outside the last cell
-    # (d < (1/512)^3 = 7.5e-9); they deviate by 0.44% (mu = 1.5) and 0.52%
-    # (mu = 1.9) at most
+    # the 54 nodes with 1e-8 <= d <= 1e-6: a factor 100 in d spans 6.6 of
+    # the mesh's halved cells, 6 of them whole (48 nodes) and 6 nodes of the
+    # next two; they deviate by 0.10% (mu = 1.5) and 0.19% (mu = 1.9) at most
     d, deviation = endpoint_deviation[mu]
     band = (d >= 1e-8) & (d <= 1e-6)
-    assert np.count_nonzero(band) == 32
+    assert np.count_nonzero(band) == 54
     assert np.max(np.abs(deviation[band])) <= 0.01
 
 
@@ -277,17 +288,17 @@ def test_m_level_as_mu_tends_to_one_has_a_closed_form(make_spec, cells, tol):
     assert 0.19 <= (x[0] / _volterra_level(0.0, m) - 1.0) / lam <= 0.21
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the Gauss rule of the last cell "
-                   "does not resolve f's d^-a; the outermost node reads 19.3% low")
 def test_m_level_follows_the_endpoint_law_at_the_outermost_node(endpoint_deviation):
+    # the node nearest t = 1 (d = 1.8e-14) lies in the last cell, whose rule
+    # takes psi's exponent, which for the worked family is f's d^-a (a = 1/4):
+    # it deviates by 2.6e-5 (mu = 1.5) and 1.6e-9 (mu = 1.9)
     for d, deviation in endpoint_deviation.values():
         assert abs(deviation[np.argmin(d)]) <= 0.01
 
 
 def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
-    # the solve builds the 2 operators of its A2 check (the solver mesh,
-    # then SIZE_MESH, the mesh of the improper integrals whatever the solver
-    # mesh) and none of its own
+    # the solve builds the one operator of its A2 check, on build_mesh of
+    # the numerics' cells, and none of its own
     cells = []
     original = GreenOperator.__init__
 
@@ -296,7 +307,6 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
         original(self, mu, mesh, beta)
 
     monkeypatch.setattr(GreenOperator, "__init__", counted)
-    size = [SIZE_MESH.cells]
     for s in (spec, make_spec(NumericsConfig(mesh_cells=64)),
               make_spec(NumericsConfig(mesh_cells=512))):
         cells.clear()
@@ -305,7 +315,7 @@ def test_solve_reuses_the_reports_operator(spec, monkeypatch, make_spec):
         cells.clear()
         rep = solve(s)
         assert rep.status == "converged"
-        assert in_check == [s.numerics.mesh_cells, *size]
+        assert in_check == [build_mesh(s.numerics.mesh_cells).cells]
         assert cells == in_check
         assert len(rep.x) == len(rep.hypothesis.operator.points)
 
