@@ -202,7 +202,7 @@ def _x_lattice(density: int, x_max: float, m_max: int) -> np.ndarray:
     return np.geomspace(min(1e-3 * min(x_max, 1.0), 1.0 / m_max), x_max, density)
 
 
-_EXPR_ERRORS = (ex.ExprDomainError, ex.UnboundVariableError, OverflowError)
+_EXPR_ERRORS = (ex.ExprDomainError,)
 
 
 def _on_lattice(fn, *axes) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +332,9 @@ def _improper_integral(failures: list, check: str, name: str, values, mesh: Mesh
 def check_A2(spec: ProblemSpec) -> HypothesisReport:
     """Compute the barrier and size quantities and test the A2 conditions.
 
-    Conditions: finiteness of I_q = int q and I_qu = int q * u(sigma_R),
-    R >= sigma_R(0), the sampled minorant f(t, x) >= psi(|t|, R) on
-    (-1, 1) x (0, R], and ratio = R / (c (1 + v(R)/u(R)) I_qu) > 1.
+    Conditions: a finite, non-negative sigma_R; finite I_q = int q and
+    I_qu = int q * u(sigma_R); R >= sigma_R(0); the sampled minorant
+    f(t, x) >= psi(|t|, R) on (-1, 1) x (0, R]; ratio = R / (c (1 + v(R)/u(R)) I_qu) > 1.
     The barrier and both integrals are computed on build_mesh(mesh.cells),
     whose Green operator takes psi's exponent in its last cell.
     """
@@ -358,17 +358,17 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
                 undefined = "barrier takes a non-finite value"
             except _EXPR_ERRORS as err:
                 undefined = f"barrier undefined: expression error in psi: {err}"
-    at_grid = sigma[:len(op.grid)]  # the breakpoints come first
-    nonfinite = np.flatnonzero(~np.isfinite(at_grid))
-    if nonfinite.size:
-        # sigma_R(0) and I_qu = int q u(sigma_R) are left undefined (nan)
-        failures.append(CheckFailure("A2.sigma_finite", {"t": float(op.grid[nonfinite[0]])},
+    # one verdict on the barrier, over every point: nodes can dip between breakpoints
+    nonfinite = np.flatnonzero(~np.isfinite(sigma))
+    finite = not nonfinite.size
+    usable = finite and np.min(sigma) >= -1e-12
+    if not finite:
+        failures.append(CheckFailure("A2.sigma_finite", {"t": float(op.points[nonfinite[0]])},
                                      undefined))
-    sigma0 = float("nan") if nonfinite.size else 0.0 + float(sigma[0])
-    if np.min(sigma) < -1e-12:  # at the nodes too: the barrier can dip between breakpoints
-        failures.append(CheckFailure("A2.sigma_nonneg",
-                                     {"t": float(op.points[np.argmin(sigma)])},
+    elif not usable:
+        failures.append(CheckFailure("A2.sigma_nonneg", {"t": float(op.points[sigma.argmin()])},
                                      "barrier takes a negative value"))
+    sigma0 = 0.0 + float(sigma[0]) if finite else float("nan")
     if spec.R < sigma0:
         failures.append(CheckFailure("A2.R>=sigma(0)", {"R": spec.R},
                                      f"R = {spec.R:.6g} < sigma_R(0) = {sigma0:.6g}"))
@@ -380,18 +380,18 @@ def check_A2(spec: ProblemSpec) -> HypothesisReport:
             q = err
         I_q = _improper_integral(failures, "A2.I_q_finite", "int q", q, mesh, exps.beta_q,
                                  lambda: exps.unread("q"))
-        I_qu = float("nan")  # I_qu needs sigma_R, and psi's exponent in it
-        if not nonfinite.size and exps.psi_positive:
+        I_qu = float("nan")  # I_qu needs a usable sigma_R, and psi's exponent in it
+        if usable and exps.psi_positive:
             qu = q  # an error of q fails q u(sigma_R) too
             if not isinstance(q, ValueError):
                 try:
-                    qu = q * spec.u_at(np.maximum(sigma[len(op.grid):], 0.0))
+                    qu = q * spec.u_at(sigma[len(op.grid):])
                 except ValueError as err:
                     qu = err
             I_qu = _improper_integral(failures, "A2.I_qu_finite", "int q*u(sigma_R)", qu,
                                       mesh, exps.beta_qu,
                                       lambda: exps.unread("q", "psi", "u"))
-        elif not nonfinite.size:
+        elif finite and not exps.psi_positive:
             failures.append(CheckFailure("A2.I_qu_finite", {}, "int q*u(sigma_R) not shown "
                                          "finite: psi is not positive at s = 1"))
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cfbvp.green import lower_branch, rate_of, upper_branch
 from cfbvp.hypotheses import ProblemSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,24 +32,35 @@ def make_spec():
 def _quad_green(mu, yfn, ts, knots=()):
     """x(t) = int_0^1 G(t, tau) y(tau) dtau by adaptive quadrature.
 
-    An oracle independent of green.GreenOperator: each branch of the kernel
-    is integrated against y with scipy's quad, split at the diagonal
-    tau = t and at ``knots`` (where y is not smooth, e.g. an interpolant's
-    nodes).
+    An oracle that shares no code with cfbvp.green: the kernel is written
+    here in closed form, with lam = (mu - 1) / (2 - mu),
+
+        G(t, tau) = sinh(lam (1 - t)) e^{-lam tau} / cosh(lam)    tau <= t,
+        G(t, tau) = cosh(lam t) e^{lam (1 - tau)} / cosh(lam)     tau >= t,
+
+    and each branch is integrated against y with scipy's quad, split at the
+    diagonal tau = t and at ``knots`` (where y is not smooth, e.g. an
+    interpolant's nodes).
     """
-    lam = rate_of(mu)
+    lam = (mu - 1.0) / (2.0 - mu)
     knots = np.asarray(knots, dtype=float)
+
+    def lower(t, tau):
+        return np.sinh(lam * (1.0 - t)) * np.exp(-lam * tau) / np.cosh(lam)
+
+    def upper(t, tau):
+        return np.cosh(lam * t) * np.exp(lam * (1.0 - tau)) / np.cosh(lam)
 
     def part(branch, t, a, b):
         if a == b:
             return 0.0
         inner = knots[(knots > a) & (knots < b)]
         return scipy.integrate.quad(
-            lambda s: branch(lam, t, s) * float(yfn(s)), a, b,
+            lambda s: branch(t, s) * float(yfn(s)), a, b,
             epsabs=1e-15, epsrel=1e-13, limit=len(inner) + 200,
             points=inner if len(inner) else None)[0]
 
-    return np.array([part(lower_branch, t, 0.0, t) + part(upper_branch, t, t, 1.0)
+    return np.array([part(lower, t, 0.0, t) + part(upper, t, t, 1.0)
                      for t in np.asarray(ts, dtype=float)])
 
 

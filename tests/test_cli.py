@@ -301,12 +301,8 @@ def test_a_psi_read_as_not_integrable_makes_the_barrier_diverge(tmp_path, capsys
     assert "[A2.sigma_finite] barrier diverges" in capsys.readouterr().err
 
 
-def test_a_diverging_barrier_evaluates_no_u_at_the_nodes(tmp_path, capsys, monkeypatch):
-    # the barrier is infinite, so I_qu = int q u(sigma_R) is left undefined
-    # without evaluating u(sigma_R) at the mesh's nodes; the report is that
-    # of evaluating it and throwing it away
-    p = _worked_family_with_psi(tmp_path, "0.001*s*(1-s^2)^(-1.5)")
-    nodes = build_mesh(128).flat_nodes.size
+def _u_sizes(monkeypatch) -> list:
+    """The size of each argument ProblemSpec.u_at is called with, from now on."""
     sizes = []
     original = ProblemSpec.u_at
 
@@ -315,6 +311,16 @@ def test_a_diverging_barrier_evaluates_no_u_at_the_nodes(tmp_path, capsys, monke
         return original(self, x)
 
     monkeypatch.setattr(ProblemSpec, "u_at", counted)
+    return sizes
+
+
+def test_a_diverging_barrier_evaluates_no_u_at_the_nodes(tmp_path, capsys, monkeypatch):
+    # the barrier is infinite, so I_qu = int q u(sigma_R) is left undefined
+    # without evaluating u(sigma_R) at the mesh's nodes; the report is that
+    # of evaluating it and throwing it away
+    p = _worked_family_with_psi(tmp_path, "0.001*s*(1-s^2)^(-1.5)")
+    nodes = build_mesh(128).flat_nodes.size
+    sizes = _u_sizes(monkeypatch)
     assert main(["check", str(p)]) == EXIT_HYPOTHESIS
     assert sizes and nodes not in sizes  # the A1 lattice and u(R) only
     assert capsys.readouterr().out == (
@@ -354,6 +360,23 @@ def test_a_barrier_negative_between_breakpoints_is_named(tmp_path, capsys):
     # at the default 128 cells (lambda h = 5.2) the barrier is positive and check passes
     assert main(["check", str(p)]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_a_negative_barrier_is_one_failure_and_evaluates_no_u_at_the_nodes(
+        tmp_path, capsys, monkeypatch):
+    # the barrier is unusable, so I_qu = int q u(sigma_R) is left undefined
+    # without reading u at the negative node values: the report names the
+    # barrier once, and the ratio that I_qu leaves nan
+    p = _high_order_family(tmp_path)
+    nodes = build_mesh(32).flat_nodes.size
+    sizes = _u_sizes(monkeypatch)
+    assert main(["check", str(p), "--mesh-cells", "32"]) == EXIT_HYPOTHESIS
+    assert sizes and nodes not in sizes  # the A1 lattice and u(R) only
+    lines = capsys.readouterr().out.splitlines()
+    assert "I_qu = nan" in lines
+    assert [line for line in lines if line.startswith("A2 failure")] == [
+        "A2 failure: [A2.sigma_nonneg] barrier takes a negative value (at t=0.96813)",
+        "A2 failure: [A2.ratio] size condition requires ratio > 1 (at ratio=nan)"]
 
 
 @pytest.mark.parametrize("name", ["worked_family", "manufactured"])

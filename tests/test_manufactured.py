@@ -27,7 +27,6 @@ SHIPPED = Path(__file__).resolve().parents[1] / "problems" / "manufactured.prob"
 
 NUMERICS = """\
 mesh.cells = 128
-mesh.gamma = 3
 solver.m_schedule = 16,32,64,128
 solver.omega = 1.0
 solver.inner_tol = 1e-10
